@@ -39,10 +39,6 @@ logger = logging.getLogger(__name__)
 VAR_FLOOR = 1e-6
 
 
-class DegenerateRoute(FarecastError):
-    """All observed prices identical; raised nowhere, logged as a warning."""
-
-
 @dataclass
 class HmmModel:
     route_index: int
@@ -146,11 +142,41 @@ def equivalence_sequence(s: PriceSeries, cutoff_idx: int,
 # -- forward algorithm -------------------------------------------------------
 
 
-def _log_emission(model: HmmModel, obs: np.ndarray) -> np.ndarray:
-    """(T, K) log N(o_t; mu_k, var_k)."""
+def _scaled_emission(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Emissions N(o; mu_k, var_k) for observations of any shape (...).
+
+    Returns the log shift (...), the largest log density over the states,
+    and the densities divided by exp(shift) (..., K), whose max is 1.
+    """
     var = model.variances
-    diff = obs[:, None] - model.means[None, :]
-    return -0.5 * (np.log(2.0 * np.pi * var)[None, :] + diff * diff / var[None, :])
+    diff = obs[..., None] - model.means
+    logb = -0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var)
+    shift = logb.max(axis=-1)
+    return shift, np.exp(logb - shift[..., None])
+
+
+def _forward_rows(model: HmmModel, obs: np.ndarray) -> np.ndarray:
+    """Scaled forward log-likelihood of every row of ``obs`` (P, T), at once.
+
+    Row p is a sequence of length T - P + 1 + p, so one row is a whole
+    sequence and T rows are its T prefixes; a row that has ended leaves the
+    live set. An unreachable observation (total 0) leaves -inf and a zero
+    alpha, so no nan reaches a later step or an argmax.
+    """
+    n_rows, length = obs.shape
+    first_end = length - n_rows
+    shift, b = _scaled_emission(model, obs)
+    loglik = np.zeros(n_rows)
+    alpha = np.tile(model.initial, (n_rows, 1))
+    with np.errstate(divide="ignore"):
+        for t in range(length):
+            lo = max(t - first_end, 0)
+            weighted = alpha[lo:] * b[lo:, t]
+            total = weighted.sum(axis=1)
+            loglik[lo:] += np.log(total) + shift[lo:, t]
+            total[total == 0.0] = 1.0
+            alpha[lo:] = (weighted / total[:, None]) @ model.transition
+    return loglik
 
 
 def forward_loglik(model: HmmModel, observations: Sequence[float]) -> float:
@@ -158,18 +184,7 @@ def forward_loglik(model: HmmModel, observations: Sequence[float]) -> float:
     obs = np.asarray(observations, dtype=float)
     if obs.size == 0:
         raise EmptySeries("cannot score an empty sequence")
-    logb = _log_emission(model, obs)
-    loglik = 0.0
-    alpha = model.initial
-    for t in range(len(obs)):
-        shift = logb[t].max()
-        weighted = alpha * np.exp(logb[t] - shift)
-        total = weighted.sum()
-        if total == 0.0:  # unreachable observation under this model
-            return float("-inf")
-        loglik += math.log(total) + shift
-        alpha = (weighted / total) @ model.transition
-    return float(loglik)
+    return float(_forward_rows(model, obs[None, :])[0])
 
 
 def hmm_loglik(model: HmmModel, seq: EquivalenceSequence) -> float:
@@ -210,6 +225,45 @@ def _kmeans_1d(values: np.ndarray, k: int, seed: int, iters: int = 50) -> np.nda
             break
         centers = new_centers
     return np.sort(centers)
+
+
+def _e_step(model: HmmModel, stacks: Sequence[np.ndarray]) -> tuple:
+    """Scaled forward-backward (Rabiner 1989) over stacks (S, T) of equal-length sequences.
+
+    Returns the total log-likelihood and the M-step's accumulators (initial,
+    transition, occupancy, mean, square), each summed over every sequence.
+    """
+    trans = model.transition
+    parts = []
+    for obs in stacks:
+        shift, b = _scaled_emission(model, obs)  # (S, T), (S, T, K)
+        alpha = np.empty_like(b)
+        c = np.empty_like(shift)
+        a = model.initial * b[:, 0]
+        for t in range(obs.shape[1]):
+            if t:
+                a = (alpha[:, t - 1] @ trans) * b[:, t]
+            c[:, t] = a.sum(axis=1)
+            alpha[:, t] = a / c[:, t, None]
+
+        # Scaled backward under the same shifts and scalers.
+        beta = np.ones_like(b)
+        for t in range(obs.shape[1] - 2, -1, -1):
+            beta[:, t] = ((b[:, t + 1] * beta[:, t + 1]) @ trans.T) / c[:, t + 1, None]
+
+        gamma = alpha * beta
+        gamma /= gamma.sum(axis=2, keepdims=True)
+        xi = (alpha[:, :-1, :, None] * trans
+              * (b[:, 1:] * beta[:, 1:])[:, :, None, :]) / c[:, 1:, None, None]
+        parts.append((
+            float((np.log(c).sum(axis=1) + shift.sum(axis=1)).sum()),
+            gamma[:, 0].sum(axis=0),
+            (xi / xi.sum(axis=(2, 3), keepdims=True)).sum(axis=(0, 1)),
+            gamma.sum(axis=(0, 1)),
+            np.einsum("stk,st->k", gamma, obs),
+            np.einsum("stk,st->k", gamma, obs * obs),
+        ))
+    return tuple(sum(acc) for acc in zip(*parts))
 
 
 @dataclass
@@ -253,50 +307,13 @@ def baum_welch(
         norm_mean=norm_mean,
     )
 
+    stacks = [np.stack([obs for obs in seqs if len(obs) == n])
+              for n in dict.fromkeys(map(len, seqs))]
+
     history: list[float] = []
     converged = False
     for _ in range(max_iter):
-        total_ll = 0.0
-        init_acc = np.zeros(k)
-        trans_acc = np.zeros((k, k))
-        gamma_acc = np.zeros(k)
-        mean_acc = np.zeros(k)
-        sq_acc = np.zeros(k)
-
-        for obs in seqs:
-            T = len(obs)
-            logb = _log_emission(model, obs)
-            shift = logb.max(axis=1)
-            b = np.exp(logb - shift[:, None])  # (T, K), each row max 1
-
-            # Scaled forward.
-            alpha = np.empty((T, k))
-            c = np.empty(T)
-            a = model.initial * b[0]
-            c[0] = a.sum()
-            alpha[0] = a / c[0]
-            for t in range(1, T):
-                a = (alpha[t - 1] @ model.transition) * b[t]
-                c[t] = a.sum()
-                alpha[t] = a / c[t]
-            total_ll += float(np.log(c).sum() + shift.sum())
-
-            # Scaled backward under the same shifts and scalers.
-            beta = np.empty((T, k))
-            beta[T - 1] = 1.0
-            for t in range(T - 2, -1, -1):
-                beta[t] = (model.transition @ (b[t + 1] * beta[t + 1])) / c[t + 1]
-
-            gamma = alpha * beta
-            gamma /= gamma.sum(axis=1, keepdims=True)
-            init_acc += gamma[0]
-            gamma_acc += gamma.sum(axis=0)
-            mean_acc += gamma.T @ obs
-            sq_acc += gamma.T @ (obs * obs)
-            for t in range(T - 1):
-                xi = (alpha[t][:, None] * model.transition
-                      * (b[t + 1] * beta[t + 1])[None, :]) / c[t + 1]
-                trans_acc += xi / xi.sum()
+        total_ll, init_acc, trans_acc, gamma_acc, mean_acc, sq_acc = _e_step(model, stacks)
 
         if history and total_ll - history[-1] < tol and total_ll >= history[-1] - 1e-12:
             history.append(total_ll)
@@ -388,12 +405,29 @@ def fit_bank(
     return bank
 
 
-def classify_sequence(bank: Sequence[HmmModel], seq: EquivalenceSequence) -> int:
-    """Maximum-likelihood template index; ties resolve to the lowest index."""
+def _check_bank(bank: Sequence[HmmModel]) -> None:
     if len(bank) != N_ROUTES:
         raise FarecastError(f"bank holds {len(bank)} models, expected {N_ROUTES}")
+
+
+def classify_sequence(bank: Sequence[HmmModel], seq: EquivalenceSequence) -> int:
+    """Maximum-likelihood template index; ties resolve to the lowest index."""
+    _check_bank(bank)
     logliks = [hmm_loglik(m, seq) for m in bank]
     return int(np.argmax(logliks))
+
+
+def _prefix_observations(s: PriceSeries) -> np.ndarray:
+    """(T, T): row p is ``equivalence_sequence(s, p)``, then columns never read."""
+    denoms = [math.fsum(s.prices[: p + 1]) / (p + 1) for p in range(len(s))]
+    return np.asarray(s.prices, dtype=float)[None, :] / np.asarray(denoms)[:, None]
+
+
+def _classify_prefixes(bank: Sequence[HmmModel], s: PriceSeries) -> np.ndarray:
+    """``classify_sequence`` of every prefix of ``s``, T steps per template."""
+    _check_bank(bank)
+    obs = _prefix_observations(s)
+    return np.argmax([_forward_rows(m, obs) for m in bank], axis=0)
 
 
 # -- generalized problem ------------------------------------------------------
@@ -437,10 +471,7 @@ def generalized_predict(
                                                                     full_mean=True))
             per_row = [template] * len(s)
         else:
-            per_row = [
-                classify_sequence(bank, equivalence_sequence(s, t))
-                for t in range(len(s))
-            ]
+            per_row = _classify_prefixes(bank, s).tolist()
         rows = tuple(r.with_dummies(idx) for r, idx in zip(base_rows, per_row))
         predicted = predict(frozen_model, rows)
         decisions[s.key] = decide_classification(s, list(predicted))

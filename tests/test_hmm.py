@@ -7,7 +7,10 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from farecast import hmm
 from farecast.core import EmptySeries, FarecastError, one_hot
 from farecast.hmm import (
     VAR_FLOOR,
@@ -25,7 +28,13 @@ from farecast.hmm import (
     sample,
     save_model,
 )
-from farecast.hmm import _kmeans_1d
+from farecast.hmm import (
+    _classify_prefixes,
+    _e_step,
+    _forward_rows,
+    _kmeans_1d,
+    _prefix_observations,
+)
 from farecast.util import derive_seed
 
 from conftest import series_of
@@ -74,6 +83,87 @@ def brute_force_loglik(model, obs):
     return math.log(math.fsum(terms))
 
 
+def oracle_log_emission(model, obs):
+    """(T, K) log N(o_t; mu_k, var_k)."""
+    var = model.variances
+    diff = obs[:, None] - model.means[None, :]
+    return -0.5 * (np.log(2.0 * np.pi * var)[None, :] + diff * diff / var[None, :])
+
+
+def scalar_forward_loglik(model, observations):
+    """The per-sequence scaled forward pass, one observation at a time."""
+    obs = np.asarray(observations, dtype=float)
+    logb = oracle_log_emission(model, obs)
+    loglik = 0.0
+    alpha = model.initial
+    for t in range(len(obs)):
+        shift = logb[t].max()
+        weighted = alpha * np.exp(logb[t] - shift)
+        total = weighted.sum()
+        if total == 0.0:  # unreachable observation under this model
+            return float("-inf")
+        loglik += math.log(total) + shift
+        alpha = (weighted / total) @ model.transition
+    return float(loglik)
+
+
+def reference_e_step(model, stacks):
+    """Per-sequence, per-t Baum-Welch E-step over the rows of every stack."""
+    k = model.n_states
+    total_ll = 0.0
+    init_acc = np.zeros(k)
+    trans_acc = np.zeros((k, k))
+    gamma_acc = np.zeros(k)
+    mean_acc = np.zeros(k)
+    sq_acc = np.zeros(k)
+    for obs in (row for stack in stacks for row in stack):
+        T = len(obs)
+        logb = oracle_log_emission(model, obs)
+        shift = logb.max(axis=1)
+        b = np.exp(logb - shift[:, None])
+
+        alpha = np.empty((T, k))
+        c = np.empty(T)
+        a = model.initial * b[0]
+        c[0] = a.sum()
+        alpha[0] = a / c[0]
+        for t in range(1, T):
+            a = (alpha[t - 1] @ model.transition) * b[t]
+            c[t] = a.sum()
+            alpha[t] = a / c[t]
+        total_ll += float(np.log(c).sum() + shift.sum())
+
+        beta = np.empty((T, k))
+        beta[T - 1] = 1.0
+        for t in range(T - 2, -1, -1):
+            beta[t] = (model.transition @ (b[t + 1] * beta[t + 1])) / c[t + 1]
+
+        gamma = alpha * beta
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        init_acc += gamma[0]
+        gamma_acc += gamma.sum(axis=0)
+        mean_acc += gamma.T @ obs
+        sq_acc += gamma.T @ (obs * obs)
+        for t in range(T - 1):
+            xi = (alpha[t][:, None] * model.transition
+                  * (b[t + 1] * beta[t + 1])[None, :]) / c[t + 1]
+            trans_acc += xi / xi.sum()
+    return total_ll, init_acc, trans_acc, gamma_acc, mean_acc, sq_acc
+
+
+def assert_close(got, want, rel=1e-12):
+    """Equal to ``rel`` relative (absolute below magnitude 1).
+
+    -inf and nan match only themselves.
+    """
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite])
+                  <= rel * np.maximum(np.abs(want[finite]), 1.0))
+
+
 # -- forward scoring ----------------------------------------------------------
 
 
@@ -116,6 +206,46 @@ def test_forward_unreachable_observation_is_minus_inf():
 def test_forward_rejects_empty_sequence():
     with pytest.raises(EmptySeries):
         forward_loglik(unit_model(), [])
+
+
+def sparse_random_model(seed, k):
+    """Random model whose initial and transition rows may hold zeros."""
+    rng = np.random.default_rng(seed)
+
+    def stochastic_rows(n):
+        rows = rng.random((n, k)) * (rng.random((n, k)) > 0.3)
+        rows[np.arange(n), rng.integers(0, k, n)] += 0.1
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    return HmmModel(
+        route_index=0,
+        n_states=k,
+        initial=stochastic_rows(1)[0],
+        transition=stochastic_rows(k),
+        means=rng.uniform(0.5, 1.5, k),
+        variances=np.exp(rng.uniform(math.log(VAR_FLOOR), 0.0, k)),
+    )
+
+
+def degenerate_model():
+    """What hmm_fit returns for a constant route."""
+    return HmmModel(route_index=0, n_states=1, initial=np.array([1.0]),
+                    transition=np.array([[1.0]]), means=np.array([1.0]),
+                    variances=np.array([VAR_FLOOR]), degenerate=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4),
+       prices=st.lists(st.floats(50.0, 500.0), min_size=1, max_size=40))
+def test_batched_prefixes_match_scalar_forward(seed, k, prices):
+    s = series_of(prices)
+    obs = _prefix_observations(s)
+    for p in range(len(s)):
+        assert tuple(obs[p, : p + 1]) == equivalence_sequence(s, p).observations
+    for model in (sparse_random_model(seed, k), degenerate_model()):
+        want = [scalar_forward_loglik(model, obs[p, : p + 1]) for p in range(len(s))]
+        assert_close(_forward_rows(model, obs), want)
+        assert_close(forward_loglik(model, obs[-1]), want[-1])
 
 
 def test_sample_shape_and_determinism():
@@ -235,6 +365,37 @@ def test_baum_welch_rejects_empty():
         baum_welch([], n_states=2)
     with pytest.raises(EmptySeries):
         baum_welch([[], []], n_states=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4),
+       lengths=st.lists(st.integers(1, 25), min_size=0, max_size=7))
+def test_batched_e_step_matches_per_sequence_reference(seed, k, lengths):
+    lengths = [1, *lengths]  # a length-1 sequence has no transitions
+    truth = random_model(seed, k=k)
+    seqs = [sample(truth, n, seed=seed + i) for i, n in enumerate(lengths)]
+    visited = []
+
+    def recording_e_step(model, stacks):
+        visited.append((model, stacks))
+        return _e_step(model, stacks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hmm, "_e_step", recording_e_step)
+        batched = baum_welch(seqs, n_states=k, max_iter=20, seed=seed)
+        mp.setattr(hmm, "_e_step", reference_e_step)
+        looped = baum_welch(seqs, n_states=k, max_iter=20, seed=seed)
+    assert len(batched.loglik_history) == len(looped.loglik_history)
+    assert batched.converged == looped.converged
+    # Two runs drift apart as the M-step amplifies rounding (up to 2e-10
+    # relative on a few short sequences), so the history and accumulators are
+    # checked against the reference under the same parameters, step by step.
+    assert len(visited) == len(batched.loglik_history)
+    for (model, stacks), loglik in zip(visited, batched.loglik_history):
+        want = reference_e_step(model, stacks)
+        assert_close(loglik, want[0])
+        for got_acc, want_acc in zip(_e_step(model, stacks), want):
+            assert_close(got_acc, want_acc)
 
 
 # -- route fitting ------------------------------------------------------------
@@ -472,3 +633,33 @@ def test_generalized_rejects_regression_model():
     bank = near_constant_bank()
     with pytest.raises(FarecastError):
         generalized_predict(bank, reg, train, anchor=train[0].first_query_date)
+
+
+def test_unreachable_prefix_stays_minus_inf_and_never_wins():
+    # Template 0 explains only prices exactly at the prefix mean: its one
+    # reachable state has the floor variance, its broad state is never entered.
+    fragile = HmmModel(route_index=0, n_states=2, initial=np.array([1.0, 0.0]),
+                       transition=np.eye(2), means=np.array([1.0, 1.0]),
+                       variances=np.array([VAR_FLOOR, 100.0]))
+    broad = HmmModel(route_index=1, n_states=1, initial=np.array([1.0]),
+                     transition=np.array([[1.0]]), means=np.array([1.0]),
+                     variances=np.array([0.05]))
+    bank = [fragile, broad, broad, *near_constant_bank()[3:]]
+    s = series_of([100.0, 100.0, 100.0, 130.0, 100.0, 100.0], route_id="G1",
+                  departure=date(2016, 2, 10))
+    logliks = _forward_rows(fragile, _prefix_observations(s))
+    assert np.isfinite(logliks[:3]).all()
+    assert (logliks[3:] == -np.inf).all()  # 130 is unreachable, and stays so
+
+    oracle = tuple(
+        int(np.argmax([scalar_forward_loglik(m, equivalence_sequence(s, t).observations)
+                       for m in bank]))
+        for t in range(len(s))
+    )
+    per_prefix = tuple(classify_sequence(bank, equivalence_sequence(s, t))
+                       for t in range(len(s)))
+    result = generalized_predict(bank, frozen_classifier(), [s],
+                                 anchor=s.first_query_date)
+    # the identical templates 1 and 2 tie: the lower index wins
+    assert result.assignments[s.key] == per_prefix == oracle == (0, 0, 0, 1, 1, 1)
+    assert tuple(_classify_prefixes(bank, s)) == oracle
