@@ -21,14 +21,14 @@ from typing import Optional, Sequence
 
 from . import hmm, qlearn, synthgen
 from .core import FarecastError, PriceSeries
-from .features import corpus_anchor, dump_features, extract_rows, label_rows
+from .features import corpus_anchor, dump_features
 from .ingest import SplitConfig, load_quotes, split
 from .learners import KINDS, LearnerSpec, load_model, save_model
 from .metrics import simulated_random_purchase_price
 from .pipeline import (
     PreprocessConfig,
-    apply_preprocessing,
     build_dataset,
+    preprocess_for,
     route_order,
     run_policy,
     run_uniform_generalized,
@@ -49,24 +49,27 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _json_object(text: str, what: str) -> dict:
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FarecastError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise FarecastError(f"{what} must be a JSON object")
+    return raw
+
+
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return _json_object(Path(path).read_text(encoding="utf-8"), f"config {path}")
 
 
 def _split_config(args, config: dict) -> SplitConfig:
     if getattr(args, "split_config", None):
-        return SplitConfig.from_json(args.split_config)
+        return SplitConfig.from_dict(_load_config(args.split_config))
     if "split" in config:
-        raw = config["split"]
-        return SplitConfig(
-            train_start=date.fromisoformat(raw["train_start"]),
-            train_end=date.fromisoformat(raw["train_end"]),
-            test_start=date.fromisoformat(raw["test_start"]),
-            test_end=date.fromisoformat(raw["test_end"]),
-        )
+        return SplitConfig.from_dict(config["split"])
     return SplitConfig.default()
 
 
@@ -144,8 +147,7 @@ def cmd_gen_data(args) -> int:
     if args.generalized:
         cfg = synthgen.generalized_config(**overrides)
     else:
-        from dataclasses import replace
-        cfg = replace(synthgen.GeneratorConfig(), **overrides)
+        cfg = synthgen.GeneratorConfig(**overrides)
     quotes = synthgen.generate_corpus(cfg, seed=args.seed)
     synthgen.write_corpus_csv(quotes, args.out)
     if args.split_out:
@@ -182,13 +184,10 @@ def cmd_tune(args) -> int:
 
     train_ds = build_dataset(train_series, routes, anchor, role="train")
 
-    def preprocess(ds, fold_seed):
-        if args.task != "classification":
-            return ds
-        return apply_preprocessing(ds, prep, fold_seed)
-
-    best, table = grid_search(grid, train_ds, seed=derive_seed(args.seed, "tune"),
-                              k=args.folds, preprocess=preprocess, jobs=args.jobs)
+    # every spec in the grid has the task of --task
+    best, table = grid_search(
+        grid, train_ds, seed=derive_seed(args.seed, "tune"), k=args.folds, jobs=args.jobs,
+        preprocess=lambda ds, fold_seed: preprocess_for(grid[0], ds, prep, fold_seed))
     report = {
         "command": "tune",
         "seed": args.seed,
@@ -222,7 +221,7 @@ def cmd_tune(args) -> int:
 
 
 def _spec_from_args(args) -> LearnerSpec:
-    hyper = json.loads(args.hyperparams) if args.hyperparams else {}
+    hyper = _json_object(args.hyperparams, "--hyperparams") if args.hyperparams else {}
     return LearnerSpec(kind=args.model, task=args.task, hyperparams=hyper)
 
 
@@ -297,12 +296,8 @@ def cmd_backtest(args) -> int:
     if args.plot_data:
         _decisions_csv(decisions, test_series, args.plot_data)
     if args.dump_features:
-        index = {route_id: i for i, route_id in enumerate(routes)}
-        rows = []
-        for s in test_series:
-            extracted = extract_rows(s, route_index=index[s.key.route_id], anchor=anchor)
-            rows.extend(label_rows(extracted, s))
-        dump_features(rows, args.dump_features)
+        dump_features(build_dataset(test_series, routes, anchor, role="test").rows,
+                      args.dump_features)
     if args.save_model and not args.load_model:
         save_model(model, args.save_model)
     return 0
@@ -346,8 +341,14 @@ def cmd_qlearn(args) -> int:
     return 0
 
 
-def _bank_paths(bank_dir: str) -> list[Path]:
-    return [Path(bank_dir) / f"hmm_{i}.json" for i in range(8)]
+def _load_bank(bank_dir: str) -> list[hmm.HmmModel]:
+    """Every ``hmm_*.json`` in ``bank_dir``, which must be hmm_0.json .. hmm_<n-1>.json."""
+    names = sorted(p.name for p in Path(bank_dir).glob("hmm_*.json"))
+    expected = [f"hmm_{i}.json" for i in range(len(names))]
+    if not names or names != sorted(expected):
+        raise FarecastError(f"bank {bank_dir} must hold hmm_0.json .. hmm_<n-1>.json, "
+                            f"found {names}")
+    return [hmm.load_model(Path(bank_dir) / name) for name in expected]
 
 
 def cmd_generalize(args) -> int:
@@ -361,7 +362,7 @@ def cmd_generalize(args) -> int:
     anchor = date.fromisoformat(args.anchor) if args.anchor else corpus_anchor(gen_series)
 
     if args.bank:
-        bank = [hmm.load_model(p) for p in _bank_paths(args.bank)]
+        bank = _load_bank(args.bank)
     else:
         if not args.quotes:
             raise FarecastError("generalize needs --bank or --quotes to fit one")
@@ -513,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen-quotes", required=True)
     p.add_argument("--frozen-model", required=True)
     p.add_argument("--quotes", help="specific corpus, used when fitting the bank")
-    p.add_argument("--bank", help="directory with hmm_0.json .. hmm_7.json")
+    p.add_argument("--bank", help="directory with hmm_0.json .. hmm_<n-1>.json, "
+                                  "one per specific route")
     p.add_argument("--bank-out", help="directory to save the fitted bank")
     p.add_argument("--blend-model", help="uniform_blend model for the voting variant")
     p.add_argument("--n-states", type=int, default=None)
@@ -533,13 +535,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FarecastError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": "FileNotFound", "message": str(exc)}) + "\n")
+    except (FarecastError, FileNotFoundError) as exc:
+        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
         return 2
 
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Iterable, Optional
-
-N_ROUTES = 8  # length of the flight-number dummy vector
 
 BUY = 1
 WAIT = 0
@@ -50,11 +49,12 @@ def validate_quote(q: Quote) -> Quote:
     """Return ``q`` unchanged if its invariants hold, else raise.
 
     Raises:
-        NonPositivePrice: price is zero or negative.
+        NonPositivePrice: price is zero, negative or not finite.
         QueryAfterDeparture: the quote was queried after its departure date.
     """
-    if not q.price > 0:
-        raise NonPositivePrice(f"price must be > 0, got {q.price!r} for {q.route_id}")
+    if not (q.price > 0 and math.isfinite(q.price)):
+        raise NonPositivePrice(
+            f"price must be finite and > 0, got {q.price!r} for {q.route_id}")
     if q.query_date > q.departure_date:
         raise QueryAfterDeparture(
             f"query {q.query_date} is after departure {q.departure_date} for {q.route_id}"
@@ -103,7 +103,7 @@ class FeatureRow:
     """Feature vector and labels for one (series, query day).
 
     ``flight_dummies`` is None for generalized-route rows until a route
-    pattern has been assigned; everywhere else it is an 8-element one-hot.
+    pattern has been assigned; everywhere else it is a one-hot over the routes.
     ``label_reg`` is the minimum price over the entire series (future-aware;
     training targets and evaluation only).
     """
@@ -119,14 +119,15 @@ class FeatureRow:
     label_class: Optional[int] = None
     label_reg: Optional[float] = None
 
-    def with_dummies(self, route_index: int) -> "FeatureRow":
-        return replace(self, flight_dummies=one_hot(route_index))
+    def with_dummies(self, route_index: int, width: int) -> "FeatureRow":
+        return replace(self, flight_dummies=one_hot(route_index, width))
 
 
-def one_hot(route_index: int) -> tuple[int, ...]:
-    if not 0 <= route_index < N_ROUTES:
-        raise FarecastError(f"route index {route_index} outside 0..{N_ROUTES - 1}")
-    return tuple(1 if i == route_index else 0 for i in range(N_ROUTES))
+def one_hot(route_index: int, width: int) -> tuple[int, ...]:
+    """Dummy vector of ``width`` routes with a 1 at ``route_index``."""
+    if not 0 <= route_index < width:
+        raise FarecastError(f"route index {route_index} outside 0..{width - 1}")
+    return tuple(1 if i == route_index else 0 for i in range(width))
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,11 @@ from .core import (
     FeatureRow,
     PriceSeries,
     format_price,
-    one_hot,
 )
 
 logger = logging.getLogger(__name__)
 
-# Design-matrix layout: 8 dummies, then the continuous block.
+# Design-matrix layout: one dummy per route, then the continuous block.
 CONTINUOUS_NAMES = (
     "min_price_so_far",
     "max_price_so_far",
@@ -40,9 +39,7 @@ CONTINUOUS_NAMES = (
     "days_to_departure",
     "current_price",
 )
-N_DUMMIES = 8
-N_FEATURES = N_DUMMIES + len(CONTINUOUS_NAMES)
-CONTINUOUS = slice(N_DUMMIES, N_FEATURES)
+CONTINUOUS = slice(-len(CONTINUOUS_NAMES), None)
 
 
 class FeatureMismatch(FarecastError):
@@ -58,13 +55,13 @@ def corpus_anchor(series: Sequence[PriceSeries]) -> date:
 
 def extract_rows(
     s: PriceSeries,
-    route_index: Optional[int] = None,
+    dummies: Optional[tuple[int, ...]] = None,
     anchor: Optional[date] = None,
 ) -> list[FeatureRow]:
     """One unlabeled FeatureRow per quote.
 
-    ``route_index`` fills the flight dummies for specific routes; pass None
-    for generalized routes (a pattern is assigned later). ``anchor`` is the
+    ``dummies`` is the route's one-hot for specific routes; pass None for
+    generalized routes (a pattern is assigned later). ``anchor`` is the
     corpus-wide first query date; it defaults to the series' own first query
     date, which only coincides with the corpus anchor for single-series use.
     """
@@ -72,7 +69,6 @@ def extract_rows(
         raise EmptySeries(f"series {s.key} is empty")
     if anchor is None:
         anchor = s.first_query_date
-    dummies = one_hot(route_index) if route_index is not None else None
     query_to_departure = (s.key.departure_date - anchor).days
 
     rows = []
@@ -116,15 +112,14 @@ def label_rows(rows: Sequence[FeatureRow], s: PriceSeries) -> list[FeatureRow]:
 
 
 def to_matrix(rows: Sequence[FeatureRow]) -> np.ndarray:
-    """Design matrix (n, 13): one-hot dummies followed by the continuous block."""
-    if not rows:
-        return np.empty((0, N_FEATURES))
-    out = np.empty((len(rows), N_FEATURES))
+    """Design matrix (n, width + 5): the rows' one-hot dummies, then the continuous block."""
+    width = len(rows[0].flight_dummies or ()) if rows else 0
+    out = np.empty((len(rows), width + len(CONTINUOUS_NAMES)))
     for i, r in enumerate(rows):
         if r.flight_dummies is None:
             raise FeatureMismatch(f"row {r.key}/{r.query_date} has no flight dummies")
-        out[i, :N_DUMMIES] = r.flight_dummies
-        out[i, N_DUMMIES:] = (
+        out[i, :width] = r.flight_dummies
+        out[i, width:] = (
             r.min_price_so_far,
             r.max_price_so_far,
             r.query_to_departure,
@@ -170,7 +165,7 @@ class Standardizer:
         if degenerate.any():
             dropped = [CONTINUOUS_NAMES[i] for i in np.flatnonzero(degenerate)]
             logger.warning("dropping zero-variance feature(s): %s", ", ".join(dropped))
-            keep[N_DUMMIES:] = ~degenerate
+            keep[CONTINUOUS] = ~degenerate
         return cls(mean=mean, scale=np.where(degenerate, 1.0, std), keep=keep)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -196,18 +191,19 @@ class Standardizer:
 
 def dump_features(rows: Sequence[FeatureRow], path: str | Path) -> None:
     """Write rows as CSV in FeatureRow field order, for inspection."""
+    width = next((len(r.flight_dummies) for r in rows if r.flight_dummies is not None), 0)
     header = (
         ["route_id", "departure_date", "query_date", "min_price_so_far",
          "max_price_so_far", "query_to_departure", "days_to_departure",
          "current_price"]
-        + [f"f{i}" for i in range(N_DUMMIES)]
+        + [f"f{i}" for i in range(width)]
         + ["label_class", "label_reg"]
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in rows:
-            dummies = r.flight_dummies if r.flight_dummies is not None else [""] * N_DUMMIES
+            dummies = r.flight_dummies if r.flight_dummies is not None else [""] * width
             writer.writerow(
                 [r.key.route_id, r.key.departure_date.isoformat(),
                  r.query_date.isoformat(), format_price(r.min_price_so_far),

@@ -3,10 +3,10 @@
 One model is trained per specific route on that route's training series,
 with prices normalized by the route's training-mean price. A route with no
 history gets its flight dummies assigned by maximum-likelihood
-classification of its observation prefix against the 8-model bank; the
-prefix is normalized by its own running mean, so no future information
-leaks into the assignment, and a frozen specific-route classifier makes the
-buy/wait call on the resulting feature rows.
+classification of its observation prefix against the bank, one template per
+specific route; the prefix is normalized by its own running mean, so no
+future information leaks into the assignment, and a frozen specific-route
+classifier makes the buy/wait call on the resulting feature rows.
 """
 
 from __future__ import annotations
@@ -21,16 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    EmptySeries,
-    FarecastError,
-    FeatureRow,
-    N_ROUTES,
-    PriceSeries,
-    SeriesKey,
-)
+from .core import EmptySeries, FarecastError, FeatureRow, PriceSeries, SeriesKey
 from .features import corpus_anchor, extract_rows
-from .learners import TrainedModel, predict
+from .learners import TrainedModel, dummy_width, predict
 from .policy import PurchaseDecision, decide_classification
 from .util import derive_seed
 
@@ -55,6 +48,9 @@ class HmmModel:
         self.transition = np.asarray(self.transition, dtype=float)
         self.means = np.asarray(self.means, dtype=float)
         self.variances = np.asarray(self.variances, dtype=float)
+        if not all(np.isfinite(a).all() for a in (self.initial, self.transition,
+                                                  self.means, self.variances)):
+            raise FarecastError("HMM parameters must be finite")
         if abs(self.initial.sum() - 1.0) > 1e-9:
             raise FarecastError("initial distribution does not sum to 1")
         if np.abs(self.transition.sum(axis=1) - 1.0).max() > 1e-9:
@@ -324,7 +320,10 @@ def baum_welch(
         # M-step.
         new_means = mean_acc / gamma_acc
         new_vars = np.maximum(sq_acc / gamma_acc - new_means**2, VAR_FLOOR)
-        new_trans = trans_acc / trans_acc.sum(axis=1, keepdims=True)
+        # A state with no outgoing transition mass keeps its row instead of 0/0.
+        out_mass = trans_acc.sum(axis=1, keepdims=True)
+        new_trans = (np.where(out_mass > 0, trans_acc, model.transition)
+                     / np.where(out_mass > 0, out_mass, 1.0))
         model = HmmModel(
             route_index=route_index,
             n_states=k,
@@ -389,30 +388,22 @@ def fit_bank(
     tol: float = 1e-6,
     seed: int = 0,
 ) -> list[HmmModel]:
-    """One template per route, in the given route order."""
-    by_route: dict[str, list[PriceSeries]] = {r: [] for r in route_order}
-    for s in train_series:
-        if s.key.route_id in by_route:
-            by_route[s.key.route_id].append(s)
+    """One template per route, in the given route order; template i has route index i."""
     bank = []
     for idx, route_id in enumerate(route_order):
-        if not by_route[route_id]:
+        route_series = [s for s in train_series if s.key.route_id == route_id]
+        if not route_series:
             raise EmptySeries(f"route {route_id} has no training series")
-        bank.append(
-            hmm_fit(by_route[route_id], n_states=n_states, max_iter=max_iter,
-                    tol=tol, seed=derive_seed(seed, "hmm", idx), route_index=idx)
-        )
+        bank.append(hmm_fit(route_series, n_states=n_states, max_iter=max_iter,
+                            tol=tol, seed=derive_seed(seed, "hmm", idx), route_index=idx))
     return bank
 
 
-def _check_bank(bank: Sequence[HmmModel]) -> None:
-    if len(bank) != N_ROUTES:
-        raise FarecastError(f"bank holds {len(bank)} models, expected {N_ROUTES}")
-
-
-def classify_sequence(bank: Sequence[HmmModel], seq: EquivalenceSequence) -> int:
-    """Maximum-likelihood template index; ties resolve to the lowest index."""
-    _check_bank(bank)
+def classify_sequence(bank: Sequence[HmmModel], seq: EquivalenceSequence,
+                      width: int) -> int:
+    """Maximum-likelihood index in a bank of ``width`` templates; ties go to the lowest."""
+    if len(bank) != width:
+        raise FarecastError(f"bank holds {len(bank)} templates, expected {width}")
     logliks = [hmm_loglik(m, seq) for m in bank]
     return int(np.argmax(logliks))
 
@@ -425,7 +416,6 @@ def _prefix_observations(s: PriceSeries) -> np.ndarray:
 
 def _classify_prefixes(bank: Sequence[HmmModel], s: PriceSeries) -> np.ndarray:
     """``classify_sequence`` of every prefix of ``s``, T steps per template."""
-    _check_bank(bank)
     obs = _prefix_observations(s)
     return np.argmax([_forward_rows(m, obs) for m in bank], axis=0)
 
@@ -454,10 +444,16 @@ def generalized_predict(
     the assignment at t uses nothing later than t). ``per_series`` instead
     classifies each series once from its full observation sequence. The
     frozen classifier then predicts on the tagged rows and the standard
-    decision rule runs per series.
+    decision rule runs per series. The bank holds one template per route
+    dummy of the frozen model, template i for route index i.
     """
     if frozen_model.spec.task != "classification":
         raise FarecastError("the frozen model must be a classification model")
+    width = dummy_width(frozen_model)
+    indices = [m.route_index for m in bank]
+    if indices != list(range(width)):
+        raise FarecastError(f"bank holds templates for route indices {indices}, "
+                            f"the frozen model needs 0..{width - 1} in order")
     if anchor is None:
         anchor = corpus_anchor(gen_series)
 
@@ -465,14 +461,14 @@ def generalized_predict(
     assignments: dict[SeriesKey, tuple[int, ...]] = {}
     tagged_rows: dict[SeriesKey, tuple[FeatureRow, ...]] = {}
     for s in gen_series:
-        base_rows = extract_rows(s, route_index=None, anchor=anchor)
+        base_rows = extract_rows(s, anchor=anchor)
         if per_series:
-            template = classify_sequence(bank, equivalence_sequence(s, len(s) - 1,
-                                                                    full_mean=True))
+            template = classify_sequence(
+                bank, equivalence_sequence(s, len(s) - 1, full_mean=True), width)
             per_row = [template] * len(s)
         else:
             per_row = _classify_prefixes(bank, s).tolist()
-        rows = tuple(r.with_dummies(idx) for r, idx in zip(base_rows, per_row))
+        rows = tuple(r.with_dummies(idx, width) for r, idx in zip(base_rows, per_row))
         predicted = predict(frozen_model, rows)
         decisions[s.key] = decide_classification(s, list(predicted))
         assignments[s.key] = tuple(per_row)

@@ -57,14 +57,18 @@ class SplitConfig:
         )
 
     @classmethod
-    def from_json(cls, path: str | Path) -> "SplitConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+    def from_dict(cls, raw: dict) -> "SplitConfig":
+        """The four ISO dates of ``raw``; a missing key or bad date is a FarecastError."""
         try:
             return cls(**{k: date.fromisoformat(raw[k]) for k in
                           ("train_start", "train_end", "test_start", "test_end")})
-        except KeyError as exc:
-            raise FarecastError(f"split config {path} is missing key {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FarecastError(f"split config needs four ISO dates: {exc!r}") from exc
+
+    @classmethod
+    def from_json(cls, path: str | Path) -> "SplitConfig":
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
         return {

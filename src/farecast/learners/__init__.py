@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core import Dataset, FarecastError, FeatureRow, N_ROUTES
+from ..core import Dataset, FarecastError, FeatureRow
 from ..features import (
+    CONTINUOUS_NAMES,
     FeatureMismatch,
     Standardizer,
     labels_class,
@@ -211,25 +212,21 @@ def _fit_blend(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
     member_kind = _hp(spec, "member_kind",
                       "adaboost_cart" if spec.task == "classification" else "cart")
     member_params = dict(_hp(spec, "member_params", {}))
-    by_route: dict[int, list[FeatureRow]] = {r: [] for r in range(N_ROUTES)}
-    for row in train.rows:
-        if row.flight_dummies is None:
-            raise FeatureMismatch("blend training rows need flight dummies")
-        by_route[int(np.argmax(row.flight_dummies))].append(row)
-    missing = [r for r, rows in by_route.items() if not rows]
+    X = to_matrix(train.rows)
+    width = X.shape[1] - len(CONTINUOUS_NAMES)
+    by_route: list[list[FeatureRow]] = [[] for _ in range(width)]
+    for row, r in zip(train.rows, X[:, :width].argmax(axis=1)):
+        by_route[r].append(row)
+    missing = [r for r, rows in enumerate(by_route) if not rows]
     if missing:
         raise DegenerateData(f"no training rows for route index(es) {missing}")
 
-    members = []
     member_spec = LearnerSpec(kind=member_kind, task=spec.task, hyperparams=member_params)
-    for r in range(N_ROUTES):
-        member = fit(member_spec, Dataset(rows=tuple(by_route[r]), role=train.role),
-                     seed=derive_seed(seed, "member", r))
-        members.append(member)
+    members = [fit(member_spec, Dataset(rows=tuple(rows), role=train.role),
+                   seed=derive_seed(seed, "member", r)) for r, rows in enumerate(by_route)]
     return TrainedModel(
         spec=spec,
-        parameters={"n_features": to_matrix(train.rows).shape[1],
-                    "standardizer": None, "core": members},
+        parameters={"n_features": X.shape[1], "standardizer": None, "core": members},
         train_summary={"member_kind": member_kind,
                        "per_member": [m.train_summary for m in members]},
     )
@@ -263,14 +260,8 @@ def predict_scores(model: TrainedModel, rows: Sequence[FeatureRow]) -> np.ndarra
 
     Regression models return their predictions unchanged.
     """
-    if model.spec.kind == "uniform_blend":
-        members = model.parameters["core"]
-        if model.spec.task == "classification":
-            votes = np.zeros(len(rows))
-            for m in members:
-                votes += predict(m, rows)
-            return votes / len(members)
-        return predict(model, rows)
+    if model.spec.kind == "uniform_blend":  # the vote share, or the mean prediction
+        return np.mean([predict(m, rows) for m in model.parameters["core"]], axis=0)
     if model.spec.task == "regression":
         return predict(model, rows)
     X = _core_matrix(model, rows)
@@ -284,24 +275,32 @@ def predict_scores(model: TrainedModel, rows: Sequence[FeatureRow]) -> np.ndarra
     raise IncompatibleSpec(f"no score path for {model.spec.kind}")  # pragma: no cover
 
 
+def dummy_width(model: TrainedModel) -> int:
+    """Number of route dummies in the rows the model was trained on."""
+    return model.parameters["n_features"] - len(CONTINUOUS_NAMES)
+
+
 def blend_predict(members: Sequence[TrainedModel], rows: Sequence[FeatureRow],
                   own_dummies: bool = False) -> np.ndarray:
-    """Majority vote of the 8 per-route members: 1 iff more than 4 vote 1.
+    """Majority vote of the per-route members: 1 iff more than half vote 1.
 
-    With ``own_dummies`` each member sees the rows re-tagged with its own
-    route's dummy vector (the no-history variant, where rows carry no
-    meaningful route identity).
+    There is one member per route dummy the members were trained on. With
+    ``own_dummies`` each member sees the rows re-tagged with its own route's
+    dummy vector (the no-history variant, where rows carry no meaningful
+    route identity).
     """
-    if len(members) != N_ROUTES:
-        raise WrongMemberCount(f"expected {N_ROUTES} members, got {len(members)}")
+    widths = sorted({dummy_width(m) for m in members})
+    if widths != [len(members)]:
+        raise WrongMemberCount(f"{len(members)} members for {widths} route dummies")
     for m in members:
         if m.spec.task != "classification":
             raise IncompatibleSpec("blend members must be classification models")
     votes = np.zeros(len(rows))
     for r, member in enumerate(members):
-        member_rows = [row.with_dummies(r) for row in rows] if own_dummies else rows
+        member_rows = ([row.with_dummies(r, len(members)) for row in rows]
+                       if own_dummies else rows)
         votes += predict(member, member_rows)
-    return (votes > N_ROUTES // 2).astype(int)
+    return (votes > len(members) // 2).astype(int)
 
 
 # -- serialization ---------------------------------------------------------

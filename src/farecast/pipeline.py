@@ -2,10 +2,11 @@
 
 Route indices (the dummy positions) come from the natural-sorted unique
 route ids of the training corpus; the same ordering is used everywhere a
-bank, blend, or report enumerates routes. Preprocessing (outlier removal,
-then oversampling) applies to classification training data only; labels for
-regression are untouched real prices and resampling would only distort the
-loss.
+bank, blend, or report enumerates routes, and its length is the dummy width
+of every model, blend and bank built from the corpus. Preprocessing (outlier
+removal, then oversampling) applies to classification training data only;
+labels for regression are untouched real prices and resampling would only
+distort the loss.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Mapping, Optional, Sequence
 
-from .core import Dataset, FarecastError, PriceSeries, SeriesKey
+from .core import Dataset, FarecastError, PriceSeries, SeriesKey, one_hot
 from .features import corpus_anchor, extract_rows, label_rows
 from .learners import LearnerSpec, TrainedModel, blend_predict, fit, predict
 from .metrics import BacktestMetrics, aggregate, backtest_report
@@ -32,6 +33,10 @@ def route_order(series: Sequence[PriceSeries]) -> list[str]:
     return sorted({s.key.route_id for s in series}, key=natural_key)
 
 
+def _route_dummies(routes: Sequence[str]) -> dict[str, tuple[int, ...]]:
+    return {route_id: one_hot(i, len(routes)) for i, route_id in enumerate(routes)}
+
+
 def build_dataset(
     series: Sequence[PriceSeries],
     routes: Sequence[str],
@@ -39,12 +44,12 @@ def build_dataset(
     role: str,
 ) -> Dataset:
     """Labeled feature rows for every quote of every series."""
-    index = {route_id: i for i, route_id in enumerate(routes)}
+    dummies = _route_dummies(routes)
     rows = []
     for s in series:
-        if s.key.route_id not in index:
+        if s.key.route_id not in dummies:
             raise FarecastError(f"series {s.key} belongs to no known route")
-        extracted = extract_rows(s, route_index=index[s.key.route_id], anchor=anchor)
+        extracted = extract_rows(s, dummies=dummies[s.key.route_id], anchor=anchor)
         rows.extend(label_rows(extracted, s))
     return Dataset(rows=tuple(rows), role=role)
 
@@ -88,10 +93,10 @@ def run_policy(
     jobs: int = 1,
 ) -> dict[SeriesKey, PurchaseDecision]:
     """Predict per series and apply the buy/wait decision rule."""
-    index = {route_id: i for i, route_id in enumerate(routes)}
+    dummies = _route_dummies(routes)
 
     def decide(s: PriceSeries) -> tuple[SeriesKey, PurchaseDecision]:
-        rows = extract_rows(s, route_index=index[s.key.route_id], anchor=anchor)
+        rows = extract_rows(s, dummies=dummies[s.key.route_id], anchor=anchor)
         predictions = list(predict(model, rows))
         if model.spec.task == "classification":
             return s.key, decide_classification(s, predictions)
@@ -122,7 +127,7 @@ def run_uniform_generalized(
     members = blend_model.parameters["core"]
     decisions = {}
     for s in gen_series:
-        rows = extract_rows(s, route_index=None, anchor=anchor)
+        rows = extract_rows(s, anchor=anchor)
         votes = blend_predict(members, rows, own_dummies=True)
         decisions[s.key] = decide_classification(s, list(votes))
     return decisions

@@ -26,7 +26,7 @@ from farecast.hmm import (
     generalized_predict,
     sample,
 )
-from farecast.core import SeriesKey
+from farecast.core import SeriesKey, one_hot
 from farecast.ingest import split
 from farecast.learners import LearnerSpec, fit, predict
 from farecast.learners.boosting import AdaBoostClassifier
@@ -158,7 +158,8 @@ def test_c03_labels_match_brute_force_scan():
     anchor = corpus_anchor(series)
     index = {r: i for i, r in enumerate(routes)}
     for s in series:
-        rows = label_rows(extract_rows(s, route_index=index[s.key.route_id], anchor=anchor), s)
+        rows = label_rows(extract_rows(s, dummies=one_hot(index[s.key.route_id], len(routes)),
+                                        anchor=anchor), s)
         lowest = min(s.prices)
         expected = [1 if p == lowest else 0 for p in s.prices]
         assert [r.label_class for r in rows] == expected
@@ -215,7 +216,7 @@ def test_c05_bank_identifies_heldout_sequences():
             cutoff_query_date=date(2016, 1, 20),
             observations=tuple(obs),
         )
-        hits += classify_sequence(bank, seq) == r
+        hits += classify_sequence(bank, seq, 8) == r
     assert hits / 200 >= 0.90
     assert time.perf_counter() - start < 60.0
 

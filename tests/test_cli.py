@@ -1,11 +1,17 @@
 """End-to-end CLI flows on small seeded corpora."""
 
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from farecast.cli import main
 
@@ -334,6 +340,140 @@ def test_generalize_requires_bank_or_quotes(gen_corpus, workdir, frozen_and_blen
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert "bank" in err["message"]
+
+
+def one_line_error(stderr: str) -> dict:
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+# -- route counts other than 8 ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n_routes", [4, 9])
+def test_route_count_follows_the_corpus(tmp_path, gen_corpus, frozen_and_blend, capsys,
+                                        n_routes):
+    quotes, split_json = tmp_path / "quotes.csv", tmp_path / "split.json"
+    assert main(["gen-data", "--seed", "3", "--out", str(quotes), "--routes", str(n_routes),
+                 "--departures", "4", "--horizon", "10", "--split-out", str(split_json)]) == 0
+    data = ["--quotes", str(quotes), "--split-config", str(split_json)]
+    frozen, blend = tmp_path / "frozen.json", tmp_path / "blend.json"
+    assert main(["train", *data, "--task", "classification", "--model", "cart",
+                 "--seed", "5", "--save-model", str(frozen)]) == 0
+    out = tmp_path / "backtest.json"
+    assert main(["backtest", *data, "--load-model", str(frozen), "--out", str(out)]) == 0
+    assert read_report(out)["backtest"]["n_routes"] == n_routes
+    assert main(["train", *data, "--task", "classification", "--model", "uniform_blend",
+                 "--hyperparams", '{"member_kind": "cart"}', "--seed", "5",
+                 "--save-model", str(blend)]) == 0
+
+    bank = tmp_path / "bank"
+    generalize = ["generalize", *data, "--gen-quotes", str(gen_corpus),
+                  "--n-states", "2", "--seed", "1"]
+    fit_out, reuse_out = tmp_path / "fit.json", tmp_path / "reuse.json"
+    assert main([*generalize, "--frozen-model", str(frozen), "--blend-model", str(blend),
+                 "--bank-out", str(bank), "--out", str(fit_out)]) == 0
+    assert sorted(p.name for p in bank.iterdir()) == sorted(
+        f"hmm_{i}.json" for i in range(n_routes))
+    assert main([*generalize, "--frozen-model", str(frozen), "--blend-model", str(blend),
+                 "--bank", str(bank), "--out", str(reuse_out)]) == 0
+    fitted, reused = read_report(fit_out), read_report(reuse_out)
+    assert fitted["hmm"] == reused["hmm"] and fitted["uniform"] == reused["uniform"]
+    assert {int(i) for counts in fitted["template_counts"].values()
+            for i in counts} <= set(range(n_routes))
+
+    capsys.readouterr()
+    # the 8-route frozen model cannot use this bank
+    eight_route_frozen, _ = frozen_and_blend
+    assert main([*generalize, "--frozen-model", str(eight_route_frozen),
+                 "--bank", str(bank)]) == 2
+    assert "the frozen model needs 0..7" in one_line_error(capsys.readouterr().err)["message"]
+
+    # a gap in the template files is not a bank
+    (bank / "hmm_1.json").unlink()
+    assert main([*generalize, "--frozen-model", str(frozen), "--bank", str(bank)]) == 2
+    assert "hmm_0.json" in one_line_error(capsys.readouterr().err)["message"]
+
+
+def run_captured(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def report_or_error(argv, out=None) -> bool:
+    """True for a valid report (exit 0); otherwise exit 2 with one line of JSON."""
+    code, err = run_captured(argv + (["--out", str(out)] if out else []))
+    if code == 0:
+        if out:
+            assert json.loads(out.read_text())["command"] == argv[0]
+        return True
+    assert code == 2
+    assert "error" in one_line_error(err)
+    return False
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_routes=st.integers(1, 12), departures=st.integers(1, 2),
+       horizon=st.integers(8, 12), seed=st.integers(0, 50))
+@example(n_routes=4, departures=2, horizon=8, seed=0)
+@example(n_routes=9, departures=2, horizon=8, seed=0)
+def test_any_route_count_ends_in_report_or_exit_two(n_routes, departures, horizon, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        quotes, split_json, gen = d / "q.csv", d / "split.json", d / "gen.csv"
+        if not report_or_error(["gen-data", "--seed", str(seed), "--out", str(quotes),
+                                "--routes", str(n_routes), "--departures", str(departures),
+                                "--horizon", str(horizon), "--split-out", str(split_json)]):
+            assert departures == 1  # one departure cannot fill both split windows
+            return
+        assert report_or_error(["gen-data", "--generalized", "--seed", str(seed),
+                                "--out", str(gen), "--routes", "3", "--departures", "1",
+                                "--horizon", str(horizon)])
+        data = ["--quotes", str(quotes), "--split-config", str(split_json)]
+        frozen, blend = d / "frozen.json", d / "blend.json"
+        trained = report_or_error(["train", *data, "--task", "classification", "--seed", "1",
+                                   "--model", "cart", "--save-model", str(frozen)], d / "t.json")
+        blended = report_or_error(["train", *data, "--task", "classification", "--seed", "1",
+                                   "--model", "uniform_blend", "--save-model", str(blend),
+                                   "--hyperparams", '{"member_kind": "cart"}'], d / "b.json")
+        generalized = trained and report_or_error(
+            ["generalize", *data, "--gen-quotes", str(gen), "--frozen-model", str(frozen),
+             "--n-states", "2", "--seed", "1",
+             *(["--blend-model", str(blend)] if blended else [])], d / "g.json")
+        if n_routes in (4, 9):
+            assert trained and blended and generalized
+
+
+# -- configuration errors ----------------------------------------------------------
+
+
+def write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("bad_input", [
+    lambda d: ["--config", str(write(d / "c.json", json.dumps(
+        {"split": {"train_start": "2016-01-01", "train_end": "2016-01-05",
+                   "test_start": "2016-01-06"}})))],
+    lambda d: ["--split-config", str(write(d / "s.json", json.dumps(
+        {"train_start": "2016-01-01", "train_end": "2016-13-05",
+         "test_start": "2016-01-06", "test_end": "2016-01-09"})))],
+    lambda d: ["--config", str(write(d / "c.json", "{not json"))],
+    lambda d: ["--hyperparams", "{max_depth: 3}"],
+], ids=["config-split-missing-key", "split-config-bad-date", "config-bad-json",
+        "hyperparams-bad-json"])
+def test_config_errors_exit_two(workdir, tmp_path, capsys, bad_input):
+    argv = ["train", "--quotes", str(workdir / "quotes.csv"), "--task", "classification",
+            "--model", "cart", *bad_input(tmp_path)]
+    if "--config" not in argv and "--split-config" not in argv:
+        argv += ["--split-config", str(workdir / "split.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert one_line_error(capsys.readouterr().err)["error"] == "FarecastError"
 
 
 # -- process-level entry --------------------------------------------------------

@@ -103,12 +103,12 @@ def test_quote_round_trip_property(price, gap):
 
 
 def test_one_hot_layout():
-    assert one_hot(0) == (1, 0, 0, 0, 0, 0, 0, 0)
-    assert one_hot(7) == (0, 0, 0, 0, 0, 0, 0, 1)
+    assert one_hot(0, 8) == (1, 0, 0, 0, 0, 0, 0, 0)
+    assert one_hot(7, 8) == (0, 0, 0, 0, 0, 0, 0, 1)
     for i in range(8):
-        assert sum(one_hot(i)) == 1
+        assert sum(one_hot(i, 8)) == 1
     with pytest.raises(FarecastError):
-        one_hot(8)
+        one_hot(8, 8)
 
 
 def test_feature_row_with_dummies():
@@ -121,7 +121,7 @@ def test_feature_row_with_dummies():
         days_to_departure=43,
         current_price=45.0,
     )
-    tagged = row.with_dummies(1)
+    tagged = row.with_dummies(1, 8)
     assert tagged.flight_dummies == (0, 1, 0, 0, 0, 0, 0, 0)
     # original untouched, labels carried over
     assert row.flight_dummies is None

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from farecast.core import EmptySeries, Quote, SeriesKey, make_series
+from farecast.core import EmptySeries, Quote, SeriesKey, make_series, one_hot
 from farecast.features import (
     CONTINUOUS,
-    N_FEATURES,
+    CONTINUOUS_NAMES,
     Standardizer,
     corpus_anchor,
     dump_features,
@@ -109,7 +109,7 @@ def test_extract_empty_is_impossible_via_make_series():
 
 def test_route_index_sets_dummies():
     s = series_of([10, 20])
-    rows = extract_rows(s, route_index=3)
+    rows = extract_rows(s, dummies=one_hot(3, 8))
     assert rows[0].flight_dummies == (0, 0, 0, 1, 0, 0, 0, 0)
     plain = extract_rows(s)
     assert plain[0].flight_dummies is None
@@ -117,9 +117,9 @@ def test_route_index_sets_dummies():
 
 def test_to_matrix_layout():
     s = series_of([50, 40, 45])
-    rows = [r.with_dummies(2) for r in label_rows(extract_rows(s), s)]
+    rows = [r.with_dummies(2, 8) for r in label_rows(extract_rows(s), s)]
     X = to_matrix(rows)
-    assert X.shape == (3, N_FEATURES)
+    assert X.shape == (3, 8 + len(CONTINUOUS_NAMES))
     assert X[:, :8].sum() == 3
     assert np.array_equal(X[:, 2], np.ones(3))
     # continuous block order: min, max, query_to_departure, dtd, current
@@ -157,7 +157,7 @@ def test_standardizer_drops_constant_column(caplog):
     assert any("zero-variance" in r.message for r in caplog.records)
     Z = std.transform(X)
     # the constant column is removed outright
-    assert Z.shape == (30, N_FEATURES - 1)
+    assert Z.shape == (30, 8 + len(CONTINUOUS_NAMES) - 1)
     assert not (Z == 7.0).any()
 
 
@@ -171,7 +171,7 @@ def test_standardizer_round_trip():
 
 def test_dump_features_csv(tmp_path):
     s = series_of([50, 40, 45])
-    rows = [r.with_dummies(0) for r in label_rows(extract_rows(s), s)]
+    rows = [r.with_dummies(0, 8) for r in label_rows(extract_rows(s), s)]
     out = tmp_path / "features.csv"
     dump_features(rows, out)
     lines = out.read_text(encoding="utf-8").strip().splitlines()

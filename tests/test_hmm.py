@@ -3,6 +3,7 @@
 import itertools
 import logging
 import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -273,6 +274,12 @@ def test_model_validation():
                  np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(FarecastError):
         unit_model(var=VAR_FLOOR / 10)
+    with pytest.raises(FarecastError):
+        unit_model(mean=float("nan"))
+    with pytest.raises(FarecastError):
+        HmmModel(0, 2, np.array([0.5, 0.5]),
+                 np.array([[np.nan, np.nan], [0.5, 0.5]]),
+                 np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
 
 def test_model_round_trip(tmp_path):
@@ -358,6 +365,22 @@ def test_baum_welch_variance_floor():
     seqs = [[0.0, 0.0, 5.0, 5.0, 0.0]] * 4
     result = baum_welch(seqs, n_states=2, max_iter=50, seed=0)
     assert (result.model.variances >= VAR_FLOOR).all()
+
+
+def test_baum_welch_state_without_outgoing_mass_keeps_its_row():
+    # State 0 ends up holding only the last step of each sequence, so from
+    # the sixth E-step on it has no outgoing transition mass.
+    truth = random_model(0, k=2)
+    seqs = [sample(truth, 1, seed=0), sample(truth, 2, seed=1)]
+    result = baum_welch(seqs, n_states=2, seed=0)
+    assert np.isfinite(result.loglik_history).all()
+    assert np.isfinite(result.model.transition).all()
+    assert np.allclose(result.model.transition.sum(axis=1), 1.0)
+    assert all(b >= a - 1e-9 for a, b in zip(result.loglik_history,
+                                              result.loglik_history[1:]))
+    # every sequence of length 1: no transition is ever observed
+    single = baum_welch([sample(truth, 1, seed=s) for s in range(4)], n_states=2, seed=0)
+    assert np.array_equal(single.model.transition, np.full((2, 2), 0.5))
 
 
 def test_baum_welch_rejects_empty():
@@ -491,7 +514,7 @@ def test_classify_own_route(route_bank):
     hits = 0
     for s in series:
         seq = equivalence_sequence(s, len(s) - 1)
-        got = classify_sequence(bank, seq)
+        got = classify_sequence(bank, seq, 8)
         hits += routes[got] == s.key.route_id
     assert hits >= len(series) * 0.75
 
@@ -500,14 +523,14 @@ def test_identical_bank_ties_to_index_zero(route_bank):
     bank, series, _ = route_bank
     clones = [bank[0]] * 8
     seq = equivalence_sequence(series[0], len(series[0]) - 1)
-    assert classify_sequence(clones, seq) == 0
+    assert classify_sequence(clones, seq, 8) == 0
 
 
 def test_classify_wrong_bank_size(route_bank):
     bank, series, _ = route_bank
     seq = equivalence_sequence(series[0], 3)
     with pytest.raises(FarecastError):
-        classify_sequence(bank[:5], seq)
+        classify_sequence(bank[:5], seq, 8)
 
 
 def test_hmm_loglik_is_forward_on_observations(route_bank):
@@ -587,7 +610,7 @@ def test_generalized_rows_tagged_with_winning_template():
     key = gen[0].key
     assert result.assignments[key] == (1, 1, 1, 1)
     for row in result.rows[key]:
-        assert row.flight_dummies == one_hot(1)
+        assert row.flight_dummies == one_hot(1, 8)
         assert row.flight_dummies == (0, 1, 0, 0, 0, 0, 0, 0)
     decision = result.decisions[key]
     assert decision.paid_price in gen[0].prices
@@ -602,7 +625,7 @@ def test_generalized_per_series_classifies_once():
                                  anchor=gen[0].first_query_date, per_series=True)
     key = gen[0].key
     expected = classify_sequence(
-        bank, equivalence_sequence(gen[0], 3, full_mean=True)
+        bank, equivalence_sequence(gen[0], 3, full_mean=True), 8
     )
     assert result.assignments[key] == (expected,) * 4
 
@@ -644,7 +667,7 @@ def test_unreachable_prefix_stays_minus_inf_and_never_wins():
     broad = HmmModel(route_index=1, n_states=1, initial=np.array([1.0]),
                      transition=np.array([[1.0]]), means=np.array([1.0]),
                      variances=np.array([0.05]))
-    bank = [fragile, broad, broad, *near_constant_bank()[3:]]
+    bank = [fragile, broad, replace(broad, route_index=2), *near_constant_bank()[3:]]
     s = series_of([100.0, 100.0, 100.0, 130.0, 100.0, 100.0], route_id="G1",
                   departure=date(2016, 2, 10))
     logliks = _forward_rows(fragile, _prefix_observations(s))
@@ -656,7 +679,7 @@ def test_unreachable_prefix_stays_minus_inf_and_never_wins():
                        for m in bank]))
         for t in range(len(s))
     )
-    per_prefix = tuple(classify_sequence(bank, equivalence_sequence(s, t))
+    per_prefix = tuple(classify_sequence(bank, equivalence_sequence(s, t), 8)
                        for t in range(len(s)))
     result = generalized_predict(bank, frozen_classifier(), [s],
                                  anchor=s.first_query_date)

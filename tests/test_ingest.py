@@ -81,9 +81,10 @@ def test_load_rejects_wrong_column_count(tmp_path):
 
 def test_load_rejects_nonpositive_price(tmp_path):
     f = tmp_path / "q.csv"
-    write_csv(f, [("R1", "2016-01-13", "2015-12-01", "0.000")])
-    with pytest.raises(ParseError):
-        load_quotes(f)
+    for price in ("0.000", "inf", "1e400"):
+        write_csv(f, [("R1", "2016-01-13", "2015-12-01", price)])
+        with pytest.raises(ParseError):
+            load_quotes(f)
 
 
 def test_load_is_deterministic(tmp_path):

@@ -34,7 +34,7 @@ def feature_rows(values, label_fn=None, reg_fn=None, route_idx=0):
                 query_to_departure=60 + (i % 10),
                 days_to_departure=i % 60,
                 current_price=v + 0.5,
-                flight_dummies=one_hot(route_idx),
+                flight_dummies=one_hot(route_idx, 8),
                 label_class=None if label_fn is None else int(bool(label_fn(v))),
                 label_reg=None if reg_fn is None else float(reg_fn(v)),
             )
