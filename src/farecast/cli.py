@@ -65,6 +65,27 @@ def _load_config(path: Optional[str]) -> dict:
     return _json_object(Path(path).read_text(encoding="utf-8"), f"config {path}")
 
 
+def _section(config: dict, name: str) -> dict:
+    """The object ``config[name]``, or {} when the key is absent."""
+    value = config.get(name, {})
+    if not isinstance(value, dict):
+        raise FarecastError(f"config {name!r} must be a JSON object, got {value!r}")
+    return value
+
+
+_SETTING_TYPES = {"boolean": (bool,), "integer": (int,), "number": (int, float)}
+
+
+def _setting(section: dict, name: str, default, kind: str):
+    """``section[name]`` (or ``default``), which must be a JSON ``kind``;
+    true and false are booleans only, never numbers."""
+    value = section.get(name, default)
+    if not isinstance(value, _SETTING_TYPES[kind]) or (
+            kind != "boolean" and isinstance(value, bool)):
+        raise FarecastError(f"config {name!r} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def _split_config(args, config: dict) -> SplitConfig:
     if getattr(args, "split_config", None):
         return SplitConfig.from_dict(_load_config(args.split_config))
@@ -74,7 +95,7 @@ def _split_config(args, config: dict) -> SplitConfig:
 
 
 def _prep_config(args, config: dict) -> PreprocessConfig:
-    oversample = config.get("oversample", True)
+    oversample = _setting(config, "oversample", True, "boolean")
     outlier = config.get("outlier_removal", "none")
     if getattr(args, "oversample", None) is not None:
         oversample = args.oversample == "on"
@@ -175,10 +196,13 @@ def cmd_tune(args) -> int:
     _, train_series, _, split_cfg, anchor, routes = _load_split_series(args, config)
     prep = _prep_config(args, config)
 
-    grids_cfg = config.get("grids", {})
+    grids_cfg = _section(config, "grids")
     if args.model in grids_cfg:
+        entries = grids_cfg[args.model]
+        if not isinstance(entries, list) or not all(isinstance(hp, dict) for hp in entries):
+            raise FarecastError(f"config grids.{args.model} must be a list of JSON objects")
         grid = [LearnerSpec(kind=args.model, task=args.task, hyperparams=dict(hp))
-                for hp in grids_cfg[args.model]]
+                for hp in entries]
     else:
         grid = default_grid(args.model, args.task)
 
@@ -306,10 +330,11 @@ def cmd_backtest(args) -> int:
 def cmd_qlearn(args) -> int:
     config = _load_config(args.config)
     _, train_series, test_series, split_cfg, _, _ = _load_split_series(args, config)
-    q_cfg = config.get("qlearn", {})
-    episodes = args.episodes if args.episodes is not None else q_cfg.get("episodes", 200)
-    gamma = args.gamma if args.gamma is not None else q_cfg.get("gamma", 1.0)
-    alpha = args.alpha if args.alpha is not None else q_cfg.get("alpha", 0.1)
+    q_cfg = _section(config, "qlearn")
+    episodes = args.episodes if args.episodes is not None else _setting(
+        q_cfg, "episodes", 200, "integer")
+    gamma = args.gamma if args.gamma is not None else _setting(q_cfg, "gamma", 1.0, "number")
+    alpha = args.alpha if args.alpha is not None else _setting(q_cfg, "alpha", 0.1, "number")
 
     if args.load_table:
         table = qlearn.load_qtable(args.load_table)
@@ -353,13 +378,20 @@ def _load_bank(bank_dir: str) -> list[hmm.HmmModel]:
 
 def cmd_generalize(args) -> int:
     config = _load_config(args.config)
-    hmm_cfg = config.get("hmm", {})
-    n_states = args.n_states if args.n_states is not None else hmm_cfg.get("n_states", 4)
-    max_iter = hmm_cfg.get("max_iter", 100)
-    tol = hmm_cfg.get("tol", 1e-6)
+    hmm_cfg = _section(config, "hmm")
+    n_states = args.n_states if args.n_states is not None else _setting(
+        hmm_cfg, "n_states", 4, "integer")
+    max_iter = _setting(hmm_cfg, "max_iter", 100, "integer")
+    tol = _setting(hmm_cfg, "tol", 1e-6, "number")
 
     gen_series = load_quotes(args.gen_quotes)
-    anchor = date.fromisoformat(args.anchor) if args.anchor else corpus_anchor(gen_series)
+    if args.anchor:
+        try:
+            anchor = date.fromisoformat(args.anchor)
+        except ValueError as exc:
+            raise FarecastError(f"--anchor {args.anchor!r} is not an ISO date") from exc
+    else:
+        anchor = corpus_anchor(gen_series)
 
     if args.bank:
         bank = _load_bank(args.bank)
@@ -371,9 +403,15 @@ def cmd_generalize(args) -> int:
                             max_iter=max_iter, tol=tol,
                             seed=derive_seed(args.seed, "bank"))
     if args.bank_out:
-        Path(args.bank_out).mkdir(parents=True, exist_ok=True)
-        for i, model in enumerate(bank):
-            hmm.save_model(model, Path(args.bank_out) / f"hmm_{i}.json")
+        out = Path(args.bank_out)
+        out.mkdir(parents=True, exist_ok=True)
+        names = [f"hmm_{i}.json" for i in range(len(bank))]
+        for name, model in zip(names, bank):
+            hmm.save_model(model, out / name)
+        # --bank reads every hmm_*.json, so templates of an earlier bank must go.
+        for stale in out.glob("hmm_*.json"):
+            if stale.name not in names:
+                stale.unlink()
 
     frozen = load_model(args.frozen_model)
     result = hmm.generalized_predict(bank, frozen, gen_series, anchor=anchor,
@@ -516,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotes", help="specific corpus, used when fitting the bank")
     p.add_argument("--bank", help="directory with hmm_0.json .. hmm_<n-1>.json, "
                                   "one per specific route")
-    p.add_argument("--bank-out", help="directory to save the fitted bank")
+    p.add_argument("--bank-out", help="directory to save the fitted bank; other "
+                                      "hmm_*.json files there are removed")
     p.add_argument("--blend-model", help="uniform_blend model for the voting variant")
     p.add_argument("--n-states", type=int, default=None)
     p.add_argument("--per-series", action="store_true",

@@ -107,7 +107,10 @@ def _hp(spec: LearnerSpec, name: str, default, alias: Optional[str] = None):
 
 
 def _design(spec: LearnerSpec, rows: Sequence[FeatureRow]):
+    """(X, y, standardizer, n_features); n_features counts the columns before
+    the standardizer drops any, as the model's input rows carry them."""
     X = to_matrix(rows)
+    n_features = X.shape[1]
     if spec.task == "classification":
         y = labels_class(rows)
         if len(np.unique(y)) < 2:
@@ -118,7 +121,7 @@ def _design(spec: LearnerSpec, rows: Sequence[FeatureRow]):
     if spec.kind in _STANDARDIZED:
         standardizer = Standardizer.fit(X)
         X = standardizer.transform(X)
-    return X, y, standardizer
+    return X, y, standardizer, n_features
 
 
 def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
@@ -129,8 +132,7 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
         return _fit_blend(spec, train, seed)
 
     rows = train.rows
-    X, y, standardizer = _design(spec, rows)
-    n_features = to_matrix(rows).shape[1]
+    X, y, standardizer, n_features = _design(spec, rows)
     summary: dict
 
     if spec.kind == "least_squares":

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tree import Cart
+from .tree import Cart, presort
 
 logger = logging.getLogger(__name__)
 
@@ -36,14 +36,14 @@ class AdaBoostClassifier:
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "AdaBoostClassifier":
-        X = np.asarray(X, dtype=float)
+        X = np.asfortranarray(X, dtype=float)  # every round's Cart reads columns
         y = np.asarray(y, dtype=int)
         n = len(y)
         sign = 2.0 * y - 1.0
         w = np.ones(n) / n if sample_weight is None else np.asarray(sample_weight, dtype=float)
         w = w / w.sum()
         w0 = w.copy()  # training error is measured against the starting weights
-        presorted = np.argsort(X, axis=0, kind="stable")
+        presorted = presort(X)
 
         self.trees, self.alphas = [], []
         self.epsilons, self.bounds, self.train_errors = [], [], []
@@ -146,12 +146,12 @@ class AdaBoostRegressor:
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "AdaBoostRegressor":
-        X = np.asarray(X, dtype=float)
+        X = np.asfortranarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n = len(y)
         w = np.ones(n) / n if sample_weight is None else np.asarray(sample_weight, dtype=float)
         w = w / w.sum()
-        presorted = np.argsort(X, axis=0, kind="stable")
+        presorted = presort(X)
 
         self.trees, self.log_inv_betas, self.avg_losses = [], [], []
         self.stopped_early = None

@@ -6,8 +6,22 @@ at max depth, or when no split strictly reduces impurity. Ties between
 candidate splits resolve to the lowest feature index, then the lowest
 threshold, so fits are reproducible without a seed.
 
-`presorted` (a column-wise argsort of X) lets boosting reuse one sort across
-rounds; only the sample weights change between rounds, never X.
+Split search works on presorted attribute lists partitioned at every split
+(SLIQ, Mehta et al. 1996; SPRINT, Shafer et al. 1996). A fit copies the
+column-wise argsort of X into one (d+1, n) index array: row f lists the
+samples in ascending X[:, f], ties by sample index, and row d lists them in
+ascending sample index. Every node owns the same column range [lo, hi) of
+all rows. A split stably partitions that range, left members first, so each
+row stays sorted and each level of the tree reads each row once. Row d gives
+the node's weighted sums the summation order of a boolean member mask.
+
+Scoring keeps a running sum over the node's sorted weights on every feature,
+which fixes the bits of each partial sum, and evaluates the impurity only
+where the sorted feature value changes: a route dummy has one such place.
+
+Boosting shares across its rounds the one thing that does not change, X:
+``presort`` sorts it once and X is read column by column from one
+Fortran-ordered copy. Only the sample weights change between rounds.
 """
 
 from __future__ import annotations
@@ -20,6 +34,21 @@ import numpy as np
 # Strict-improvement guard: splits must beat the parent impurity by more
 # than accumulated float noise, otherwise the node stays a leaf.
 _EPS = 1e-12
+
+
+def _index_dtype(n: int):
+    # 32-bit sample indices halve the memory of the index arrays a fit holds.
+    return np.int32 if n <= np.iinfo(np.int32).max else np.intp
+
+
+def presort(X: np.ndarray) -> np.ndarray:
+    """Stable argsort of every column of X: an (n, d) array whose transpose
+    is C-contiguous, so ``Cart.fit`` copies it row by row."""
+    n, d = X.shape
+    order = np.empty((d, n), dtype=_index_dtype(n))
+    for f in range(d):
+        order[f] = np.argsort(X[:, f], kind="stable")
+    return order.T
 
 
 @dataclass
@@ -52,48 +81,68 @@ class Cart:
         rng: Optional[np.random.Generator] = None,
         presorted: Optional[np.ndarray] = None,
     ) -> "Cart":
-        X = np.asarray(X, dtype=float)
+        X = np.asfortranarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n, d = X.shape
         w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
         if self.mtry is not None and rng is None:
             raise ValueError("feature subsampling needs an rng")
-        if presorted is None:
-            presorted = np.argsort(X, axis=0, kind="stable")
 
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
         depth_cap = self.max_depth if self.max_depth is not None else 30
 
-        # (node_id, member mask, depth); preorder so node ids are stable.
-        root_mask = np.ones(n, dtype=bool)
-        stack = [(self._new_node(), root_mask, 0)]
-        while stack:
-            node_id, mask, depth = stack.pop()
-            idx = np.flatnonzero(mask)
-            wv = w[idx]
-            yv = y[idx]
-            w_total = wv.sum()
-            self.value[node_id] = float((wv * yv).sum() / w_total) if w_total > 0 else float(yv.mean())
+        cols = X.T  # cols[f] is X[:, f], contiguous
+        wy = w * y
+        wyy = wy * y if self.task == "regression" else None
+        # The partitioned index array of the module docstring.
+        index = np.empty((d + 1, n), dtype=_index_dtype(n))
+        index[:d] = (presort(X) if presorted is None else presorted).T
+        index[d] = np.arange(n)
+        goes_left = np.empty(n, dtype=bool)
 
-            if depth >= depth_cap or len(idx) < 2 * self.min_leaf:
+        # (node_id, lo, hi, depth); preorder so node ids are stable.
+        stack = [(self._new_node(), 0, n, 0)]
+        while stack:
+            node_id, lo, hi, depth = stack.pop()
+            idx = index[d, lo:hi].astype(np.intp)
+            w_total = w[idx].sum()
+            s = float(wy[idx].sum())
+            self.value[node_id] = float(s / w_total) if w_total > 0 else float(y[idx].mean())
+
+            if depth >= depth_cap or hi - lo < 2 * self.min_leaf:
                 continue
-            impurity = self._impurity(yv, wv, w_total)
+            if self.task == "classification":
+                # Weighted Gini of a {0,1} node: 2 p (1-p) scaled by total weight.
+                impurity = 2.0 * s * (w_total - s) / w_total
+            else:
+                impurity = float(wyy[idx].sum()) - s * s / w_total
             if impurity <= _EPS:
                 continue
 
-            split = self._best_split(X, y, w, mask, presorted, rng, impurity)
+            split = self._best_split(cols, w, wy, wyy, index, lo, hi, rng, impurity)
             if split is None:
                 continue
             f, thr = split
             self.feature[node_id] = f
             self.threshold[node_id] = thr
-            left_mask = mask & (X[:, f] <= thr)
-            right_mask = mask & (X[:, f] > thr)
             self.left[node_id] = self._new_node()
             self.right[node_id] = self._new_node()
-            stack.append((self.right[node_id], right_mask, depth + 1))
-            stack.append((self.left[node_id], left_mask, depth + 1))
+
+            # Stable partition of the node's columns: left members first,
+            # each row keeping its order. Children at the depth cap are never
+            # split, so they need only the sample-index row.
+            member_left = cols[f][idx] <= thr
+            goes_left[idx] = member_left
+            n_left = int(np.count_nonzero(member_left))
+            for row in index[:, lo:hi] if depth + 1 < depth_cap else index[d:, lo:hi]:
+                flags = goes_left[row.astype(np.intp)]
+                left_part, right_part = row[flags], row[~flags]
+                row[:n_left] = left_part
+                row[n_left:] = right_part
+
+            stack.append((self.right[node_id], lo + n_left, hi, depth + 1))
+            stack.append((self.left[node_id], lo, lo + n_left, depth + 1))
         return self
 
     def _new_node(self) -> int:
@@ -104,40 +153,33 @@ class Cart:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def _impurity(self, yv: np.ndarray, wv: np.ndarray, w_total: float) -> float:
-        s = float((wv * yv).sum())
-        if self.task == "classification":
-            # Weighted Gini of a {0,1} node: 2 p (1-p) scaled by total weight.
-            return 2.0 * s * (w_total - s) / w_total
-        q = float((wv * yv * yv).sum())
-        return q - s * s / w_total
-
-    def _best_split(self, X, y, w, mask, presorted, rng, parent_impurity):
-        d = X.shape[1]
+    def _best_split(self, cols, w, wy, wyy, index, lo, hi, rng, parent_impurity):
+        d = len(cols)
         if self.mtry is not None and self.mtry < d:
             candidates = np.sort(rng.choice(d, size=self.mtry, replace=False))
         else:
             candidates = np.arange(d)
 
+        m = hi - lo
         best = (parent_impurity - _EPS, -1, 0.0)  # (score to beat, feature, threshold)
         for f in candidates:
-            order = presorted[:, f]
-            sel = order[mask[order]]
-            xv = X[sel, f]
+            sel = index[f, lo:hi].astype(np.intp)
+            xv = cols[f][sel]
             if xv[0] == xv[-1]:
                 continue
-            wv = w[sel]
-            sv = wv * y[sel]
-            w_left = np.cumsum(wv)[:-1]
-            s_left = np.cumsum(sv)[:-1]
-            w_all, s_all = w_left[-1] + wv[-1], s_left[-1] + sv[-1]
-            w_right = w_all - w_left
-            s_right = s_all - s_left
+            # A split after sorted position i is a candidate only where the
+            # value changes; the running sums still cover every position, so
+            # each partial sum is the same float whatever the ties.
+            cut = np.flatnonzero(xv[:-1] < xv[1:])
+            w_run = np.cumsum(w[sel])
+            s_run = np.cumsum(wy[sel])
+            w_left, s_left = w_run[cut], s_run[cut]
+            w_right = w_run[-1] - w_left
+            s_right = s_run[-1] - s_left
 
-            m = len(sel)
-            counts = np.arange(1, m)
-            valid = (xv[:-1] < xv[1:]) & (w_left > 0) & (w_right > 0)
+            valid = (w_left > 0) & (w_right > 0)
             if self.min_leaf > 1:
+                counts = cut + 1
                 valid &= (counts >= self.min_leaf) & (m - counts >= self.min_leaf)
             if not valid.any():
                 continue
@@ -147,15 +189,16 @@ class Cart:
                     score = (2.0 * s_left * (w_left - s_left) / w_left
                              + 2.0 * s_right * (w_right - s_right) / w_right)
             else:
-                qv = wv * y[sel] * y[sel]
-                q_left = np.cumsum(qv)[:-1]
-                q_right = (q_left[-1] + qv[-1]) - q_left
+                q_run = np.cumsum(wyy[sel])
+                q_left = q_run[cut]
+                q_right = q_run[-1] - q_left
                 with np.errstate(divide="ignore", invalid="ignore"):
                     score = (q_left - s_left * s_left / w_left) + (q_right - s_right * s_right / w_right)
             score = np.where(valid, score, np.inf)
             i = int(np.argmin(score))
             if score[i] < best[0]:
-                best = (float(score[i]), int(f), float((xv[i] + xv[i + 1]) / 2.0))
+                j = cut[i]
+                best = (float(score[i]), int(f), float((xv[j] + xv[j + 1]) / 2.0))
         if best[1] < 0:
             return None
         return best[1], best[2]

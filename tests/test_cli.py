@@ -476,6 +476,57 @@ def test_config_errors_exit_two(workdir, tmp_path, capsys, bad_input):
     assert one_line_error(capsys.readouterr().err)["error"] == "FarecastError"
 
 
+@pytest.mark.parametrize("command, config, extra", [
+    ("generalize", {"hmm": []}, []),
+    ("generalize", {"hmm": {"n_states": "4"}}, []),
+    ("generalize", {}, ["--anchor", "2016-13-01"]),
+    ("tune", {"grids": {"cart": 3}}, []),
+    ("tune", {"grids": {"cart": [3]}}, []),
+    ("qlearn", {"qlearn": 5}, []),
+    ("qlearn", {"qlearn": {"episodes": True}}, []),
+    ("backtest", {"oversample": "yes"}, []),
+], ids=["hmm-list", "hmm-string-states", "anchor-bad-date", "grid-number",
+        "grid-entry-number", "qlearn-number", "qlearn-bool-episodes", "oversample-string"])
+def test_command_config_errors_exit_two(workdir, gen_corpus, frozen_and_blend, tmp_path,
+                                        capsys, command, config, extra):
+    data = base_args(workdir, ["--config", str(write(tmp_path / "c.json", json.dumps(config)))])
+    argv = {
+        "generalize": ["generalize", *data, "--gen-quotes", str(gen_corpus),
+                       "--frozen-model", str(frozen_and_blend[0])],
+        "tune": ["tune", *data, "--task", "classification", "--model", "cart"],
+        "qlearn": ["qlearn", *data],
+        "backtest": ["backtest", *data, "--task", "classification", "--model", "cart"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + extra) == 2
+    assert one_line_error(capsys.readouterr().err)["error"] == "FarecastError"
+
+
+def test_bank_out_removes_templates_of_an_earlier_bank(tmp_path, gen_corpus):
+    bank = tmp_path / "bank"
+    for n_routes in (9, 4):
+        quotes, split_json = tmp_path / "quotes.csv", tmp_path / "split.json"
+        assert main(["gen-data", "--seed", "3", "--out", str(quotes), "--routes",
+                     str(n_routes), "--departures", "4", "--horizon", "10",
+                     "--split-out", str(split_json)]) == 0
+        data = ["--quotes", str(quotes), "--split-config", str(split_json)]
+        frozen = tmp_path / "frozen.json"
+        assert main(["train", *data, "--task", "classification", "--model", "cart",
+                     "--hyperparams", '{"max_depth": 2}', "--seed", "5",
+                     "--save-model", str(frozen)]) == 0
+        assert main(["generalize", *data, "--gen-quotes", str(gen_corpus),
+                     "--frozen-model", str(frozen), "--n-states", "2", "--seed", "1",
+                     "--config", str(write(tmp_path / "c.json", '{"hmm": {"max_iter": 5}}')),
+                     "--per-series", "--bank-out", str(bank),
+                     "--out", str(tmp_path / "fit.json")]) == 0
+    assert sorted(p.name for p in bank.iterdir()) == [f"hmm_{i}.json" for i in range(4)]
+    reuse = tmp_path / "reuse.json"
+    assert main(["generalize", "--gen-quotes", str(gen_corpus), "--frozen-model", str(frozen),
+                 "--bank", str(bank), "--per-series", "--out", str(reuse)]) == 0
+    counts = read_report(reuse)["template_counts"]
+    assert {int(i) for c in counts.values() for i in c} <= set(range(4))
+
+
 # -- process-level entry --------------------------------------------------------
 
 

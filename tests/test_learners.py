@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farecast.learners.boosting import AdaBoostClassifier, AdaBoostRegressor
 from farecast.learners.forest import RandomForest, default_mtry
 from farecast.learners.knn import Knn
 from farecast.learners.linear import LeastSquares, Logistic
 from farecast.learners.mlp import Mlp3
-from farecast.learners.tree import Cart
+from farecast.learners.tree import _EPS, Cart
 
 
 # -- least squares ----------------------------------------------------------
@@ -306,6 +308,157 @@ def test_cart_constant_target_single_leaf():
     tree = Cart(task="regression").fit(X, y)
     assert len(tree.feature) == 1
     assert np.allclose(tree.predict(X), 9.5)
+
+
+def reference_cart_fit(tree, X, y, sample_weight=None, rng=None, presorted=None):
+    """The per-node mask split search, kept as the oracle for ``Cart.fit``.
+
+    Every node rescans all n presorted rows of every candidate feature and
+    scores every sorted position; fills ``tree`` in place and returns it.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+    if presorted is None:
+        presorted = np.argsort(X, axis=0, kind="stable")
+
+    def impurity_of(yv, wv, w_total):
+        s = float((wv * yv).sum())
+        if tree.task == "classification":
+            return 2.0 * s * (w_total - s) / w_total
+        q = float((wv * yv * yv).sum())
+        return q - s * s / w_total
+
+    def best_split(mask, parent_impurity):
+        if tree.mtry is not None and tree.mtry < d:
+            candidates = np.sort(rng.choice(d, size=tree.mtry, replace=False))
+        else:
+            candidates = np.arange(d)
+        best = (parent_impurity - _EPS, -1, 0.0)
+        for f in candidates:
+            order = presorted[:, f]
+            sel = order[mask[order]]
+            xv = X[sel, f]
+            if xv[0] == xv[-1]:
+                continue
+            wv = w[sel]
+            sv = wv * y[sel]
+            w_left = np.cumsum(wv)[:-1]
+            s_left = np.cumsum(sv)[:-1]
+            w_all, s_all = w_left[-1] + wv[-1], s_left[-1] + sv[-1]
+            w_right = w_all - w_left
+            s_right = s_all - s_left
+            m = len(sel)
+            counts = np.arange(1, m)
+            valid = (xv[:-1] < xv[1:]) & (w_left > 0) & (w_right > 0)
+            if tree.min_leaf > 1:
+                valid &= (counts >= tree.min_leaf) & (m - counts >= tree.min_leaf)
+            if not valid.any():
+                continue
+            if tree.task == "classification":
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    score = (2.0 * s_left * (w_left - s_left) / w_left
+                             + 2.0 * s_right * (w_right - s_right) / w_right)
+            else:
+                qv = wv * y[sel] * y[sel]
+                q_left = np.cumsum(qv)[:-1]
+                q_right = (q_left[-1] + qv[-1]) - q_left
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    score = (q_left - s_left * s_left / w_left) + (q_right - s_right * s_right / w_right)
+            score = np.where(valid, score, np.inf)
+            i = int(np.argmin(score))
+            if score[i] < best[0]:
+                best = (float(score[i]), int(f), float((xv[i] + xv[i + 1]) / 2.0))
+        return None if best[1] < 0 else (best[1], best[2])
+
+    tree.feature, tree.threshold = [], []
+    tree.left, tree.right, tree.value = [], [], []
+    depth_cap = tree.max_depth if tree.max_depth is not None else 30
+    stack = [(tree._new_node(), np.ones(n, dtype=bool), 0)]
+    while stack:
+        node_id, mask, depth = stack.pop()
+        idx = np.flatnonzero(mask)
+        wv, yv = w[idx], y[idx]
+        w_total = wv.sum()
+        tree.value[node_id] = float((wv * yv).sum() / w_total) if w_total > 0 else float(yv.mean())
+        if depth >= depth_cap or len(idx) < 2 * tree.min_leaf:
+            continue
+        impurity = impurity_of(yv, wv, w_total)
+        if impurity <= _EPS:
+            continue
+        split = best_split(mask, impurity)
+        if split is None:
+            continue
+        f, thr = split
+        tree.feature[node_id] = f
+        tree.threshold[node_id] = thr
+        tree.left[node_id] = tree._new_node()
+        tree.right[node_id] = tree._new_node()
+        stack.append((tree.right[node_id], mask & (X[:, f] > thr), depth + 1))
+        stack.append((tree.left[node_id], mask & (X[:, f] <= thr), depth + 1))
+    return tree
+
+
+@st.composite
+def cart_problems(draw):
+    """Small weighted matrices with constant, binary and heavily tied columns."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 150))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(seed)
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["normal", "tied", "binary", "constant"]))
+        if kind == "normal":
+            columns.append(rng.normal(0.0, 1.0, n))
+        elif kind == "tied":
+            columns.append(np.round(rng.normal(0.0, 1.0, n), 1))
+        elif kind == "binary":
+            columns.append(rng.integers(0, 2, n).astype(float))
+        else:
+            columns.append(np.full(n, 3.5))
+    X = np.column_stack(columns)
+    task = draw(st.sampled_from(["classification", "regression"]))
+    if task == "classification":
+        y = rng.integers(0, 2, n).astype(float)
+    else:
+        y = np.round(rng.normal(0.0, 2.0, n), draw(st.sampled_from([0, 3])))
+    w = rng.random(n) if draw(st.booleans()) else np.ones(n)
+    if draw(st.booleans()):
+        w[rng.random(n) < 0.3] = 0.0
+    if not w.any():
+        w[0] = 1.0
+    max_depth = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6]))
+    min_leaf = draw(st.integers(1, 4))
+    mtry = draw(st.one_of(st.none(), st.integers(1, d)))
+    return X, y, w, task, max_depth, min_leaf, mtry, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(cart_problems())
+def test_cart_fit_matches_the_per_node_mask_reference(problem):
+    X, y, w, task, max_depth, min_leaf, mtry, seed = problem
+    fitted = []
+    for fit in (Cart.fit, reference_cart_fit):
+        tree = Cart(task=task, max_depth=max_depth, min_leaf=min_leaf, mtry=mtry)
+        rng = np.random.default_rng(seed) if mtry is not None else None
+        fit(tree, X, y, sample_weight=w, rng=rng)
+        fitted.append(tree.to_jsonable())
+    assert fitted[0] == fitted[1]
+
+
+def test_adaboost_matches_boosting_over_reference_trees(monkeypatch):
+    rng = np.random.default_rng(21)
+    X = np.column_stack([rng.normal(0, 1, 300), np.round(rng.normal(0, 1, 300), 1),
+                         rng.integers(0, 2, 300).astype(float), np.zeros(300)])
+    y = ((X[:, 0] + X[:, 1] > 0.3) ^ (rng.random(300) < 0.15)).astype(int)
+    fast = AdaBoostClassifier(n_rounds=25, weak_depth=3).fit(X, y)
+    monkeypatch.setattr(Cart, "fit", reference_cart_fit)
+    slow = AdaBoostClassifier(n_rounds=25, weak_depth=3).fit(X, y)
+    assert fast.epsilons == slow.epsilons
+    assert fast.train_errors == slow.train_errors
+    assert fast.to_jsonable() == slow.to_jsonable()
 
 
 def test_cart_json_round_trip():

@@ -4,6 +4,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farecast.core import (
     EmptySeries,
@@ -14,7 +16,8 @@ from farecast.core import (
     make_series,
 )
 from farecast.pipeline import score_decisions
-from farecast.qlearn import QTable, load_qtable, q_policy, q_train, save_qtable
+from farecast.qlearn import QTable, _route_means, load_qtable, q_policy, q_train, save_qtable
+from farecast.util import derive_seed
 
 from conftest import series_of
 
@@ -183,3 +186,53 @@ def test_qtable_round_trip(tmp_path):
     assert np.array_equal(clone.wait, table.wait)
     assert clone.route_means == table.route_means
     assert clone.gamma == table.gamma and clone.alpha == table.alpha
+
+
+def reference_q_train(train_series, episodes, gamma, alpha, seed):
+    """The update loop on numpy arrays and scalars, kept as the oracle for q_train."""
+    means = _route_means(train_series)
+    d_max = max((s.key.departure_date - s.first_query_date).days for s in train_series)
+    buy = np.zeros(d_max + 1)
+    wait = np.zeros(d_max + 1)
+    prepared = []
+    for s in train_series:
+        states = [(s.key.departure_date - q.query_date).days for q in s.quotes]
+        prices = [q.price / means[s.key.route_id] for q in s.quotes]
+        prepared.append((states, prices))
+    rng = np.random.default_rng(derive_seed(seed, "qlearn"))
+    for _ in range(episodes):
+        for series_idx in rng.permutation(len(prepared)):
+            states, prices = prepared[series_idx]
+            for t in reversed(range(len(states))):
+                s_t = states[t]
+                buy[s_t] = (1.0 - alpha) * buy[s_t] + alpha * (-prices[t])
+                if t + 1 < len(states):
+                    s_next = states[t + 1]
+                    if s_next == 0:
+                        best_next = buy[s_next]
+                    else:
+                        best_next = max(buy[s_next], wait[s_next])
+                    wait[s_t] = (1.0 - alpha) * wait[s_t] + alpha * gamma * best_next
+    return QTable(d_max=d_max, buy=buy, wait=wait, gamma=gamma, alpha=alpha,
+                  route_means=means)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_series=st.integers(1, 6),
+    episodes=st.integers(1, 6),
+    gamma=st.sampled_from([1.0, 0.9, 0.37]),
+    alpha=st.sampled_from([1.0, 0.5, 0.1, 0.03]),
+)
+def test_q_train_matches_the_numpy_scalar_reference(seed, n_series, episodes, gamma, alpha):
+    rng = np.random.default_rng(seed)
+    series = []
+    for i in range(n_series):
+        days = sorted(rng.choice(12, size=int(rng.integers(1, 9)), replace=False).tolist())
+        prices = np.round(rng.uniform(20, 200, len(days)), int(rng.integers(0, 3)))
+        series.append(gapped_series(list(zip(days[::-1], prices)), route_id=f"R{i % 3}",
+                                    departure=date(2016, 2, 1) + timedelta(days=i)))
+    got = q_train(series, episodes=episodes, gamma=gamma, alpha=alpha, seed=seed)
+    want = reference_q_train(series, episodes, gamma, alpha, seed)
+    assert got.to_dict() == want.to_dict()
