@@ -12,7 +12,6 @@ from .core import (
     Dataset,
     EmptySeries,
     FarecastError,
-    FeatureRow,
     NonPositivePrice,
     PriceSeries,
     Quote,
@@ -32,7 +31,6 @@ __all__ = [
     "Dataset",
     "EmptySeries",
     "FarecastError",
-    "FeatureRow",
     "LearnerSpec",
     "NonPositivePrice",
     "PriceSeries",

@@ -3,8 +3,9 @@
 Subcommands: gen-data, tune, train, backtest, qlearn, generalize. Every
 report embeds the resolved configuration and master seed, carries no
 timestamps, sorts its keys, and prints floats at 6 significant digits, so a
-rerun with the same inputs is byte-identical. Failures exit nonzero with a
-one-line JSON error record on stderr. FARECAST_LOG sets the log level.
+rerun with the same inputs is byte-identical. Failures, a bad command line
+included, exit 2 with a one-line JSON error record on stderr. FARECAST_LOG
+sets the log level.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def cmd_backtest(args) -> int:
         spec = _spec_from_args(args)
         model = train_specific(spec, train_series, routes, anchor, prep, seed=args.seed)
 
-    decisions = run_policy(model, test_series, routes, anchor, jobs=args.jobs)
+    decisions = run_policy(model, test_series, routes, anchor)
     per_route, mean, var = score_decisions(decisions, test_series)
 
     report = {
@@ -320,7 +321,7 @@ def cmd_backtest(args) -> int:
     if args.plot_data:
         _decisions_csv(decisions, test_series, args.plot_data)
     if args.dump_features:
-        dump_features(build_dataset(test_series, routes, anchor, role="test").rows,
+        dump_features(build_dataset(test_series, routes, anchor, role="test"),
                       args.dump_features)
     if args.save_model and not args.load_model:
         save_model(model, args.save_model)
@@ -456,9 +457,20 @@ def cmd_generalize(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+class UsageError(FarecastError):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as UsageError instead of printing usage;
+    subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument("--config", help="JSON config file")
 
 
@@ -474,7 +486,7 @@ def _add_prep(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="farecast",
         description="Buy-or-wait decisions for airline tickets on historical quotes.",
     )
@@ -499,6 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=("classification", "regression"))
     p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--jobs", type=int, default=1, help="worker threads for the grid cells")
     p.add_argument("--out")
     p.add_argument("--report-csv")
     p.set_defaults(func=cmd_tune)
@@ -570,9 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (FarecastError, FileNotFoundError) as exc:
         name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__

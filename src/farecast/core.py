@@ -1,4 +1,4 @@
-"""Shared domain vocabulary: quotes, price series, feature rows, datasets."""
+"""Shared domain vocabulary: quotes, price series, feature datasets."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Iterable, Optional
+
+import numpy as np
 
 BUY = 1
 WAIT = 0
@@ -100,12 +102,13 @@ def make_series(key: SeriesKey, quotes: Iterable[Quote]) -> PriceSeries:
 
 @dataclass(frozen=True)
 class FeatureRow:
-    """Feature vector and labels for one (series, query day).
+    """Feature vector and labels for one (series, query day), as one object.
 
-    ``flight_dummies`` is None for generalized-route rows until a route
-    pattern has been assigned; everywhere else it is a one-hot over the routes.
-    ``label_reg`` is the minimum price over the entire series (future-aware;
-    training targets and evaluation only).
+    Nothing in the package builds one any more: features live as columns of
+    ``Dataset.X``. The class and ``with_dummies`` remain because the
+    benchmark's trace hooks (``bench/tracing.py``) wrap
+    ``FeatureRow.with_dummies`` by name, and the tests use the row form as
+    the oracle of the columnar extraction.
     """
 
     key: SeriesKey
@@ -120,21 +123,24 @@ class FeatureRow:
     label_reg: Optional[float] = None
 
     def with_dummies(self, route_index: int, width: int) -> "FeatureRow":
-        return replace(self, flight_dummies=one_hot(route_index, width))
+        return replace(self, flight_dummies=tuple(int(i == route_index) for i in range(width)))
 
 
-def one_hot(route_index: int, width: int) -> tuple[int, ...]:
-    """Dummy vector of ``width`` routes with a 1 at ``route_index``."""
-    if not 0 <= route_index < width:
-        raise FarecastError(f"route index {route_index} outside 0..{width - 1}")
-    return tuple(1 if i == route_index else 0 for i in range(width))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A bag of feature rows with its pipeline role."""
+    """The feature block of a set of series, with its pipeline role.
 
-    rows: tuple[FeatureRow, ...]
+    ``X`` is the (n, width + 5) design matrix: one route dummy column per
+    route, then the continuous block named by ``features.CONTINUOUS_NAMES``.
+    Row i belongs to series ``keys[series[i]]``; ``label_class`` marks the
+    rows at their series' minimum price and ``label_reg`` is that minimum.
+    """
+
+    X: np.ndarray
+    label_class: np.ndarray
+    label_reg: np.ndarray
+    series: np.ndarray
+    keys: tuple[SeriesKey, ...]
     role: str  # train | test | generalized
 
     def __post_init__(self):
@@ -142,13 +148,20 @@ class Dataset:
             raise FarecastError(f"unknown dataset role {self.role!r}")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.X)
+
+    def take(self, rows: np.ndarray) -> "Dataset":
+        """The rows selected by an index array or a boolean mask, in that order."""
+        return replace(self, X=self.X[rows], label_class=self.label_class[rows],
+                       label_reg=self.label_reg[rows], series=self.series[rows])
+
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """One value per row, cut into the runs of consecutive rows of one series."""
+        return np.split(values, np.flatnonzero(np.diff(self.series)) + 1)
 
     def class_counts(self) -> tuple[int, int]:
-        """(wait, buy) counts over labeled rows."""
-        buy = sum(1 for r in self.rows if r.label_class == BUY)
-        wait = sum(1 for r in self.rows if r.label_class == WAIT)
-        return wait, buy
+        """(wait, buy) row counts."""
+        return int((self.label_class == WAIT).sum()), int((self.label_class == BUY).sum())
 
 
 def format_price(price: float) -> str:

@@ -12,22 +12,14 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
-from datetime import date
+from dataclasses import dataclass
+from datetime import date, timedelta
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    BUY,
-    WAIT,
-    EmptySeries,
-    FarecastError,
-    FeatureRow,
-    PriceSeries,
-    format_price,
-)
+from .core import Dataset, EmptySeries, FarecastError, PriceSeries, format_price
 
 logger = logging.getLogger(__name__)
 
@@ -53,94 +45,64 @@ def corpus_anchor(series: Sequence[PriceSeries]) -> date:
     return min(s.first_query_date for s in series)
 
 
-def extract_rows(
-    s: PriceSeries,
-    dummies: Optional[tuple[int, ...]] = None,
+def feature_dataset(
+    series: Sequence[PriceSeries],
+    width: int,
+    role: str,
     anchor: Optional[date] = None,
-) -> list[FeatureRow]:
-    """One unlabeled FeatureRow per quote.
+    route_index: Optional[Sequence[int]] = None,
+) -> Dataset:
+    """Labeled features of every quote, one row per quote, in one pass.
 
-    ``dummies`` is the route's one-hot for specific routes; pass None for
-    generalized routes (a pattern is assigned later). ``anchor`` is the
-    corpus-wide first query date; it defaults to the series' own first query
-    date, which only coincides with the corpus anchor for single-series use.
+    Rows follow ``series`` and, within a series, the query dates. ``width``
+    is the number of route dummies; ``route_index`` gives each series' route,
+    or None leaves the dummy block zero for rows whose route is assigned
+    later (``set_route_dummies``). ``anchor``, the origin of
+    query_to_departure, defaults to the first query date of ``series``.
     """
-    if len(s) == 0:
-        raise EmptySeries(f"series {s.key} is empty")
     if anchor is None:
-        anchor = s.first_query_date
-    query_to_departure = (s.key.departure_date - anchor).days
+        anchor = corpus_anchor(series)
+    lengths = np.array([len(s) for s in series], dtype=np.intp)
+    if (lengths == 0).any():
+        raise EmptySeries(f"series {series[int(np.argmin(lengths))].key} is empty")
+    ends = np.cumsum(lengths)
+    row_series = np.repeat(np.arange(len(series)), lengths)
+    position = np.arange(len(row_series)) - np.repeat(ends - lengths, lengths)
+    prices = np.array([q.price for s in series for q in s.quotes], dtype=float)
+    query = np.array([q.query_date for s in series for q in s.quotes], dtype="datetime64[D]")
+    departure = np.array([s.key.departure_date for s in series], dtype="datetime64[D]")
 
-    rows = []
-    running_min = float("inf")
-    running_max = float("-inf")
-    for q in s.quotes:
-        running_min = min(running_min, q.price)
-        running_max = max(running_max, q.price)
-        rows.append(
-            FeatureRow(
-                key=s.key,
-                query_date=q.query_date,
-                min_price_so_far=running_min,
-                max_price_so_far=running_max,
-                query_to_departure=query_to_departure,
-                days_to_departure=(s.key.departure_date - q.query_date).days,
-                current_price=q.price,
-                flight_dummies=dummies,
-            )
-        )
-    return rows
+    # Series side by side, padded at the end: a running extremum reads only
+    # its own series' earlier quotes.
+    padded = np.zeros((len(series), lengths.max(initial=0)))
+    padded[row_series, position] = prices
+    running_min = np.minimum.accumulate(padded, axis=1)[row_series, position]
+    running_max = np.maximum.accumulate(padded, axis=1)[row_series, position]
+    series_min = running_min[ends - 1][row_series]
 
-
-def label_rows(rows: Sequence[FeatureRow], s: PriceSeries) -> list[FeatureRow]:
-    """Attach both labels: every row at the whole-series minimum is a buy."""
-    if len(rows) != len(s):
-        raise FeatureMismatch(f"{len(rows)} rows for a series of {len(s)} quotes")
-    series_min = min(s.prices)
-    labeled = []
-    for row, q in zip(rows, s.quotes):
-        if row.query_date != q.query_date:
-            raise FeatureMismatch("rows are not aligned with the series")
-        labeled.append(
-            replace(
-                row,
-                label_class=BUY if q.price == series_min else WAIT,
-                label_reg=series_min,
-            )
-        )
-    return labeled
+    X = np.zeros((len(prices), width + len(CONTINUOUS_NAMES)))
+    X[:, width:] = np.column_stack([
+        running_min,
+        running_max,
+        (departure - np.datetime64(anchor, "D")).astype(np.int64)[row_series],
+        (departure[row_series] - query).astype(np.int64),
+        prices,
+    ])
+    if route_index is not None:
+        set_route_dummies(X, np.repeat(np.asarray(route_index, dtype=np.intp), lengths))
+    return Dataset(X=X, label_class=(prices == series_min).astype(int), label_reg=series_min,
+                   series=row_series, keys=tuple(s.key for s in series), role=role)
 
 
-def to_matrix(rows: Sequence[FeatureRow]) -> np.ndarray:
-    """Design matrix (n, width + 5): the rows' one-hot dummies, then the continuous block."""
-    width = len(rows[0].flight_dummies or ()) if rows else 0
-    out = np.empty((len(rows), width + len(CONTINUOUS_NAMES)))
-    for i, r in enumerate(rows):
-        if r.flight_dummies is None:
-            raise FeatureMismatch(f"row {r.key}/{r.query_date} has no flight dummies")
-        out[i, :width] = r.flight_dummies
-        out[i, width:] = (
-            r.min_price_so_far,
-            r.max_price_so_far,
-            r.query_to_departure,
-            r.days_to_departure,
-            r.current_price,
-        )
-    return out
-
-
-def labels_class(rows: Sequence[FeatureRow]) -> np.ndarray:
-    y = [r.label_class for r in rows]
-    if any(v is None for v in y):
-        raise FeatureMismatch("unlabeled rows")
-    return np.asarray(y, dtype=int)
-
-
-def labels_reg(rows: Sequence[FeatureRow]) -> np.ndarray:
-    y = [r.label_reg for r in rows]
-    if any(v is None for v in y):
-        raise FeatureMismatch("unlabeled rows")
-    return np.asarray(y, dtype=float)
+def set_route_dummies(X: np.ndarray, route_index) -> None:
+    """Write the route dummy block of ``X`` in place: row i gets a 1 in column
+    ``route_index[i]`` and 0 elsewhere; a single int tags every row."""
+    width = X.shape[1] - len(CONTINUOUS_NAMES)
+    route_index = np.broadcast_to(route_index, len(X))
+    if len(X) and not 0 <= route_index.min() <= route_index.max() < width:
+        raise FarecastError(f"route index outside 0..{width - 1}")
+    X[:, :width] = 0.0
+    X[np.arange(len(X)), route_index] = 1.0
 
 
 @dataclass
@@ -189,9 +151,9 @@ class Standardizer:
         )
 
 
-def dump_features(rows: Sequence[FeatureRow], path: str | Path) -> None:
-    """Write rows as CSV in FeatureRow field order, for inspection."""
-    width = next((len(r.flight_dummies) for r in rows if r.flight_dummies is not None), 0)
+def dump_features(ds: Dataset, path: str | Path) -> None:
+    """Write the rows of ``ds`` as CSV, one line per quote, for inspection."""
+    width = ds.X.shape[1] - len(CONTINUOUS_NAMES)
     header = (
         ["route_id", "departure_date", "query_date", "min_price_so_far",
          "max_price_so_far", "query_to_departure", "days_to_departure",
@@ -202,14 +164,17 @@ def dump_features(rows: Sequence[FeatureRow], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in rows:
-            dummies = r.flight_dummies if r.flight_dummies is not None else [""] * width
+        for row, series, label_class, label_reg in zip(
+                ds.X.tolist(), ds.series.tolist(), ds.label_class.tolist(),
+                ds.label_reg.tolist()):
+            key = ds.keys[series]
+            low, high, query_to_departure, days_to_departure, price = row[width:]
+            days_to_departure = int(days_to_departure)
+            query_date = key.departure_date - timedelta(days=days_to_departure)
             writer.writerow(
-                [r.key.route_id, r.key.departure_date.isoformat(),
-                 r.query_date.isoformat(), format_price(r.min_price_so_far),
-                 format_price(r.max_price_so_far), r.query_to_departure,
-                 r.days_to_departure, format_price(r.current_price)]
-                + list(dummies)
-                + [r.label_class if r.label_class is not None else "",
-                   format_price(r.label_reg) if r.label_reg is not None else ""]
+                [key.route_id, key.departure_date.isoformat(), query_date.isoformat(),
+                 format_price(low), format_price(high), int(query_to_departure),
+                 days_to_departure, format_price(price)]
+                + [int(v) for v in row[:width]]
+                + [label_class, format_price(label_reg)]
             )

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import EmptySeries, FarecastError, FeatureRow, PriceSeries, SeriesKey
-from .features import corpus_anchor, extract_rows
+from .core import EmptySeries, FarecastError, PriceSeries, SeriesKey
+from .features import feature_dataset, set_route_dummies
 from .learners import TrainedModel, dummy_width, predict
 from .policy import PurchaseDecision, decide_classification
 from .util import derive_seed
@@ -427,7 +427,6 @@ def _classify_prefixes(bank: Sequence[HmmModel], s: PriceSeries) -> np.ndarray:
 class GeneralizedResult:
     decisions: dict[SeriesKey, PurchaseDecision]
     assignments: dict[SeriesKey, tuple[int, ...]]  # template index per row
-    rows: dict[SeriesKey, tuple[FeatureRow, ...]]
 
 
 def generalized_predict(
@@ -454,24 +453,17 @@ def generalized_predict(
     if indices != list(range(width)):
         raise FarecastError(f"bank holds templates for route indices {indices}, "
                             f"the frozen model needs 0..{width - 1} in order")
-    if anchor is None:
-        anchor = corpus_anchor(gen_series)
-
-    decisions: dict[SeriesKey, PurchaseDecision] = {}
-    assignments: dict[SeriesKey, tuple[int, ...]] = {}
-    tagged_rows: dict[SeriesKey, tuple[FeatureRow, ...]] = {}
+    per_row = []
     for s in gen_series:
-        base_rows = extract_rows(s, anchor=anchor)
         if per_series:
             template = classify_sequence(
                 bank, equivalence_sequence(s, len(s) - 1, full_mean=True), width)
-            per_row = [template] * len(s)
+            per_row.append([template] * len(s))
         else:
-            per_row = _classify_prefixes(bank, s).tolist()
-        rows = tuple(r.with_dummies(idx, width) for r, idx in zip(base_rows, per_row))
-        predicted = predict(frozen_model, rows)
-        decisions[s.key] = decide_classification(s, list(predicted))
-        assignments[s.key] = tuple(per_row)
-        tagged_rows[s.key] = rows
-    return GeneralizedResult(decisions=decisions, assignments=assignments,
-                             rows=tagged_rows)
+            per_row.append(_classify_prefixes(bank, s).tolist())
+    block = feature_dataset(gen_series, width, "generalized", anchor)
+    set_route_dummies(block.X, np.array([i for row in per_row for i in row], dtype=np.intp))
+    predicted = block.split(predict(frozen_model, block.X))
+    return GeneralizedResult(
+        decisions={s.key: decide_classification(s, p) for s, p in zip(gen_series, predicted)},
+        assignments={s.key: tuple(row) for s, row in zip(gen_series, per_row)})

@@ -1,10 +1,10 @@
 """Uniform fit/predict facade over the model zoo.
 
-Every learner trains from a Dataset of FeatureRows and returns a
-TrainedModel whose predictions depend only on (parameters, input). Scale-
-sensitive kinds (least squares, logistic, the MLP, KNN) get the continuous
-block standardized by a scaler fit on the training rows; tree-based kinds
-see raw features. Models serialize to a versioned JSON document.
+Every learner trains from a Dataset and returns a TrainedModel that
+predicts on a design matrix of the same layout, its predictions depending
+only on (parameters, input). Scale-sensitive kinds (least squares, logistic,
+the MLP, KNN) get the continuous block standardized by a scaler fit on the
+training rows; tree-based kinds see raw features. Models serialize to a versioned JSON document.
 """
 
 from __future__ import annotations
@@ -17,15 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core import Dataset, FarecastError, FeatureRow
-from ..features import (
-    CONTINUOUS_NAMES,
-    FeatureMismatch,
-    Standardizer,
-    labels_class,
-    labels_reg,
-    to_matrix,
-)
+from ..core import Dataset, FarecastError
+from ..features import CONTINUOUS_NAMES, FeatureMismatch, Standardizer, set_route_dummies
 from ..util import derive_seed
 from .boosting import AdaBoostClassifier, AdaBoostRegressor
 from .forest import RandomForest
@@ -106,17 +99,17 @@ def _hp(spec: LearnerSpec, name: str, default, alias: Optional[str] = None):
     return default
 
 
-def _design(spec: LearnerSpec, rows: Sequence[FeatureRow]):
+def _design(spec: LearnerSpec, train: Dataset):
     """(X, y, standardizer, n_features); n_features counts the columns before
     the standardizer drops any, as the model's input rows carry them."""
-    X = to_matrix(rows)
+    X = train.X
     n_features = X.shape[1]
     if spec.task == "classification":
-        y = labels_class(rows)
+        y = train.label_class
         if len(np.unique(y)) < 2:
             raise DegenerateData("classification training data has a single class")
     else:
-        y = labels_reg(rows)
+        y = train.label_reg
     standardizer = None
     if spec.kind in _STANDARDIZED:
         standardizer = Standardizer.fit(X)
@@ -131,8 +124,7 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
     if spec.kind == "uniform_blend":
         return _fit_blend(spec, train, seed)
 
-    rows = train.rows
-    X, y, standardizer, n_features = _design(spec, rows)
+    X, y, standardizer, n_features = _design(spec, train)
     summary: dict
 
     if spec.kind == "least_squares":
@@ -214,59 +206,57 @@ def _fit_blend(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
     member_kind = _hp(spec, "member_kind",
                       "adaboost_cart" if spec.task == "classification" else "cart")
     member_params = dict(_hp(spec, "member_params", {}))
-    X = to_matrix(train.rows)
-    width = X.shape[1] - len(CONTINUOUS_NAMES)
-    by_route: list[list[FeatureRow]] = [[] for _ in range(width)]
-    for row, r in zip(train.rows, X[:, :width].argmax(axis=1)):
-        by_route[r].append(row)
-    missing = [r for r, rows in enumerate(by_route) if not rows]
+    width = train.X.shape[1] - len(CONTINUOUS_NAMES)
+    route = train.X[:, :width].argmax(axis=1)
+    missing = [r for r in range(width) if not (route == r).any()]
     if missing:
         raise DegenerateData(f"no training rows for route index(es) {missing}")
 
     member_spec = LearnerSpec(kind=member_kind, task=spec.task, hyperparams=member_params)
-    members = [fit(member_spec, Dataset(rows=tuple(rows), role=train.role),
-                   seed=derive_seed(seed, "member", r)) for r, rows in enumerate(by_route)]
+    members = [fit(member_spec, train.take(route == r), seed=derive_seed(seed, "member", r))
+               for r in range(width)]
     return TrainedModel(
         spec=spec,
-        parameters={"n_features": X.shape[1], "standardizer": None, "core": members},
+        parameters={"n_features": train.X.shape[1], "standardizer": None, "core": members},
         train_summary={"member_kind": member_kind,
                        "per_member": [m.train_summary for m in members]},
     )
 
 
-def _core_matrix(model: TrainedModel, rows: Sequence[FeatureRow]) -> np.ndarray:
-    X = to_matrix(rows)
+def _core_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != model.parameters["n_features"]:
         raise FeatureMismatch(
             f"model expects {model.parameters['n_features']} features, rows have {X.shape[1]}"
         )
+    if not (X[:, :dummy_width(model)].sum(axis=1) == 1.0).all():
+        raise FeatureMismatch("every row needs exactly one route dummy set")
     standardizer = model.parameters["standardizer"]
     if standardizer is not None:
         X = standardizer.transform(X)
     return X
 
 
-def predict(model: TrainedModel, rows: Sequence[FeatureRow]) -> np.ndarray:
-    """Hard labels {0,1} for classification, real values for regression."""
+def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """Hard labels {0,1} for classification, real values for regression, one
+    per row of the design matrix ``X``."""
     if model.spec.kind == "uniform_blend":
         members = model.parameters["core"]
         if model.spec.task == "classification":
-            return blend_predict(members, rows)
-        return np.mean([predict(m, rows) for m in members], axis=0)
-    X = _core_matrix(model, rows)
-    return model.parameters["core"].predict(X)
+            return blend_predict(members, X)
+        return np.mean([predict(m, X) for m in members], axis=0)
+    return model.parameters["core"].predict(_core_matrix(model, X))
 
 
-def predict_scores(model: TrainedModel, rows: Sequence[FeatureRow]) -> np.ndarray:
+def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Classification: a score in [0,1] with 0.5 the decision point.
 
     Regression models return their predictions unchanged.
     """
     if model.spec.kind == "uniform_blend":  # the vote share, or the mean prediction
-        return np.mean([predict(m, rows) for m in model.parameters["core"]], axis=0)
+        return np.mean([predict(m, X) for m in model.parameters["core"]], axis=0)
     if model.spec.task == "regression":
-        return predict(model, rows)
-    X = _core_matrix(model, rows)
+        return predict(model, X)
+    X = _core_matrix(model, X)
     core = model.parameters["core"]
     if isinstance(core, (Logistic, Mlp3, AdaBoostClassifier)):
         return core.predict_proba(X)
@@ -282,14 +272,14 @@ def dummy_width(model: TrainedModel) -> int:
     return model.parameters["n_features"] - len(CONTINUOUS_NAMES)
 
 
-def blend_predict(members: Sequence[TrainedModel], rows: Sequence[FeatureRow],
+def blend_predict(members: Sequence[TrainedModel], X: np.ndarray,
                   own_dummies: bool = False) -> np.ndarray:
     """Majority vote of the per-route members: 1 iff more than half vote 1.
 
     There is one member per route dummy the members were trained on. With
     ``own_dummies`` each member sees the rows re-tagged with its own route's
-    dummy vector (the no-history variant, where rows carry no meaningful
-    route identity).
+    dummy (the no-history variant, where rows carry no meaningful route
+    identity).
     """
     widths = sorted({dummy_width(m) for m in members})
     if widths != [len(members)]:
@@ -297,11 +287,13 @@ def blend_predict(members: Sequence[TrainedModel], rows: Sequence[FeatureRow],
     for m in members:
         if m.spec.task != "classification":
             raise IncompatibleSpec("blend members must be classification models")
-    votes = np.zeros(len(rows))
+    if own_dummies:
+        X = X.copy()
+    votes = np.zeros(len(X))
     for r, member in enumerate(members):
-        member_rows = ([row.with_dummies(r, len(members)) for row in rows]
-                       if own_dummies else rows)
-        votes += predict(member, member_rows)
+        if own_dummies:
+            set_route_dummies(X, r)
+        votes += predict(member, X)
     return (votes > len(members) // 2).astype(int)
 
 

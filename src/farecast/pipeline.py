@@ -12,13 +12,12 @@ distort the loss.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from typing import Mapping, Optional, Sequence
 
-from .core import Dataset, FarecastError, PriceSeries, SeriesKey, one_hot
-from .features import corpus_anchor, extract_rows, label_rows
+from .core import Dataset, FarecastError, PriceSeries, SeriesKey
+from .features import feature_dataset
 from .learners import LearnerSpec, TrainedModel, blend_predict, fit, predict
 from .metrics import BacktestMetrics, aggregate, backtest_report
 from .policy import PurchaseDecision, decide_classification, decide_regression
@@ -33,25 +32,19 @@ def route_order(series: Sequence[PriceSeries]) -> list[str]:
     return sorted({s.key.route_id for s in series}, key=natural_key)
 
 
-def _route_dummies(routes: Sequence[str]) -> dict[str, tuple[int, ...]]:
-    return {route_id: one_hot(i, len(routes)) for i, route_id in enumerate(routes)}
-
-
 def build_dataset(
     series: Sequence[PriceSeries],
     routes: Sequence[str],
     anchor: date,
     role: str,
 ) -> Dataset:
-    """Labeled feature rows for every quote of every series."""
-    dummies = _route_dummies(routes)
-    rows = []
+    """Labeled features of every quote of every series, one dummy per route."""
+    index = {route_id: i for i, route_id in enumerate(routes)}
     for s in series:
-        if s.key.route_id not in dummies:
+        if s.key.route_id not in index:
             raise FarecastError(f"series {s.key} belongs to no known route")
-        extracted = extract_rows(s, dummies=dummies[s.key.route_id], anchor=anchor)
-        rows.extend(label_rows(extracted, s))
-    return Dataset(rows=tuple(rows), role=role)
+    return feature_dataset(series, len(routes), role, anchor,
+                           route_index=[index[s.key.route_id] for s in series])
 
 
 @dataclass(frozen=True)
@@ -90,24 +83,13 @@ def run_policy(
     test_series: Sequence[PriceSeries],
     routes: Sequence[str],
     anchor: date,
-    jobs: int = 1,
 ) -> dict[SeriesKey, PurchaseDecision]:
-    """Predict per series and apply the buy/wait decision rule."""
-    dummies = _route_dummies(routes)
-
-    def decide(s: PriceSeries) -> tuple[SeriesKey, PurchaseDecision]:
-        rows = extract_rows(s, dummies=dummies[s.key.route_id], anchor=anchor)
-        predictions = list(predict(model, rows))
-        if model.spec.task == "classification":
-            return s.key, decide_classification(s, predictions)
-        return s.key, decide_regression(s, predictions)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(decide, test_series))
-    else:
-        pairs = [decide(s) for s in test_series]
-    return dict(pairs)
+    """Predict every test row in one call and apply the buy/wait rule per series."""
+    block = build_dataset(test_series, routes, anchor, role="test")
+    predicted = block.split(predict(model, block.X))
+    decide = (decide_classification if model.spec.task == "classification"
+              else decide_regression)
+    return {s.key: decide(s, p) for s, p in zip(test_series, predicted)}
 
 
 def run_uniform_generalized(
@@ -122,15 +104,10 @@ def run_uniform_generalized(
     """
     if blend_model.spec.kind != "uniform_blend":
         raise FarecastError("uniform generalization needs a uniform_blend model")
-    if anchor is None:
-        anchor = corpus_anchor(gen_series)
     members = blend_model.parameters["core"]
-    decisions = {}
-    for s in gen_series:
-        rows = extract_rows(s, anchor=anchor)
-        votes = blend_predict(members, rows, own_dummies=True)
-        decisions[s.key] = decide_classification(s, list(votes))
-    return decisions
+    block = feature_dataset(gen_series, len(members), "generalized", anchor)
+    votes = block.split(blend_predict(members, block.X, own_dummies=True))
+    return {s.key: decide_classification(s, v) for s, v in zip(gen_series, votes)}
 
 
 def score_decisions(

@@ -15,12 +15,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .core import BUY, WAIT, Dataset, FarecastError, FeatureRow
-from .features import CONTINUOUS, to_matrix
+from .core import BUY, WAIT, Dataset, FarecastError
+from .features import CONTINUOUS
 
 logger = logging.getLogger(__name__)
 
@@ -39,9 +37,10 @@ class ClusterInit:
     counts: np.ndarray   # (2,)
 
 
-def continuous_matrix(rows: Sequence[FeatureRow]) -> np.ndarray:
-    """Standardized continuous features (dummies excluded) for clustering."""
-    X = to_matrix(rows)[:, CONTINUOUS]
+def continuous_matrix(X: np.ndarray) -> np.ndarray:
+    """Standardized continuous block of the design matrix ``X`` (dummies
+    excluded), for clustering."""
+    X = X[:, CONTINUOUS]
     std = X.std(axis=0)
     return (X - X.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
 
@@ -169,11 +168,13 @@ def gmm_em2(
 
 
 def oversample(train: Dataset, seed: int) -> Dataset:
-    """Duplicate minority-class rows uniformly at random until the classes balance."""
-    rows = list(train.rows)
-    buys = [r for r in rows if r.label_class == BUY]
-    waits = [r for r in rows if r.label_class == WAIT]
-    if not buys or not waits:
+    """Duplicate minority-class rows uniformly at random until the classes balance.
+
+    The duplicates follow the original rows, which keep their order.
+    """
+    buys = np.flatnonzero(train.label_class == BUY)
+    waits = np.flatnonzero(train.label_class == WAIT)
+    if not len(buys) or not len(waits):
         raise SingleClassDataset("oversampling needs both classes")
     minority = buys if len(buys) < len(waits) else waits
     n_extra = abs(len(waits) - len(buys))
@@ -181,8 +182,7 @@ def oversample(train: Dataset, seed: int) -> Dataset:
         return train
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(minority), size=n_extra)
-    rows.extend(minority[i] for i in picks)
-    return Dataset(rows=tuple(rows), role=train.role)
+    return train.take(np.concatenate([np.arange(len(train)), minority[picks]]))
 
 
 def remove_outliers(
@@ -198,11 +198,10 @@ def remove_outliers(
     """
     if method not in ("kmeans", "em"):
         raise FarecastError(f"unknown outlier-removal method {method!r}")
-    rows = train.rows
-    y = np.array([r.label_class for r in rows])
-    if len(set(y.tolist())) < 2:
+    y = train.label_class
+    if len(np.unique(y)) < 2:
         raise SingleClassDataset("outlier removal needs both classes")
-    X = continuous_matrix(rows)
+    X = continuous_matrix(train.X)
     init = class_mean_init(X, y)
     if method == "kmeans":
         fit = kmeans2(X, init, max_iter=max_iter, tol=tol)
@@ -212,9 +211,7 @@ def remove_outliers(
         assigned = fit.responsibilities.argmax(axis=1)
     if not fit.converged:
         logger.warning("outlier removal (%s) returned a best-effort, unconverged result", method)
-    keep_mask = assigned == y
-    kept = tuple(r for r, keep in zip(rows, keep_mask) if keep)
-    removed = tuple(r for r, keep in zip(rows, keep_mask) if not keep)
+    keep = assigned == y
     logger.info("outlier removal (%s): flagged %d of %d training rows",
-                method, len(removed), len(rows))
-    return Dataset(rows=kept, role=train.role), Dataset(rows=removed, role=train.role)
+                method, int((~keep).sum()), len(train))
+    return train.take(keep), train.take(~keep)

@@ -15,9 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, FarecastError, SeriesKey
+from .core import Dataset, FarecastError
 from .learners import LearnerSpec, fit, predict
-from .features import labels_class, labels_reg
 from .util import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -59,19 +58,11 @@ def cv_folds(n: int, k: int = 5, seed: int = 0) -> list[list[int]]:
     return [sorted(int(i) for i in order[f::k]) for f in range(k)]
 
 
-def _series_groups(train: Dataset) -> list[list[int]]:
-    """Row indices grouped by series key, in first-appearance order."""
-    groups: dict[SeriesKey, list[int]] = {}
-    for i, row in enumerate(train.rows):
-        groups.setdefault(row.key, []).append(i)
-    return list(groups.values())
-
-
-def _loss(spec: LearnerSpec, model, val_rows) -> float:
-    pred = predict(model, val_rows)
+def _loss(spec: LearnerSpec, model, val: Dataset) -> float:
+    pred = predict(model, val.X)
     if spec.task == "classification":
-        return float(np.mean(pred != labels_class(val_rows)))
-    return float(np.sqrt(np.mean((pred - labels_reg(val_rows)) ** 2)))
+        return float(np.mean(pred != val.label_class))
+    return float(np.sqrt(np.mean((pred - val.label_reg) ** 2)))
 
 
 def grid_search(
@@ -90,37 +81,30 @@ def grid_search(
     """
     if not spec_grid:
         raise FarecastError("empty spec grid")
-    groups = _series_groups(train)
-    folds = cv_folds(len(groups), k=k, seed=seed)
+    series = np.unique(train.series)
+    folds = cv_folds(len(series), k=k, seed=seed)
 
-    # Materialize per-fold train/validation datasets once; cells share them.
-    fold_data = []
-    for f, fold in enumerate(folds):
-        in_fold = set(fold)
-        train_idx = [i for g, grp in enumerate(groups) if g not in in_fold for i in grp]
-        val_idx = [i for g in fold for i in groups[g]]
-        fold_train = Dataset(rows=tuple(train.rows[i] for i in train_idx), role="train")
-        if preprocess is not None:
-            fold_train = preprocess(fold_train, derive_seed(seed, "fold-prep", f))
-        val_rows = tuple(train.rows[i] for i in val_idx)
-        fold_data.append((fold_train, val_rows))
-
-    def run_cell(args: tuple[int, int]) -> tuple[int, int, Optional[float], Optional[str]]:
-        spec_idx, f = args
+    def run_cell(args) -> tuple[int, int, Optional[float], Optional[str]]:
+        spec_idx, f, fold_train, val = args
         spec = spec_grid[spec_idx]
-        fold_train, val_rows = fold_data[f]
         try:
             model = fit(spec, fold_train, seed=derive_seed(seed, "fold-fit", f))
-            return spec_idx, f, _loss(spec, model, val_rows), None
+            return spec_idx, f, _loss(spec, model, val), None
         except (FarecastError, ValueError, np.linalg.LinAlgError) as exc:
             return spec_idx, f, None, f"{type(exc).__name__}: {exc}"
 
-    cells_args = [(s, f) for s in range(len(spec_grid)) for f in range(k)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_cell, cells_args))
-    else:
-        results = [run_cell(a) for a in cells_args]
+    # One fold at a time: its cells share its train/validation data, and no
+    # other fold's data is held while they run.
+    results = []
+    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+        run = pool.map if jobs > 1 else map
+        for f, fold in enumerate(folds):
+            held_out = np.isin(train.series, series[fold])
+            fold_train = train.take(~held_out)
+            if preprocess is not None:
+                fold_train = preprocess(fold_train, derive_seed(seed, "fold-prep", f))
+            val = train.take(held_out)
+            results += run(run_cell, [(s, f, fold_train, val) for s in range(len(spec_grid))])
 
     by_spec: dict[int, dict[int, tuple[Optional[float], Optional[str]]]] = {}
     for spec_idx, f, loss, err in results:

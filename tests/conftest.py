@@ -2,7 +2,7 @@
 
 Most tests need a PriceSeries with hand-picked prices; ``series_of`` builds
 one with consecutive daily quotes ending a configurable number of days
-before departure.
+before departure. ``dataset_of`` builds a Dataset from hand-written rows.
 """
 
 from __future__ import annotations
@@ -10,9 +10,11 @@ from __future__ import annotations
 from collections import defaultdict
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
-from farecast.core import PriceSeries, Quote, SeriesKey, make_series
+from farecast.core import Dataset, PriceSeries, Quote, SeriesKey, make_series
+from farecast.features import CONTINUOUS_NAMES, set_route_dummies
 
 
 def series_of(
@@ -30,6 +32,25 @@ def series_of(
         offset = last_days_to_departure + (n - 1 - i)
         quotes.append(Quote(route_id, departure, departure - timedelta(days=offset), float(p)))
     return make_series(key, quotes)
+
+
+def dataset_of(rows, width: int = 8, role: str = "train") -> Dataset:
+    """A Dataset from ``(key, route_index, continuous, label_class, label_reg)``
+    tuples, the continuous values in CONTINUOUS_NAMES order and a None label
+    stored as 0. Series indices number the keys in order of first appearance."""
+    keys = tuple(dict.fromkeys(r[0] for r in rows))
+    index = {k: i for i, k in enumerate(keys)}
+    X = np.zeros((len(rows), width + len(CONTINUOUS_NAMES)))
+    X[:, width:] = np.reshape([r[2] for r in rows], (len(rows), len(CONTINUOUS_NAMES)))
+    set_route_dummies(X, np.array([r[1] for r in rows], dtype=int))
+    return Dataset(
+        X=X,
+        label_class=np.array([r[3] or 0 for r in rows], dtype=int),
+        label_reg=np.array([r[4] or 0.0 for r in rows], dtype=float),
+        series=np.array([index[r[0]] for r in rows], dtype=int),
+        keys=keys,
+        role=role,
+    )
 
 
 def group_series(quotes) -> list[PriceSeries]:

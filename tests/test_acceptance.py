@@ -15,7 +15,7 @@ import pytest
 
 from conftest import group_series, register_criterion, series_of
 from farecast.cli import main as cli_main
-from farecast.features import corpus_anchor, extract_rows, label_rows
+from farecast.features import corpus_anchor
 from farecast.hmm import (
     EquivalenceSequence,
     HmmModel,
@@ -26,7 +26,7 @@ from farecast.hmm import (
     generalized_predict,
     sample,
 )
-from farecast.core import SeriesKey, one_hot
+from farecast.core import SeriesKey
 from farecast.ingest import split
 from farecast.learners import LearnerSpec, fit, predict
 from farecast.learners.boosting import AdaBoostClassifier
@@ -154,16 +154,13 @@ def test_c03_labels_match_brute_force_scan():
     cfg = GeneratorConfig(departures_per_route=125, horizon_days=30)
     series = group_series(generate_corpus(cfg, seed=17))
     assert len(series) == 1000
-    routes = route_order(series)
-    anchor = corpus_anchor(series)
-    index = {r: i for i, r in enumerate(routes)}
-    for s in series:
-        rows = label_rows(extract_rows(s, dummies=one_hot(index[s.key.route_id], len(routes)),
-                                        anchor=anchor), s)
+    ds = build_dataset(series, route_order(series), corpus_anchor(series), role="train")
+    for s, label_class, label_reg in zip(series, ds.split(ds.label_class),
+                                         ds.split(ds.label_reg)):
         lowest = min(s.prices)
         expected = [1 if p == lowest else 0 for p in s.prices]
-        assert [r.label_class for r in rows] == expected
-        assert all(r.label_reg == lowest for r in rows)
+        assert label_class.tolist() == expected
+        assert all(v == lowest for v in label_reg)
 
 
 # -- 4: HMM inference and estimation ---------------------------------------------
@@ -319,7 +316,7 @@ def test_c08_planted_mislabels_and_monotone_clusterers():
     for method in ("kmeans", "em"):
         ds, swapped = blob_dataset(seed=0)
         _, removed = remove_outliers(ds, method=method)
-        removed_idx = {ds.rows.index(r) for r in removed.rows}
+        removed_idx = set(removed.series.tolist())  # one series per fixture row
         recall = len(removed_idx & swapped) / len(swapped)
         assert recall >= 0.95
 
@@ -387,7 +384,7 @@ def test_c10_tuned_pipeline_beats_random(specific_split):
     assert any(not cell.failed for cell in table)
 
     model = train_specific(best, train_series, routes, anchor, prep, seed=5)
-    decisions = run_policy(model, test_series, routes, anchor, jobs=2)
+    decisions = run_policy(model, test_series, routes, anchor)
     per_route, mean_norm, _ = score_decisions(decisions, test_series)
 
     assert len(per_route) == 8

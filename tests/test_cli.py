@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -445,6 +446,101 @@ def test_any_route_count_ends_in_report_or_exit_two(n_routes, departures, horizo
              *(["--blend-model", str(blend)] if blended else [])], d / "g.json")
         if n_routes in (4, 9):
             assert trained and blended and generalized
+
+
+# -- hand-built corpora: gaps, short series, constant prices --------------------------
+
+
+@st.composite
+def hand_corpus(draw, prefix):
+    """(route, departure, [(days before departure, price)]) series: gapped
+    query days, as few as one quote, and some routes at one constant price."""
+    series = []
+    for r in range(draw(st.integers(1, 4))):
+        constant = draw(st.booleans())
+        for j in range(draw(st.integers(3, 4))):
+            days = sorted(draw(st.sets(st.integers(0, 20), min_size=1, max_size=10)),
+                          reverse=True)
+            prices = [100.0 if constant else draw(st.integers(50_000, 300_000)) / 1000
+                      for _ in days]
+            series.append((f"{prefix}{r + 1}", date(2016, 2, 1) + timedelta(days=3 * j),
+                           list(zip(days, prices))))
+    return series
+
+
+def write_corpus(path, series):
+    lines = ["route_id,departure_date,query_date,price"]
+    for route, departure, quotes in series:
+        lines += [f"{route},{departure.isoformat()},"
+                  f"{(departure - timedelta(days=d)).isoformat()},{p:.3f}" for d, p in quotes]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+SMALL_CASE = [("R1", date(2016, 2, 1), [(20, 90.0), (12, 80.0), (3, 85.0)]),
+              ("R1", date(2016, 2, 4), [(9, 70.0)]),
+              ("R1", date(2016, 2, 7), [(11, 75.0), (10, 72.0), (4, 79.0)]),
+              ("R2", date(2016, 2, 1), [(15, 100.0), (14, 100.0), (2, 100.0)]),
+              ("R2", date(2016, 2, 4), [(6, 100.0), (1, 100.0)]),
+              ("R2", date(2016, 2, 7), [(8, 100.0)])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(specific=hand_corpus("R"), generalized=hand_corpus("G"))
+@example(specific=SMALL_CASE, generalized=[("G1", date(2016, 2, 1), [(10, 60.0), (4, 55.0)])])
+def test_hand_built_corpora_end_in_report_or_exit_two(specific, generalized):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_corpus(d / "q.csv", specific)
+        write_corpus(d / "gen.csv", generalized)
+        write(d / "split.json", json.dumps({
+            "train_start": "2016-02-01", "train_end": "2016-02-05",
+            "test_start": "2016-02-06", "test_end": "2016-02-12"}))
+        data = ["--quotes", str(d / "q.csv"), "--split-config", str(d / "split.json")]
+        frozen = d / "frozen.json"
+        trained = report_or_error(["train", *data, "--task", "classification", "--seed", "1",
+                                   "--model", "cart", "--save-model", str(frozen)], d / "t.json")
+        for model in ("cart", "knn", "logistic", "uniform_blend"):
+            hp = {"knn": '{"k": 1}', "uniform_blend": '{"member_kind": "cart"}'}.get(model, "{}")
+            report_or_error(["backtest", *data, "--task", "classification", "--seed", "1",
+                             "--model", model, "--hyperparams", hp], d / "b.json")
+        if trained:
+            for per_series in ([], ["--per-series"]):
+                report_or_error(["generalize", *data, "--gen-quotes", str(d / "gen.csv"),
+                                 "--frozen-model", str(frozen), "--n-states", "2",
+                                 "--seed", "1", *per_series], d / "g.json")
+        if specific == SMALL_CASE:
+            assert trained
+
+
+# -- usage errors ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["backtest", "--bogus"], "unrecognized arguments: --bogus"),
+    (["gen-data", "--out", "x.csv", "--routes", "abc"], "invalid int value: 'abc'"),
+    (["train", "--model", "svm", "--task", "classification"], "invalid choice: 'svm'"),
+    (["train", "--model", "cart", "--task", "classification"], "required: --quotes"),
+    (["backtest", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+], ids=["unknown-flag", "bad-int", "bad-choice", "missing-required", "jobs-outside-tune"])
+def test_usage_errors_exit_two_with_one_json_line(workdir, capsys, argv, expected):
+    if argv[0] == "backtest":
+        argv = [argv[0], *base_args(workdir, argv[1:])]
+    elif argv[0] == "train" and "--model" in argv and "svm" in argv:
+        argv = [argv[0], *base_args(workdir, argv[1:])]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = one_line_error(captured.err)
+    assert err["error"] == "UsageError"
+    assert expected in err["message"]
+    assert captured.out == ""
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "-h"])
+    assert exc.value.code == 0
+    assert "--jobs" in capsys.readouterr().out
 
 
 # -- configuration errors ----------------------------------------------------------

@@ -1,11 +1,11 @@
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from farecast.core import (
-    Dataset,
     EmptySeries,
     FarecastError,
     FeatureRow,
@@ -15,13 +15,14 @@ from farecast.core import (
     SeriesKey,
     format_price,
     make_series,
-    one_hot,
     quote_from_csv_row,
     quote_to_csv_row,
     validate_quote,
 )
 
-from conftest import series_of
+from farecast.features import set_route_dummies
+
+from conftest import dataset_of, series_of
 
 
 def test_validate_quote_accepts_well_formed():
@@ -103,12 +104,16 @@ def test_quote_round_trip_property(price, gap):
 
 
 def test_one_hot_layout():
-    assert one_hot(0, 8) == (1, 0, 0, 0, 0, 0, 0, 0)
-    assert one_hot(7, 8) == (0, 0, 0, 0, 0, 0, 0, 1)
-    for i in range(8):
-        assert sum(one_hot(i, 8)) == 1
+    X = np.full((8, 8 + 5), 7.0)
+    set_route_dummies(X, np.arange(8))
+    assert np.array_equal(X[:, :8], np.eye(8))
+    assert (X[:, 8:] == 7.0).all()  # the continuous block is untouched
+    set_route_dummies(X, 7)
+    assert X[:, :8].tolist() == [[0, 0, 0, 0, 0, 0, 0, 1]] * 8
     with pytest.raises(FarecastError):
-        one_hot(8, 8)
+        set_route_dummies(X, 8)
+    with pytest.raises(FarecastError):
+        set_route_dummies(X, -1)
 
 
 def test_feature_row_with_dummies():
@@ -129,24 +134,12 @@ def test_feature_row_with_dummies():
 
 
 def test_dataset_class_counts():
-    rows = []
-    for i, lab in enumerate([0, 0, 1, 0]):
-        rows.append(
-            FeatureRow(
-                key=SeriesKey("R1", date(2016, 1, 13)),
-                query_date=date(2015, 12, 1) + timedelta(days=i),
-                min_price_so_far=1.0,
-                max_price_so_far=1.0,
-                query_to_departure=10,
-                days_to_departure=5,
-                current_price=1.0,
-                label_class=lab,
-            )
-        )
-    ds = Dataset(rows=tuple(rows), role="train")
+    key = SeriesKey("R1", date(2016, 1, 13))
+    ds = dataset_of([(key, 0, (1.0, 1.0, 10, 5, 1.0), lab, None) for lab in [0, 0, 1, 0]])
     assert ds.class_counts() == (3, 1)
+    assert ds.take(ds.label_class == 1).class_counts() == (0, 1)
 
 
 def test_dataset_role_validated():
     with pytest.raises(FarecastError):
-        Dataset(rows=(), role="validation")
+        dataset_of([], role="validation")

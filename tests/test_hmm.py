@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farecast import hmm
-from farecast.core import EmptySeries, FarecastError, one_hot
+from farecast.core import EmptySeries, FarecastError
+from farecast.features import feature_dataset
 from farecast.hmm import (
     VAR_FLOOR,
     BaumWelchResult,
@@ -36,6 +37,8 @@ from farecast.hmm import (
     _kmeans_1d,
     _prefix_observations,
 )
+from farecast.learners import predict
+from farecast.policy import decide_classification
 from farecast.util import derive_seed
 
 from conftest import series_of
@@ -609,10 +612,11 @@ def test_generalized_rows_tagged_with_winning_template():
                                  anchor=gen[0].first_query_date)
     key = gen[0].key
     assert result.assignments[key] == (1, 1, 1, 1)
-    for row in result.rows[key]:
-        assert row.flight_dummies == one_hot(1, 8)
-        assert row.flight_dummies == (0, 1, 0, 0, 0, 0, 0, 0)
+    # the decision is the frozen model's on rows carrying route 1's dummy
+    tagged = feature_dataset(gen, 8, "generalized", route_index=[1])
+    assert tagged.X[:, :8].tolist() == [[0, 1, 0, 0, 0, 0, 0, 0]] * 4
     decision = result.decisions[key]
+    assert decision == decide_classification(gen[0], predict(model, tagged.X))
     assert decision.paid_price in gen[0].prices
 
 

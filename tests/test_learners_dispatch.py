@@ -1,12 +1,13 @@
 """The fit/predict facade: specs, dispatch, blending, serialization."""
 
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
 
+from conftest import dataset_of
 from farecast import learners
-from farecast.core import Dataset, FeatureRow, SeriesKey, one_hot
+from farecast.core import SeriesKey
 from farecast.learners import (
     DegenerateData,
     IncompatibleSpec,
@@ -22,23 +23,17 @@ from farecast.learners import (
 
 def feature_rows(values, label_fn=None, reg_fn=None, route_idx=0):
     """One row per value; continuous features track the value."""
+    key = SeriesKey(f"R{route_idx + 1}", date(2016, 1, 13))
     rows = []
     for i, v in enumerate(values):
         v = float(v)
-        rows.append(
-            FeatureRow(
-                key=SeriesKey(f"R{route_idx + 1}", date(2016, 1, 13)),
-                query_date=date(2015, 11, 9) + timedelta(days=i),
-                min_price_so_far=v,
-                max_price_so_far=v + 1.0,
-                query_to_departure=60 + (i % 10),
-                days_to_departure=i % 60,
-                current_price=v + 0.5,
-                flight_dummies=one_hot(route_idx, 8),
-                label_class=None if label_fn is None else int(bool(label_fn(v))),
-                label_reg=None if reg_fn is None else float(reg_fn(v)),
-            )
-        )
+        rows.append((
+            key,
+            route_idx,
+            (v, v + 1.0, 60 + (i % 10), i % 60, v + 0.5),
+            None if label_fn is None else int(bool(label_fn(v))),
+            None if reg_fn is None else float(reg_fn(v)),
+        ))
     return rows
 
 
@@ -46,8 +41,8 @@ def feature_rows(values, label_fn=None, reg_fn=None, route_idx=0):
 def threshold_data():
     rng = np.random.default_rng(30)
     values = rng.uniform(10, 90, 120)
-    rows = feature_rows(values, label_fn=lambda v: v < 50, reg_fn=lambda v: 2 * v + 5)
-    return Dataset(rows=tuple(rows), role="train")
+    return dataset_of(
+        feature_rows(values, label_fn=lambda v: v < 50, reg_fn=lambda v: 2 * v + 5))
 
 
 CLS_KINDS = ["logistic", "mlp3", "cart", "adaboost_cart", "random_forest", "knn"]
@@ -65,8 +60,8 @@ FAST_HP = {
 def test_fit_predict_classification(kind, threshold_data):
     spec = LearnerSpec(kind=kind, task="classification", hyperparams=FAST_HP.get(kind, {}))
     model = learners.fit(spec, threshold_data, seed=0)
-    y = np.array([r.label_class for r in threshold_data.rows])
-    pred = learners.predict(model, threshold_data.rows)
+    y = threshold_data.label_class
+    pred = learners.predict(model, threshold_data.X)
     assert set(np.unique(pred)) <= {0, 1}
     assert (pred == y).mean() >= 0.9
 
@@ -75,8 +70,8 @@ def test_fit_predict_classification(kind, threshold_data):
 def test_fit_predict_regression(kind, threshold_data):
     spec = LearnerSpec(kind=kind, task="regression", hyperparams=FAST_HP.get(kind, {}))
     model = learners.fit(spec, threshold_data, seed=0)
-    y = np.array([r.label_reg for r in threshold_data.rows])
-    pred = learners.predict(model, threshold_data.rows)
+    y = threshold_data.label_reg
+    pred = learners.predict(model, threshold_data.X)
     rmse = np.sqrt(np.mean((pred - y) ** 2))
     assert rmse < np.std(y)  # beats predicting the mean
 
@@ -84,18 +79,18 @@ def test_fit_predict_regression(kind, threshold_data):
 def test_least_squares_recovers_linear_target(threshold_data):
     spec = LearnerSpec(kind="least_squares", task="regression")
     model = learners.fit(spec, threshold_data, seed=0)
-    y = np.array([r.label_reg for r in threshold_data.rows])
-    assert np.allclose(learners.predict(model, threshold_data.rows), y, atol=1e-6)
+    y = threshold_data.label_reg
+    assert np.allclose(learners.predict(model, threshold_data.X), y, atol=1e-6)
 
 
 @pytest.mark.parametrize("kind", CLS_KINDS)
 def test_scores_agree_with_hard_labels(kind, threshold_data):
     spec = LearnerSpec(kind=kind, task="classification", hyperparams=FAST_HP.get(kind, {}))
     model = learners.fit(spec, threshold_data, seed=0)
-    scores = learners.predict_scores(model, threshold_data.rows)
+    scores = learners.predict_scores(model, threshold_data.X)
     assert ((0.0 <= scores) & (scores <= 1.0)).all()
     assert np.array_equal(
-        (scores > 0.5).astype(int), learners.predict(model, threshold_data.rows)
+        (scores > 0.5).astype(int), learners.predict(model, threshold_data.X)
     )
 
 
@@ -114,13 +109,13 @@ def test_single_class_training_raises(threshold_data):
     rows = feature_rows(np.linspace(10, 40, 20), label_fn=lambda v: True)
     spec = LearnerSpec(kind="cart", task="classification")
     with pytest.raises(DegenerateData):
-        learners.fit(spec, Dataset(rows=tuple(rows), role="train"), seed=0)
+        learners.fit(spec, dataset_of(rows), seed=0)
 
 
 def test_empty_training_set_raises():
     spec = LearnerSpec(kind="cart", task="classification")
     with pytest.raises(DegenerateData):
-        learners.fit(spec, Dataset(rows=(), role="train"), seed=0)
+        learners.fit(spec, dataset_of([]), seed=0)
 
 
 def test_hyperparam_aliases(threshold_data):
@@ -133,8 +128,8 @@ def test_hyperparam_aliases(threshold_data):
         threshold_data, seed=0,
     )
     assert np.array_equal(
-        learners.predict(base, threshold_data.rows),
-        learners.predict(alias, threshold_data.rows),
+        learners.predict(base, threshold_data.X),
+        learners.predict(alias, threshold_data.X),
     )
 
     base = learners.fit(
@@ -144,8 +139,8 @@ def test_hyperparam_aliases(threshold_data):
         LearnerSpec("random_forest", "classification", {"B": 5}), threshold_data, seed=3
     )
     assert np.array_equal(
-        learners.predict_scores(base, threshold_data.rows),
-        learners.predict_scores(alias, threshold_data.rows),
+        learners.predict_scores(base, threshold_data.X),
+        learners.predict_scores(alias, threshold_data.X),
     )
 
 
@@ -187,8 +182,8 @@ def test_seeded_kinds_are_deterministic(kind, threshold_data):
     a = learners.fit(spec, threshold_data, seed=11)
     b = learners.fit(spec, threshold_data, seed=11)
     assert np.array_equal(
-        learners.predict_scores(a, threshold_data.rows),
-        learners.predict_scores(b, threshold_data.rows),
+        learners.predict_scores(a, threshold_data.X),
+        learners.predict_scores(b, threshold_data.X),
     )
 
 
@@ -203,13 +198,13 @@ def vote_member(reversed_, route_idx, seed=0):
     rows = feature_rows(values, label_fn=fn, route_idx=route_idx)
     return learners.fit(
         LearnerSpec("cart", "classification", {"max_depth": 2}),
-        Dataset(rows=tuple(rows), role="train"),
+        dataset_of(rows),
         seed=seed,
     )
 
 
 def cheap_probe():
-    return feature_rows([10.0], label_fn=lambda v: True)
+    return dataset_of(feature_rows([10.0], label_fn=lambda v: True)).X
 
 
 def test_blend_majority_of_five_buys():
@@ -250,7 +245,7 @@ def blend_train_data():
         rows += feature_rows(
             values, label_fn=lambda v: v < 50, reg_fn=lambda v: 3 * v, route_idx=r
         )
-    return Dataset(rows=tuple(rows), role="train")
+    return dataset_of(rows)
 
 
 def test_fit_uniform_blend_classification():
@@ -277,7 +272,7 @@ def test_fit_uniform_blend_regression_is_member_mean():
     spec = LearnerSpec("uniform_blend", "regression", {"member_kind": "cart"})
     model = learners.fit(spec, train, seed=2)
     members = model.parameters["core"]
-    probe = feature_rows([33.0], reg_fn=float)
+    probe = dataset_of(feature_rows([33.0], reg_fn=float)).X
     expected = np.mean([learners.predict(m, probe) for m in members], axis=0)
     assert np.allclose(learners.predict(model, probe), expected)
 
@@ -289,7 +284,7 @@ def test_fit_blend_requires_every_route():
         rows += feature_rows(rng.uniform(10, 90, 20), label_fn=lambda v: v < 50, route_idx=r)
     spec = LearnerSpec("uniform_blend", "classification", {"member_kind": "cart"})
     with pytest.raises(DegenerateData, match="6, 7"):
-        learners.fit(spec, Dataset(rows=tuple(rows), role="train"), seed=0)
+        learners.fit(spec, dataset_of(rows), seed=0)
 
 
 def test_blend_own_dummies_retags_rows():
@@ -304,11 +299,11 @@ def test_blend_own_dummies_retags_rows():
         members.append(
             learners.fit(
                 LearnerSpec("knn", "classification", {"k": 1}),
-                Dataset(rows=tuple(rows), role="train"),
+                dataset_of(rows),
                 seed=0,
             )
         )
-    probe = feature_rows([0.5], label_fn=lambda v: True, route_idx=7)
+    probe = dataset_of(feature_rows([0.5], label_fn=lambda v: True, route_idx=7)).X
     # re-tagged: every member sees its own route dummy and finds the 1-label row
     with_own = blend_predict(members, probe, own_dummies=True)
     assert with_own[0] == 1
@@ -345,12 +340,12 @@ def test_save_load_round_trip(kind, task, threshold_data, tmp_path):
     clone = load_model(path)
     assert clone.spec == model.spec
     assert np.array_equal(
-        learners.predict(model, threshold_data.rows),
-        learners.predict(clone, threshold_data.rows),
+        learners.predict(model, threshold_data.X),
+        learners.predict(clone, threshold_data.X),
     )
     assert np.array_equal(
-        learners.predict_scores(model, threshold_data.rows),
-        learners.predict_scores(clone, threshold_data.rows),
+        learners.predict_scores(model, threshold_data.X),
+        learners.predict_scores(clone, threshold_data.X),
     )
 
 
@@ -363,7 +358,7 @@ def test_save_load_blend_round_trip(tmp_path):
     clone = load_model(path)
     assert len(clone.parameters["core"]) == 8
     assert np.array_equal(
-        learners.predict(model, train.rows), learners.predict(clone, train.rows)
+        learners.predict(model, train.X), learners.predict(clone, train.X)
     )
 
 
@@ -383,3 +378,49 @@ def test_model_document_guards(threshold_data):
     bad["version"] = 99
     with pytest.raises(FarecastError):
         model_from_dict(bad)
+
+
+# -- batch invariance -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def corpus_block():
+    """Every quote of a 4-route corpus as one labeled block, 8 series a route."""
+    from conftest import group_series
+    from farecast import synthgen
+    from farecast.pipeline import build_dataset, route_order
+
+    cfg = synthgen.GeneratorConfig(n_routes=4, departures_per_route=8, horizon_days=20)
+    series = group_series(synthgen.generate_corpus(cfg, seed=2))
+    return build_dataset(series, route_order(series), series[0].first_query_date, "train")
+
+
+BIT_EXACT = [("cart", "classification"), ("cart", "regression"),
+             ("adaboost_cart", "classification"), ("adaboost_cart", "regression"),
+             ("random_forest", "classification"), ("random_forest", "regression"),
+             ("knn", "classification"), ("knn", "regression"),
+             ("uniform_blend", "classification"), ("uniform_blend", "regression")]
+# Matrix products round differently with the row count.
+BLAS_ROUNDED = [("logistic", "classification"), ("mlp3", "classification"),
+                ("mlp3", "regression"), ("least_squares", "regression")]
+BATCH_HP = {**FAST_HP, "uniform_blend": {"member_kind": "cart", "member_params": {"max_depth": 3}}}
+
+
+@pytest.mark.parametrize("kind,task", BIT_EXACT + BLAS_ROUNDED)
+def test_predict_on_the_block_equals_predict_per_series(kind, task, corpus_block):
+    model = learners.fit(LearnerSpec(kind, task, BATCH_HP.get(kind, {})), corpus_block, seed=1)
+    parts = corpus_block.split(corpus_block.X)
+    assert len(parts) == 32
+    whole = learners.predict(model, corpus_block.X)
+    per_series = np.concatenate([learners.predict(model, part) for part in parts])
+    scores = learners.predict_scores(model, corpus_block.X)
+    scores_per_series = np.concatenate([learners.predict_scores(model, p) for p in parts])
+    if (kind, task) in BIT_EXACT:
+        assert np.array_equal(whole, per_series)
+        assert np.array_equal(scores, scores_per_series)
+    else:
+        if task == "classification":
+            assert np.array_equal(whole, per_series)
+        else:
+            np.testing.assert_allclose(whole, per_series, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scores, scores_per_series, rtol=0, atol=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from farecast.features import extract_rows, label_rows, labels_class
+from farecast.features import feature_dataset
 from farecast.policy import (
     LAST_BUY_DAYS_BEFORE_DEPARTURE,
     decide_classification,
@@ -83,8 +83,7 @@ def test_classification_all_wait_falls_back():
 
 def test_oracle_labels_attain_minimum():
     s = series_of([50, 40, 40, 60])
-    rows = label_rows(extract_rows(s), s)
-    d = decide_classification(s, labels_class(rows))
+    d = decide_classification(s, feature_dataset([s], 0, "train").label_class)
     assert d.paid_price == 40
     assert d.buy_query_date == s.quotes[1].query_date
 
@@ -92,8 +91,7 @@ def test_oracle_labels_attain_minimum():
 @given(st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=30))
 def test_oracle_optimality_property(prices):
     s = series_of(prices)
-    rows = label_rows(extract_rows(s), s)
-    d = decide_classification(s, labels_class(rows))
+    d = decide_classification(s, feature_dataset([s], 0, "train").label_class)
     assert d.paid_price == min(prices)
 
 

@@ -5,7 +5,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from farecast.core import Dataset, FeatureRow, SeriesKey
+from conftest import dataset_of
+from farecast.core import SeriesKey
 from farecast.preprocess import (
     ClusterInit,
     SingleClassDataset,
@@ -18,25 +19,15 @@ from farecast.preprocess import (
 )
 
 
-def make_rows(values, labels, route="R1"):
-    """One row per (value, label); value fills all continuous features."""
+def make_dataset(values, labels):
+    """One row per (value, label); value fills all continuous features. Each
+    row is its own series, so ``series`` holds the row's original index."""
     rows = []
     for i, (v, lab) in enumerate(zip(values, labels)):
-        rows.append(
-            FeatureRow(
-                key=SeriesKey(route, date(2016, 1, 13)),
-                query_date=date(2015, 11, 9) + timedelta(days=i),
-                min_price_so_far=float(v),
-                max_price_so_far=float(v) + 1.0,
-                query_to_departure=65,
-                days_to_departure=int(abs(v)) % 60,
-                current_price=float(v) + 0.5,
-                flight_dummies=(1, 0, 0, 0, 0, 0, 0, 0),
-                label_class=int(lab),
-                label_reg=float(v),
-            )
-        )
-    return rows
+        key = SeriesKey("R1", date(2016, 1, 13) + timedelta(days=i))
+        v = float(v)
+        rows.append((key, 0, (v, v + 1.0, 65, int(abs(v)) % 60, v + 0.5), int(lab), v))
+    return dataset_of(rows)
 
 
 def blob_dataset(seed=0, n_per=100, swap_frac=0.05, sep=10.0, sigma=0.1):
@@ -50,62 +41,57 @@ def blob_dataset(seed=0, n_per=100, swap_frac=0.05, sep=10.0, sigma=0.1):
     swapped = rng.choice(len(labels), size=n_swap, replace=False)
     labels = labels.copy()
     labels[swapped] ^= 1
-    rows = make_rows(values, labels)
-    return Dataset(rows=tuple(rows), role="train"), set(swapped.tolist())
+    return make_dataset(values, labels), set(swapped.tolist())
 
 
 # -- oversampling -----------------------------------------------------------
 
 
 def test_oversample_balances_counts():
-    rows = make_rows(range(1000), [1] * 100 + [0] * 900)
-    ds = Dataset(rows=tuple(rows), role="train")
+    ds = make_dataset(range(1000), [1] * 100 + [0] * 900)
     out = oversample(ds, seed=0)
     wait, buy = out.class_counts()
     assert (wait, buy) == (900, 900)
     # all originals still present, in their original order
-    assert out.rows[: len(rows)] == ds.rows
+    assert np.array_equal(out.series[: len(ds)], ds.series)
+    assert np.array_equal(out.X[: len(ds)], ds.X)
 
 
 def test_oversample_noop_when_balanced():
-    rows = make_rows(range(10), [0, 1] * 5)
-    ds = Dataset(rows=tuple(rows), role="train")
-    assert oversample(ds, seed=3).rows == ds.rows
+    ds = make_dataset(range(10), [0, 1] * 5)
+    assert np.array_equal(oversample(ds, seed=3).series, ds.series)
 
 
 def test_oversample_deterministic():
-    rows = make_rows(range(10), [1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-    ds = Dataset(rows=tuple(rows), role="train")
-    assert oversample(ds, seed=42).rows == oversample(ds, seed=42).rows
+    ds = make_dataset(range(10), [1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
+    assert np.array_equal(oversample(ds, seed=42).series, oversample(ds, seed=42).series)
 
 
 def test_oversample_duplicates_come_from_minority():
-    rows = make_rows(range(10), [1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-    ds = Dataset(rows=tuple(rows), role="train")
+    ds = make_dataset(range(10), [1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
     out = oversample(ds, seed=1)
-    extras = out.rows[len(rows):]
+    extras = out.take(np.arange(len(ds), len(out)))
     assert len(extras) == 4
-    assert all(r.label_class == 1 for r in extras)
+    assert (extras.label_class == 1).all()
+    assert np.array_equal(extras.X, ds.X[extras.series])
     # majority multiset unchanged
-    maj_in = Counter(r for r in ds.rows if r.label_class == 0)
-    maj_out = Counter(r for r in out.rows if r.label_class == 0)
+    maj_in = Counter(ds.series[ds.label_class == 0].tolist())
+    maj_out = Counter(out.series[out.label_class == 0].tolist())
     assert maj_in == maj_out
 
 
 def test_oversample_single_class_raises():
-    rows = make_rows(range(5), [0] * 5)
     with pytest.raises(SingleClassDataset):
-        oversample(Dataset(rows=tuple(rows), role="train"), seed=0)
+        oversample(make_dataset(range(5), [0] * 5), seed=0)
 
 
 def test_oversample_can_grow_majority_never():
     # wait is the minority here; buy rows must be untouched
-    rows = make_rows(range(9), [1, 1, 1, 1, 1, 1, 0, 0, 0])
-    ds = Dataset(rows=tuple(rows), role="train")
+    ds = make_dataset(range(9), [1, 1, 1, 1, 1, 1, 0, 0, 0])
     out = oversample(ds, seed=5)
     wait, buy = out.class_counts()
     assert wait == buy == 6
-    assert all(r.label_class == 0 for r in out.rows[len(rows):])
+    assert (out.label_class[len(ds):] == 0).all()
 
 
 # -- clustering internals ---------------------------------------------------
@@ -165,7 +151,7 @@ def test_gmm_survives_duplicated_points():
 def test_planted_mislabels_recovered(method):
     ds, swapped = blob_dataset(seed=0)
     kept, removed = remove_outliers(ds, method=method)
-    removed_idx = {ds.rows.index(r) for r in removed.rows}
+    removed_idx = set(removed.series.tolist())
     recall = len(removed_idx & swapped) / len(swapped)
     assert recall >= 0.95
 
@@ -174,23 +160,26 @@ def test_planted_mislabels_recovered(method):
 def test_clean_blobs_nothing_removed(method):
     ds, _ = blob_dataset(seed=1, swap_frac=0.0)
     kept, removed = remove_outliers(ds, method=method)
-    assert len(removed.rows) == 0
-    assert kept.rows == ds.rows
+    assert len(removed) == 0
+    assert np.array_equal(kept.series, ds.series)
+    assert np.array_equal(kept.X, ds.X)
 
 
 @pytest.mark.parametrize("method", ["kmeans", "em"])
 def test_partition_property(method):
     ds, _ = blob_dataset(seed=2)
     kept, removed = remove_outliers(ds, method=method)
-    assert len(kept.rows) + len(removed.rows) == len(ds.rows)
-    assert set(kept.rows).isdisjoint(set(removed.rows))
-    assert Counter(kept.rows) + Counter(removed.rows) == Counter(ds.rows)
+    assert len(kept) + len(removed) == len(ds)
+    assert set(kept.series.tolist()).isdisjoint(set(removed.series.tolist()))
+    assert Counter(kept.series.tolist()) + Counter(removed.series.tolist()) == Counter(
+        ds.series.tolist())
+    assert np.array_equal(kept.X, ds.X[kept.series])
+    assert np.array_equal(removed.X, ds.X[removed.series])
 
 
 def test_remove_outliers_single_class_raises():
-    rows = make_rows(range(6), [1] * 6)
     with pytest.raises(SingleClassDataset):
-        remove_outliers(Dataset(rows=tuple(rows), role="train"))
+        remove_outliers(make_dataset(range(6), [1] * 6))
 
 
 def test_remove_outliers_unknown_method():
@@ -205,12 +194,12 @@ def test_no_convergence_warns_but_returns(caplog):
     ds, _ = blob_dataset(seed=4)
     with caplog.at_level(logging.WARNING):
         kept, removed = remove_outliers(ds, method="em", max_iter=1)
-    assert len(kept.rows) + len(removed.rows) == len(ds.rows)
+    assert len(kept) + len(removed) == len(ds)
     assert any("converge" in r.message for r in caplog.records)
 
 
 def test_continuous_matrix_standardized():
-    rows = make_rows([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
-    Z = continuous_matrix(rows)
+    ds = make_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
+    Z = continuous_matrix(ds.X)
     assert Z.shape == (4, 5)
     assert np.allclose(Z.mean(axis=0), 0, atol=1e-12)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from farecast.core import Dataset, FeatureRow, SeriesKey, one_hot
+from conftest import dataset_of
+from farecast.core import SeriesKey
 from farecast.learners import LearnerSpec
 from farecast.tuning import (
     AllCellsFailed,
@@ -24,20 +25,13 @@ def series_rows(series_id, values, label_fn=None, reg_fn=None, route_idx=0):
     rows = []
     for i, v in enumerate(values):
         v = float(v)
-        rows.append(
-            FeatureRow(
-                key=key,
-                query_date=date(2015, 11, 9) + timedelta(days=i),
-                min_price_so_far=v,
-                max_price_so_far=v + 1.0,
-                query_to_departure=60 + (i % 10),
-                days_to_departure=i % 60,
-                current_price=v + 0.5,
-                flight_dummies=one_hot(route_idx, 8),
-                label_class=None if label_fn is None else int(bool(label_fn(v))),
-                label_reg=None if reg_fn is None else float(reg_fn(v)),
-            )
-        )
+        rows.append((
+            key,
+            route_idx,
+            (v, v + 1.0, 60 + (i % 10), i % 60, v + 0.5),
+            None if label_fn is None else int(bool(label_fn(v))),
+            None if reg_fn is None else float(reg_fn(v)),
+        ))
     return rows
 
 
@@ -88,7 +82,7 @@ def clean_blob_train(n_series=10, rows_per=6, seed=33):
         lows = rng.uniform(10, 20, rows_per // 2)
         highs = rng.uniform(80, 90, rows_per - rows_per // 2)
         rows += series_rows(s, np.concatenate([lows, highs]), label_fn=lambda v: v < 50)
-    return Dataset(rows=tuple(rows), role="train")
+    return dataset_of(rows)
 
 
 def test_single_spec_grid_returns_it():
@@ -159,13 +153,10 @@ def test_spec_fails_if_any_single_fold_fails():
     sizes = [2, 2, 2, 2, 2, 14, 14, 14, 14, 14]
     for s, size in enumerate(sizes):
         rows += series_rows(s, rng.uniform(10, 90, size), label_fn=lambda v: v < 50)
-    train = Dataset(rows=tuple(rows), role="train")
+    train = dataset_of(rows)
 
-    groups_sizes = {}
-    for row in train.rows:
-        groups_sizes[row.key] = groups_sizes.get(row.key, 0) + 1
-    folds = cv_folds(len(groups_sizes), k=5, seed=6)
-    ordered = list(groups_sizes.values())
+    ordered = np.bincount(train.series).tolist()
+    folds = cv_folds(len(ordered), k=5, seed=6)
     fold_train_sizes = [sum(ordered) - sum(ordered[g] for g in fold) for fold in folds]
     k_bad = min(fold_train_sizes) + 1
     assert k_bad <= max(fold_train_sizes)  # genuinely partial failure
@@ -198,7 +189,7 @@ def test_series_never_straddle_folds():
         v = float(rng.uniform(10, 90))
         label = bool(rng.integers(0, 2))
         rows += series_rows(s, [v, v, v], label_fn=lambda _, lab=label: lab)
-    train = Dataset(rows=tuple(rows), role="train")
+    train = dataset_of(rows)
     _, table = grid_search(
         [LearnerSpec("knn", "classification", {"k": 1})], train, seed=8, k=5
     )
@@ -212,7 +203,7 @@ def test_preprocess_runs_once_per_fold_with_derived_seeds():
     calls = []
 
     def recorder(ds, seed):
-        calls.append((seed, {r.key for r in ds.rows}))
+        calls.append((seed, {ds.keys[i] for i in ds.series}))
         return ds
 
     grid_search(
@@ -220,7 +211,7 @@ def test_preprocess_runs_once_per_fold_with_derived_seeds():
         train, seed=9, k=5, preprocess=recorder,
     )
     assert [s for s, _ in calls] == [derive_seed(9, "fold-prep", f) for f in range(5)]
-    all_keys = {r.key for r in train.rows}
+    all_keys = set(train.keys)
     for key in all_keys:
         held_out = sum(1 for _, keys in calls if key not in keys)
         assert held_out == 1  # each series is validation data exactly once
@@ -242,7 +233,7 @@ def test_regression_loss_is_rmse():
     rows = []
     for s in range(10):
         rows += series_rows(s, rng.uniform(10, 90, 4), reg_fn=lambda v: 2 * v + 5)
-    train = Dataset(rows=tuple(rows), role="train")
+    train = dataset_of(rows)
     _, table = grid_search(
         [LearnerSpec("least_squares", "regression")], train, seed=11, k=5
     )
@@ -262,7 +253,7 @@ def test_too_few_series_through_grid_search():
     rows = []
     for s in range(4):
         rows += series_rows(s, rng.uniform(10, 90, 4), label_fn=lambda v: v < 50)
-    train = Dataset(rows=tuple(rows), role="train")
+    train = dataset_of(rows)
     with pytest.raises(TooFewSeries):
         grid_search(
             [LearnerSpec("cart", "classification", {})], train, seed=0, k=5
