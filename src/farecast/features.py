@@ -131,7 +131,7 @@ class Standardizer:
         return cls(mean=mean, scale=np.where(degenerate, 1.0, std), keep=keep)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        out = X.astype(float).copy()
+        out = X.astype(float)
         out[:, CONTINUOUS] = (out[:, CONTINUOUS] - self.mean) / self.scale
         return out[:, self.keep]
 

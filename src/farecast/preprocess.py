@@ -96,10 +96,10 @@ def kmeans2(X: np.ndarray, init: ClusterInit, max_iter: int = 100, tol: float = 
 
 def _log_gaussian(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     d = X.shape[1]
-    diff = X - mean
-    solved = np.linalg.solve(cov, diff.T).T
-    maha = (diff * solved).sum(axis=1)
-    _, logdet = np.linalg.slogdet(cov)
+    L = np.linalg.cholesky(cov)
+    z = (X - mean) @ np.linalg.inv(L).T
+    maha = (z * z).sum(axis=1)
+    logdet = 2.0 * np.log(np.diag(L)).sum()
     return -0.5 * (d * math.log(2.0 * math.pi) + logdet + maha)
 
 
@@ -125,6 +125,8 @@ def gmm_em2(
     Means start at the class means; weights and covariances start from the
     labeled classes when ``y`` is given, else uniform/pooled. The diagonal
     regularizer keeps covariances invertible in the presence of duplicates.
+    EM stops when a step changes the log-likelihood ``ll`` by at most
+    ``tol * |ll|``.
     """
     n, d = X.shape
     means = init.centers.astype(float).copy()
@@ -149,7 +151,7 @@ def gmm_em2(
         log_norm = shift[:, 0] + np.log(np.exp(log_joint - shift).sum(axis=1))
         ll = float(log_norm.sum())
         resp = np.exp(log_joint - log_norm[:, None])
-        if history and abs(ll - history[-1]) < tol:
+        if history and abs(ll - history[-1]) <= tol * abs(ll):
             history.append(ll)
             converged = True
             break
@@ -195,6 +197,9 @@ def remove_outliers(
 
     A row is removed when its assigned cluster (nearest center for K-Means,
     maximum posterior for EM) differs from the cluster of its labeled class.
+    ``tol`` is relative to |ll| for EM and bounds the center shift, in
+    standardized units, for K-Means. An unconverged fit logs one warning and
+    its result is used as it stands.
     """
     if method not in ("kmeans", "em"):
         raise FarecastError(f"unknown outlier-removal method {method!r}")
@@ -209,8 +214,6 @@ def remove_outliers(
     else:
         fit = gmm_em2(X, init, y=y, max_iter=max_iter, tol=tol)
         assigned = fit.responsibilities.argmax(axis=1)
-    if not fit.converged:
-        logger.warning("outlier removal (%s) returned a best-effort, unconverged result", method)
     keep = assigned == y
     logger.info("outlier removal (%s): flagged %d of %d training rows",
                 method, int((~keep).sum()), len(train))

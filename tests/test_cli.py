@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import farecast
 from farecast.cli import main
 
 
@@ -628,10 +630,13 @@ def test_bank_out_removes_templates_of_an_earlier_bank(tmp_path, gen_corpus):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "x.csv"
+    # the child imports the package the tests import, however pytest found it
+    src = str(Path(farecast.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "farecast.cli", "gen-data", "--seed", "1",
          "--out", str(out), "--routes", "1", "--departures", "1", "--horizon", "8"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "wrote 8 quotes" in proc.stdout

@@ -238,8 +238,10 @@ def test_feature_dataset_matches_row_oracle(series):
 def test_standardizer_centers_continuous_block():
     rng = np.random.default_rng(0)
     X = np.hstack([np.tile([1, 0, 0, 0, 0, 0, 0, 0], (40, 1)), rng.normal(5, 3, (40, 5))])
+    X_before = X.copy()
     std = Standardizer.fit(X)
     Z = std.transform(X)
+    assert np.array_equal(X, X_before)  # transform works on its own copy
     assert np.allclose(Z[:, CONTINUOUS].mean(axis=0), 0, atol=1e-12)
     assert np.allclose(Z[:, CONTINUOUS].std(axis=0), 1, atol=1e-12)
     # dummy block untouched

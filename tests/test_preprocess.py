@@ -1,13 +1,17 @@
 import logging
+import math
 from collections import Counter
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dataset_of
 from farecast.core import SeriesKey
 from farecast.preprocess import (
+    COV_REG,
     ClusterInit,
     SingleClassDataset,
     class_mean_init,
@@ -17,6 +21,9 @@ from farecast.preprocess import (
     oversample,
     remove_outliers,
 )
+from farecast.preprocess import _log_gaussian
+
+EM_TOL = 1e-8  # gmm_em2's default tol
 
 
 def make_dataset(values, labels):
@@ -135,6 +142,97 @@ def test_gmm_loglik_monotone():
     assert fit.converged
 
 
+def reference_log_gaussian(X, mean, cov):
+    """Gaussian log-density by a linear solve against every row and slogdet:
+    the oracle for the Cholesky form in ``_log_gaussian``."""
+    d = X.shape[1]
+    diff = X - mean
+    solved = np.linalg.solve(cov, diff.T).T
+    maha = (diff * solved).sum(axis=1)
+    _, logdet = np.linalg.slogdet(cov)
+    return -0.5 * (d * math.log(2.0 * math.pi) + logdet + maha)
+
+
+def standardized(X):
+    std = X.std(axis=0)
+    return (X - X.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n=st.integers(1, 120),
+       rank=st.integers(0, 5), tied=st.booleans())
+def test_cholesky_log_gaussian_matches_solve(seed, d, n, rank, tied):
+    # A class covariance as gmm_em2 builds it: class rows of a standardized
+    # matrix, plus COV_REG. The class spans ``rank`` random directions (fewer
+    # than d, or fewer than d + 1 rows, makes it rank-deficient), and ``tied``
+    # puts one raw feature equal to another within the class, as
+    # current_price == min_price_so_far holds on every BUY row.
+    rng = np.random.default_rng(seed)
+    rank = min(rank, d)
+    raw = rng.normal(0.0, 1.0, (n + 50, d)) * 10.0 ** rng.uniform(-1, 2, d)
+    raw[:n] = rng.normal(0.0, 1.0, (n, rank)) @ rng.normal(0.0, 3.0, (rank, d)) + raw[0]
+    if tied and d > 1:
+        i, j = rng.choice(d, 2, replace=False)
+        raw[:n, j] = raw[:n, i]
+    X = standardized(raw)
+    cov = np.cov(X[:n].T, bias=True).reshape(d, d) + COV_REG * np.eye(d)
+    for mean in (X[:n].mean(axis=0), rng.normal(0.0, 1.0, d)):
+        ref = reference_log_gaussian(X, mean, cov)
+        # Both forms carry a relative error of order eps * cond(cov): on a
+        # class with an exact linear relation (cond ~ 1e6) each is off a
+        # 50-digit evaluation by up to a few 1e-10, so a fixed 1e-10 bound
+        # holds only on well-conditioned covariances.
+        tol = 16 * np.finfo(float).eps * np.linalg.cond(cov)
+        assert np.all(np.abs(_log_gaussian(X, mean, cov) - ref) <= tol * (1.0 + np.abs(ref)))
+
+
+def gaussian_classes(seed, d, n_per, sep, swap_frac):
+    """Two labeled Gaussian classes in d dimensions, each spanning all of
+    them, with a fraction of labels swapped."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.normal(0.0, 1.0, (n_per, d)),
+                   rng.normal(sep, rng.uniform(0.5, 2.0), (n_per, d))])
+    y = np.repeat([0, 1], n_per)
+    swapped = rng.random(len(y)) < swap_frac
+    y[swapped] ^= 1
+    return standardized(X), y
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), n_per=st.integers(20, 150),
+       sep=st.floats(0.0, 4.0), swap_frac=st.floats(0.0, 0.3), max_iter=st.integers(1, 40))
+def test_gmm_stops_exactly_when_the_relative_change_is_small(seed, d, n_per, sep, swap_frac,
+                                                              max_iter):
+    X, y = gaussian_classes(seed, d, n_per, sep, swap_frac)
+    fit = gmm_em2(X, class_mean_init(X, y), y=y, max_iter=max_iter)
+    hist = fit.loglik_history
+    small = [abs(b - a) <= EM_TOL * abs(b) for a, b in zip(hist, hist[1:])]
+    if fit.converged:
+        # a fit may converge on its last allowed iteration
+        assert len(hist) <= max_iter
+        assert small and small[-1] and not any(small[:-1])
+    else:
+        assert len(hist) == max_iter
+        assert not any(small)
+    # Each class spans all d dimensions, so the COV_REG ridge barely moves
+    # the M-step off the maximum.
+    assert all(b >= a - EM_TOL * abs(b) for a, b in zip(hist, hist[1:]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gmm_converges_with_a_class_on_a_line(seed):
+    # Like the BUY class, whose current price always equals its minimum so
+    # far: the class covariance is singular but for COV_REG.
+    rng = np.random.default_rng(seed)
+    t = rng.normal(0.0, 1.0, 200)
+    X = standardized(np.vstack([rng.normal(0.0, 1.0, (800, 2)) + [1.5, -1.5],
+                                np.column_stack([t, t])]))
+    y = np.repeat([0, 1], [800, 200])
+    fit = gmm_em2(X, class_mean_init(X, y), y=y)
+    assert fit.converged
+    assert len(fit.loglik_history) < 100
+
+
 def test_gmm_survives_duplicated_points():
     # oversampling-style duplicates make covariances near-singular
     base = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
@@ -196,6 +294,15 @@ def test_no_convergence_warns_but_returns(caplog):
         kept, removed = remove_outliers(ds, method="em", max_iter=1)
     assert len(kept) + len(removed) == len(ds)
     assert any("converge" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("method, name", [("em", "EM"), ("kmeans", "k-means")])
+def test_unconverged_fit_warns_once(caplog, method, name):
+    ds, _ = blob_dataset(seed=4)
+    with caplog.at_level(logging.WARNING):
+        remove_outliers(ds, method=method, max_iter=1)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warnings == [f"{name} did not converge in 1 iterations"]
 
 
 def test_continuous_matrix_standardized():
