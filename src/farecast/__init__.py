@@ -14,10 +14,8 @@ from .core import (
     FarecastError,
     NonPositivePrice,
     PriceSeries,
-    Quote,
     QueryAfterDeparture,
     SeriesKey,
-    make_series,
 )
 from .ingest import SplitConfig, load_quotes, split
 from .learners import LearnerSpec, TrainedModel, blend_predict, fit, load_model, predict, predict_scores, save_model
@@ -35,7 +33,6 @@ __all__ = [
     "NonPositivePrice",
     "PriceSeries",
     "PurchaseDecision",
-    "Quote",
     "QueryAfterDeparture",
     "SeriesKey",
     "SplitConfig",
@@ -48,7 +45,6 @@ __all__ = [
     "fit",
     "load_model",
     "load_quotes",
-    "make_series",
     "predict",
     "predict_scores",
     "save_model",

@@ -138,8 +138,7 @@ def _decisions_csv(decisions, series: Sequence[PriceSeries], path: str) -> None:
         for key in sorted(decisions, key=lambda k: (natural_key(k.route_id),
                                                     k.departure_date)):
             d = decisions[key]
-            s = by_key[key]
-            prices = s.prices
+            prices = by_key[key].prices.tolist()
             writer.writerow([key.route_id, key.departure_date.isoformat(),
                              d.buy_query_date.isoformat(), f"{d.paid_price:.3f}",
                              f"{min(prices):.3f}",
@@ -170,14 +169,14 @@ def cmd_gen_data(args) -> int:
         cfg = synthgen.generalized_config(**overrides)
     else:
         cfg = synthgen.GeneratorConfig(**overrides)
-    quotes = synthgen.generate_corpus(cfg, seed=args.seed)
-    synthgen.write_corpus_csv(quotes, args.out)
+    series = synthgen.generate_corpus(cfg, seed=args.seed)
+    synthgen.write_corpus_csv(series, args.out)
     if args.split_out:
         split_cfg = synthgen.default_split_for(cfg)
         Path(args.split_out).write_text(
             json.dumps(split_cfg.to_dict(), sort_keys=True, indent=2) + "\n",
             encoding="utf-8")
-    print(f"wrote {len(quotes)} quotes to {args.out}")
+    print(f"wrote {sum(len(s) for s in series)} quotes to {args.out}")
     return 0
 
 

@@ -1,11 +1,10 @@
-"""Shared domain vocabulary: quotes, price series, feature datasets."""
+"""Shared domain vocabulary: price series and feature datasets."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,16 +29,6 @@ class EmptySeries(FarecastError):
 
 
 @dataclass(frozen=True)
-class Quote:
-    """One observed fare for a (route, departure date) on a given query day."""
-
-    route_id: str
-    departure_date: date
-    query_date: date
-    price: float
-
-
-@dataclass(frozen=True)
 class SeriesKey:
     """Identifies one price series: an origin-destination route and a departure date."""
 
@@ -47,57 +36,44 @@ class SeriesKey:
     departure_date: date
 
 
-def validate_quote(q: Quote) -> Quote:
-    """Return ``q`` unchanged if its invariants hold, else raise.
-
-    Raises:
-        NonPositivePrice: price is zero, negative or not finite.
-        QueryAfterDeparture: the quote was queried after its departure date.
-    """
-    if not (q.price > 0 and math.isfinite(q.price)):
-        raise NonPositivePrice(
-            f"price must be finite and > 0, got {q.price!r} for {q.route_id}")
-    if q.query_date > q.departure_date:
-        raise QueryAfterDeparture(
-            f"query {q.query_date} is after departure {q.departure_date} for {q.route_id}"
-        )
-    return q
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """All quotes for one series key, ordered by query date ascending."""
+    """The quotes of one series key as two read-only columns.
+
+    ``query_dates`` is ``datetime64[D]`` and strictly increasing; ``prices``
+    is float64, one per query date. Construction copies both columns and
+    checks that they are non-empty, of equal length and sorted; price and
+    date rules are checked where quotes are read (``ingest.load_quotes``).
+    """
 
     key: SeriesKey
-    quotes: tuple[Quote, ...]
+    query_dates: np.ndarray
+    prices: np.ndarray
+
+    def __post_init__(self):
+        query_dates = np.array(self.query_dates, dtype="datetime64[D]")
+        prices = np.array(self.prices, dtype=float)
+        if len(prices) == 0:
+            raise EmptySeries(f"no quotes for {self.key}")
+        if len(query_dates) != len(prices):
+            raise FarecastError(
+                f"{len(query_dates)} query dates for {len(prices)} prices in series {self.key}")
+        if not (query_dates[1:] > query_dates[:-1]).all():
+            raise FarecastError(f"query dates of series {self.key} are not strictly increasing")
+        for name, column in (("query_dates", query_dates), ("prices", prices)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def first_query_date(self) -> date:
-        return self.quotes[0].query_date
+        return self.query_dates[0].item()
 
     @property
-    def prices(self) -> tuple[float, ...]:
-        return tuple(q.price for q in self.quotes)
+    def days_to_departure(self) -> np.ndarray:
+        return (np.datetime64(self.key.departure_date, "D") - self.query_dates).astype(np.int64)
 
     def __len__(self) -> int:
-        return len(self.quotes)
-
-
-def make_series(key: SeriesKey, quotes: Iterable[Quote]) -> PriceSeries:
-    """Build a PriceSeries from an unordered quote collection (sorted by query date)."""
-    ordered = tuple(sorted(quotes, key=lambda q: q.query_date))
-    if not ordered:
-        raise EmptySeries(f"no quotes for {key}")
-    for q in ordered:
-        validate_quote(q)
-        if q.route_id != key.route_id or q.departure_date != key.departure_date:
-            raise FarecastError(f"quote {q} does not belong to series {key}")
-    for a, b in zip(ordered, ordered[1:]):
-        if a.query_date == b.query_date:
-            raise FarecastError(
-                f"two quotes share query date {a.query_date} in series {key}"
-            )
-    return PriceSeries(key=key, quotes=ordered)
+        return len(self.prices)
 
 
 @dataclass(frozen=True)
@@ -167,23 +143,3 @@ class Dataset:
 def format_price(price: float) -> str:
     """Canonical 3-decimal price rendering used in all file I/O."""
     return f"{price:.3f}"
-
-
-def quote_to_csv_row(q: Quote) -> tuple[str, str, str, str]:
-    return (
-        q.route_id,
-        q.departure_date.isoformat(),
-        q.query_date.isoformat(),
-        format_price(q.price),
-    )
-
-
-def quote_from_csv_row(route_id: str, departure: str, query: str, price: str) -> Quote:
-    return validate_quote(
-        Quote(
-            route_id=route_id,
-            departure_date=date.fromisoformat(departure),
-            query_date=date.fromisoformat(query),
-            price=float(price),
-        )
-    )

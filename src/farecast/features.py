@@ -63,13 +63,12 @@ def feature_dataset(
     if anchor is None:
         anchor = corpus_anchor(series)
     lengths = np.array([len(s) for s in series], dtype=np.intp)
-    if (lengths == 0).any():
-        raise EmptySeries(f"series {series[int(np.argmin(lengths))].key} is empty")
     ends = np.cumsum(lengths)
     row_series = np.repeat(np.arange(len(series)), lengths)
     position = np.arange(len(row_series)) - np.repeat(ends - lengths, lengths)
-    prices = np.array([q.price for s in series for q in s.quotes], dtype=float)
-    query = np.array([q.query_date for s in series for q in s.quotes], dtype="datetime64[D]")
+    # The leading empty columns give an empty block for an empty corpus.
+    prices = np.concatenate([np.empty(0), *(s.prices for s in series)])
+    query = np.concatenate([np.empty(0, "datetime64[D]"), *(s.query_dates for s in series)])
     departure = np.array([s.key.departure_date for s in series], dtype="datetime64[D]")
 
     # Series side by side, padded at the end: a running extremum reads only

@@ -124,14 +124,14 @@ def equivalence_sequence(s: PriceSeries, cutoff_idx: int,
     comparison variant that is allowed to peek.
     """
     prices = s.prices[: cutoff_idx + 1]
-    if not prices:
+    if len(prices) == 0:
         raise EmptySeries(f"empty observation prefix for {s.key}")
     denom = math.fsum(s.prices) / len(s) if full_mean else math.fsum(prices) / len(prices)
     return EquivalenceSequence(
         key=s.key,
         first_observed_date=s.first_query_date,
-        cutoff_query_date=s.quotes[cutoff_idx].query_date,
-        observations=tuple(p / denom for p in prices),
+        cutoff_query_date=s.query_dates[cutoff_idx].item(),
+        observations=tuple((prices / denom).tolist()),
     )
 
 
@@ -355,11 +355,10 @@ def hmm_fit(
     """
     if not route_series:
         raise EmptySeries("hmm_fit needs at least one series")
-    all_prices = [p for s in route_series for p in s.prices]
-    norm_mean = math.fsum(all_prices) / len(all_prices)
-    sequences = [[p / norm_mean for p in s.prices] for s in route_series]
-
-    pooled = np.concatenate([np.asarray(s) for s in sequences])
+    prices = np.concatenate([s.prices for s in route_series])
+    norm_mean = math.fsum(prices) / len(prices)
+    sequences = [s.prices / norm_mean for s in route_series]
+    pooled = prices / norm_mean
     if np.all(pooled == pooled[0]):
         logger.warning(
             "route %d: all prices identical, returning a degenerate single-state model",
@@ -410,8 +409,9 @@ def classify_sequence(bank: Sequence[HmmModel], seq: EquivalenceSequence,
 
 def _prefix_observations(s: PriceSeries) -> np.ndarray:
     """(T, T): row p is ``equivalence_sequence(s, p)``, then columns never read."""
-    denoms = [math.fsum(s.prices[: p + 1]) / (p + 1) for p in range(len(s))]
-    return np.asarray(s.prices, dtype=float)[None, :] / np.asarray(denoms)[:, None]
+    prices = s.prices.tolist()
+    denoms = [math.fsum(prices[: p + 1]) / (p + 1) for p in range(len(prices))]
+    return s.prices[None, :] / np.asarray(denoms)[:, None]
 
 
 def _classify_prefixes(bank: Sequence[HmmModel], s: PriceSeries) -> np.ndarray:

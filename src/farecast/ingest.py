@@ -8,9 +8,12 @@ import logging
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .core import FarecastError, PriceSeries, SeriesKey, make_series, quote_from_csv_row
+import numpy as np
+
+from .core import (FarecastError, NonPositivePrice, PriceSeries, QueryAfterDeparture,
+                   SeriesKey)
 from .util import natural_key
 
 logger = logging.getLogger(__name__)
@@ -84,9 +87,80 @@ def load_quotes(path: str | Path) -> list[PriceSeries]:
 
     The file must be UTF-8 with the header
     ``route_id,departure_date,query_date,price``, ISO dates, and a decimal
-    price. Duplicate (route, departure, query) triples are an error.
+    price; rows may come in any order and blank lines are skipped. Series
+    come sorted by route in natural order, then departure date.
+
+    The earliest bad record raises, and a ParseError names its first
+    physical line. Within a record the checks run in this order: the field
+    count, parsing, a finite positive price, a query not after departure. A
+    repeated (route, departure, query) triple raises DuplicateQuote at its
+    later record.
     """
-    grouped: dict[SeriesKey, dict] = {}
+    routes, departures, queries, price_texts, lines, bad_shape = _read_columns(path)
+
+    # Each distinct date string is parsed once; NaT marks one that fails.
+    distinct = {text: i for i, text in enumerate(dict.fromkeys(departures + queries))}
+    dates, date_errors = _parse_each(distinct, date.fromisoformat)
+    day = np.array(dates, dtype="datetime64[D]")
+    dep_code = np.fromiter(map(distinct.__getitem__, departures), np.intp, len(lines))
+    query_code = np.fromiter(map(distinct.__getitem__, queries), np.intp, len(lines))
+    departure, query = day[dep_code], day[query_code]
+    values, price_errors = _parse_each(price_texts, float)
+    price = np.array(values, dtype=float)
+
+    # Every rule over every row at once; a value that failed to parse fails too.
+    priced = (price > 0) & np.isfinite(price)
+    bad = np.isnat(departure) | np.isnat(query) | ~priced | (query > departure)
+    n_ok = int(np.argmax(bad)) if bad.any() else len(lines)
+
+    # The rows before the first bad one, sorted by route in natural order,
+    # departure, series key (named by its first row, for routes that sort
+    # alike) and query date. The sort is stable, so a repeated triple follows
+    # its first copy.
+    names = {name: i for i, name in enumerate(dict.fromkeys(routes[:n_ok]))}
+    route_code = np.fromiter(map(names.__getitem__, routes[:n_ok]), np.intp, n_ok)
+    groups = {k: i for i, k in enumerate(sorted({natural_key(name) for name in names}))}
+    rank = np.array([groups[natural_key(name)] for name in names], dtype=np.intp)
+    same_day = np.unique(day, return_inverse=True)[1]  # one code per date, however written
+    _, first_row, inverse = np.unique(route_code * len(day) + same_day[dep_code[:n_ok]],
+                                      return_index=True, return_inverse=True)
+    key_first = first_row[inverse]
+    order = np.lexsort((query[:n_ok], key_first, departure[:n_ok], rank[route_code]))
+    key_of, query_of = key_first[order], query[order]
+    repeats = order[1:][(key_of[1:] == key_of[:-1]) & (query_of[1:] == query_of[:-1])]
+    if len(repeats):
+        i = int(repeats.min())
+        raise DuplicateQuote(SeriesKey(routes[i], dates[dep_code[i]]), dates[query_code[i]])
+    if n_ok < len(lines):
+        i = n_ok
+        cause = (date_errors.get(dep_code[i]) or date_errors.get(query_code[i])
+                 or price_errors.get(i))
+        if cause is None and not priced[i]:
+            cause = NonPositivePrice(
+                f"price must be finite and > 0, got {values[i]!r} for {routes[i]}")
+        elif cause is None:
+            cause = QueryAfterDeparture(f"query {dates[query_code[i]]} is after departure "
+                                        f"{dates[dep_code[i]]} for {routes[i]}")
+        raise ParseError(lines[i], str(cause)) from cause
+    if bad_shape is not None:
+        raise bad_shape
+
+    prices = price[order]
+    starts = np.flatnonzero(np.diff(key_of, prepend=-1)).tolist()
+    series = [PriceSeries(SeriesKey(routes[i], dates[dep_code[i]]), query_of[a:b], prices[a:b])
+              for i, a, b in zip(key_of[starts].tolist(), starts, starts[1:] + [n_ok])]
+    logger.info("loaded %d quotes in %d series from %s", n_ok, len(series), path)
+    return series
+
+
+def _read_columns(path) -> tuple[list[str], list[str], list[str], list[str], list[int],
+                                 Optional[ParseError]]:
+    """The four fields of each 4-field record, as columns, up to the first
+    record of another length; each record's first physical line; and the
+    error for that other record. Repeated route ids and dates share one
+    string, so a column holds little more than its prices."""
+    routes, departures, queries, prices, lines = [], [], [], [], []
+    seen: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -95,31 +169,36 @@ def load_quotes(path: str | Path) -> list[PriceSeries]:
             raise ParseError(1, "empty file (header required)")
         if tuple(h.strip() for h in header) != CSV_HEADER:
             raise ParseError(1, f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(line_no, f"expected 4 fields, got {len(row)}")
-            try:
-                quote = quote_from_csv_row(*row)
-            except (ValueError, FarecastError) as exc:
-                raise ParseError(line_no, str(exc)) from exc
-            key = SeriesKey(quote.route_id, quote.departure_date)
-            by_day = grouped.setdefault(key, {})
-            if quote.query_date in by_day:
-                raise DuplicateQuote(key, quote.query_date)
-            by_day[quote.query_date] = quote
-
-    series = [make_series(key, by_day.values())
-              for key, by_day in sorted(grouped.items(), key=_key_order)]
-    logger.info("loaded %d quotes in %d series from %s",
-                sum(len(s) for s in series), len(series), path)
-    return series
+        line_no = reader.line_num + 1
+        for row in reader:
+            if len(row) == 4:
+                route, departure, query, price = row
+                routes.append(seen.setdefault(route, route))
+                departures.append(seen.setdefault(departure, departure))
+                queries.append(seen.setdefault(query, query))
+                prices.append(price)
+                lines.append(line_no)
+            elif row:
+                shape = ParseError(line_no, f"expected 4 fields, got {len(row)}")
+                return routes, departures, queries, prices, lines, shape
+            line_no = reader.line_num + 1
+    return routes, departures, queries, prices, lines, None
 
 
-def _key_order(item):
-    key = item[0]
-    return (natural_key(key.route_id), key.departure_date)
+def _parse_each(texts, parse) -> tuple[list, dict[int, ValueError]]:
+    """``parse`` of each text (None where it fails) and the errors by position."""
+    try:
+        return list(map(parse, texts)), {}
+    except ValueError:
+        pass
+    values, errors = [], {}
+    for i, text in enumerate(texts):
+        try:
+            values.append(parse(text))
+        except ValueError as exc:
+            values.append(None)
+            errors[i] = exc
+    return values, errors
 
 
 def split(series: Sequence[PriceSeries], cfg: SplitConfig) -> tuple[list[PriceSeries], list[PriceSeries]]:

@@ -43,24 +43,18 @@ class BacktestMetrics:
 
 def random_purchase_price(s: PriceSeries) -> float:
     """Expected price of buying on a uniformly random query day (exact mean)."""
-    if len(s) == 0:
-        raise EmptySeries(f"series {s.key} is empty")
     return math.fsum(s.prices) / len(s)
 
 
 def simulated_random_purchase_price(s: PriceSeries, n_draws: int, rng) -> float:
     """Monte Carlo variant of the random-purchase benchmark (sampled draws)."""
-    if len(s) == 0:
-        raise EmptySeries(f"series {s.key} is empty")
     picks = rng.integers(0, len(s), size=n_draws)
-    return math.fsum(s.prices[i] for i in picks) / n_draws
+    return math.fsum(s.prices[picks]) / n_draws
 
 
 def optimal_price(s: PriceSeries) -> float:
     """Hindsight minimum over all quotes of the series."""
-    if len(s) == 0:
-        raise EmptySeries(f"series {s.key} is empty")
-    return min(s.prices)
+    return float(s.prices.min())
 
 
 def performance_metrics(

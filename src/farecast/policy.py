@@ -6,7 +6,9 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
 
-from .core import BUY, EmptySeries, FarecastError, PriceSeries, SeriesKey
+import numpy as np
+
+from .core import BUY, FarecastError, PriceSeries, SeriesKey
 
 LAST_BUY_DAYS_BEFORE_DEPARTURE = 7
 
@@ -19,26 +21,27 @@ class PurchaseDecision:
     forced: bool  # True when the 7-day fallback fired
 
 
-def _check_aligned(s: PriceSeries, predictions: Sequence) -> None:
-    if len(s) == 0:
-        raise EmptySeries(f"series {s.key} is empty")
+def _check_aligned(s: PriceSeries, predictions: Sequence) -> np.ndarray:
     if len(predictions) != len(s):
         raise FarecastError(
             f"{len(predictions)} predictions for a series of {len(s)} quotes"
         )
+    return np.asarray(predictions)
 
 
-def _fallback(s: PriceSeries) -> PurchaseDecision:
-    # Latest quote still at least 7 days out; degenerate short series buy at
-    # the earliest available date.
-    candidates = [
-        q for q in s.quotes
-        if (s.key.departure_date - q.query_date).days >= LAST_BUY_DAYS_BEFORE_DEPARTURE
-    ]
-    chosen = candidates[-1] if candidates else s.quotes[0]
-    return PurchaseDecision(
-        key=s.key, buy_query_date=chosen.query_date, paid_price=chosen.price, forced=True
-    )
+def _buy(s: PriceSeries, i: int, forced: bool) -> PurchaseDecision:
+    return PurchaseDecision(key=s.key, buy_query_date=s.query_dates[i].item(),
+                            paid_price=float(s.prices[i]), forced=forced)
+
+
+def _decide(s: PriceSeries, mask: np.ndarray) -> PurchaseDecision:
+    """Buy at the first day ``mask`` marks; if none, fall back to the latest
+    quote still 7 days out, or the earliest one in a degenerate short series."""
+    hits = np.flatnonzero(mask)
+    if len(hits):
+        return _buy(s, hits[0], forced=False)
+    candidates = np.flatnonzero(s.days_to_departure >= LAST_BUY_DAYS_BEFORE_DEPARTURE)
+    return _buy(s, candidates[-1] if len(candidates) else 0, forced=True)
 
 
 def decide_regression(s: PriceSeries, predicted_min: Sequence[float]) -> PurchaseDecision:
@@ -47,22 +50,11 @@ def decide_regression(s: PriceSeries, predicted_min: Sequence[float]) -> Purchas
     Only days at least 7 days before departure qualify; if the predicted
     minimum is never undercut, fall back to the latest quote still 7 days out.
     """
-    _check_aligned(s, predicted_min)
-    for q, pred in zip(s.quotes, predicted_min):
-        days_out = (s.key.departure_date - q.query_date).days
-        if q.price < pred and days_out >= LAST_BUY_DAYS_BEFORE_DEPARTURE:
-            return PurchaseDecision(
-                key=s.key, buy_query_date=q.query_date, paid_price=q.price, forced=False
-            )
-    return _fallback(s)
+    predicted_min = _check_aligned(s, predicted_min)
+    return _decide(s, (s.prices < predicted_min)
+                   & (s.days_to_departure >= LAST_BUY_DAYS_BEFORE_DEPARTURE))
 
 
 def decide_classification(s: PriceSeries, predicted_class: Sequence[int]) -> PurchaseDecision:
     """Buy at the earliest row predicted buy; same fallback as regression if none."""
-    _check_aligned(s, predicted_class)
-    for q, pred in zip(s.quotes, predicted_class):
-        if pred == BUY:
-            return PurchaseDecision(
-                key=s.key, buy_query_date=q.query_date, paid_price=q.price, forced=False
-            )
-    return _fallback(s)
+    return _decide(s, _check_aligned(s, predicted_class) == BUY)

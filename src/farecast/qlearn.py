@@ -75,10 +75,10 @@ def load_qtable(path: str | Path) -> QTable:
 
 
 def _route_means(train_series: Sequence[PriceSeries]) -> dict[str, float]:
-    sums: dict[str, list[float]] = {}
+    parts: dict[str, list[np.ndarray]] = {}
     for s in train_series:
-        sums.setdefault(s.key.route_id, []).extend(s.prices)
-    return {route: math.fsum(prices) / len(prices) for route, prices in sums.items()}
+        parts.setdefault(s.key.route_id, []).append(s.prices)
+    return {route: math.fsum(np.concatenate(p)) / sum(map(len, p)) for route, p in parts.items()}
 
 
 def q_train(
@@ -100,19 +100,15 @@ def q_train(
     if not 0.0 < gamma <= 1.0 or not 0.0 < alpha <= 1.0:
         raise FarecastError("gamma and alpha must lie in (0, 1]")
     means = _route_means(train_series)
-    d_max = max(
-        (s.key.departure_date - s.first_query_date).days for s in train_series
-    )
     # One (state, alpha * -price, next state) step per quote, in visiting
     # order. The updates run on Python floats: the same IEEE arithmetic as on
     # numpy scalars, at a fraction of the cost per operation.
     prepared = []
     for s in train_series:
-        mean = means[s.key.route_id]
-        states = [(s.key.departure_date - q.query_date).days for q in s.quotes]
-        pulls = [alpha * (-(q.price / mean)) for q in s.quotes]
-        nexts = states[1:] + [None]
-        prepared.append([(states[t], pulls[t], nexts[t]) for t in reversed(range(len(states)))])
+        states = s.days_to_departure.tolist()
+        pulls = (alpha * -(s.prices / means[s.key.route_id])).tolist()
+        prepared.append(list(zip(states, pulls, states[1:] + [None]))[::-1])
+    d_max = max(steps[-1][0] for steps in prepared)  # the longest first state
 
     keep = 1.0 - alpha
     discount = alpha * gamma
@@ -140,15 +136,12 @@ def q_policy(table: QTable, s: PriceSeries) -> PurchaseDecision:
     (ties favor buying) buys there. If no day triggers, the final quote is
     a forced buy.
     """
-    if len(s) == 0:
-        raise EmptySeries(f"series {s.key} is empty")
-    for q in s.quotes:
-        state = (s.key.departure_date - q.query_date).days
+    forced, i = True, len(s) - 1
+    for t, state in enumerate(s.days_to_departure.tolist()):
         if state == 0:
             break  # departure day: the loop ends here anyway; forced buy below
         if table.q_buy(state) >= table.q_wait(state):
-            return PurchaseDecision(key=s.key, buy_query_date=q.query_date,
-                                    paid_price=q.price, forced=False)
-    last = s.quotes[-1]
-    return PurchaseDecision(key=s.key, buy_query_date=last.query_date,
-                            paid_price=last.price, forced=True)
+            forced, i = False, t
+            break
+    return PurchaseDecision(key=s.key, buy_query_date=s.query_dates[i].item(),
+                            paid_price=float(s.prices[i]), forced=forced)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FarecastError, PriceSeries, Quote, format_price
+from .core import FarecastError, PriceSeries, SeriesKey, format_price
 from .ingest import CSV_HEADER, SplitConfig
 from .util import derive_seed
 
@@ -146,34 +146,27 @@ def trend_price(params: RouteParams, days_to_departure: int) -> float:
     return params.base * (1.0 + params.surge * math.exp(-days_to_departure / params.tau))
 
 
-def generate_corpus(cfg: GeneratorConfig, seed: int) -> list[Quote]:
-    """All quotes of a synthetic corpus, sorted by (route, departure, query)."""
-    quotes: list[Quote] = []
+def generate_corpus(cfg: GeneratorConfig, seed: int) -> list[PriceSeries]:
+    """Every series of a synthetic corpus, sorted by route, then departure."""
+    series = []
     for i, route_id in enumerate(cfg.route_ids()):
         params = route_params(cfg, i, seed)
         route_number = cfg.first_route_number + i
         for j in range(cfg.departures_per_route):
             departure = cfg.first_departure + timedelta(days=j * cfg.departure_step_days)
             rng = np.random.default_rng(derive_seed(seed, "series", route_number, j))
-            start = departure - timedelta(days=cfg.horizon_days - 1)
-            for d in range(cfg.horizon_days):
-                query = start + timedelta(days=d)
-                dtd = (departure - query).days
+            prices = []
+            for dtd in range(cfg.horizon_days - 1, -1, -1):
                 price = trend_price(params, dtd)
                 if params.drop_prob > 0 and rng.random() < params.drop_prob:
                     price *= 1.0 - rng.uniform(params.drop_lo, params.drop_hi)
                 if params.noise > 0:
                     price *= 1.0 + rng.uniform(-params.noise, params.noise)
-                price = min(max(price, cfg.price_floor), cfg.price_cap)
-                quotes.append(
-                    Quote(
-                        route_id=route_id,
-                        departure_date=departure,
-                        query_date=query,
-                        price=round(price, 3),
-                    )
-                )
-    return quotes
+                prices.append(round(min(max(price, cfg.price_floor), cfg.price_cap), 3))
+            query_dates = np.arange(cfg.horizon_days) + np.datetime64(
+                departure - timedelta(days=cfg.horizon_days - 1), "D")
+            series.append(PriceSeries(SeriesKey(route_id, departure), query_dates, prices))
+    return series
 
 
 def default_split_for(cfg: GeneratorConfig, train_fraction: float = 0.6) -> SplitConfig:
@@ -191,37 +184,30 @@ def default_split_for(cfg: GeneratorConfig, train_fraction: float = 0.6) -> Spli
     )
 
 
-def write_corpus_csv(quotes: Sequence[Quote], path: str | Path) -> None:
-    """Write quotes in the ingest CSV schema. Byte-identical for a fixed input."""
+def write_corpus_csv(series: Sequence[PriceSeries], path: str | Path) -> None:
+    """Write every quote in the ingest CSV schema, series by series in query
+    order. Byte-identical for a fixed input."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for q in quotes:
-            writer.writerow(
-                (q.route_id, q.departure_date.isoformat(), q.query_date.isoformat(),
-                 format_price(q.price))
-            )
+        for s in series:
+            route_id, departure = s.key.route_id, s.key.departure_date.isoformat()
+            writer.writerows(
+                (route_id, departure, query, format_price(price)) for query, price in
+                zip(np.datetime_as_string(s.query_dates).tolist(), s.prices.tolist()))
 
 
 def oracle_evaluate(corpus: Sequence[PriceSeries]) -> dict[str, tuple[float, float]]:
-    """Per-route (random purchase price, optimal price) by direct exhaustive scan.
+    """Per-route (random purchase price, optimal price) from each series' raw prices.
 
     Intentionally independent of the metrics module: benchmark values are
     re-derived from raw quotes alone so the two code paths can be compared.
     """
     per_route: dict[str, list[tuple[float, float]]] = {}
     for s in corpus:
-        total = 0.0
-        count = 0
-        lowest = None
-        terms = []
-        for q in s.quotes:
-            terms.append(q.price)
-            count += 1
-            if lowest is None or q.price < lowest:
-                lowest = q.price
-        total = math.fsum(terms)
-        per_route.setdefault(s.key.route_id, []).append((total / count, lowest))
+        prices = s.prices.tolist()
+        per_route.setdefault(s.key.route_id, []).append(
+            (math.fsum(prices) / len(prices), min(prices)))
 
     out = {}
     for route_id, values in sorted(per_route.items()):

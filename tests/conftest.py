@@ -7,13 +7,12 @@ before departure. ``dataset_of`` builds a Dataset from hand-written rows.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
 
-from farecast.core import Dataset, PriceSeries, Quote, SeriesKey, make_series
+from farecast.core import Dataset, PriceSeries, SeriesKey
 from farecast.features import CONTINUOUS_NAMES, set_route_dummies
 
 
@@ -25,13 +24,9 @@ def series_of(
 ) -> PriceSeries:
     """One quote per consecutive day, the last one `last_days_to_departure`
     days before departure."""
-    n = len(prices)
-    key = SeriesKey(route_id, departure)
-    quotes = []
-    for i, p in enumerate(prices):
-        offset = last_days_to_departure + (n - 1 - i)
-        quotes.append(Quote(route_id, departure, departure - timedelta(days=offset), float(p)))
-    return make_series(key, quotes)
+    last = np.datetime64(departure, "D") - last_days_to_departure
+    return PriceSeries(SeriesKey(route_id, departure),
+                       last - np.arange(len(prices))[::-1], np.asarray(prices, dtype=float))
 
 
 def dataset_of(rows, width: int = 8, role: str = "train") -> Dataset:
@@ -53,22 +48,13 @@ def dataset_of(rows, width: int = 8, role: str = "train") -> Dataset:
     )
 
 
-def group_series(quotes) -> list[PriceSeries]:
-    groups: dict[SeriesKey, list[Quote]] = defaultdict(list)
-    for q in quotes:
-        groups[SeriesKey(q.route_id, q.departure_date)].append(q)
-    keys = sorted(groups, key=lambda k: (k.route_id, k.departure_date))
-    return [make_series(k, groups[k]) for k in keys]
-
-
 @pytest.fixture(scope="session")
 def default_corpus():
     """The default 8-route synthetic corpus, shared by the slower tests."""
     from farecast import synthgen
 
     cfg = synthgen.GeneratorConfig()
-    quotes = synthgen.generate_corpus(cfg, seed=11)
-    return cfg, group_series(quotes)
+    return cfg, synthgen.generate_corpus(cfg, seed=11)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from conftest import group_series, register_criterion, series_of
+from conftest import register_criterion, series_of
 from farecast.cli import main as cli_main
 from farecast.features import corpus_anchor
 from farecast.hmm import (
@@ -111,7 +111,7 @@ def test_c01_metric_identities(default_corpus):
     random_decisions = {
         s.key: PurchaseDecision(
             key=s.key,
-            buy_query_date=s.quotes[0].query_date,
+            buy_query_date=s.query_dates[0].item(),
             paid_price=random_purchase_price(s),
             forced=False,
         )
@@ -132,8 +132,8 @@ def test_c02_backtest_matches_generator_accounting(default_corpus):
     decisions = {
         s.key: PurchaseDecision(
             key=s.key,
-            buy_query_date=s.quotes[0].query_date,
-            paid_price=s.quotes[0].price,
+            buy_query_date=s.query_dates[0].item(),
+            paid_price=float(s.prices[0]),
             forced=False,
         )
         for s in series
@@ -152,7 +152,7 @@ def test_c02_backtest_matches_generator_accounting(default_corpus):
 
 def test_c03_labels_match_brute_force_scan():
     cfg = GeneratorConfig(departures_per_route=125, horizon_days=30)
-    series = group_series(generate_corpus(cfg, seed=17))
+    series = generate_corpus(cfg, seed=17)
     assert len(series) == 1000
     ds = build_dataset(series, route_order(series), corpus_anchor(series), role="train")
     for s, label_class, label_reg in zip(series, ds.split(ds.label_class),
@@ -407,7 +407,7 @@ def test_c11_template_transfer_beats_uniform_blending(specific_split):
     blend = train_specific(blend_spec, train_series, routes, anchor, prep, seed=5)
     bank = fit_bank(train_series, routes, n_states=4, seed=derive_seed(0, "bank"))
 
-    gen_series = group_series(generate_corpus(generalized_config(), seed=23))
+    gen_series = generate_corpus(generalized_config(), seed=23)
     assert len({s.key.route_id for s in gen_series}) == 12
 
     result = generalized_predict(bank, frozen, gen_series)

@@ -10,74 +10,111 @@ from farecast.core import (
     FarecastError,
     FeatureRow,
     NonPositivePrice,
+    PriceSeries,
     QueryAfterDeparture,
-    Quote,
     SeriesKey,
     format_price,
-    make_series,
-    quote_from_csv_row,
-    quote_to_csv_row,
-    validate_quote,
 )
+from farecast.ingest import CSV_HEADER, ParseError, load_quotes
+from farecast.synthgen import write_corpus_csv
 
 from farecast.features import set_route_dummies
 
 from conftest import dataset_of, series_of
 
-
-def test_validate_quote_accepts_well_formed():
-    q = Quote("R1", date(2016, 1, 13), date(2015, 12, 1), 49.99)
-    assert validate_quote(q) is q
+KEY = SeriesKey("R1", date(2016, 1, 13))
 
 
-def test_validate_quote_rejects_query_after_departure():
-    q = Quote("R1", date(2016, 1, 13), date(2016, 2, 1), 49.99)
-    with pytest.raises(QueryAfterDeparture):
-        validate_quote(q)
+def write_rows(path, rows):
+    path.write_text("\n".join([",".join(CSV_HEADER)] + [",".join(r) for r in rows]) + "\n",
+                    encoding="utf-8")
 
 
-def test_validate_quote_rejects_zero_price():
-    q = Quote("R1", date(2016, 1, 13), date(2015, 12, 1), 0.0)
-    with pytest.raises(NonPositivePrice):
-        validate_quote(q)
+# -- the quote rules, applied by load_quotes ------------------------------------
 
 
-def test_query_on_departure_day_is_allowed():
-    q = Quote("R1", date(2016, 1, 13), date(2016, 1, 13), 10.0)
-    assert validate_quote(q) is q
+def test_validate_quote_accepts_well_formed(tmp_path):
+    f = tmp_path / "q.csv"
+    write_rows(f, [("R1", "2016-01-13", "2015-12-01", "49.990")])
+    (s,) = load_quotes(f)
+    assert s.key == KEY
+    assert s.query_dates.tolist() == [date(2015, 12, 1)]
+    assert s.prices.tolist() == [49.99]
 
 
-def test_make_series_sorts_by_query_date():
-    dep = date(2016, 1, 13)
-    quotes = [
-        Quote("R1", dep, date(2015, 12, 3), 45.0),
-        Quote("R1", dep, date(2015, 12, 1), 50.0),
-        Quote("R1", dep, date(2015, 12, 2), 40.0),
-    ]
-    s = make_series(SeriesKey("R1", dep), quotes)
-    assert s.prices == (50.0, 40.0, 45.0)
+def test_validate_quote_rejects_query_after_departure(tmp_path):
+    f = tmp_path / "q.csv"
+    write_rows(f, [("R1", "2016-01-13", "2015-11-30", "50.000"),
+                   ("R1", "2016-01-13", "2016-02-01", "49.990")])
+    with pytest.raises(ParseError) as exc:
+        load_quotes(f)
+    assert exc.value.line_no == 3
+    assert isinstance(exc.value.__cause__, QueryAfterDeparture)
+
+
+def test_validate_quote_rejects_zero_price(tmp_path):
+    f = tmp_path / "q.csv"
+    write_rows(f, [("R1", "2016-01-13", "2015-12-01", "0.0")])
+    with pytest.raises(ParseError) as exc:
+        load_quotes(f)
+    assert exc.value.line_no == 2
+    assert isinstance(exc.value.__cause__, NonPositivePrice)
+
+
+def test_query_on_departure_day_is_allowed(tmp_path):
+    f = tmp_path / "q.csv"
+    write_rows(f, [("R1", "2016-01-13", "2016-01-13", "10.000")])
+    (s,) = load_quotes(f)
+    assert s.query_dates.tolist() == [date(2016, 1, 13)]
+    assert s.days_to_departure.tolist() == [0]
+
+
+# -- PriceSeries invariants -------------------------------------------------------
+
+
+def test_price_series_holds_read_only_columns():
+    s = PriceSeries(KEY, [date(2015, 12, 1), date(2015, 12, 2)], [50, 40.5])
+    assert s.query_dates.dtype == np.dtype("datetime64[D]")
+    assert s.prices.dtype == np.float64
+    assert tuple(s.prices) == (50.0, 40.5)
+    with pytest.raises(ValueError):
+        s.prices[0] = 1.0
+
+
+def test_make_series_sorts_by_query_date(tmp_path):
+    # Rows out of query order come back sorted; the type itself refuses them.
+    f = tmp_path / "q.csv"
+    write_rows(f, [("R1", "2016-01-13", "2015-12-03", "45.000"),
+                   ("R1", "2016-01-13", "2015-12-01", "50.000"),
+                   ("R1", "2016-01-13", "2015-12-02", "40.000")])
+    (s,) = load_quotes(f)
+    assert tuple(s.prices) == (50.0, 40.0, 45.0)
     assert s.first_query_date == date(2015, 12, 1)
+    with pytest.raises(FarecastError):
+        PriceSeries(KEY, [date(2015, 12, 3), date(2015, 12, 1), date(2015, 12, 2)],
+                    [45.0, 50.0, 40.0])
 
 
 def test_make_series_rejects_duplicate_query_date():
-    dep = date(2016, 1, 13)
-    quotes = [
-        Quote("R1", dep, date(2015, 12, 1), 50.0),
-        Quote("R1", dep, date(2015, 12, 1), 40.0),
-    ]
     with pytest.raises(FarecastError):
-        make_series(SeriesKey("R1", dep), quotes)
+        PriceSeries(KEY, [date(2015, 12, 1), date(2015, 12, 1)], [50.0, 40.0])
 
 
 def test_make_series_rejects_empty():
     with pytest.raises(EmptySeries):
-        make_series(SeriesKey("R1", date(2016, 1, 13)), [])
+        PriceSeries(KEY, (), ())
+
+
+def test_price_series_rejects_unequal_columns():
+    with pytest.raises(FarecastError):
+        PriceSeries(KEY, [date(2015, 12, 1)], [50.0, 40.0])
 
 
 def test_series_len_and_first_query_date():
     s = series_of([50, 40, 45])
     assert len(s) == 3
-    assert s.first_query_date == s.quotes[0].query_date
+    assert s.first_query_date == s.query_dates[0].item() == date(2016, 1, 11)
+    assert s.days_to_departure.tolist() == [2, 1, 0]
 
 
 def test_format_price_three_decimals():
@@ -86,21 +123,30 @@ def test_format_price_three_decimals():
     assert format_price(30) == "30.000"
 
 
-def test_quote_csv_round_trip_exact():
-    q = Quote("R3", date(2016, 1, 13), date(2015, 11, 9), 28.768)
-    row = quote_to_csv_row(q)
-    assert row == ("R3", "2016-01-13", "2015-11-09", "28.768")
-    assert quote_from_csv_row(*row) == q
+def test_quote_csv_round_trip_exact(tmp_path):
+    f = tmp_path / "q.csv"
+    s = PriceSeries(SeriesKey("R3", date(2016, 1, 13)), [date(2015, 11, 9)], [28.768])
+    write_corpus_csv([s], f)
+    assert f.read_text(encoding="utf-8").splitlines()[1] == "R3,2016-01-13,2015-11-09,28.768"
+    (back,) = load_quotes(f)
+    assert back.key == s.key
+    assert back.query_dates.tolist() == [date(2015, 11, 9)]
+    assert back.prices.tolist() == [28.768]
 
 
 @given(
     price=st.decimals(min_value="0.001", max_value="9999.999", places=3),
     gap=st.integers(min_value=0, max_value=300),
 )
-def test_quote_round_trip_property(price, gap):
+def test_quote_round_trip_property(tmp_path_factory, price, gap):
+    f = tmp_path_factory.mktemp("round-trip") / "q.csv"
     dep = date(2016, 1, 13)
-    q = Quote("R7", dep, dep - timedelta(days=gap), float(price))
-    assert quote_from_csv_row(*quote_to_csv_row(q)) == q
+    s = PriceSeries(SeriesKey("R7", dep), [dep - timedelta(days=gap)], [float(price)])
+    write_corpus_csv([s], f)
+    (back,) = load_quotes(f)
+    assert back.key == s.key
+    assert back.query_dates.tolist() == s.query_dates.tolist()
+    assert back.prices.tolist() == [float(price)]
 
 
 def test_one_hot_layout():

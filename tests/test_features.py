@@ -14,10 +14,8 @@ from farecast.core import (
     EmptySeries,
     FeatureRow,
     PriceSeries,
-    Quote,
     SeriesKey,
     format_price,
-    make_series,
 )
 from farecast.features import (
     CONTINUOUS,
@@ -43,26 +41,27 @@ def extract_rows(s: PriceSeries, dummies=None, anchor=None) -> list[FeatureRow]:
         anchor = s.first_query_date
     rows = []
     running_min, running_max = float("inf"), float("-inf")
-    for q in s.quotes:
-        running_min = min(running_min, q.price)
-        running_max = max(running_max, q.price)
+    for query_date, price in zip(s.query_dates.tolist(), s.prices.tolist()):
+        running_min = min(running_min, price)
+        running_max = max(running_max, price)
         rows.append(FeatureRow(
             key=s.key,
-            query_date=q.query_date,
+            query_date=query_date,
             min_price_so_far=running_min,
             max_price_so_far=running_max,
             query_to_departure=(s.key.departure_date - anchor).days,
-            days_to_departure=(s.key.departure_date - q.query_date).days,
-            current_price=q.price,
+            days_to_departure=(s.key.departure_date - query_date).days,
+            current_price=price,
             flight_dummies=dummies,
         ))
     return rows
 
 
 def label_rows(rows, s: PriceSeries) -> list[FeatureRow]:
-    series_min = min(s.prices)
-    return [replace(r, label_class=BUY if q.price == series_min else WAIT,
-                    label_reg=series_min) for r, q in zip(rows, s.quotes)]
+    prices = s.prices.tolist()
+    series_min = min(prices)
+    return [replace(r, label_class=BUY if price == series_min else WAIT,
+                    label_reg=series_min) for r, price in zip(rows, prices)]
 
 
 def to_matrix(rows) -> np.ndarray:
@@ -159,9 +158,7 @@ def test_label_properties(prices):
 def test_extract_empty_is_impossible_via_make_series():
     key = SeriesKey("R1", date(2016, 1, 13))
     with pytest.raises(EmptySeries):
-        make_series(key, [])
-    with pytest.raises(EmptySeries):
-        feature_dataset([series_of([10.0]), PriceSeries(key, ())], 0, "train",
+        feature_dataset([series_of([10.0]), PriceSeries(key, (), ())], 0, "train",
                         anchor=date(2016, 1, 1))
 
 
@@ -214,9 +211,8 @@ def corpora(draw):
         prices = [100.0] * len(days_out) if flat else [
             draw(st.floats(1.0, 500.0, allow_nan=False)) for _ in days_out]
         key = SeriesKey(f"R{route}", departure)
-        series.append(make_series(key, [
-            Quote(key.route_id, departure, departure - timedelta(days=d), p)
-            for d, p in zip(days_out, prices)]))
+        series.append(PriceSeries(key, [departure - timedelta(days=d) for d in days_out],
+                                  prices))
     return series
 
 

@@ -551,8 +551,8 @@ def test_equivalence_sequence_prefix_mean():
     assert one.observations == (1.0,)
     both = equivalence_sequence(s, 1)
     assert both.observations == pytest.approx((4 / 3, 2 / 3), abs=1e-12)
-    assert both.cutoff_query_date == s.quotes[1].query_date
-    assert both.first_observed_date == s.quotes[0].query_date
+    assert both.cutoff_query_date == s.query_dates[1].item()
+    assert both.first_observed_date == s.query_dates[0].item()
 
 
 def test_equivalence_sequence_full_mean_peeks():

@@ -386,12 +386,11 @@ def test_model_document_guards(threshold_data):
 @pytest.fixture(scope="module")
 def corpus_block():
     """Every quote of a 4-route corpus as one labeled block, 8 series a route."""
-    from conftest import group_series
     from farecast import synthgen
     from farecast.pipeline import build_dataset, route_order
 
     cfg = synthgen.GeneratorConfig(n_routes=4, departures_per_route=8, horizon_days=20)
-    series = group_series(synthgen.generate_corpus(cfg, seed=2))
+    series = synthgen.generate_corpus(cfg, seed=2)
     return build_dataset(series, route_order(series), series[0].first_query_date, "train")
 
 

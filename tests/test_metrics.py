@@ -21,8 +21,8 @@ from conftest import series_of
 
 
 def buy_at(s, idx):
-    q = s.quotes[idx]
-    return PurchaseDecision(key=s.key, buy_query_date=q.query_date, paid_price=q.price, forced=False)
+    return PurchaseDecision(key=s.key, buy_query_date=s.query_dates[idx].item(),
+                            paid_price=float(s.prices[idx]), forced=False)
 
 
 def test_random_purchase_is_exact_mean():
@@ -50,7 +50,7 @@ def test_route_metrics_eq_chain():
 def test_route_metrics_zero_numerator():
     # paying exactly the random-purchase expectation → performance 0
     s = series_of([50, 40, 40, 60])
-    d = PurchaseDecision(key=s.key, buy_query_date=s.quotes[0].query_date, paid_price=47.5, forced=False)
+    d = PurchaseDecision(key=s.key, buy_query_date=s.query_dates[0].item(), paid_price=47.5, forced=False)
     m = route_metrics({s.key: d}, {s.key: s})
     assert m.performance_pct == 0.0
     assert m.normalized_performance_pct == 0.0
@@ -58,7 +58,7 @@ def test_route_metrics_zero_numerator():
 
 def test_route_metrics_hand_arithmetic():
     s = series_of([50, 40, 40, 60])
-    d = PurchaseDecision(key=s.key, buy_query_date=s.quotes[3].query_date, paid_price=44.0, forced=False)
+    d = PurchaseDecision(key=s.key, buy_query_date=s.query_dates[3].item(), paid_price=44.0, forced=False)
     m = route_metrics({s.key: d}, {s.key: s})
     expected = (3.5 / 47.5) / (7.5 / 47.5) * 100
     assert math.isclose(m.normalized_performance_pct, expected, rel_tol=1e-12)

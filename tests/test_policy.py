@@ -22,7 +22,7 @@ def test_regression_buys_first_strict_crossing():
     s = series_of([50, 48, 43, 44], last_days_to_departure=7)
     d = decide_regression(s, [45, 45, 45, 45])
     assert d.paid_price == 43
-    assert d.buy_query_date == s.quotes[2].query_date
+    assert d.buy_query_date == s.query_dates[2].item()
     assert not d.forced
 
 
@@ -85,7 +85,7 @@ def test_oracle_labels_attain_minimum():
     s = series_of([50, 40, 40, 60])
     d = decide_classification(s, feature_dataset([s], 0, "train").label_class)
     assert d.paid_price == 40
-    assert d.buy_query_date == s.quotes[1].query_date
+    assert d.buy_query_date == s.query_dates[1].item()
 
 
 @given(st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=30))
@@ -105,7 +105,7 @@ def test_decisions_stay_inside_series(prices, raw_preds, tail_gap):
     s = series_of(prices, last_days_to_departure=tail_gap)
     d = decide_classification(s, preds)
     assert d.paid_price in s.prices
-    assert d.buy_query_date in [q.query_date for q in s.quotes]
+    assert d.buy_query_date in s.query_dates.tolist()
 
 
 def test_earlier_positive_never_delays_purchase():
@@ -124,3 +124,16 @@ def test_prediction_length_must_match():
     s = series_of([50, 40])
     with pytest.raises(Exception):
         decide_classification(s, [1])
+
+
+def test_decisions_hold_a_date_and_a_python_float():
+    from farecast.features import corpus_anchor
+    from farecast.qlearn import q_policy, q_train
+
+    s = series_of([50, 40, 45], last_days_to_departure=7)
+    table = q_train([s], episodes=1, gamma=1.0, alpha=1.0, seed=0)
+    for d in (decide_regression(s, [45, 45, 45]), decide_classification(s, [0, 0, 0]),
+              q_policy(table, s)):
+        assert type(d.buy_query_date) is date
+        assert type(d.paid_price) is float
+    assert type(corpus_anchor([s])) is date

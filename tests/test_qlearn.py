@@ -11,9 +11,7 @@ from farecast.core import (
     EmptySeries,
     FarecastError,
     PriceSeries,
-    Quote,
     SeriesKey,
-    make_series,
 )
 from farecast.pipeline import score_decisions
 from farecast.qlearn import QTable, _route_means, load_qtable, q_policy, q_train, save_qtable
@@ -23,12 +21,11 @@ from conftest import series_of
 
 
 def gapped_series(day_prices, route_id="R1", departure=date(2016, 2, 1)):
-    """Quotes at explicit days-to-departure values (not necessarily daily)."""
-    quotes = [
-        Quote(route_id, departure, departure - timedelta(days=d), float(p))
-        for d, p in day_prices
-    ]
-    return make_series(SeriesKey(route_id, departure), quotes)
+    """Quotes at explicit days-to-departure values (not necessarily daily),
+    given from the earliest query day on."""
+    return PriceSeries(SeriesKey(route_id, departure),
+                       [departure - timedelta(days=d) for d, _ in day_prices],
+                       [float(p) for _, p in day_prices])
 
 
 def test_three_day_example_values():
@@ -83,7 +80,7 @@ def test_constant_series_ties_buy_immediately():
     s = series_of([50.0, 50.0, 50.0])
     table = q_train([s], episodes=1, gamma=1.0, alpha=1.0, seed=0)
     decision = q_policy(table, s)
-    assert decision.buy_query_date == s.quotes[0].query_date
+    assert decision.buy_query_date == s.query_dates[0].item()
     assert not decision.forced
 
 
@@ -102,7 +99,7 @@ def test_single_quote_series_buys_it():
     table = q_train([s], episodes=1, gamma=1.0, alpha=1.0, seed=0)
     decision = q_policy(table, s)
     assert decision.paid_price == 75.0
-    assert decision.buy_query_date == s.quotes[0].query_date
+    assert decision.buy_query_date == s.query_dates[0].item()
 
 
 def test_unseen_state_buys():
@@ -133,11 +130,9 @@ def test_parameter_validation():
 
 
 def test_empty_series_policy_raises():
-    s = series_of([30.0, 20.0])
-    table = q_train([s], episodes=1)
-    hollow = PriceSeries(key=SeriesKey("R1", date(2016, 2, 1)), quotes=())
+    # q_policy cannot be handed an empty series: the type rejects it.
     with pytest.raises(EmptySeries):
-        q_policy(table, hollow)
+        PriceSeries(key=SeriesKey("R1", date(2016, 2, 1)), query_dates=(), prices=())
 
 
 def test_route_means_normalize_scales():
@@ -196,8 +191,8 @@ def reference_q_train(train_series, episodes, gamma, alpha, seed):
     wait = np.zeros(d_max + 1)
     prepared = []
     for s in train_series:
-        states = [(s.key.departure_date - q.query_date).days for q in s.quotes]
-        prices = [q.price / means[s.key.route_id] for q in s.quotes]
+        states = [(s.key.departure_date - d).days for d in s.query_dates.tolist()]
+        prices = [p / means[s.key.route_id] for p in s.prices.tolist()]
         prepared.append((states, prices))
     rng = np.random.default_rng(derive_seed(seed, "qlearn"))
     for _ in range(episodes):

@@ -20,7 +20,13 @@ from farecast.synthgen import (
     write_corpus_csv,
 )
 
-from conftest import group_series, series_of
+from conftest import series_of
+
+
+def quotes_of(series):
+    """Every quote as a (route, departure, query date, price) tuple."""
+    return [(s.key.route_id, s.key.departure_date, query, price) for s in series
+            for query, price in zip(s.query_dates.tolist(), s.prices.tolist())]
 
 
 def small_cfg(**overrides):
@@ -45,7 +51,7 @@ def test_every_series_spans_the_horizon(default_corpus):
     cfg, series = default_corpus
     for s in series[:20]:
         assert len(s) == cfg.horizon_days
-        assert s.quotes[-1].query_date == s.key.departure_date
+        assert s.query_dates[-1].item() == s.key.departure_date
         assert (s.key.departure_date - s.first_query_date).days == cfg.horizon_days - 1
 
 
@@ -76,8 +82,8 @@ def test_buy_labels_stay_under_one_fifth(default_corpus):
 
 def test_same_seed_same_quotes():
     cfg = small_cfg()
-    assert generate_corpus(cfg, seed=5) == generate_corpus(cfg, seed=5)
-    assert generate_corpus(cfg, seed=5) != generate_corpus(cfg, seed=6)
+    assert quotes_of(generate_corpus(cfg, seed=5)) == quotes_of(generate_corpus(cfg, seed=5))
+    assert quotes_of(generate_corpus(cfg, seed=5)) != quotes_of(generate_corpus(cfg, seed=6))
 
 
 def test_same_seed_byte_identical_csv(tmp_path):
@@ -90,20 +96,12 @@ def test_same_seed_byte_identical_csv(tmp_path):
 
 def test_csv_round_trips_through_ingest(tmp_path):
     cfg = small_cfg()
-    quotes = generate_corpus(cfg, seed=8)
+    corpus = generate_corpus(cfg, seed=8)
     path = tmp_path / "corpus.csv"
-    write_corpus_csv(quotes, path)
+    write_corpus_csv(corpus, path)
     series = load_quotes(path)
-    assert sum(len(s) for s in series) == len(quotes)
-    roundtrip = sorted(
-        (q.route_id, q.departure_date, q.query_date, q.price)
-        for s in series
-        for q in s.quotes
-    )
-    original = sorted(
-        (q.route_id, q.departure_date, q.query_date, q.price) for q in quotes
-    )
-    assert roundtrip == original
+    assert sum(len(s) for s in series) == len(quotes_of(corpus))
+    assert sorted(quotes_of(series)) == sorted(quotes_of(corpus))
 
 
 # -- the price process --------------------------------------------------------
@@ -111,25 +109,25 @@ def test_csv_round_trips_through_ingest(tmp_path):
 
 def test_noiseless_corpus_is_its_trend():
     cfg = small_cfg(noise_range=(0.0, 0.0), drop_prob_range=(0.0, 0.0))
-    quotes = generate_corpus(cfg, seed=3)
+    quotes = quotes_of(generate_corpus(cfg, seed=3))
     for i, route_id in enumerate(cfg.route_ids()):
         params = route_params(cfg, i, seed=3)
         assert params.noise == 0.0
         assert params.drop_prob == 0.0
-        for q in (q for q in quotes if q.route_id == route_id):
-            dtd = (q.departure_date - q.query_date).days
+        for departure, query, price in ((d, q, p) for r, d, q, p in quotes if r == route_id):
+            dtd = (departure - query).days
             expected = min(max(trend_price(params, dtd), cfg.price_floor), cfg.price_cap)
-            assert q.price == round(expected, 3)
+            assert price == round(expected, 3)
 
 
 def test_noiseless_optimum_is_the_first_day():
     # the surge decays with days-to-departure, so the trend is cheapest at
     # the longest horizon: the very first quote of every series
     cfg = small_cfg(noise_range=(0.0, 0.0), drop_prob_range=(0.0, 0.0))
-    series = group_series(generate_corpus(cfg, seed=4))
+    series = generate_corpus(cfg, seed=4)
     for s in series:
         assert s.prices[0] == min(s.prices)
-        assert s.prices == tuple(sorted(s.prices))  # monotone rise to departure
+        assert tuple(s.prices) == tuple(sorted(s.prices))  # monotone rise to departure
 
 
 def test_trend_price_formula():
@@ -190,8 +188,8 @@ def test_generalized_routes_do_not_share_specific_noise():
         generalized_config(departures_per_route=2, horizon_days=10, template_jitter=0.0),
         seed=23,
     )
-    spec_r1 = [q.price for q in spec_quotes if q.route_id == "R1"]
-    gen_r9 = [q.price for q in gen_quotes if q.route_id == "R9"]  # template 0 = R1
+    spec_r1 = [p for r, _, _, p in quotes_of(spec_quotes) if r == "R1"]
+    gen_r9 = [p for r, _, _, p in quotes_of(gen_quotes) if r == "R9"]  # template 0 = R1
     assert spec_r1 != gen_r9  # same process parameters, different draws
 
 
@@ -218,7 +216,7 @@ def test_default_split_is_sixty_forty():
 
 def test_default_split_partitions_small_corpus():
     cfg = small_cfg(departures_per_route=5)
-    series = group_series(generate_corpus(cfg, seed=6))
+    series = generate_corpus(cfg, seed=6)
     train, test = split(series, default_split_for(cfg))
     assert len(train) == 3 * 3  # ceil(5 * 0.6) = 3 departures per route
     assert len(test) == 3 * 2
@@ -228,7 +226,7 @@ def test_default_split_partitions_small_corpus():
 def test_split_keeps_at_least_one_departure_each_side():
     cfg = small_cfg(departures_per_route=2)
     split_cfg = default_split_for(cfg)
-    series = group_series(generate_corpus(cfg, seed=7))
+    series = generate_corpus(cfg, seed=7)
     train, test = split(series, split_cfg)
     assert len(train) == 3 and len(test) == 3
 
@@ -259,7 +257,7 @@ def test_oracle_averages_within_route():
 def test_oracle_matches_metrics_module_exactly():
     # independent implementations must agree decimal-for-decimal
     cfg = small_cfg(n_routes=4, departures_per_route=6, horizon_days=20)
-    series = group_series(generate_corpus(cfg, seed=12))
+    series = generate_corpus(cfg, seed=12)
     oracle = oracle_evaluate(series)
     per_route: dict[str, list] = {}
     for s in series:
