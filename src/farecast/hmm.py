@@ -3,10 +3,16 @@
 One model is trained per specific route on that route's training series,
 with prices normalized by the route's training-mean price. A route with no
 history gets its flight dummies assigned by maximum-likelihood
-classification of its observation prefix against the bank, one template per
-specific route; the prefix is normalized by its own running mean, so no
-future information leaks into the assignment, and a frozen specific-route
-classifier makes the buy/wait call on the resulting feature rows.
+classification against the bank, one template per specific route, and a
+frozen specific-route classifier makes the buy/wait call on the resulting
+feature rows.
+
+Scoring has one path: ``classify`` takes a stack of observation rows of any
+lengths and runs the scaled forward recursion (``_forward_rows``) once per
+template over all of them. Per row, the stack is one series' prefixes, each
+normalized by its own mean, so no future information leaks into the
+assignment; per series, it is every series whole, each normalized by its
+full mean.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .core import EmptySeries, FarecastError, PriceSeries, SeriesKey
 from .features import feature_dataset, set_route_dummies
 from .learners import TrainedModel, dummy_width, predict
 from .policy import PurchaseDecision, decide_classification
-from .util import derive_seed
+from .util import derive_seed, malformed_document
 
 logger = logging.getLogger(__name__)
 
@@ -48,6 +54,10 @@ class HmmModel:
         self.transition = np.asarray(self.transition, dtype=float)
         self.means = np.asarray(self.means, dtype=float)
         self.variances = np.asarray(self.variances, dtype=float)
+        k = self.n_states
+        if (self.transition.shape != (k, k)
+                or not self.initial.shape == self.means.shape == self.variances.shape == (k,)):
+            raise FarecastError(f"HMM parameters must have shapes ({k},) and ({k}, {k})")
         if not all(np.isfinite(a).all() for a in (self.initial, self.transition,
                                                   self.means, self.variances)):
             raise FarecastError("HMM parameters must be finite")
@@ -95,44 +105,8 @@ def save_model(model: HmmModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> HmmModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, malformed_document("HMM template", path):
         return HmmModel.from_dict(json.load(fh))
-
-
-@dataclass(frozen=True)
-class EquivalenceSequence:
-    """A series prefix comparable across routes that share the calendar frame."""
-
-    key: SeriesKey
-    first_observed_date: date
-    cutoff_query_date: date
-    observations: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.observations:
-            raise EmptySeries(f"empty observation prefix for {self.key}")
-        if self.cutoff_query_date > self.key.departure_date:
-            raise FarecastError("cutoff after departure")
-
-
-def equivalence_sequence(s: PriceSeries, cutoff_idx: int,
-                         full_mean: bool = False) -> EquivalenceSequence:
-    """Observation prefix of ``s`` through ``cutoff_idx``, mean-normalized.
-
-    Default normalization uses the prefix's own mean (causal). ``full_mean``
-    divides by the whole series' mean instead, for the once-per-series
-    comparison variant that is allowed to peek.
-    """
-    prices = s.prices[: cutoff_idx + 1]
-    if len(prices) == 0:
-        raise EmptySeries(f"empty observation prefix for {s.key}")
-    denom = math.fsum(s.prices) / len(s) if full_mean else math.fsum(prices) / len(prices)
-    return EquivalenceSequence(
-        key=s.key,
-        first_observed_date=s.first_query_date,
-        cutoff_query_date=s.query_dates[cutoff_idx].item(),
-        observations=tuple((prices / denom).tolist()),
-    )
 
 
 # -- forward algorithm -------------------------------------------------------
@@ -151,22 +125,21 @@ def _scaled_emission(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, np.n
     return shift, np.exp(logb - shift[..., None])
 
 
-def _forward_rows(model: HmmModel, obs: np.ndarray) -> np.ndarray:
-    """Scaled forward log-likelihood of every row of ``obs`` (P, T), at once.
+def _forward_rows(model: HmmModel, obs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Scaled forward log-likelihood (Rabiner 1989) of every row of ``obs`` (N, T).
 
-    Row p is a sequence of length T - P + 1 + p, so one row is a whole
-    sequence and T rows are its T prefixes; a row that has ended leaves the
-    live set. An unreachable observation (total 0) leaves -inf and a zero
-    alpha, so no nan reaches a later step or an argmax.
+    Row i is the sequence ``obs[i, :lengths[i]]``; ``lengths`` ascend, so the
+    rows still running at step t are the suffix from
+    ``searchsorted(lengths, t, side="right")``, and later columns of a row
+    are never read. An unreachable observation (total 0) leaves -inf and a
+    zero alpha, so no nan reaches a later step or an argmax.
     """
-    n_rows, length = obs.shape
-    first_end = length - n_rows
     shift, b = _scaled_emission(model, obs)
-    loglik = np.zeros(n_rows)
-    alpha = np.tile(model.initial, (n_rows, 1))
+    loglik = np.zeros(len(obs))
+    alpha = np.tile(model.initial, (len(obs), 1))
+    live = np.searchsorted(lengths, np.arange(obs.shape[1]), side="right")
     with np.errstate(divide="ignore"):
-        for t in range(length):
-            lo = max(t - first_end, 0)
+        for t, lo in enumerate(live.tolist()):
             weighted = alpha[lo:] * b[lo:, t]
             total = weighted.sum(axis=1)
             loglik[lo:] += np.log(total) + shift[lo:, t]
@@ -176,15 +149,27 @@ def _forward_rows(model: HmmModel, obs: np.ndarray) -> np.ndarray:
 
 
 def forward_loglik(model: HmmModel, observations: Sequence[float]) -> float:
-    """Scaled forward pass; exact in log-space, no underflow for long prefixes."""
+    """Log-likelihood of one sequence; exact in log-space, no underflow for long ones."""
     obs = np.asarray(observations, dtype=float)
     if obs.size == 0:
         raise EmptySeries("cannot score an empty sequence")
-    return float(_forward_rows(model, obs[None, :])[0])
+    return float(_forward_rows(model, obs[None], [len(obs)])[0])
 
 
-def hmm_loglik(model: HmmModel, seq: EquivalenceSequence) -> float:
-    return forward_loglik(model, seq.observations)
+def classify(bank: Sequence[HmmModel], obs: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """Maximum-likelihood template index of each row ``obs[i, :lengths[i]]``.
+
+    Rows may come in any order and ragged; ties go to the lowest index, and
+    a row a template cannot emit scores -inf under it.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if (lengths < 1).any():
+        raise EmptySeries("cannot score an empty sequence")
+    order = np.argsort(lengths, kind="stable")
+    rows, row_lengths = obs[order], lengths[order]
+    logliks = np.empty((len(bank), len(lengths)))
+    logliks[:, order] = [_forward_rows(m, rows, row_lengths) for m in bank]
+    return np.argmax(logliks, axis=0)
 
 
 def sample(model: HmmModel, length: int, seed: int) -> np.ndarray:
@@ -398,26 +383,20 @@ def fit_bank(
     return bank
 
 
-def classify_sequence(bank: Sequence[HmmModel], seq: EquivalenceSequence,
-                      width: int) -> int:
-    """Maximum-likelihood index in a bank of ``width`` templates; ties go to the lowest."""
-    if len(bank) != width:
-        raise FarecastError(f"bank holds {len(bank)} templates, expected {width}")
-    logliks = [hmm_loglik(m, seq) for m in bank]
-    return int(np.argmax(logliks))
-
-
 def _prefix_observations(s: PriceSeries) -> np.ndarray:
-    """(T, T): row p is ``equivalence_sequence(s, p)``, then columns never read."""
+    """(T, T): row p is the prefix through p over its own mean; later columns are never read."""
     prices = s.prices.tolist()
     denoms = [math.fsum(prices[: p + 1]) / (p + 1) for p in range(len(prices))]
     return s.prices[None, :] / np.asarray(denoms)[:, None]
 
 
-def _classify_prefixes(bank: Sequence[HmmModel], s: PriceSeries) -> np.ndarray:
-    """``classify_sequence`` of every prefix of ``s``, T steps per template."""
-    obs = _prefix_observations(s)
-    return np.argmax([_forward_rows(m, obs) for m in bank], axis=0)
+def _series_observations(series: Sequence[PriceSeries]) -> tuple[np.ndarray, np.ndarray]:
+    """Each whole series over its own mean, one row each padded with zeros, and the lengths."""
+    lengths = np.array([len(s) for s in series], dtype=np.intp)
+    obs = np.zeros((len(series), lengths.max(initial=0)))
+    for row, s in zip(obs, series):
+        row[: len(s)] = s.prices / (math.fsum(s.prices) / len(s))
+    return obs, lengths
 
 
 # -- generalized problem ------------------------------------------------------
@@ -441,10 +420,11 @@ def generalized_predict(
     Row t of a series is tagged with the dummies of the template that best
     explains the price prefix through t (normalized by the prefix mean, so
     the assignment at t uses nothing later than t). ``per_series`` instead
-    classifies each series once from its full observation sequence. The
-    frozen classifier then predicts on the tagged rows and the standard
-    decision rule runs per series. The bank holds one template per route
-    dummy of the frozen model, template i for route index i.
+    classifies every series once, in one stack, from its full observation
+    sequence normalized by its full mean. The frozen classifier then
+    predicts on the tagged rows and the standard decision rule runs per
+    series. The bank holds one template per route dummy of the frozen
+    model, template i for route index i.
     """
     if frozen_model.spec.task != "classification":
         raise FarecastError("the frozen model must be a classification model")
@@ -453,14 +433,12 @@ def generalized_predict(
     if indices != list(range(width)):
         raise FarecastError(f"bank holds templates for route indices {indices}, "
                             f"the frozen model needs 0..{width - 1} in order")
-    per_row = []
-    for s in gen_series:
-        if per_series:
-            template = classify_sequence(
-                bank, equivalence_sequence(s, len(s) - 1, full_mean=True), width)
-            per_row.append([template] * len(s))
-        else:
-            per_row.append(_classify_prefixes(bank, s).tolist())
+    if per_series:
+        winners = classify(bank, *_series_observations(gen_series)).tolist()
+        per_row = [[w] * len(s) for w, s in zip(winners, gen_series)]
+    else:
+        per_row = [classify(bank, _prefix_observations(s), np.arange(1, len(s) + 1)).tolist()
+                   for s in gen_series]
     block = feature_dataset(gen_series, width, "generalized", anchor)
     set_route_dummies(block.X, np.array([i for row in per_row for i in row], dtype=np.intp))
     predicted = block.split(predict(frozen_model, block.X))

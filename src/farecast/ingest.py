@@ -94,9 +94,14 @@ def load_quotes(path: str | Path) -> list[PriceSeries]:
     physical line. Within a record the checks run in this order: the field
     count, parsing, a finite positive price, a query not after departure. A
     repeated (route, departure, query) triple raises DuplicateQuote at its
-    later record.
+    later record. Bytes that are not UTF-8, or a field longer than the csv
+    module's limit, raise FarecastError.
     """
-    routes, departures, queries, price_texts, lines, bad_shape = _read_columns(path)
+    try:
+        routes, departures, queries, price_texts, lines, bad_shape = _read_columns(path)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # Decoding runs a buffer ahead of the records, so no line is named.
+        raise FarecastError(f"{path} is not a readable UTF-8 CSV: {exc}") from exc
 
     # Each distinct date string is parsed once; NaT marks one that fails.
     distinct = {text: i for i, text in enumerate(dict.fromkeys(departures + queries))}

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core import Dataset, FarecastError
 from ..features import CONTINUOUS_NAMES, FeatureMismatch, Standardizer, set_route_dummies
-from ..util import derive_seed
+from ..util import derive_seed, malformed_document
 from .boosting import AdaBoostClassifier, AdaBoostRegressor
 from .forest import RandomForest
 from .knn import Knn
@@ -356,5 +356,5 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, malformed_document("model", path):
         return model_from_dict(json.load(fh))

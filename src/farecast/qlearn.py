@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import EmptySeries, FarecastError, PriceSeries
 from .policy import PurchaseDecision
-from .util import derive_seed
+from .util import derive_seed, malformed_document
 
 
 @dataclass
@@ -70,7 +70,7 @@ def save_qtable(table: QTable, path: str | Path) -> None:
 
 
 def load_qtable(path: str | Path) -> QTable:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, malformed_document("Q-table", path):
         return QTable.from_dict(json.load(fh))
 
 

@@ -1,11 +1,15 @@
-"""Small shared helpers: seed derivation, float rounding, natural sort."""
+"""Small shared helpers: seed derivation, float rounding, natural sort, JSON documents."""
 
 from __future__ import annotations
 
 import re
 import zlib
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
+
+from .core import FarecastError
 
 
 def derive_seed(seed: int, *keys: int | str) -> int:
@@ -35,3 +39,13 @@ def round_sig(value, digits: int = 6):
     if isinstance(value, (list, tuple)):
         return [round_sig(v, digits) for v in value]
     return value
+
+
+@contextmanager
+def malformed_document(what: str, path) -> Iterator[None]:
+    """A decode, key or type error while reading the JSON ``what`` at ``path`` raises
+    FarecastError instead."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FarecastError(f"{what} {path} is malformed: {exc!r}") from exc

@@ -8,7 +8,6 @@ budgets are stated inline; oracles are either shared with the module tests
 
 import math
 import time
-from datetime import date
 
 import numpy as np
 import pytest
@@ -17,16 +16,14 @@ from conftest import register_criterion, series_of
 from farecast.cli import main as cli_main
 from farecast.features import corpus_anchor
 from farecast.hmm import (
-    EquivalenceSequence,
     HmmModel,
     baum_welch,
-    classify_sequence,
+    classify,
     fit_bank,
     forward_loglik,
     generalized_predict,
     sample,
 )
-from farecast.core import SeriesKey
 from farecast.ingest import split
 from farecast.learners import LearnerSpec, fit, predict
 from farecast.learners.boosting import AdaBoostClassifier
@@ -203,17 +200,10 @@ def test_c05_bank_identifies_heldout_sequences():
         )
         for r in range(8)
     ]
-    hits = 0
-    for i in range(200):
-        r = i % 8
-        obs = sample(bank[r], 20, seed=derive_seed(7, "heldout", r, i))
-        seq = EquivalenceSequence(
-            key=SeriesKey(f"R{r + 1}", date(2016, 3, 1)),
-            first_observed_date=date(2016, 1, 1),
-            cutoff_query_date=date(2016, 1, 20),
-            observations=tuple(obs),
-        )
-        hits += classify_sequence(bank, seq, 8) == r
+    routes = np.arange(200) % 8
+    obs = np.stack([sample(bank[r], 20, seed=derive_seed(7, "heldout", r, i))
+                    for i, r in enumerate(routes.tolist())])
+    hits = int((classify(bank, obs, [20] * 200) == routes).sum())
     assert hits / 200 >= 0.90
     assert time.perf_counter() - start < 60.0
 

@@ -600,6 +600,54 @@ def test_command_config_errors_exit_two(workdir, gen_corpus, frozen_and_blend, t
     assert one_line_error(capsys.readouterr().err)["error"] == "FarecastError"
 
 
+# -- malformed saved files ----------------------------------------------------------
+
+
+def hmm_template(route_index):
+    return {"route_index": route_index, "n_states": 4, "initial": [0.25] * 4,
+            "transition": [[0.25] * 4] * 4, "means": [1.0] * 4, "variances": [0.1] * 4}
+
+
+MALFORMED_FILES = {
+    "bank-initial-shape": ("--bank", json.dumps({**hmm_template(0),
+                                                 "initial": [0.5, 0.25, 0.25]})),
+    "bank-no-means": ("--bank", json.dumps({k: v for k, v in hmm_template(0).items()
+                                            if k != "means"})),
+    "bank-list": ("--bank", "[1, 2]"),
+    "bank-bad-json": ("--bank", "{"),
+    "frozen-model-list": ("--frozen-model", "[1, 2]"),
+    "model-no-spec": ("--load-model", None),  # the frozen model's document without "spec"
+    "qtable-no-buy": ("--load-table", json.dumps(
+        {"d_max": 2, "wait": [0.0, 0.0, 0.0], "gamma": 1.0, "alpha": 0.1})),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_malformed_saved_files_exit_two(workdir, gen_corpus, frozen_and_blend, tmp_path,
+                                        capsys, case):
+    flag, text = MALFORMED_FILES[case]
+    frozen = frozen_and_blend[0]
+    if text is None:
+        doc = json.loads(frozen.read_text(encoding="utf-8"))
+        del doc["spec"]
+        text = json.dumps(doc)
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    for i in range(8):
+        write(bank / f"hmm_{i}.json", json.dumps(hmm_template(i)))
+    bad = write((bank / "hmm_0.json") if flag == "--bank" else (tmp_path / "bad.json"), text)
+    generalize = ["generalize", "--gen-quotes", str(gen_corpus), "--bank", str(bank)]
+    argv = {
+        "--bank": [*generalize, "--frozen-model", str(frozen)],
+        "--frozen-model": [*generalize, "--frozen-model", str(bad)],
+        "--load-model": ["backtest", *base_args(workdir, ["--load-model", str(bad)])],
+        "--load-table": ["qlearn", *base_args(workdir, ["--load-table", str(bad)])],
+    }[flag]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert one_line_error(capsys.readouterr().err)["error"] == "FarecastError"
+
+
 def test_bank_out_removes_templates_of_an_earlier_bank(tmp_path, gen_corpus):
     bank = tmp_path / "bank"
     for n_routes in (9, 4):

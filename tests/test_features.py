@@ -1,13 +1,18 @@
 import csv
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import farecast
 from farecast.core import (
     BUY,
     WAIT,
@@ -287,3 +292,23 @@ def test_dump_features_csv(tmp_path):
         + [str(v) for v in r.flight_dummies]
         + [str(r.label_class), format_price(r.label_reg)]
         for r in rows]
+
+
+ROUTE_ORDER_SCRIPT = """
+from farecast.pipeline import route_order
+from conftest import series_of
+print(",".join(route_order([series_of([1.0], route_id=r) for r in ("R1", "R01", "R2", "R001")])))
+"""
+
+
+def test_route_order_is_total_under_every_hash_seed():
+    # R1, R01 and R001 natural-sort alike; their order is the dummy index of
+    # every model, so it must not follow the set's iteration order.
+    src = str(Path(farecast.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).parent)])
+    for hash_seed in ("1", "2", "3", "4"):
+        proc = subprocess.run([sys.executable, "-c", ROUTE_ORDER_SCRIPT],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": path,
+                                   "PYTHONHASHSEED": hash_seed})
+        assert proc.stdout.split() == ["R001,R01,R1,R2"], hash_seed

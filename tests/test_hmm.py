@@ -19,23 +19,21 @@ from farecast.hmm import (
     BaumWelchResult,
     HmmModel,
     baum_welch,
-    classify_sequence,
-    equivalence_sequence,
+    classify,
     fit_bank,
     forward_loglik,
     generalized_predict,
     hmm_fit,
-    hmm_loglik,
     load_model,
     sample,
     save_model,
 )
 from farecast.hmm import (
-    _classify_prefixes,
     _e_step,
     _forward_rows,
     _kmeans_1d,
     _prefix_observations,
+    _series_observations,
 )
 from farecast.learners import predict
 from farecast.policy import decide_classification
@@ -244,12 +242,51 @@ def degenerate_model():
 def test_batched_prefixes_match_scalar_forward(seed, k, prices):
     s = series_of(prices)
     obs = _prefix_observations(s)
-    for p in range(len(s)):
-        assert tuple(obs[p, : p + 1]) == equivalence_sequence(s, p).observations
+    for p in range(len(s)):  # row p is the prefix through p over its own mean
+        mean = math.fsum(prices[: p + 1]) / (p + 1)
+        assert obs[p, : p + 1].tolist() == [price / mean for price in prices[: p + 1]]
     for model in (sparse_random_model(seed, k), degenerate_model()):
         want = [scalar_forward_loglik(model, obs[p, : p + 1]) for p in range(len(s))]
-        assert_close(_forward_rows(model, obs), want)
+        assert_close(_forward_rows(model, obs, np.arange(1, len(s) + 1)), want)
         assert_close(forward_loglik(model, obs[-1]), want[-1])
+
+
+def fragile_model():
+    """Reaches only a floor-variance state at 1.0: any other value is unreachable."""
+    return HmmModel(route_index=0, n_states=2, initial=np.array([1.0, 0.0]),
+                    transition=np.eye(2), means=np.array([1.0, 1.0]),
+                    variances=np.array([VAR_FLOOR, 100.0]))
+
+
+def broad_model():
+    return HmmModel(route_index=1, n_states=1, initial=np.array([1.0]),
+                    transition=np.array([[1.0]]), means=np.array([1.0]),
+                    variances=np.array([0.05]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), n_random=st.integers(0, 2),
+       rows=st.lists(st.lists(st.floats(0.5, 1.5), min_size=1, max_size=12),
+                     min_size=1, max_size=6),
+       spike_at=st.integers(0, 11))
+def test_classify_ragged_stacks_match_scalar_forward(seed, k, n_random, rows, spike_at):
+    # Row 0 holds 1.3, which the fragile template 0 cannot emit.
+    rows[0][spike_at % len(rows[0])] = 1.3
+    bank = [fragile_model(), *(sparse_random_model(seed + i, k) for i in range(n_random)),
+            broad_model()]
+    lengths = np.array([len(r) for r in rows])
+    obs = np.zeros((len(rows), 12))
+    for i, r in enumerate(rows):
+        obs[i, : len(r)] = r
+    want = np.array([[scalar_forward_loglik(m, r) for m in bank] for r in rows])
+    assert want[0, 0] == -np.inf
+
+    order = np.argsort(lengths, kind="stable")
+    for j, m in enumerate(bank):
+        assert_close(_forward_rows(m, obs[order], lengths[order]), want[order, j])
+    got = classify(bank, obs, lengths)
+    assert got.tolist() == np.argmax(want, axis=1).tolist()
+    assert np.isfinite(want[np.arange(len(rows)), got]).all()  # -inf never wins
 
 
 def test_sample_shape_and_determinism():
@@ -283,6 +320,12 @@ def test_model_validation():
         HmmModel(0, 2, np.array([0.5, 0.5]),
                  np.array([[np.nan, np.nan], [0.5, 0.5]]),
                  np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(FarecastError):  # 3 initial entries for 4 states
+        HmmModel(0, 4, np.array([0.5, 0.25, 0.25]), np.full((4, 4), 0.25),
+                 np.zeros(4), np.ones(4))
+    with pytest.raises(FarecastError):  # n_states disagrees with the arrays
+        HmmModel(0, 2, np.array([1.0]), np.array([[1.0]]), np.array([0.0]),
+                 np.array([1.0]))
 
 
 def test_model_round_trip(tmp_path):
@@ -514,57 +557,41 @@ def test_fit_bank_missing_route_raises(route_bank):
 
 def test_classify_own_route(route_bank):
     bank, series, routes = route_bank
-    hits = 0
-    for s in series:
-        seq = equivalence_sequence(s, len(s) - 1)
-        got = classify_sequence(bank, seq, 8)
-        hits += routes[got] == s.key.route_id
+    winners = classify(bank, *_series_observations(series))
+    hits = sum(routes[w] == s.key.route_id for w, s in zip(winners, series))
     assert hits >= len(series) * 0.75
 
 
 def test_identical_bank_ties_to_index_zero(route_bank):
     bank, series, _ = route_bank
     clones = [bank[0]] * 8
-    seq = equivalence_sequence(series[0], len(series[0]) - 1)
-    assert classify_sequence(clones, seq, 8) == 0
+    assert classify(clones, *_series_observations(series)).tolist() == [0] * len(series)
 
 
 def test_classify_wrong_bank_size(route_bank):
     bank, series, _ = route_bank
-    seq = equivalence_sequence(series[0], 3)
     with pytest.raises(FarecastError):
-        classify_sequence(bank[:5], seq, 8)
+        generalized_predict(bank[:5], frozen_classifier(), series[:1])
 
 
-def test_hmm_loglik_is_forward_on_observations(route_bank):
-    bank, series, _ = route_bank
-    seq = equivalence_sequence(series[0], 5)
-    assert hmm_loglik(bank[0], seq) == forward_loglik(bank[0], seq.observations)
-
-
-# -- equivalence sequences ----------------------------------------------------
-
-
-def test_equivalence_sequence_prefix_mean():
-    s = series_of([100.0, 50.0])
-    one = equivalence_sequence(s, 0)
-    assert one.observations == (1.0,)
-    both = equivalence_sequence(s, 1)
-    assert both.observations == pytest.approx((4 / 3, 2 / 3), abs=1e-12)
-    assert both.cutoff_query_date == s.query_dates[1].item()
-    assert both.first_observed_date == s.query_dates[0].item()
-
-
-def test_equivalence_sequence_full_mean_peeks():
-    s = series_of([100.0, 50.0])
-    head = equivalence_sequence(s, 0, full_mean=True)
-    assert head.observations == pytest.approx((4 / 3,), abs=1e-12)
-
-
-def test_equivalence_sequence_rejects_empty_prefix():
-    s = series_of([100.0, 50.0])
+def test_classify_rejects_an_empty_row():
     with pytest.raises(EmptySeries):
-        equivalence_sequence(s, -1)
+        classify([unit_model()], np.zeros((2, 3)), [3, 0])
+
+
+# -- observation rows ---------------------------------------------------------
+
+
+def test_prefix_observations_use_the_prefix_mean():
+    obs = _prefix_observations(series_of([100.0, 50.0]))
+    assert obs[0, :1].tolist() == [1.0]
+    assert obs[1].tolist() == [4 / 3, 2 / 3]
+
+
+def test_series_observations_use_the_full_mean():
+    obs, lengths = _series_observations([series_of([100.0, 50.0]), series_of([30.0])])
+    assert lengths.tolist() == [2, 1]
+    assert obs.tolist() == [[4 / 3, 2 / 3], [1.0, 0.0]]
 
 
 # -- generalized prediction ---------------------------------------------------
@@ -628,10 +655,24 @@ def test_generalized_per_series_classifies_once():
     result = generalized_predict(bank, model, gen,
                                  anchor=gen[0].first_query_date, per_series=True)
     key = gen[0].key
-    expected = classify_sequence(
-        bank, equivalence_sequence(gen[0], 3, full_mean=True), 8
-    )
+    obs = gen[0].prices / (math.fsum(gen[0].prices) / 4)
+    expected = int(np.argmax([scalar_forward_loglik(m, obs) for m in bank]))
     assert result.assignments[key] == (expected,) * 4
+
+
+def test_generalized_per_series_runs_one_pass_per_template(monkeypatch):
+    calls, forward_rows = [], hmm._forward_rows
+
+    def counting(model, obs, lengths):
+        calls.append(len(obs))
+        return forward_rows(model, obs, lengths)
+
+    monkeypatch.setattr(hmm, "_forward_rows", counting)
+    gen = [series_of([55.0, 52.0, 56.0, 54.0], route_id=f"G{i}", departure=date(2016, 2, 10))
+           for i in range(3)]
+    generalized_predict(near_constant_bank(), frozen_classifier(), gen,
+                        anchor=gen[0].first_query_date, per_series=True)
+    assert calls == [3] * 8
 
 
 def test_generalized_assignments_are_causal():
@@ -665,28 +706,24 @@ def test_generalized_rejects_regression_model():
 def test_unreachable_prefix_stays_minus_inf_and_never_wins():
     # Template 0 explains only prices exactly at the prefix mean: its one
     # reachable state has the floor variance, its broad state is never entered.
-    fragile = HmmModel(route_index=0, n_states=2, initial=np.array([1.0, 0.0]),
-                       transition=np.eye(2), means=np.array([1.0, 1.0]),
-                       variances=np.array([VAR_FLOOR, 100.0]))
-    broad = HmmModel(route_index=1, n_states=1, initial=np.array([1.0]),
-                     transition=np.array([[1.0]]), means=np.array([1.0]),
-                     variances=np.array([0.05]))
+    fragile, broad = fragile_model(), broad_model()
     bank = [fragile, broad, replace(broad, route_index=2), *near_constant_bank()[3:]]
     s = series_of([100.0, 100.0, 100.0, 130.0, 100.0, 100.0], route_id="G1",
                   departure=date(2016, 2, 10))
-    logliks = _forward_rows(fragile, _prefix_observations(s))
+    obs, lengths = _prefix_observations(s), np.arange(1, len(s) + 1)
+    logliks = _forward_rows(fragile, obs, lengths)
     assert np.isfinite(logliks[:3]).all()
     assert (logliks[3:] == -np.inf).all()  # 130 is unreachable, and stays so
 
+    prices = s.prices.tolist()
     oracle = tuple(
-        int(np.argmax([scalar_forward_loglik(m, equivalence_sequence(s, t).observations)
+        int(np.argmax([scalar_forward_loglik(m, np.array(prices[: t + 1])
+                                             / (math.fsum(prices[: t + 1]) / (t + 1)))
                        for m in bank]))
         for t in range(len(s))
     )
-    per_prefix = tuple(classify_sequence(bank, equivalence_sequence(s, t), 8)
-                       for t in range(len(s)))
     result = generalized_predict(bank, frozen_classifier(), [s],
                                  anchor=s.first_query_date)
     # the identical templates 1 and 2 tie: the lower index wins
-    assert result.assignments[s.key] == per_prefix == oracle == (0, 0, 0, 1, 1, 1)
-    assert tuple(_classify_prefixes(bank, s)) == oracle
+    assert result.assignments[s.key] == oracle == (0, 0, 0, 1, 1, 1)
+    assert tuple(classify(bank, obs, lengths)) == oracle

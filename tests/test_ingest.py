@@ -149,6 +149,20 @@ def test_load_rejects_nonpositive_price(tmp_path):
         assert isinstance(exc.value.__cause__, NonPositivePrice)
 
 
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    f = tmp_path / "q.csv"
+    f.write_bytes(",".join(CSV_HEADER).encode() + b"\nR1,2016-01-13,2015-12-01,5\xff0\n")
+    with pytest.raises(FarecastError, match="UTF-8"):
+        load_quotes(f)
+
+
+def test_load_rejects_a_field_over_the_csv_limit(tmp_path):
+    f = tmp_path / "q.csv"
+    write_csv(f, [("R1", "2016-01-13", "2015-12-01", "5" * (csv.field_size_limit() + 1))])
+    with pytest.raises(FarecastError, match="field limit"):
+        load_quotes(f)
+
+
 def test_load_is_deterministic(tmp_path):
     f = tmp_path / "q.csv"
     write_csv(
