@@ -25,7 +25,7 @@ from .forest import RandomForest
 from .knn import Knn
 from .linear import LeastSquares, Logistic
 from .mlp import Mlp3
-from .tree import Cart
+from .tree import Cart, distinct_rows
 
 logger = logging.getLogger(__name__)
 
@@ -117,6 +117,23 @@ def _design(spec: LearnerSpec, train: Dataset):
     return X, y, standardizer, n_features
 
 
+def _weighted_distinct(X: np.ndarray, y: np.ndarray, min_leaf: int):
+    """(X, y, sample_weight) for the tree kinds: each distinct (x, y) row once,
+    column-major, weighted by its count, which weighted Gini, squared error
+    and the AdaBoost update treat as that many unit-weight copies. Without a
+    repeated row the inputs pass through unchanged. With ``min_leaf > 1`` they
+    do too: Cart counts rows there, and a collapsed row would count once."""
+    if min_leaf > 1:
+        return X, y, None
+    rows, counts = distinct_rows(X, y)
+    if len(rows) == len(y):
+        return X, y, None
+    distinct = np.empty((len(rows), X.shape[1]), order="F")
+    for j in range(X.shape[1]):
+        distinct[:, j] = X[rows, j]
+    return distinct, y[rows], counts.astype(float)
+
+
 def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
     """Train one model; deterministic in (spec, data, seed)."""
     if len(train) == 0:
@@ -151,19 +168,21 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
         ).fit(X, y, seed=seed)
         summary = {"final_loss": core.loss_history[-1], "epochs": core.epochs}
     elif spec.kind == "cart":
+        min_leaf = int(_hp(spec, "min_leaf", 1))
         core = Cart(
             task=spec.task,
             max_depth=_hp(spec, "max_depth", 8),
-            min_leaf=int(_hp(spec, "min_leaf", 1)),
-        ).fit(X, y)
+            min_leaf=min_leaf,
+        ).fit(*_weighted_distinct(X, y, min_leaf))
         summary = {"n_nodes": len(core.feature)}
     elif spec.kind == "adaboost_cart":
         n_rounds = int(_hp(spec, "n_rounds", 100, alias="T"))
         weak_depth = int(_hp(spec, "weak_depth", 3))
         min_leaf = int(_hp(spec, "min_leaf", 1))
+        X, y, weight = _weighted_distinct(X, y, min_leaf)
         if spec.task == "classification":
             core = AdaBoostClassifier(n_rounds=n_rounds, weak_depth=weak_depth,
-                                      min_leaf=min_leaf).fit(X, y)
+                                      min_leaf=min_leaf).fit(X, y, sample_weight=weight)
             summary = {
                 "rounds_used": len(core.trees),
                 "epsilons": list(core.epsilons),
@@ -173,7 +192,7 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
             }
         else:
             core = AdaBoostRegressor(n_rounds=n_rounds, weak_depth=weak_depth,
-                                     min_leaf=min_leaf).fit(X, y)
+                                     min_leaf=min_leaf).fit(X, y, sample_weight=weight)
             summary = {
                 "rounds_used": len(core.trees),
                 "avg_losses": list(core.avg_losses),
@@ -336,7 +355,11 @@ def model_from_dict(raw: dict) -> TrainedModel:
         core = [model_from_dict(m) for m in raw["core"]["members"]]
     elif spec.kind == "adaboost_cart":
         cls = AdaBoostClassifier if spec.task == "classification" else AdaBoostRegressor
-        core = cls.from_jsonable(raw["core"])
+        core = cls.from_jsonable(raw["core"], n_features=int(raw["n_features"]))
+    elif spec.kind in ("cart", "random_forest"):
+        # Tree cores check their split features against the input width.
+        core = _CORE_CLASSES[spec.kind].from_jsonable(raw["core"],
+                                                      n_features=int(raw["n_features"]))
     else:
         core = _CORE_CLASSES[spec.kind].from_jsonable(raw["core"])
     standardizer = (Standardizer.from_dict(raw["standardizer"])

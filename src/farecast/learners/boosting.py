@@ -5,19 +5,40 @@ Classification tracks, per round, the weak learner's weighted error, the
 ensemble's training error, and the exponential-loss bound prod 2*sqrt(e(1-e)).
 The bound must upper-bound training error after every round; that is asserted
 by the test suite, not silently assumed here.
+
+Both fits take sample weights, so an oversampled matrix can be fit as its
+distinct rows weighted by their counts (``tree.distinct_rows``): the
+reweighting treats a row of weight k*w as k rows of weight w. Each round
+reads its tree's training predictions from ``Cart.fitted_value`` instead of
+predicting X again, and drops them, so the ensemble keeps no per-row array.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from ..core import FarecastError
 from .tree import Cart, presort
 
 logger = logging.getLogger(__name__)
+
+
+def _fit_round(tree: Cart, X, y, w, presorted) -> np.ndarray:
+    """Fit ``tree`` and hand over its training rows' leaf values."""
+    tree.fit(X, y, sample_weight=w, presorted=presorted)
+    fitted, tree.fitted_value = tree.fitted_value, None
+    return fitted
+
+
+def _trees_from_jsonable(raw: dict, weights: str, n_features: Optional[int]) -> list[Cart]:
+    if len(raw["trees"]) != len(raw[weights]):
+        raise FarecastError(f"{len(raw['trees'])} trees for {len(raw[weights])} {weights}")
+    return [Cart.from_jsonable(t, n_features) for t in raw["trees"]]
 
 
 @dataclass
@@ -41,6 +62,8 @@ class AdaBoostClassifier:
         n = len(y)
         sign = 2.0 * y - 1.0
         w = np.ones(n) / n if sample_weight is None else np.asarray(sample_weight, dtype=float)
+        # Exact class totals, so balanced classes tie, and ties go to wait.
+        self.majority = int(math.fsum(w[y == 1]) > math.fsum(w[y == 0]))
         w = w / w.sum()
         w0 = w.copy()  # training error is measured against the starting weights
         presorted = presort(X)
@@ -48,14 +71,12 @@ class AdaBoostClassifier:
         self.trees, self.alphas = [], []
         self.epsilons, self.bounds, self.train_errors = [], [], []
         self.stopped_early = None
-        self.majority = int(float((w0 * y).sum()) > 0.5)  # ties go to wait
         margin = np.zeros(n)
         bound = 1.0
         for t in range(self.n_rounds):
             tree = Cart(task="classification", max_depth=self.weak_depth,
                         min_leaf=self.min_leaf)
-            tree.fit(X, y, sample_weight=w, presorted=presorted)
-            h = 2.0 * tree.predict(X) - 1.0
+            h = 2.0 * (_fit_round(tree, X, y, w, presorted) > 0.5) - 1.0
             miss = h != sign
             eps = float(w[miss].sum())
             if eps >= 0.5:
@@ -116,10 +137,10 @@ class AdaBoostClassifier:
         }
 
     @classmethod
-    def from_jsonable(cls, raw: dict) -> "AdaBoostClassifier":
+    def from_jsonable(cls, raw: dict, n_features: Optional[int] = None) -> "AdaBoostClassifier":
         model = cls(n_rounds=raw["n_rounds"], weak_depth=raw["weak_depth"],
                     min_leaf=raw["min_leaf"])
-        model.trees = [Cart.from_jsonable(t) for t in raw["trees"]]
+        model.trees = _trees_from_jsonable(raw, "alphas", n_features)
         model.alphas = [float(a) for a in raw["alphas"]]
         model.majority = int(raw["majority"])
         return model
@@ -158,8 +179,7 @@ class AdaBoostRegressor:
         for t in range(self.n_rounds):
             tree = Cart(task="regression", max_depth=self.weak_depth,
                         min_leaf=self.min_leaf)
-            tree.fit(X, y, sample_weight=w, presorted=presorted)
-            abs_err = np.abs(tree.predict(X) - y)
+            abs_err = np.abs(_fit_round(tree, X, y, w, presorted) - y)
             worst = float(abs_err.max())
             if worst == 0.0:
                 self.trees, self.log_inv_betas = [tree], [1.0]
@@ -179,10 +199,10 @@ class AdaBoostRegressor:
             w = w * beta ** (1.0 - loss)
             w = w / w.sum()
         if not self.trees:
-            # Nothing accepted: keep a single unweighted tree as fallback.
+            # Nothing accepted: keep a single tree under the starting weights.
             tree = Cart(task="regression", max_depth=self.weak_depth,
                         min_leaf=self.min_leaf)
-            tree.fit(X, y, presorted=presorted)
+            _fit_round(tree, X, y, sample_weight, presorted)
             self.trees, self.log_inv_betas = [tree], [1.0]
         return self
 
@@ -208,9 +228,9 @@ class AdaBoostRegressor:
         }
 
     @classmethod
-    def from_jsonable(cls, raw: dict) -> "AdaBoostRegressor":
+    def from_jsonable(cls, raw: dict, n_features: Optional[int] = None) -> "AdaBoostRegressor":
         model = cls(n_rounds=raw["n_rounds"], weak_depth=raw["weak_depth"],
                     min_leaf=raw["min_leaf"])
-        model.trees = [Cart.from_jsonable(t) for t in raw["trees"]]
+        model.trees = _trees_from_jsonable(raw, "log_inv_betas", n_features)
         model.log_inv_betas = [float(b) for b in raw["log_inv_betas"]]
         return model

@@ -55,6 +55,7 @@ class RandomForest:
             tree = Cart(task=self.task, max_depth=self.max_depth,
                         min_leaf=self.min_leaf, mtry=mtry)
             tree.fit(Xb, yb, rng=rng if mtry is not None else None)
+            tree.fitted_value = None  # n floats per tree that the forest never reads
             self.trees.append(tree)
         return self
 
@@ -84,9 +85,9 @@ class RandomForest:
         }
 
     @classmethod
-    def from_jsonable(cls, raw: dict) -> "RandomForest":
+    def from_jsonable(cls, raw: dict, n_features: Optional[int] = None) -> "RandomForest":
         model = cls(task=raw["task"], n_trees=raw["n_trees"], max_depth=raw["max_depth"],
                     min_leaf=raw["min_leaf"], bootstrap=raw["bootstrap"],
                     subsample=raw["subsample"])
-        model.trees = [Cart.from_jsonable(t) for t in raw["trees"]]
+        model.trees = [Cart.from_jsonable(t, n_features) for t in raw["trees"]]
         return model

@@ -19,9 +19,20 @@ Scoring keeps a running sum over the node's sorted weights on every feature,
 which fixes the bits of each partial sum, and evaluates the impurity only
 where the sorted feature value changes: a route dummy has one such place.
 
+A fit keeps each training row's leaf value in ``fitted_value`` (not
+serialized): the leaves own the row ranges already, and boosting reads its
+round's training predictions there instead of predicting X again.
+
 Boosting shares across its rounds the one thing that does not change, X:
 ``presort`` sorts it once and X is read column by column from one
 Fortran-ordered copy. Only the sample weights change between rounds.
+
+One row of weight k*w is the same, for weighted Gini, weighted squared error
+and the AdaBoost update, as k copies of weight w (Freund & Schapire 1997).
+``distinct_rows`` finds the distinct (x, y) rows of an oversampled matrix and
+their counts, so the tree kinds fit each once with its count as its weight.
+The result is the same tree up to the grouping of partial sums, which can
+flip a near-tie split.
 """
 
 from __future__ import annotations
@@ -30,6 +41,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from ..core import FarecastError
 
 # Strict-improvement guard: splits must beat the parent impurity by more
 # than accumulated float noise, otherwise the node stays a leaf.
@@ -51,6 +64,28 @@ def presort(X: np.ndarray) -> np.ndarray:
     return order.T
 
 
+def distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts): the index of the first occurrence of each distinct
+    (X[i], y[i]) row, in their original order, and how often each occurs.
+
+    One stable lexsort over y and X's columns puts equal rows next to each
+    other, first occurrence first; neighbours are then compared one column
+    at a time, so the matrix is never copied whole.
+    """
+    n = len(y)
+    order = np.lexsort((*X.T, y))
+    same = np.ones(n, dtype=bool)  # sorted row i equals sorted row i - 1
+    same[:1] = False
+    for key in (y, *X.T):
+        sorted_key = key[order]
+        same[1:] &= sorted_key[1:] == sorted_key[:-1]
+    starts = np.flatnonzero(~same)
+    counts = np.diff(starts, append=n)
+    first = order[starts]
+    by_position = np.argsort(first)
+    return first[by_position], counts[by_position]
+
+
 @dataclass
 class Cart:
     task: str  # regression | classification
@@ -64,6 +99,9 @@ class Cart:
     left: list[int] = field(default_factory=list)
     right: list[int] = field(default_factory=list)
     value: list[float] = field(default_factory=list)
+    # Leaf value of each row of the last fit's X; not serialized, and
+    # dropped by the ensembles, which keep many trees.
+    fitted_value: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.task not in ("regression", "classification"):
@@ -100,6 +138,7 @@ class Cart:
         index[:d] = (presort(X) if presorted is None else presorted).T
         index[d] = np.arange(n)
         goes_left = np.empty(n, dtype=bool)
+        self.fitted_value = np.empty(n)
 
         # (node_id, lo, hi, depth); preorder so node ids are stable.
         stack = [(self._new_node(), 0, n, 0)]
@@ -110,18 +149,17 @@ class Cart:
             s = float(wy[idx].sum())
             self.value[node_id] = float(s / w_total) if w_total > 0 else float(y[idx].mean())
 
-            if depth >= depth_cap or hi - lo < 2 * self.min_leaf:
-                continue
-            if self.task == "classification":
-                # Weighted Gini of a {0,1} node: 2 p (1-p) scaled by total weight.
-                impurity = 2.0 * s * (w_total - s) / w_total
-            else:
-                impurity = float(wyy[idx].sum()) - s * s / w_total
-            if impurity <= _EPS:
-                continue
-
-            split = self._best_split(cols, w, wy, wyy, index, lo, hi, rng, impurity)
+            split = None
+            if depth < depth_cap and hi - lo >= 2 * self.min_leaf:
+                if self.task == "classification":
+                    # Weighted Gini of a {0,1} node: 2 p (1-p) scaled by total weight.
+                    impurity = 2.0 * s * (w_total - s) / w_total
+                else:
+                    impurity = float(wyy[idx].sum()) - s * s / w_total
+                if impurity > _EPS:
+                    split = self._best_split(cols, w, wy, wyy, index, lo, hi, rng, impurity)
             if split is None:
+                self.fitted_value[idx] = self.value[node_id]
                 continue
             f, thr = split
             self.feature[node_id] = f
@@ -247,7 +285,10 @@ class Cart:
         }
 
     @classmethod
-    def from_jsonable(cls, raw: dict) -> "Cart":
+    def from_jsonable(cls, raw: dict, n_features: Optional[int] = None) -> "Cart":
+        """Rebuild a tree; raises FarecastError unless its node lists have one
+        length, every split's children come after it (so a walk from the root
+        ends), and every split feature is below ``n_features`` when given."""
         tree = cls(task=raw["task"], max_depth=raw["max_depth"],
                    min_leaf=raw["min_leaf"], mtry=raw["mtry"])
         tree.feature = [int(v) for v in raw["feature"]]
@@ -255,4 +296,15 @@ class Cart:
         tree.left = [int(v) for v in raw["left"]]
         tree.right = [int(v) for v in raw["right"]]
         tree.value = [float(v) for v in raw["value"]]
+        n_nodes = len(tree.feature)
+        lists = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        if n_nodes == 0 or any(len(v) != n_nodes for v in lists):
+            raise FarecastError(f"tree node lists must share one nonzero length, "
+                                f"got {[len(v) for v in lists]}")
+        width = n_features if n_features is not None else float("inf")
+        for node, f in enumerate(tree.feature):
+            children = (tree.left[node], tree.right[node])
+            if not -1 <= f < width or (f >= 0 and not all(node < c < n_nodes for c in children)):
+                raise FarecastError(f"tree node {node} (feature {f}, children {children}) "
+                                    f"is out of range for {n_nodes} nodes")
         return tree

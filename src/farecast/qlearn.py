@@ -53,7 +53,9 @@ class QTable:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "QTable":
-        return cls(
+        """Rebuild a table; raises FarecastError unless ``buy`` and ``wait`` each
+        hold ``d_max + 1`` finite values."""
+        table = cls(
             d_max=int(raw["d_max"]),
             buy=np.asarray(raw["buy"], dtype=float),
             wait=np.asarray(raw["wait"], dtype=float),
@@ -61,6 +63,11 @@ class QTable:
             alpha=float(raw["alpha"]),
             route_means={k: float(v) for k, v in raw.get("route_means", {}).items()},
         )
+        for name, values in (("buy", table.buy), ("wait", table.wait)):
+            if values.shape != (table.d_max + 1,) or not np.isfinite(values).all():
+                raise FarecastError(f"Q-table {name} must hold d_max + 1 = {table.d_max + 1} "
+                                    f"finite values, got shape {values.shape}")
+        return table
 
 
 def save_qtable(table: QTable, path: str | Path) -> None:

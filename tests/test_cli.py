@@ -616,9 +616,22 @@ MALFORMED_FILES = {
     "bank-list": ("--bank", "[1, 2]"),
     "bank-bad-json": ("--bank", "{"),
     "frozen-model-list": ("--frozen-model", "[1, 2]"),
-    "model-no-spec": ("--load-model", None),  # the frozen model's document without "spec"
+    # A callable edits the frozen cart model's document in place.
+    "model-no-spec": ("--load-model", lambda doc: doc.pop("spec")),
+    "cart-feature-cut": ("--load-model", lambda doc: doc["core"].update(
+        feature=doc["core"]["feature"][:1])),
+    "cart-feature-out-of-range": ("--load-model", lambda doc: doc["core"].update(
+        feature=[99 if f >= 0 else f for f in doc["core"]["feature"]])),
+    "cart-child-loops-to-root": ("--load-model", lambda doc: doc["core"].update(
+        left=[0] * len(doc["core"]["left"]))),
     "qtable-no-buy": ("--load-table", json.dumps(
         {"d_max": 2, "wait": [0.0, 0.0, 0.0], "gamma": 1.0, "alpha": 0.1})),
+    "qtable-short-for-the-corpus": ("--load-table", json.dumps(
+        {"d_max": 95, "buy": [0.0], "wait": [0.0], "gamma": 1.0, "alpha": 0.1})),
+    "qtable-short-for-its-d-max": ("--load-table", json.dumps(
+        {"d_max": 5, "buy": [0.0], "wait": [0.0], "gamma": 1.0, "alpha": 0.1})),
+    "qtable-not-finite": ("--load-table", json.dumps(
+        {"d_max": 1, "buy": [0.0, 1e400], "wait": [0.0, 0.0], "gamma": 1.0, "alpha": 0.1})),
 }
 
 
@@ -627,9 +640,9 @@ def test_malformed_saved_files_exit_two(workdir, gen_corpus, frozen_and_blend, t
                                         capsys, case):
     flag, text = MALFORMED_FILES[case]
     frozen = frozen_and_blend[0]
-    if text is None:
+    if callable(text):
         doc = json.loads(frozen.read_text(encoding="utf-8"))
-        del doc["spec"]
+        text(doc)
         text = json.dumps(doc)
     bank = tmp_path / "bank"
     bank.mkdir()

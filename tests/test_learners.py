@@ -12,7 +12,7 @@ from farecast.learners.forest import RandomForest, default_mtry
 from farecast.learners.knn import Knn
 from farecast.learners.linear import LeastSquares, Logistic
 from farecast.learners.mlp import Mlp3
-from farecast.learners.tree import _EPS, Cart
+from farecast.learners.tree import _EPS, Cart, distinct_rows
 
 
 # -- least squares ----------------------------------------------------------
@@ -314,7 +314,8 @@ def reference_cart_fit(tree, X, y, sample_weight=None, rng=None, presorted=None)
     """The per-node mask split search, kept as the oracle for ``Cart.fit``.
 
     Every node rescans all n presorted rows of every candidate feature and
-    scores every sorted position; fills ``tree`` in place and returns it.
+    scores every sorted position; fills ``tree`` in place, with
+    ``fitted_value`` from ``predict_value``, and returns it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -397,6 +398,7 @@ def reference_cart_fit(tree, X, y, sample_weight=None, rng=None, presorted=None)
         tree.right[node_id] = tree._new_node()
         stack.append((tree.right[node_id], mask & (X[:, f] > thr), depth + 1))
         stack.append((tree.left[node_id], mask & (X[:, f] <= thr), depth + 1))
+    tree.fitted_value = tree.predict_value(X)
     return tree
 
 
@@ -459,6 +461,63 @@ def test_adaboost_matches_boosting_over_reference_trees(monkeypatch):
     assert fast.epsilons == slow.epsilons
     assert fast.train_errors == slow.train_errors
     assert fast.to_jsonable() == slow.to_jsonable()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cart_problems())
+def test_cart_fitted_value_is_the_leaf_value_of_each_training_row(problem):
+    X, y, w, task, max_depth, min_leaf, mtry, seed = problem
+    tree = Cart(task=task, max_depth=max_depth, min_leaf=min_leaf, mtry=mtry)
+    tree.fit(X, y, sample_weight=w, rng=np.random.default_rng(seed) if mtry else None)
+    assert np.array_equal(tree.fitted_value, tree.predict_value(X))
+
+
+@st.composite
+def repeated_rows(draw):
+    """Matrices with few distinct values per column, so rows repeat, some
+    with both labels."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(0, 60))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, draw(st.integers(1, 4)), (n, d)).astype(float)
+    y = rng.integers(0, 2, n).astype(float)
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    return X, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_rows())
+def test_distinct_rows_are_first_occurrences_with_their_counts(problem):
+    X, y = problem
+    rows, counts = distinct_rows(X, y)
+    assert np.all(np.diff(rows) > 0)  # original order
+    pairs = [(tuple(X[i]), y[i]) for i in range(len(y))]
+    firsts = {}
+    for i, pair in enumerate(pairs):
+        firsts.setdefault(pair, i)
+    assert rows.tolist() == sorted(firsts.values())
+    rebuilt = sorted(pair for i, k in zip(rows, counts) for pair in [pairs[i]] * k)
+    assert rebuilt == sorted(pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_rows(), st.sampled_from(["classification", "regression"]),
+       st.sampled_from([None, 1, 2, 3]))
+def test_cart_on_distinct_rows_equals_cart_on_the_copies(problem, task, max_depth):
+    # Integer X and y and unit weights: every partial sum is exact, so the
+    # weighted distinct rows must give the very same tree.
+    X, y = problem
+    if not len(y):
+        return
+    if task == "regression":
+        y = y * 3.0 + X[:, 0]
+    rows, counts = distinct_rows(X, y)
+    copies = Cart(task=task, max_depth=max_depth).fit(X, y)
+    weighted = Cart(task=task, max_depth=max_depth).fit(X[rows], y[rows],
+                                                        sample_weight=counts.astype(float))
+    assert weighted.to_jsonable() == copies.to_jsonable()
 
 
 def test_cart_json_round_trip():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import dataset_of
 from farecast import learners
-from farecast.core import SeriesKey
+from farecast.core import FarecastError, SeriesKey
 from farecast.learners import (
     DegenerateData,
     IncompatibleSpec,
@@ -19,6 +19,9 @@ from farecast.learners import (
     model_to_dict,
     save_model,
 )
+from farecast.learners.boosting import AdaBoostClassifier, AdaBoostRegressor
+from farecast.learners.tree import Cart, distinct_rows
+from farecast.preprocess import oversample
 
 
 def feature_rows(values, label_fn=None, reg_fn=None, route_idx=0):
@@ -185,6 +188,79 @@ def test_seeded_kinds_are_deterministic(kind, threshold_data):
         learners.predict_scores(a, threshold_data.X),
         learners.predict_scores(b, threshold_data.X),
     )
+
+
+# -- tree kinds fit distinct rows ------------------------------------------------
+
+
+def direct_core(kind, task, X, y, sample_weight=None, **hp):
+    """The core ``learners.fit`` builds for a tree kind, fit on (X, y) as given."""
+    if kind == "cart":
+        return Cart(task=task, max_depth=hp.get("max_depth", 8),
+                    min_leaf=hp.get("min_leaf", 1)).fit(X, y, sample_weight=sample_weight)
+    cls = AdaBoostClassifier if task == "classification" else AdaBoostRegressor
+    return cls(n_rounds=hp["n_rounds"], weak_depth=hp["weak_depth"],
+               min_leaf=hp.get("min_leaf", 1)).fit(X, y, sample_weight=sample_weight)
+
+
+TREE_SPECS = [("cart", "classification", {}), ("cart", "regression", {}),
+              ("adaboost_cart", "classification", {"n_rounds": 10, "weak_depth": 2}),
+              ("adaboost_cart", "regression", {"n_rounds": 10, "weak_depth": 2})]
+
+
+def labels(data, task):
+    return data.label_class if task == "classification" else data.label_reg
+
+
+@pytest.mark.parametrize("kind,task,hp", TREE_SPECS)
+def test_tree_kinds_without_repeated_rows_fit_the_rows_as_given(kind, task, hp, threshold_data):
+    model = learners.fit(LearnerSpec(kind, task, hp), threshold_data, seed=0)
+    direct = direct_core(kind, task, threshold_data.X, labels(threshold_data, task), **hp)
+    assert model_to_dict(model)["core"] == direct.to_jsonable()
+
+
+@pytest.fixture(scope="module")
+def oversampled_data():
+    rng = np.random.default_rng(31)
+    data = dataset_of(feature_rows(rng.uniform(10, 90, 80), label_fn=lambda v: v < 30,
+                                   reg_fn=lambda v: round(v)))
+    return oversample(data, seed=4)
+
+
+@pytest.mark.parametrize("kind,task,hp", TREE_SPECS)
+def test_tree_kinds_fit_repeated_rows_once_weighted_by_count(kind, task, hp, oversampled_data):
+    X, y = oversampled_data.X, labels(oversampled_data, task)
+    rows, counts = distinct_rows(X, y)
+    assert len(rows) < len(y)
+    model = learners.fit(LearnerSpec(kind, task, hp), oversampled_data, seed=0)
+    direct = direct_core(kind, task, X[rows], y[rows], counts.astype(float), **hp)
+    assert model_to_dict(model)["core"] == direct.to_jsonable()
+
+
+def test_min_leaf_above_one_keeps_the_repeated_rows():
+    # Row 0 (the only buy) three times: with min_leaf 2 the copies may form a
+    # leaf of their own, a single weighted row may not.
+    data = dataset_of(feature_rows(range(6), label_fn=lambda v: v == 0)).take(
+        np.array([0, 0, 0, 1, 2, 3, 4, 5]))
+    X, y = data.X, data.label_class
+    model = learners.fit(LearnerSpec("cart", "classification", {"min_leaf": 2}), data, seed=0)
+    copies = direct_core("cart", "classification", X, y, min_leaf=2)
+    rows, counts = distinct_rows(X, y)
+    weighted = direct_core("cart", "classification", X[rows], y[rows], counts.astype(float),
+                           min_leaf=2)
+    assert model_to_dict(model)["core"] == copies.to_jsonable()
+    assert copies.to_jsonable() != weighted.to_jsonable()
+
+
+def test_balanced_oversampled_classes_fall_back_to_wait():
+    # 11 waits, then 4 buys that oversampling copies up to 11: the class
+    # weights are exactly equal, so the no-tree fallback is wait.
+    train = oversample(dataset_of(feature_rows(range(15), label_fn=lambda v: v >= 11)), seed=0)
+    assert train.class_counts() == (11, 11)
+    assert AdaBoostClassifier(n_rounds=1).fit(train.X, train.label_class).majority == 0
+    model = learners.fit(LearnerSpec("adaboost_cart", "classification", {"n_rounds": 1}),
+                         train, seed=0)
+    assert model.parameters["core"].majority == 0
 
 
 # -- uniform blend ----------------------------------------------------------
@@ -368,8 +444,6 @@ def test_model_document_guards(threshold_data):
     assert doc["format"] == "farecast-model"
     assert doc["version"] == 1
 
-    from farecast.core import FarecastError
-
     bad = dict(doc)
     bad["format"] = "something-else"
     with pytest.raises(FarecastError):
@@ -378,6 +452,42 @@ def test_model_document_guards(threshold_data):
     bad["version"] = 99
     with pytest.raises(FarecastError):
         model_from_dict(bad)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda core: core.update(feature=core["feature"][:1]),
+    lambda core: core.update(value=core["value"] + [0.0]),
+    lambda core: core.update(right=[len(core["right"])] * len(core["right"])),
+    lambda core: core.update(left=[0] * len(core["left"])),
+    lambda core: core.update(feature=[-2] * len(core["feature"])),
+    lambda core: core.update(feature=[], threshold=[], left=[], right=[], value=[]),
+])
+def test_cart_document_with_inconsistent_nodes_is_rejected(edit, threshold_data):
+    doc = model_to_dict(learners.fit(LearnerSpec("cart", "classification"), threshold_data,
+                                     seed=0))
+    edit(doc["core"])
+    with pytest.raises(FarecastError):
+        model_from_dict(doc)
+
+
+def test_tree_document_splitting_past_the_input_width_is_rejected(threshold_data):
+    for kind in ("cart", "adaboost_cart", "random_forest"):
+        doc = model_to_dict(learners.fit(
+            LearnerSpec(kind, "classification", FAST_HP.get(kind, {})), threshold_data, seed=0))
+        for tree in doc["core"].get("trees", [doc["core"]]):
+            tree["feature"] = [doc["n_features"] if f >= 0 else f for f in tree["feature"]]
+        with pytest.raises(FarecastError):
+            model_from_dict(doc)
+
+
+@pytest.mark.parametrize("task,weights", [("classification", "alphas"),
+                                          ("regression", "log_inv_betas")])
+def test_adaboost_document_needs_one_weight_per_tree(task, weights, threshold_data):
+    doc = model_to_dict(learners.fit(
+        LearnerSpec("adaboost_cart", task, FAST_HP["adaboost_cart"]), threshold_data, seed=0))
+    doc["core"][weights] = doc["core"][weights][:-1]
+    with pytest.raises(FarecastError):
+        model_from_dict(doc)
 
 
 # -- batch invariance -------------------------------------------------------------
