@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,7 +26,7 @@ from .core import FarecastError, PriceSeries
 from .features import corpus_anchor, dump_features
 from .ingest import SplitConfig, load_quotes, split
 from .learners import KINDS, LearnerSpec, load_model, save_model
-from .metrics import simulated_random_purchase_price
+from .metrics import BacktestMetrics, simulated_random_purchase_price
 from .pipeline import (
     PreprocessConfig,
     build_dataset,
@@ -37,7 +38,7 @@ from .pipeline import (
     train_specific,
 )
 from .tuning import default_grid, grid_search
-from .util import derive_seed, natural_key, round_sig
+from .util import derive_seed, natural_key, round_sig, to_jsonable
 
 import numpy as np
 
@@ -106,7 +107,7 @@ def _prep_config(args, config: dict) -> PreprocessConfig:
 
 
 def _emit_report(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(round_sig(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(round_sig(to_jsonable(report)), sort_keys=True, indent=2) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -116,17 +117,10 @@ def _emit_report(report: dict, out: Optional[str]) -> None:
 def _metrics_csv(per_route, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["route_id", "random_purchase_price", "optimal_price",
-                         "predicted_price", "performance_pct",
-                         "optimal_performance_pct", "normalized_performance_pct",
-                         "normalized_defined"])
+        writer.writerow([f.name for f in fields(BacktestMetrics)])
         for m in per_route:
-            writer.writerow([m.route_id, f"{m.random_purchase_price:.6f}",
-                             f"{m.optimal_price:.6f}", f"{m.predicted_price:.6f}",
-                             f"{m.performance_pct:.6f}",
-                             f"{m.optimal_performance_pct:.6f}",
-                             f"{m.normalized_performance_pct:.6f}",
-                             int(m.normalized_defined)])
+            writer.writerow([int(v) if isinstance(v, bool) else f"{v:.6f}"
+                             if isinstance(v, float) else v for v in to_jsonable(m).values()])
 
 
 def _decisions_csv(decisions, series: Sequence[PriceSeries], path: str) -> None:
@@ -147,7 +141,7 @@ def _decisions_csv(decisions, series: Sequence[PriceSeries], path: str) -> None:
 
 def _aggregate_dict(per_route, mean: float, var: float) -> dict:
     return {
-        "per_route": [m.to_dict() for m in per_route],
+        "per_route": per_route,
         "mean_normalized_pct": mean,
         "var_normalized_pct": var,
         "n_routes": len(per_route),
@@ -174,7 +168,7 @@ def cmd_gen_data(args) -> int:
     if args.split_out:
         split_cfg = synthgen.default_split_for(cfg)
         Path(args.split_out).write_text(
-            json.dumps(split_cfg.to_dict(), sort_keys=True, indent=2) + "\n",
+            json.dumps(to_jsonable(split_cfg), sort_keys=True, indent=2) + "\n",
             encoding="utf-8")
     print(f"wrote {sum(len(s) for s in series)} quotes to {args.out}")
     return 0
@@ -217,15 +211,15 @@ def cmd_tune(args) -> int:
         "seed": args.seed,
         "config": {
             "quotes": args.quotes,
-            "split": split_cfg.to_dict(),
+            "split": split_cfg,
             "task": args.task,
             "model": args.model,
             "folds": args.folds,
-            "preprocessing": prep.to_dict(),
-            "grid": [spec.to_dict() for spec in grid],
+            "preprocessing": prep,
+            "grid": grid,
         },
-        "best_spec": best.to_dict(),
-        "cv_table": [cell.to_dict() for cell in table],
+        "best_spec": best,
+        "cv_table": table,
     }
     _emit_report(report, args.out)
     if args.report_csv:
@@ -262,9 +256,9 @@ def cmd_train(args) -> int:
         "seed": args.seed,
         "config": {
             "quotes": args.quotes,
-            "split": split_cfg.to_dict(),
-            "spec": spec.to_dict(),
-            "preprocessing": prep.to_dict(),
+            "split": split_cfg,
+            "spec": spec,
+            "preprocessing": prep,
             "routes": routes,
         },
         "train_summary": model.train_summary,
@@ -296,9 +290,9 @@ def cmd_backtest(args) -> int:
         "seed": args.seed,
         "config": {
             "quotes": args.quotes,
-            "split": split_cfg.to_dict(),
-            "spec": spec.to_dict(),
-            "preprocessing": prep.to_dict(),
+            "split": split_cfg,
+            "spec": spec,
+            "preprocessing": prep,
             "loaded_model": args.load_model,
             "routes": routes,
             "simulate_random": args.simulate_random,
@@ -351,7 +345,7 @@ def cmd_qlearn(args) -> int:
         "seed": args.seed,
         "config": {
             "quotes": args.quotes,
-            "split": split_cfg.to_dict(),
+            "split": split_cfg,
             "episodes": episodes,
             "gamma": gamma,
             "alpha": alpha,

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Dataset, EmptySeries, FarecastError, PriceSeries, format_price
+from .util import check_shapes
 
 logger = logging.getLogger(__name__)
 
@@ -142,12 +143,17 @@ class Standardizer:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "Standardizer":
-        return cls(
+    def from_dict(cls, raw: dict, n_features: int) -> "Standardizer":
+        """Raises FarecastError unless ``keep`` has ``n_features`` entries and
+        ``mean`` and ``scale`` one per continuous feature."""
+        standardizer = cls(
             mean=np.asarray(raw["mean"], dtype=float),
             scale=np.asarray(raw["scale"], dtype=float),
             keep=np.asarray(raw["keep"], dtype=bool),
         )
+        n = len(CONTINUOUS_NAMES)
+        check_shapes(standardizer, mean=(n,), scale=(n,), keep=(n_features,))
+        return standardizer
 
 
 def dump_features(ds: Dataset, path: str | Path) -> None:

@@ -31,7 +31,8 @@ from .core import EmptySeries, FarecastError, PriceSeries, SeriesKey
 from .features import feature_dataset, set_route_dummies
 from .learners import TrainedModel, dummy_width, predict
 from .policy import PurchaseDecision, decide_classification
-from .util import derive_seed, malformed_document
+from .util import (as_float_arrays, derive_seed, from_jsonable, malformed_document,
+                   to_jsonable)
 
 logger = logging.getLogger(__name__)
 
@@ -50,10 +51,9 @@ class HmmModel:
     degenerate: bool = False
 
     def __post_init__(self):
-        self.initial = np.asarray(self.initial, dtype=float)
-        self.transition = np.asarray(self.transition, dtype=float)
-        self.means = np.asarray(self.means, dtype=float)
-        self.variances = np.asarray(self.variances, dtype=float)
+        self.route_index, self.n_states = int(self.route_index), int(self.n_states)
+        self.norm_mean, self.degenerate = float(self.norm_mean), bool(self.degenerate)
+        as_float_arrays(self, "initial", "transition", "means", "variances")
         k = self.n_states
         if (self.transition.shape != (k, k)
                 or not self.initial.shape == self.means.shape == self.variances.shape == (k,)):
@@ -72,41 +72,16 @@ class HmmModel:
         """Emission means mapped back to price units."""
         return self.means * self.norm_mean
 
-    def to_dict(self) -> dict:
-        return {
-            "route_index": self.route_index,
-            "n_states": self.n_states,
-            "initial": self.initial.tolist(),
-            "transition": self.transition.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-            "norm_mean": self.norm_mean,
-            "degenerate": self.degenerate,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "HmmModel":
-        return cls(
-            route_index=int(raw["route_index"]),
-            n_states=int(raw["n_states"]),
-            initial=np.asarray(raw["initial"], dtype=float),
-            transition=np.asarray(raw["transition"], dtype=float),
-            means=np.asarray(raw["means"], dtype=float),
-            variances=np.asarray(raw["variances"], dtype=float),
-            norm_mean=float(raw.get("norm_mean", 1.0)),
-            degenerate=bool(raw.get("degenerate", False)),
-        )
-
 
 def save_model(model: HmmModel, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, sort_keys=True)
+        json.dump(to_jsonable(model), fh, sort_keys=True)
         fh.write("\n")
 
 
 def load_model(path: str | Path) -> HmmModel:
     with open(path, "r", encoding="utf-8") as fh, malformed_document("HMM template", path):
-        return HmmModel.from_dict(json.load(fh))
+        return from_jsonable(HmmModel, json.load(fh))
 
 
 # -- forward algorithm -------------------------------------------------------

@@ -73,14 +73,6 @@ class SplitConfig:
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_dict(self) -> dict:
-        return {
-            "train_start": self.train_start.isoformat(),
-            "train_end": self.train_end.isoformat(),
-            "test_start": self.test_start.isoformat(),
-            "test_end": self.test_end.isoformat(),
-        }
-
 
 def load_quotes(path: str | Path) -> list[PriceSeries]:
     """Parse a quote CSV into one PriceSeries per (route, departure date).

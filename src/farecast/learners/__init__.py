@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -19,7 +19,8 @@ import numpy as np
 
 from ..core import Dataset, FarecastError
 from ..features import CONTINUOUS_NAMES, FeatureMismatch, Standardizer, set_route_dummies
-from ..util import derive_seed, malformed_document
+from ..util import (NOT_SAVED, derive_seed, from_jsonable, malformed_document, require_keys,
+                    to_jsonable)
 from .boosting import AdaBoostClassifier, AdaBoostRegressor
 from .forest import RandomForest
 from .knn import Knn
@@ -73,14 +74,8 @@ class LearnerSpec:
             raise IncompatibleSpec("least_squares is regression-only")
         if self.kind == "logistic" and self.task != "classification":
             raise IncompatibleSpec("logistic is classification-only")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "task": self.task, "hyperparams": dict(self.hyperparams)}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "LearnerSpec":
-        return cls(kind=raw["kind"], task=raw["task"],
-                   hyperparams=dict(raw.get("hyperparams", {})))
+        if not isinstance(self.hyperparams, dict):
+            raise IncompatibleSpec(f"hyperparams must be a JSON object, got {self.hyperparams!r}")
 
 
 @dataclass
@@ -90,13 +85,22 @@ class TrainedModel:
     train_summary: dict
 
 
+_HP_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: (dict,)}
+
+
 def _hp(spec: LearnerSpec, name: str, default, alias: Optional[str] = None):
-    hp = spec.hyperparams
-    if name in hp:
-        return hp[name]
-    if alias is not None and alias in hp:
-        return hp[alias]
-    return default
+    """The hyperparameter ``name`` (or ``alias``), else ``default``. A value
+    must have the default's JSON type: an int takes no bool, a float takes an
+    int, and ``max_depth`` also takes null. A wrong type raises IncompatibleSpec."""
+    key = name if name in spec.hyperparams else alias
+    if key not in spec.hyperparams:
+        return default
+    value = spec.hyperparams[key]
+    types = (int, type(None)) if name == "max_depth" else _HP_TYPES[type(default)]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise IncompatibleSpec(f"{spec.kind} hyperparameter {key!r} must be of type "
+                               f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
 
 
 def _design(spec: LearnerSpec, train: Dataset):
@@ -151,7 +155,7 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
     elif spec.kind == "logistic":
         core = Logistic(
             grad_tol=_hp(spec, "grad_tol", 1e-6),
-            max_iter=int(_hp(spec, "max_iter", 1000)),
+            max_iter=_hp(spec, "max_iter", 1000),
         ).fit(X, y)
         summary = {
             "final_loss": core.loss_history[-1],
@@ -159,16 +163,19 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
             "converged": core.converged,
         }
     elif spec.kind == "mlp3":
+        epochs = _hp(spec, "epochs", 200)
+        if epochs < 1:  # Mlp3 itself allows 0: a fit that only initializes
+            raise IncompatibleSpec("mlp3 epochs must be >= 1")
         core = Mlp3(
             task=spec.task,
-            hidden=int(_hp(spec, "hidden", 16)),
+            hidden=_hp(spec, "hidden", 16),
             lr=float(_hp(spec, "lr", 0.01)),
-            epochs=int(_hp(spec, "epochs", 200)),
-            batch_size=int(_hp(spec, "batch_size", 32)),
+            epochs=epochs,
+            batch_size=_hp(spec, "batch_size", 32),
         ).fit(X, y, seed=seed)
         summary = {"final_loss": core.loss_history[-1], "epochs": core.epochs}
     elif spec.kind == "cart":
-        min_leaf = int(_hp(spec, "min_leaf", 1))
+        min_leaf = _hp(spec, "min_leaf", 1)
         core = Cart(
             task=spec.task,
             max_depth=_hp(spec, "max_depth", 8),
@@ -176,40 +183,29 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
         ).fit(*_weighted_distinct(X, y, min_leaf))
         summary = {"n_nodes": len(core.feature)}
     elif spec.kind == "adaboost_cart":
-        n_rounds = int(_hp(spec, "n_rounds", 100, alias="T"))
-        weak_depth = int(_hp(spec, "weak_depth", 3))
-        min_leaf = int(_hp(spec, "min_leaf", 1))
+        n_rounds = _hp(spec, "n_rounds", 100, alias="T")
+        weak_depth = _hp(spec, "weak_depth", 3)
+        min_leaf = _hp(spec, "min_leaf", 1)
         X, y, weight = _weighted_distinct(X, y, min_leaf)
-        if spec.task == "classification":
-            core = AdaBoostClassifier(n_rounds=n_rounds, weak_depth=weak_depth,
-                                      min_leaf=min_leaf).fit(X, y, sample_weight=weight)
-            summary = {
-                "rounds_used": len(core.trees),
-                "epsilons": list(core.epsilons),
-                "bounds": list(core.bounds),
-                "train_errors": list(core.train_errors),
-                "stopped_early": core.stopped_early,
-            }
-        else:
-            core = AdaBoostRegressor(n_rounds=n_rounds, weak_depth=weak_depth,
-                                     min_leaf=min_leaf).fit(X, y, sample_weight=weight)
-            summary = {
-                "rounds_used": len(core.trees),
-                "avg_losses": list(core.avg_losses),
-                "stopped_early": core.stopped_early,
-            }
+        cls = AdaBoostClassifier if spec.task == "classification" else AdaBoostRegressor
+        core = cls(n_rounds=n_rounds, weak_depth=weak_depth,
+                   min_leaf=min_leaf).fit(X, y, sample_weight=weight)
+        # The fit diagnostics the document leaves out are the summary.
+        summary = {"rounds_used": len(core.trees),
+                   **{f.name: to_jsonable(getattr(core, f.name)) for f in fields(core)
+                      if f.metadata == NOT_SAVED}}
     elif spec.kind == "random_forest":
         core = RandomForest(
             task=spec.task,
-            n_trees=int(_hp(spec, "n_trees", 100, alias="B")),
+            n_trees=_hp(spec, "n_trees", 100, alias="B"),
             max_depth=_hp(spec, "max_depth", None),
-            min_leaf=int(_hp(spec, "min_leaf", 1)),
+            min_leaf=_hp(spec, "min_leaf", 1),
             bootstrap=_hp(spec, "bootstrap", "resample"),
-            subsample=bool(_hp(spec, "subsample", True)),
+            subsample=_hp(spec, "subsample", True),
         ).fit(X, y, seed=seed)
         summary = {"n_trees": core.n_trees}
     elif spec.kind == "knn":
-        core = Knn(task=spec.task, k=int(_hp(spec, "k", 5))).fit(X, y)
+        core = Knn(task=spec.task, k=_hp(spec, "k", 5)).fit(X, y)
         summary = {"n_train": len(train)}
     else:  # pragma: no cover - guarded by LearnerSpec validation
         raise IncompatibleSpec(spec.kind)
@@ -224,7 +220,7 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
 def _fit_blend(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
     member_kind = _hp(spec, "member_kind",
                       "adaboost_cart" if spec.task == "classification" else "cart")
-    member_params = dict(_hp(spec, "member_params", {}))
+    member_params = _hp(spec, "member_params", {})
     width = train.X.shape[1] - len(CONTINUOUS_NAMES)
     route = train.X[:, :width].argmax(axis=1)
     missing = [r for r in range(width) if not (route == r).any()]
@@ -326,49 +322,55 @@ _CORE_CLASSES = {
     "random_forest": RandomForest,
     "knn": Knn,
 }
+_DOCUMENT_KEYS = ("format", "version", "spec", "n_features", "standardizer", "core",
+                  "train_summary")
 
 
-def model_to_dict(model: TrainedModel) -> dict:
-    if model.spec.kind == "uniform_blend":
-        core_payload = {"members": [model_to_dict(m) for m in model.parameters["core"]]}
-    else:
-        core_payload = model.parameters["core"].to_jsonable()
+def _document(model: TrainedModel) -> dict:
+    core = model.parameters["core"]
     standardizer = model.parameters["standardizer"]
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "spec": model.spec.to_dict(),
+        "spec": model.spec,
         "n_features": model.parameters["n_features"],
         "standardizer": standardizer.to_dict() if standardizer is not None else None,
-        "core": core_payload,
+        "core": ({"members": [_document(m) for m in core]}
+                 if model.spec.kind == "uniform_blend" else core),
         "train_summary": model.train_summary,
     }
 
 
+def model_to_dict(model: TrainedModel) -> dict:
+    return to_jsonable(_document(model))
+
+
 def model_from_dict(raw: dict) -> TrainedModel:
+    """Rebuild a model document; raises FarecastError unless every part has
+    exactly its saved keys and each core fits the width it is fed."""
     if raw.get("format") != MODEL_FORMAT:
         raise FarecastError("not a model document")
     if raw.get("version") != MODEL_VERSION:
         raise FarecastError(f"unsupported model version {raw.get('version')!r}")
-    spec = LearnerSpec.from_dict(raw["spec"])
+    require_keys("model document", raw, _DOCUMENT_KEYS)
+    spec = from_jsonable(LearnerSpec, raw["spec"])
+    n_features = raw["n_features"]
+    if type(n_features) is not int or n_features <= len(CONTINUOUS_NAMES):
+        raise FarecastError(f"bad n_features {n_features!r}: not an int above {len(CONTINUOUS_NAMES)}")
+    standardizer = (Standardizer.from_dict(raw["standardizer"], n_features)
+                    if raw["standardizer"] is not None else None)
     if spec.kind == "uniform_blend":
+        require_keys("blend core", raw["core"], ("members",))
         core = [model_from_dict(m) for m in raw["core"]["members"]]
-    elif spec.kind == "adaboost_cart":
-        cls = AdaBoostClassifier if spec.task == "classification" else AdaBoostRegressor
-        core = cls.from_jsonable(raw["core"], n_features=int(raw["n_features"]))
-    elif spec.kind in ("cart", "random_forest"):
-        # Tree cores check their split features against the input width.
-        core = _CORE_CLASSES[spec.kind].from_jsonable(raw["core"],
-                                                      n_features=int(raw["n_features"]))
     else:
-        core = _CORE_CLASSES[spec.kind].from_jsonable(raw["core"])
-    standardizer = (Standardizer.from_dict(raw["standardizer"])
-                    if raw.get("standardizer") is not None else None)
+        cls = ((AdaBoostClassifier if spec.task == "classification" else AdaBoostRegressor)
+               if spec.kind == "adaboost_cart" else _CORE_CLASSES[spec.kind])
+        n_inputs = n_features if standardizer is None else int(standardizer.keep.sum())
+        core = cls.from_jsonable(raw["core"], n_inputs)
     return TrainedModel(
         spec=spec,
-        parameters={"n_features": raw["n_features"], "standardizer": standardizer,
-                    "core": core},
-        train_summary=dict(raw.get("train_summary", {})),
+        parameters={"n_features": n_features, "standardizer": standardizer, "core": core},
+        train_summary=dict(raw["train_summary"]),
     )
 
 

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
+from ..util import NOT_SAVED, from_jsonable
 from .tree import Cart, presort
 
 logger = logging.getLogger(__name__)
@@ -35,10 +36,10 @@ def _fit_round(tree: Cart, X, y, w, presorted) -> np.ndarray:
     return fitted
 
 
-def _trees_from_jsonable(raw: dict, weights: str, n_features: Optional[int]) -> list[Cart]:
-    if len(raw["trees"]) != len(raw[weights]):
-        raise FarecastError(f"{len(raw['trees'])} trees for {len(raw[weights])} {weights}")
-    return [Cart.from_jsonable(t, n_features) for t in raw["trees"]]
+def _trees_from_jsonable(trees: list, weights: list, n_inputs: Optional[int]) -> list[Cart]:
+    if len(trees) != len(weights):
+        raise FarecastError(f"{len(trees)} trees for {len(weights)} weights")
+    return [Cart.from_jsonable(t, n_inputs) for t in trees]
 
 
 @dataclass
@@ -48,11 +49,11 @@ class AdaBoostClassifier:
     min_leaf: int = 1
     trees: list[Cart] = field(default_factory=list)
     alphas: list[float] = field(default_factory=list)
-    # per accepted round
-    epsilons: list[float] = field(default_factory=list)
-    bounds: list[float] = field(default_factory=list)
-    train_errors: list[float] = field(default_factory=list)
-    stopped_early: Optional[str] = None
+    # per accepted round; fit diagnostics, not saved
+    epsilons: list[float] = field(default_factory=list, metadata=NOT_SAVED)
+    bounds: list[float] = field(default_factory=list, metadata=NOT_SAVED)
+    train_errors: list[float] = field(default_factory=list, metadata=NOT_SAVED)
+    stopped_early: Optional[str] = field(default=None, metadata=NOT_SAVED)
     majority: int = 0  # fallback when no weak learner is accepted
 
     def fit(self, X: np.ndarray, y: np.ndarray,
@@ -126,23 +127,13 @@ class AdaBoostClassifier:
         total = sum(self.alphas)
         return (self.decision_margin(X) / total + 1.0) / 2.0
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "weak_depth": self.weak_depth,
-            "min_leaf": self.min_leaf,
-            "trees": [t.to_jsonable() for t in self.trees],
-            "alphas": list(self.alphas),
-            "majority": self.majority,
-        }
-
     @classmethod
-    def from_jsonable(cls, raw: dict, n_features: Optional[int] = None) -> "AdaBoostClassifier":
-        model = cls(n_rounds=raw["n_rounds"], weak_depth=raw["weak_depth"],
-                    min_leaf=raw["min_leaf"])
-        model.trees = _trees_from_jsonable(raw, "alphas", n_features)
-        model.alphas = [float(a) for a in raw["alphas"]]
-        model.majority = int(raw["majority"])
+    def from_jsonable(cls, raw: dict, n_inputs: Optional[int] = None) -> "AdaBoostClassifier":
+        model = from_jsonable(cls, raw)
+        model.trees = _trees_from_jsonable(model.trees, model.alphas, n_inputs)
+        model.alphas = [float(a) for a in model.alphas]
+        if model.majority not in (0, 1):
+            raise FarecastError(f"majority must be 0 or 1, got {model.majority!r}")
         return model
 
 
@@ -162,8 +153,8 @@ class AdaBoostRegressor:
     min_leaf: int = 1
     trees: list[Cart] = field(default_factory=list)
     log_inv_betas: list[float] = field(default_factory=list)
-    avg_losses: list[float] = field(default_factory=list)
-    stopped_early: Optional[str] = None
+    avg_losses: list[float] = field(default_factory=list, metadata=NOT_SAVED)
+    stopped_early: Optional[str] = field(default=None, metadata=NOT_SAVED)
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "AdaBoostRegressor":
@@ -218,19 +209,11 @@ class AdaBoostRegressor:
         pick = (cum >= half).argmax(axis=1)
         return sorted_preds[np.arange(len(X)), pick]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "weak_depth": self.weak_depth,
-            "min_leaf": self.min_leaf,
-            "trees": [t.to_jsonable() for t in self.trees],
-            "log_inv_betas": list(self.log_inv_betas),
-        }
-
     @classmethod
-    def from_jsonable(cls, raw: dict, n_features: Optional[int] = None) -> "AdaBoostRegressor":
-        model = cls(n_rounds=raw["n_rounds"], weak_depth=raw["weak_depth"],
-                    min_leaf=raw["min_leaf"])
-        model.trees = _trees_from_jsonable(raw, "log_inv_betas", n_features)
-        model.log_inv_betas = [float(b) for b in raw["log_inv_betas"]]
+    def from_jsonable(cls, raw: dict, n_inputs: Optional[int] = None) -> "AdaBoostRegressor":
+        model = from_jsonable(cls, raw)
+        if not model.trees:  # a fit keeps at least one
+            raise FarecastError("a boosted regressor needs at least one tree")
+        model.trees = _trees_from_jsonable(model.trees, model.log_inv_betas, n_inputs)
+        model.log_inv_betas = [float(b) for b in model.log_inv_betas]
         return model

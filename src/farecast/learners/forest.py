@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..util import derive_seed
+from ..core import FarecastError
+from ..util import derive_seed, from_jsonable
 from .tree import Cart
 
 
@@ -35,9 +36,11 @@ class RandomForest:
 
     def __post_init__(self):
         if self.task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
+            raise FarecastError(f"unknown task {self.task!r}")
         if self.bootstrap not in ("resample", "identity"):
-            raise ValueError(f"unknown bootstrap mode {self.bootstrap!r}")
+            raise FarecastError(f"unknown bootstrap mode {self.bootstrap!r}")
+        if self.n_trees < 1:
+            raise FarecastError("n_trees must be >= 1")
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "RandomForest":
         X = np.asarray(X, dtype=float)
@@ -73,21 +76,11 @@ class RandomForest:
             return (scores > 0.5).astype(int)  # vote ties go to wait
         return scores
 
-    def to_jsonable(self) -> dict:
-        return {
-            "task": self.task,
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "bootstrap": self.bootstrap,
-            "subsample": self.subsample,
-            "trees": [t.to_jsonable() for t in self.trees],
-        }
-
     @classmethod
-    def from_jsonable(cls, raw: dict, n_features: Optional[int] = None) -> "RandomForest":
-        model = cls(task=raw["task"], n_trees=raw["n_trees"], max_depth=raw["max_depth"],
-                    min_leaf=raw["min_leaf"], bootstrap=raw["bootstrap"],
-                    subsample=raw["subsample"])
-        model.trees = [Cart.from_jsonable(t, n_features) for t in raw["trees"]]
+    def from_jsonable(cls, raw: dict, n_inputs: Optional[int] = None) -> "RandomForest":
+        """Raises FarecastError unless it holds n_trees valid trees."""
+        model = from_jsonable(cls, raw)
+        if len(model.trees) != model.n_trees:
+            raise FarecastError(f"{len(model.trees)} trees for n_trees {model.n_trees}")
+        model.trees = [Cart.from_jsonable(t, n_inputs) for t in model.trees]
         return model

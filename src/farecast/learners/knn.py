@@ -13,6 +13,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..core import FarecastError
+from ..util import as_float_arrays, check_shapes, from_jsonable
+
 _BLOCK = 64
 
 
@@ -25,9 +28,10 @@ class Knn:
 
     def __post_init__(self):
         if self.task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
+            raise FarecastError(f"unknown task {self.task!r}")
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise FarecastError("k must be >= 1")
+        as_float_arrays(self, "X", "y")
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "Knn":
         self.X = np.asarray(X, dtype=float).copy()
@@ -54,17 +58,12 @@ class Knn:
             return (scores > 0.5).astype(int)  # vote ties go to wait
         return scores
 
-    def to_jsonable(self) -> dict:
-        return {
-            "task": self.task,
-            "k": self.k,
-            "X": self.X.tolist(),
-            "y": self.y.tolist(),
-        }
-
     @classmethod
-    def from_jsonable(cls, raw: dict) -> "Knn":
-        model = cls(task=raw["task"], k=raw["k"])
-        model.X = np.asarray(raw["X"], dtype=float)
-        model.y = np.asarray(raw["y"], dtype=float)
+    def from_jsonable(cls, raw: dict, n_inputs: int) -> "Knn":
+        """Raises FarecastError unless X is (m, n_inputs), y is (m,) and k <= m."""
+        model = from_jsonable(cls, raw)
+        m = np.size(model.y)
+        check_shapes(model, X=(m, n_inputs), y=(m,))
+        if model.k > m:
+            raise FarecastError(f"k={model.k} exceeds the {m} stored training rows")
         return model

@@ -8,6 +8,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..util import NOT_SAVED, as_float_arrays, check_shapes, from_jsonable
+
 logger = logging.getLogger(__name__)
 
 RIDGE_JITTER = 1e-8
@@ -33,6 +35,9 @@ class LeastSquares:
     coef: Optional[np.ndarray] = None  # intercept first, in internal scale
     mean: Optional[np.ndarray] = None
     scale: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        as_float_arrays(self, "coef", "mean", "scale")
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LeastSquares":
         X = np.asarray(X, dtype=float)
@@ -65,21 +70,11 @@ class LeastSquares:
         intercept = float(self.coef[0] - (self.coef[1:] * self.mean / self.scale).sum())
         return intercept, slopes
 
-    def to_jsonable(self) -> dict:
-        return {
-            "standardize": self.standardize,
-            "jitter": self.jitter,
-            "coef": self.coef.tolist(),
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-        }
-
     @classmethod
-    def from_jsonable(cls, raw: dict) -> "LeastSquares":
-        model = cls(standardize=raw["standardize"], jitter=raw["jitter"])
-        model.coef = np.asarray(raw["coef"], dtype=float)
-        model.mean = np.asarray(raw["mean"], dtype=float)
-        model.scale = np.asarray(raw["scale"], dtype=float)
+    def from_jsonable(cls, raw: dict, n_inputs: int) -> "LeastSquares":
+        """Raises FarecastError unless coef, mean and scale fit ``n_inputs``."""
+        model = from_jsonable(cls, raw)
+        check_shapes(model, coef=(n_inputs + 1,), mean=(n_inputs,), scale=(n_inputs,))
         return model
 
 
@@ -96,8 +91,11 @@ class Logistic:
     grad_tol: float = 1e-6
     max_iter: int = 1000
     coef: Optional[np.ndarray] = None
-    loss_history: list[float] = field(default_factory=list)
+    loss_history: list[float] = field(default_factory=list, metadata=NOT_SAVED)
     converged: bool = False
+
+    def __post_init__(self):
+        as_float_arrays(self, "coef")
 
     @staticmethod
     def _loss_grad(Z: np.ndarray, y: np.ndarray, beta: np.ndarray):
@@ -145,17 +143,9 @@ class Logistic:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) > 0.5).astype(int)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "grad_tol": self.grad_tol,
-            "max_iter": self.max_iter,
-            "coef": self.coef.tolist(),
-            "converged": self.converged,
-        }
-
     @classmethod
-    def from_jsonable(cls, raw: dict) -> "Logistic":
-        model = cls(grad_tol=raw["grad_tol"], max_iter=raw["max_iter"])
-        model.coef = np.asarray(raw["coef"], dtype=float)
-        model.converged = raw["converged"]
+    def from_jsonable(cls, raw: dict, n_inputs: int) -> "Logistic":
+        """Raises FarecastError unless coef has ``n_inputs`` + 1 entries."""
+        model = from_jsonable(cls, raw)
+        check_shapes(model, coef=(n_inputs + 1,))
         return model

@@ -12,6 +12,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..core import FarecastError
+from ..util import NOT_SAVED, as_float_arrays, check_shapes, from_jsonable
+
 
 @dataclass
 class Mlp3:
@@ -24,11 +27,15 @@ class Mlp3:
     b1: Optional[np.ndarray] = None
     w2: Optional[np.ndarray] = None
     b2: float = 0.0
-    loss_history: list[float] = field(default_factory=list)
+    loss_history: list[float] = field(default_factory=list, metadata=NOT_SAVED)
 
     def __post_init__(self):
         if self.task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
+            raise FarecastError(f"unknown task {self.task!r}")
+        if min(self.hidden, self.batch_size) < 1:
+            raise FarecastError("hidden and batch_size must each be >= 1")
+        as_float_arrays(self, "w1", "b1", "w2")
+        self.b2 = float(self.b2)
 
     # -- parameter vector plumbing (for the finite-difference check) -------
 
@@ -113,25 +120,10 @@ class Mlp3:
             return (self.predict_proba(X) > 0.5).astype(int)
         return self.predict_raw(X)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "task": self.task,
-            "hidden": self.hidden,
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": self.b2,
-        }
-
     @classmethod
-    def from_jsonable(cls, raw: dict) -> "Mlp3":
-        model = cls(task=raw["task"], hidden=raw["hidden"], lr=raw["lr"],
-                    epochs=raw["epochs"], batch_size=raw["batch_size"])
-        model.w1 = np.asarray(raw["w1"], dtype=float)
-        model.b1 = np.asarray(raw["b1"], dtype=float)
-        model.w2 = np.asarray(raw["w2"], dtype=float)
-        model.b2 = float(raw["b2"])
+    def from_jsonable(cls, raw: dict, n_inputs: int) -> "Mlp3":
+        """Raises FarecastError unless w1 is (n_inputs, hidden), b1 and w2 (hidden,)."""
+        model = from_jsonable(cls, raw)
+        h = model.hidden
+        check_shapes(model, w1=(n_inputs, h), b1=(h,), w2=(h,))
         return model

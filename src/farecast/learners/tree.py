@@ -20,7 +20,7 @@ which fixes the bits of each partial sum, and evaluates the impurity only
 where the sorted feature value changes: a route dummy has one such place.
 
 A fit keeps each training row's leaf value in ``fitted_value`` (not
-serialized): the leaves own the row ranges already, and boosting reads its
+saved): the leaves own the row ranges already, and boosting reads its
 round's training predictions there instead of predicting X again.
 
 Boosting shares across its rounds the one thing that does not change, X:
@@ -43,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
+from ..util import NOT_SAVED, from_jsonable
 
 # Strict-improvement guard: splits must beat the parent impurity by more
 # than accumulated float noise, otherwise the node stays a leaf.
@@ -99,15 +100,16 @@ class Cart:
     left: list[int] = field(default_factory=list)
     right: list[int] = field(default_factory=list)
     value: list[float] = field(default_factory=list)
-    # Leaf value of each row of the last fit's X; not serialized, and
-    # dropped by the ensembles, which keep many trees.
-    fitted_value: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # Leaf value of each row of the last fit's X; not saved, and dropped by
+    # the ensembles, which keep many trees.
+    fitted_value: Optional[np.ndarray] = field(default=None, repr=False, compare=False,
+                                               metadata=NOT_SAVED)
 
     def __post_init__(self):
         if self.task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
+            raise FarecastError(f"unknown task {self.task!r}")
         if self.mtry is not None and self.mtry < 1:
-            raise ValueError("mtry must be >= 1")
+            raise FarecastError("mtry must be >= 1")
 
     # -- fitting ---------------------------------------------------------
 
@@ -271,37 +273,21 @@ class Cart:
 
     # -- serialization ---------------------------------------------------
 
-    def to_jsonable(self) -> dict:
-        return {
-            "task": self.task,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "mtry": self.mtry,
-            "feature": list(self.feature),
-            "threshold": list(self.threshold),
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": list(self.value),
-        }
-
     @classmethod
-    def from_jsonable(cls, raw: dict, n_features: Optional[int] = None) -> "Cart":
+    def from_jsonable(cls, raw: dict, n_inputs: Optional[int] = None) -> "Cart":
         """Rebuild a tree; raises FarecastError unless its node lists have one
         length, every split's children come after it (so a walk from the root
-        ends), and every split feature is below ``n_features`` when given."""
-        tree = cls(task=raw["task"], max_depth=raw["max_depth"],
-                   min_leaf=raw["min_leaf"], mtry=raw["mtry"])
-        tree.feature = [int(v) for v in raw["feature"]]
-        tree.threshold = [float(v) for v in raw["threshold"]]
-        tree.left = [int(v) for v in raw["left"]]
-        tree.right = [int(v) for v in raw["right"]]
-        tree.value = [float(v) for v in raw["value"]]
+        ends), and every split feature is below ``n_inputs`` when given."""
+        tree = from_jsonable(cls, raw)
+        for name, kind in (("feature", int), ("threshold", float), ("left", int),
+                           ("right", int), ("value", float)):
+            setattr(tree, name, [kind(v) for v in getattr(tree, name)])
         n_nodes = len(tree.feature)
         lists = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
         if n_nodes == 0 or any(len(v) != n_nodes for v in lists):
             raise FarecastError(f"tree node lists must share one nonzero length, "
                                 f"got {[len(v) for v in lists]}")
-        width = n_features if n_features is not None else float("inf")
+        width = n_inputs if n_inputs is not None else float("inf")
         for node, f in enumerate(tree.feature):
             children = (tree.left[node], tree.right[node])
             if not -1 <= f < width or (f >= 0 and not all(node < c < n_nodes for c in children)):

@@ -28,18 +28,6 @@ class BacktestMetrics:
     normalized_performance_pct: float
     normalized_defined: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "route_id": self.route_id,
-            "random_purchase_price": self.random_purchase_price,
-            "optimal_price": self.optimal_price,
-            "predicted_price": self.predicted_price,
-            "performance_pct": self.performance_pct,
-            "optimal_performance_pct": self.optimal_performance_pct,
-            "normalized_performance_pct": self.normalized_performance_pct,
-            "normalized_defined": self.normalized_defined,
-        }
-
 
 def random_purchase_price(s: PriceSeries) -> float:
     """Expected price of buying on a uniformly random query day (exact mean)."""

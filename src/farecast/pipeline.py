@@ -56,9 +56,6 @@ class PreprocessConfig:
         if self.outlier_removal not in ("none", "kmeans", "em"):
             raise FarecastError(f"unknown outlier removal {self.outlier_removal!r}")
 
-    def to_dict(self) -> dict:
-        return {"oversample": self.oversample, "outlier_removal": self.outlier_removal}
-
 
 def apply_preprocessing(train: Dataset, cfg: PreprocessConfig, seed: int) -> Dataset:
     """Outlier removal first (on original rows), then minority oversampling."""

@@ -116,28 +116,23 @@ class GmmFit:
 def gmm_em2(
     X: np.ndarray,
     init: ClusterInit,
-    y: np.ndarray | None = None,
+    y: np.ndarray,
     max_iter: int = 100,
     tol: float = 1e-8,
 ) -> GmmFit:
     """2-component full-covariance Gaussian mixture fit by EM.
 
     Means start at the class means; weights and covariances start from the
-    labeled classes when ``y`` is given, else uniform/pooled. The diagonal
-    regularizer keeps covariances invertible in the presence of duplicates.
+    classes labeled by ``y``. The diagonal regularizer keeps covariances
+    invertible in the presence of duplicates.
     EM stops when a step changes the log-likelihood ``ll`` by at most
     ``tol * |ll|``.
     """
     n, d = X.shape
     means = init.centers.astype(float).copy()
-    if y is not None:
-        weights = init.counts / init.counts.sum()
-        covs = np.stack([np.cov(X[y == k].T, bias=True).reshape(d, d) + COV_REG * np.eye(d)
-                         for k in (0, 1)])
-    else:
-        weights = np.array([0.5, 0.5])
-        pooled = np.cov(X.T, bias=True).reshape(d, d) + COV_REG * np.eye(d)
-        covs = np.stack([pooled.copy(), pooled.copy()])
+    weights = init.counts / init.counts.sum()
+    covs = np.stack([np.cov(X[y == k].T, bias=True).reshape(d, d) + COV_REG * np.eye(d)
+                     for k in (0, 1)])
 
     history: list[float] = []
     converged = False

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import EmptySeries, FarecastError, PriceSeries
 from .policy import PurchaseDecision
-from .util import derive_seed, malformed_document
+from .util import as_float_arrays, derive_seed, from_jsonable, malformed_document, to_jsonable
 
 
 @dataclass
@@ -33,6 +33,16 @@ class QTable:
     alpha: float
     route_means: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        _check_rates(self.gamma, self.alpha)
+        self.d_max = int(self.d_max)
+        as_float_arrays(self, "buy", "wait")
+        self.route_means = {str(k): float(v) for k, v in self.route_means.items()}
+        for name, values in (("buy", self.buy), ("wait", self.wait)):
+            if values.shape != (self.d_max + 1,) or not np.isfinite(values).all():
+                raise FarecastError(f"Q-table {name} must hold d_max + 1 = {self.d_max + 1} "
+                                    f"finite values, got shape {values.shape}")
+
     def q_buy(self, state: int) -> float:
         return float(self.buy[state]) if state <= self.d_max else 0.0
 
@@ -41,44 +51,21 @@ class QTable:
             raise FarecastError("waiting at departure day is undefined")
         return float(self.wait[state]) if state <= self.d_max else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "d_max": self.d_max,
-            "buy": self.buy.tolist(),
-            "wait": self.wait.tolist(),
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "route_means": dict(sorted(self.route_means.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "QTable":
-        """Rebuild a table; raises FarecastError unless ``buy`` and ``wait`` each
-        hold ``d_max + 1`` finite values."""
-        table = cls(
-            d_max=int(raw["d_max"]),
-            buy=np.asarray(raw["buy"], dtype=float),
-            wait=np.asarray(raw["wait"], dtype=float),
-            gamma=float(raw["gamma"]),
-            alpha=float(raw["alpha"]),
-            route_means={k: float(v) for k, v in raw.get("route_means", {}).items()},
-        )
-        for name, values in (("buy", table.buy), ("wait", table.wait)):
-            if values.shape != (table.d_max + 1,) or not np.isfinite(values).all():
-                raise FarecastError(f"Q-table {name} must hold d_max + 1 = {table.d_max + 1} "
-                                    f"finite values, got shape {values.shape}")
-        return table
-
 
 def save_qtable(table: QTable, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table.to_dict(), fh, sort_keys=True)
+        json.dump(to_jsonable(table), fh, sort_keys=True)
         fh.write("\n")
 
 
 def load_qtable(path: str | Path) -> QTable:
     with open(path, "r", encoding="utf-8") as fh, malformed_document("Q-table", path):
-        return QTable.from_dict(json.load(fh))
+        return from_jsonable(QTable, json.load(fh))
+
+
+def _check_rates(gamma: float, alpha: float) -> None:
+    if not 0.0 < gamma <= 1.0 or not 0.0 < alpha <= 1.0:
+        raise FarecastError("gamma and alpha must lie in (0, 1]")
 
 
 def _route_means(train_series: Sequence[PriceSeries]) -> dict[str, float]:
@@ -104,8 +91,7 @@ def q_train(
     """
     if not train_series:
         raise EmptySeries("Q-learning needs at least one training series")
-    if not 0.0 < gamma <= 1.0 or not 0.0 < alpha <= 1.0:
-        raise FarecastError("gamma and alpha must lie in (0, 1]")
+    _check_rates(gamma, alpha)
     means = _route_means(train_series)
     # One (state, alpha * -price, next state) step per quote, in visiting
     # order. The updates run on Python floats: the same IEEE arithmetic as on

@@ -39,16 +39,6 @@ class CvCell:
     failed: bool
     error: Optional[str]
 
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "fold_losses": list(self.fold_losses),
-            "mean_loss": self.mean_loss,
-            "var_loss": self.var_loss,
-            "failed": self.failed,
-            "error": self.error,
-        }
-
 
 def cv_folds(n: int, k: int = 5, seed: int = 0) -> list[list[int]]:
     """Partition 0..n-1 into k folds whose sizes differ by at most one."""

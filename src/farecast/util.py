@@ -1,11 +1,17 @@
-"""Small shared helpers: seed derivation, float rounding, natural sort, JSON documents."""
+"""Small shared helpers: seed derivation, float rounding, natural sort, JSON documents.
+
+A saved document or report record is its dataclass's fields less those marked
+``NOT_SAVED``; the constructor's ``__post_init__`` converts and checks them.
+"""
 
 from __future__ import annotations
 
 import re
 import zlib
 from contextlib import contextmanager
-from typing import Iterator
+from dataclasses import fields, is_dataclass
+from datetime import date
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -49,3 +55,68 @@ def malformed_document(what: str, path) -> Iterator[None]:
         yield
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FarecastError(f"{what} {path} is malformed: {exc!r}") from exc
+
+
+# Field metadata of a fit diagnostic: kept on the instance, never written.
+NOT_SAVED = {"saved": False}
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _jsonable(value):
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [v if type(v) in _SCALARS else _jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name))
+                for f in fields(value) if f.metadata.get("saved", True)}
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, np.generic):
+        return value.item()
+    return value  # e.g. a float subclass, which json writes as a float
+
+
+def to_jsonable(value):
+    """``value`` in JSON types: a dataclass becomes the dict of its saved fields,
+    arrays and tuples lists, dates ISO strings; lists and dicts recursively."""
+    return _jsonable(value)  # recursion stays private: a wrapper on this name sees one call
+
+
+def require_keys(what: str, raw, names: Iterable[str]) -> None:
+    """Raise FarecastError unless ``raw`` is a dict with exactly the keys ``names``."""
+    if not isinstance(raw, dict):
+        raise FarecastError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    missing, extra = set(names) - set(raw), set(raw) - set(names)
+    if missing or extra:
+        raise FarecastError(f"{what}: missing keys {sorted(missing)}, "
+                            f"unknown keys {sorted(extra)}")
+
+
+def from_jsonable(cls, raw):
+    """The dataclass ``cls`` rebuilt from ``to_jsonable``'s dict; raises
+    FarecastError unless ``raw`` holds exactly the saved field names."""
+    require_keys(cls.__name__, raw,
+                 [f.name for f in fields(cls) if f.metadata.get("saved", True)])
+    return cls(**raw)
+
+
+def as_float_arrays(obj, *names: str) -> None:
+    """Set each named field of ``obj`` to a float array; None stays None."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None:
+            setattr(obj, name, np.asarray(value, dtype=float))
+
+
+def check_shapes(obj, **shapes: tuple) -> None:
+    """Raise FarecastError unless each named field of ``obj`` has its shape."""
+    for name, shape in shapes.items():
+        got = np.shape(getattr(obj, name))
+        if got != shape:
+            raise FarecastError(f"{type(obj).__name__}.{name} has shape {got}, "
+                                f"expected {shape}")

@@ -605,7 +605,32 @@ def test_command_config_errors_exit_two(workdir, gen_corpus, frozen_and_blend, t
 
 def hmm_template(route_index):
     return {"route_index": route_index, "n_states": 4, "initial": [0.25] * 4,
-            "transition": [[0.25] * 4] * 4, "means": [1.0] * 4, "variances": [0.1] * 4}
+            "transition": [[0.25] * 4] * 4, "means": [1.0] * 4, "variances": [0.1] * 4,
+            "norm_mean": 1.0, "degenerate": False}
+
+
+def qtable(**fields):
+    return json.dumps({"d_max": 2, "buy": [0.0] * 3, "wait": [0.0] * 3, "gamma": 1.0,
+                       "alpha": 0.1, "route_means": {}, **fields})
+
+
+@pytest.fixture(scope="module")
+def saved_models(workdir, frozen_and_blend):
+    """Model documents by name: the frozen cart and one of each scaled kind."""
+    models = {"cart": frozen_and_blend[0]}
+    for kind, task, hp in [("least_squares", "regression", {}),
+                           ("logistic", "classification", {}),
+                           ("mlp3", "classification", {"hidden": 4, "epochs": 3}),
+                           ("knn", "classification", {"k": 3})]:
+        models[kind] = workdir / f"saved_{kind}.json"
+        assert main(["train", *base_args(workdir, [
+            "--task", task, "--model", kind, "--hyperparams", json.dumps(hp),
+            "--seed", "5", "--save-model", str(models[kind]), "--out", os.devnull])]) == 0
+    return models
+
+
+def cut_to_3(part, key):
+    return lambda doc: doc[part].update({key: doc[part][key][:3]})
 
 
 MALFORMED_FILES = {
@@ -613,36 +638,49 @@ MALFORMED_FILES = {
                                                  "initial": [0.5, 0.25, 0.25]})),
     "bank-no-means": ("--bank", json.dumps({k: v for k, v in hmm_template(0).items()
                                             if k != "means"})),
+    "bank-no-norm-mean": ("--bank", json.dumps({k: v for k, v in hmm_template(0).items()
+                                                if k != "norm_mean"})),
+    "bank-extra-key": ("--bank", json.dumps({**hmm_template(0), "extra": 1})),
     "bank-list": ("--bank", "[1, 2]"),
     "bank-bad-json": ("--bank", "{"),
     "frozen-model-list": ("--frozen-model", "[1, 2]"),
-    # A callable edits the frozen cart model's document in place.
-    "model-no-spec": ("--load-model", lambda doc: doc.pop("spec")),
-    "cart-feature-cut": ("--load-model", lambda doc: doc["core"].update(
-        feature=doc["core"]["feature"][:1])),
-    "cart-feature-out-of-range": ("--load-model", lambda doc: doc["core"].update(
-        feature=[99 if f >= 0 else f for f in doc["core"]["feature"]])),
-    "cart-child-loops-to-root": ("--load-model", lambda doc: doc["core"].update(
-        left=[0] * len(doc["core"]["left"]))),
+    # A (model, edit) pair edits that saved model's document in place.
+    "model-no-spec": ("--load-model", ("cart", lambda doc: doc.pop("spec"))),
+    "model-extra-key": ("--load-model", ("cart", lambda doc: doc.update(extra=1))),
+    "model-core-no-mtry": ("--load-model", ("cart", lambda doc: doc["core"].pop("mtry"))),
+    "model-core-extra-key": ("--load-model", ("cart", lambda doc: doc["core"].update(
+        extra=1))),
+    "cart-feature-cut": ("--load-model", ("cart", lambda doc: doc["core"].update(
+        feature=doc["core"]["feature"][:1]))),
+    "cart-feature-out-of-range": ("--load-model", ("cart", lambda doc: doc["core"].update(
+        feature=[99 if f >= 0 else f for f in doc["core"]["feature"]]))),
+    "cart-child-loops-to-root": ("--load-model", ("cart", lambda doc: doc["core"].update(
+        left=[0] * len(doc["core"]["left"])))),
+    "least-squares-coef-cut": ("--load-model", ("least_squares", cut_to_3("core", "coef"))),
+    "logistic-coef-cut": ("--load-model", ("logistic", cut_to_3("core", "coef"))),
+    "mlp3-w2-cut": ("--load-model", ("mlp3", cut_to_3("core", "w2"))),
+    "knn-y-cut": ("--load-model", ("knn", cut_to_3("core", "y"))),
+    "knn-keep-cut": ("--load-model", ("knn", cut_to_3("standardizer", "keep"))),
     "qtable-no-buy": ("--load-table", json.dumps(
-        {"d_max": 2, "wait": [0.0, 0.0, 0.0], "gamma": 1.0, "alpha": 0.1})),
-    "qtable-short-for-the-corpus": ("--load-table", json.dumps(
-        {"d_max": 95, "buy": [0.0], "wait": [0.0], "gamma": 1.0, "alpha": 0.1})),
-    "qtable-short-for-its-d-max": ("--load-table", json.dumps(
-        {"d_max": 5, "buy": [0.0], "wait": [0.0], "gamma": 1.0, "alpha": 0.1})),
-    "qtable-not-finite": ("--load-table", json.dumps(
-        {"d_max": 1, "buy": [0.0, 1e400], "wait": [0.0, 0.0], "gamma": 1.0, "alpha": 0.1})),
+        {"d_max": 2, "wait": [0.0, 0.0, 0.0], "gamma": 1.0, "alpha": 0.1, "route_means": {}})),
+    "qtable-no-route-means": ("--load-table", json.dumps(
+        {"d_max": 2, "buy": [0.0] * 3, "wait": [0.0] * 3, "gamma": 1.0, "alpha": 0.1})),
+    "qtable-extra-key": ("--load-table", qtable(extra=1)),
+    "qtable-short-for-the-corpus": ("--load-table", qtable(d_max=95, buy=[0.0], wait=[0.0])),
+    "qtable-short-for-its-d-max": ("--load-table", qtable(d_max=5, buy=[0.0], wait=[0.0])),
+    "qtable-not-finite": ("--load-table", qtable(d_max=1, buy=[0.0, 1e400], wait=[0.0, 0.0])),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_FILES))
-def test_malformed_saved_files_exit_two(workdir, gen_corpus, frozen_and_blend, tmp_path,
-                                        capsys, case):
+def test_malformed_saved_files_exit_two(workdir, gen_corpus, frozen_and_blend, saved_models,
+                                        tmp_path, capsys, case):
     flag, text = MALFORMED_FILES[case]
     frozen = frozen_and_blend[0]
-    if callable(text):
-        doc = json.loads(frozen.read_text(encoding="utf-8"))
-        text(doc)
+    if isinstance(text, tuple):
+        name, edit = text
+        doc = json.loads(saved_models[name].read_text(encoding="utf-8"))
+        edit(doc)
         text = json.dumps(doc)
     bank = tmp_path / "bank"
     bank.mkdir()
@@ -659,6 +697,56 @@ def test_malformed_saved_files_exit_two(workdir, gen_corpus, frozen_and_blend, t
     capsys.readouterr()
     assert main(argv) == 2
     assert one_line_error(capsys.readouterr().err)["error"] == "FarecastError"
+
+
+def test_well_formed_saved_files_load(workdir, gen_corpus, saved_models, tmp_path):
+    """The untouched documents the malformed cases start from are accepted."""
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    for i in range(8):
+        write(bank / f"hmm_{i}.json", json.dumps(hmm_template(i)))
+    assert main(["generalize", "--gen-quotes", str(gen_corpus), "--bank", str(bank),
+                 "--frozen-model", str(saved_models["cart"]), "--out", os.devnull]) == 0
+    for path in saved_models.values():
+        assert main(["backtest", *base_args(workdir, ["--load-model", str(path),
+                                                      "--out", os.devnull])]) == 0
+    table = write(tmp_path / "q.json", qtable(d_max=11, buy=[0.0] * 12, wait=[0.0] * 12))
+    assert main(["qlearn", *base_args(workdir, ["--load-table", str(table),
+                                                "--out", os.devnull])]) == 0
+
+
+@pytest.mark.parametrize("model, hyperparams", [
+    ("cart", {"max_depth": "x"}),
+    ("adaboost_cart", {"n_rounds": "abc"}),
+    ("adaboost_cart", {"weak_depth": True}),
+    ("knn", {"k": 0}),
+    ("mlp3", {"hidden": 0}),
+    ("mlp3", {"epochs": 0}),
+    ("mlp3", {"batch_size": 0}),
+    ("random_forest", {"bootstrap": "x"}),
+    ("random_forest", {"subsample": "false"}),
+    ("random_forest", {"n_trees": 0}),
+], ids=["cart-depth-string", "adaboost-rounds-string", "adaboost-depth-bool", "knn-k-0",
+        "mlp3-hidden-0", "mlp3-epochs-0", "mlp3-batch-0", "forest-bootstrap-x",
+        "forest-subsample-string", "forest-trees-0"])
+def test_bad_hyperparameters_exit_two(workdir, capsys, model, hyperparams):
+    capsys.readouterr()
+    assert main(["train", *base_args(workdir, [
+        "--task", "classification", "--model", model,
+        "--hyperparams", json.dumps(hyperparams)])]) == 2
+    assert one_line_error(capsys.readouterr().err)["error"] in ("FarecastError",
+                                                                "IncompatibleSpec")
+
+
+def test_tune_grid_of_only_bad_cells_exits_two(workdir, tmp_path, capsys):
+    config = write(tmp_path / "c.json", json.dumps(
+        {"grids": {"cart": [{"max_depth": "x"}, {"min_leaf": 1.5}]}}))
+    capsys.readouterr()
+    assert main(["tune", *base_args(workdir, ["--config", str(config), "--task",
+                                              "classification", "--model", "cart"])]) == 2
+    error = one_line_error(capsys.readouterr().err)
+    assert error["error"] == "AllCellsFailed"
+    assert "max_depth" in error["message"]
 
 
 def test_bank_out_removes_templates_of_an_earlier_bank(tmp_path, gen_corpus):

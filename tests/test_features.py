@@ -266,7 +266,7 @@ def test_standardizer_round_trip():
     rng = np.random.default_rng(2)
     X = np.hstack([np.tile([0, 1, 0, 0, 0, 0, 0, 0], (20, 1)), rng.normal(2, 9, (20, 5))])
     std = Standardizer.fit(X)
-    clone = Standardizer.from_dict(std.to_dict())
+    clone = Standardizer.from_dict(std.to_dict(), X.shape[1])
     assert np.array_equal(std.transform(X), clone.transform(X))
 
 

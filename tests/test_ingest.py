@@ -24,7 +24,7 @@ from farecast.ingest import (
     load_quotes,
     split,
 )
-from farecast.util import natural_key
+from farecast.util import natural_key, to_jsonable
 
 from conftest import series_of
 
@@ -189,7 +189,7 @@ def test_default_split_matches_documented_windows():
     assert cfg.train_start == date(2015, 11, 9)
     assert cfg.train_end == date(2016, 1, 15)
     assert cfg.test_start == date(2016, 1, 16)
-    assert cfg.to_dict()["train_end"] == "2016-01-15"
+    assert to_jsonable(cfg)["train_end"] == "2016-01-15"
 
 
 def test_split_boundary_departures():
@@ -239,7 +239,7 @@ def test_split_config_json_round_trip(tmp_path):
     f = tmp_path / "split.json"
     import json
 
-    f.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    f.write_text(json.dumps(to_jsonable(cfg)), encoding="utf-8")
     assert SplitConfig.from_json(f) == cfg
 
 

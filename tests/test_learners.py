@@ -13,6 +13,7 @@ from farecast.learners.knn import Knn
 from farecast.learners.linear import LeastSquares, Logistic
 from farecast.learners.mlp import Mlp3
 from farecast.learners.tree import _EPS, Cart, distinct_rows
+from farecast.util import to_jsonable
 
 
 # -- least squares ----------------------------------------------------------
@@ -53,7 +54,7 @@ def test_least_squares_json_round_trip():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([2.0, 4.0, 6.0])
     model = LeastSquares().fit(X, y)
-    clone = LeastSquares.from_jsonable(model.to_jsonable())
+    clone = LeastSquares.from_jsonable(to_jsonable(model), X.shape[1])
     assert np.array_equal(model.predict(X), clone.predict(X))
 
 
@@ -116,7 +117,7 @@ def test_logistic_converges_flag():
 def test_logistic_json_round_trip():
     X, y = separable_blobs(seed=5)
     model = Logistic().fit(X, y)
-    clone = Logistic.from_jsonable(model.to_jsonable())
+    clone = Logistic.from_jsonable(to_jsonable(model), X.shape[1])
     assert np.array_equal(model.predict_proba(X), clone.predict_proba(X))
 
 
@@ -182,7 +183,7 @@ def test_mlp_json_round_trip():
     X = rng.normal(0, 1, (20, 3))
     y = (X[:, 0] > 0).astype(int)
     net = Mlp3(task="classification", hidden=4, epochs=20).fit(X, y, seed=0)
-    clone = Mlp3.from_jsonable(net.to_jsonable())
+    clone = Mlp3.from_jsonable(to_jsonable(net), X.shape[1])
     assert np.array_equal(net.predict_proba(X), clone.predict_proba(X))
 
 
@@ -446,7 +447,7 @@ def test_cart_fit_matches_the_per_node_mask_reference(problem):
         tree = Cart(task=task, max_depth=max_depth, min_leaf=min_leaf, mtry=mtry)
         rng = np.random.default_rng(seed) if mtry is not None else None
         fit(tree, X, y, sample_weight=w, rng=rng)
-        fitted.append(tree.to_jsonable())
+        fitted.append(to_jsonable(tree))
     assert fitted[0] == fitted[1]
 
 
@@ -460,7 +461,7 @@ def test_adaboost_matches_boosting_over_reference_trees(monkeypatch):
     slow = AdaBoostClassifier(n_rounds=25, weak_depth=3).fit(X, y)
     assert fast.epsilons == slow.epsilons
     assert fast.train_errors == slow.train_errors
-    assert fast.to_jsonable() == slow.to_jsonable()
+    assert to_jsonable(fast) == to_jsonable(slow)
 
 
 @settings(max_examples=150, deadline=None)
@@ -517,7 +518,7 @@ def test_cart_on_distinct_rows_equals_cart_on_the_copies(problem, task, max_dept
     copies = Cart(task=task, max_depth=max_depth).fit(X, y)
     weighted = Cart(task=task, max_depth=max_depth).fit(X[rows], y[rows],
                                                         sample_weight=counts.astype(float))
-    assert weighted.to_jsonable() == copies.to_jsonable()
+    assert to_jsonable(weighted) == to_jsonable(copies)
 
 
 def test_cart_json_round_trip():
@@ -525,7 +526,7 @@ def test_cart_json_round_trip():
     X = rng.normal(0, 1, (60, 4))
     y = (X[:, 2] > 0.2).astype(int)
     tree = Cart(task="classification", max_depth=4).fit(X, y)
-    clone = Cart.from_jsonable(tree.to_jsonable())
+    clone = Cart.from_jsonable(to_jsonable(tree))
     probe = rng.normal(0, 1, (30, 4))
     assert np.array_equal(tree.predict(probe), clone.predict(probe))
 
@@ -638,7 +639,7 @@ def test_adaboost_json_round_trip():
     X = rng.normal(0, 1, (80, 3))
     y = (X[:, 0] + 0.3 * rng.normal(size=80) > 0).astype(int)
     model = AdaBoostClassifier(n_rounds=15, weak_depth=2).fit(X, y)
-    clone = AdaBoostClassifier.from_jsonable(model.to_jsonable())
+    clone = AdaBoostClassifier.from_jsonable(to_jsonable(model))
     probe = rng.normal(0, 1, (20, 3))
     assert np.array_equal(model.predict(probe), clone.predict(probe))
 
@@ -685,7 +686,7 @@ def test_adaboost_regressor_json_round_trip():
     X = rng.uniform(-2, 2, (50, 2))
     y = X[:, 0] - X[:, 1]
     model = AdaBoostRegressor(n_rounds=8, weak_depth=3).fit(X, y)
-    clone = AdaBoostRegressor.from_jsonable(model.to_jsonable())
+    clone = AdaBoostRegressor.from_jsonable(to_jsonable(model))
     assert np.array_equal(model.predict(X), clone.predict(X))
 
 
@@ -747,7 +748,7 @@ def test_forest_json_round_trip():
     X = rng.normal(0, 1, (60, 3))
     y = (X[:, 2] < 0).astype(int)
     forest = RandomForest(task="classification", n_trees=4, max_depth=3).fit(X, y, seed=2)
-    clone = RandomForest.from_jsonable(forest.to_jsonable())
+    clone = RandomForest.from_jsonable(to_jsonable(forest))
     assert np.array_equal(forest.predict(X), clone.predict(X))
 
 
@@ -793,6 +794,6 @@ def test_knn_json_round_trip():
     X = rng.normal(0, 1, (40, 3))
     y = (X[:, 0] > 0).astype(int)
     model = Knn(task="classification", k=3).fit(X, y)
-    clone = Knn.from_jsonable(model.to_jsonable())
+    clone = Knn.from_jsonable(to_jsonable(model), X.shape[1])
     probe = rng.normal(0, 1, (15, 3))
     assert np.array_equal(model.predict_scores(probe), clone.predict_scores(probe))

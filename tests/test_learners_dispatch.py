@@ -22,6 +22,7 @@ from farecast.learners import (
 from farecast.learners.boosting import AdaBoostClassifier, AdaBoostRegressor
 from farecast.learners.tree import Cart, distinct_rows
 from farecast.preprocess import oversample
+from farecast.util import to_jsonable
 
 
 def feature_rows(values, label_fn=None, reg_fn=None, route_idx=0):
@@ -216,7 +217,7 @@ def labels(data, task):
 def test_tree_kinds_without_repeated_rows_fit_the_rows_as_given(kind, task, hp, threshold_data):
     model = learners.fit(LearnerSpec(kind, task, hp), threshold_data, seed=0)
     direct = direct_core(kind, task, threshold_data.X, labels(threshold_data, task), **hp)
-    assert model_to_dict(model)["core"] == direct.to_jsonable()
+    assert model_to_dict(model)["core"] == to_jsonable(direct)
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +235,7 @@ def test_tree_kinds_fit_repeated_rows_once_weighted_by_count(kind, task, hp, ove
     assert len(rows) < len(y)
     model = learners.fit(LearnerSpec(kind, task, hp), oversampled_data, seed=0)
     direct = direct_core(kind, task, X[rows], y[rows], counts.astype(float), **hp)
-    assert model_to_dict(model)["core"] == direct.to_jsonable()
+    assert model_to_dict(model)["core"] == to_jsonable(direct)
 
 
 def test_min_leaf_above_one_keeps_the_repeated_rows():
@@ -248,8 +249,8 @@ def test_min_leaf_above_one_keeps_the_repeated_rows():
     rows, counts = distinct_rows(X, y)
     weighted = direct_core("cart", "classification", X[rows], y[rows], counts.astype(float),
                            min_leaf=2)
-    assert model_to_dict(model)["core"] == copies.to_jsonable()
-    assert copies.to_jsonable() != weighted.to_jsonable()
+    assert model_to_dict(model)["core"] == to_jsonable(copies)
+    assert to_jsonable(copies) != to_jsonable(weighted)
 
 
 def test_balanced_oversampled_classes_fall_back_to_wait():
@@ -490,6 +491,40 @@ def test_adaboost_document_needs_one_weight_per_tree(task, weights, threshold_da
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("kind,task,edit", [
+    ("random_forest", "classification", lambda core: core.update(trees=core["trees"][:-1])),
+    ("adaboost_cart", "regression", lambda core: core.update(trees=[], log_inv_betas=[])),
+    ("adaboost_cart", "classification", lambda core: core.update(trees=[], alphas=[],
+                                                                  majority=5)),
+], ids=["forest-fewer-trees-than-n-trees", "boosted-regressor-without-trees",
+        "boosted-classifier-majority-not-a-label"])
+def test_ensemble_document_without_its_trees_is_rejected(kind, task, edit, threshold_data):
+    doc = model_to_dict(learners.fit(LearnerSpec(kind, task, FAST_HP[kind]), threshold_data,
+                                     seed=0))
+    edit(doc["core"])
+    with pytest.raises(FarecastError):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(n_features="13"),
+    lambda doc: doc.update(n_features=13.0),
+    lambda doc: doc.update(n_features=5),
+    lambda doc: doc["spec"].update(hyperparams=[]),
+    lambda doc: doc["spec"].pop("hyperparams"),
+    lambda doc: doc.pop("train_summary"),
+    lambda doc: doc["core"].update(extra=[]),
+], ids=["n-features-string", "n-features-float", "n-features-no-dummy", "hyperparams-list",
+        "no-hyperparams", "no-train-summary", "blend-core-extra-key"])
+def test_blend_document_with_a_bad_part_is_rejected(edit):
+    spec = LearnerSpec("uniform_blend", "classification", {"member_kind": "cart"})
+    doc = model_to_dict(learners.fit(spec, blend_train_data(), seed=2))
+    model_from_dict(doc)
+    edit(doc)
+    with pytest.raises(FarecastError):
+        model_from_dict(doc)
+
+
 # -- batch invariance -------------------------------------------------------------
 
 
@@ -533,3 +568,35 @@ def test_predict_on_the_block_equals_predict_per_series(kind, task, corpus_block
         else:
             np.testing.assert_allclose(whole, per_series, rtol=0, atol=1e-12)
         np.testing.assert_allclose(scores, scores_per_series, rtol=0, atol=1e-12)
+
+
+# -- hyperparameter types ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, default, value", [
+    ("max_depth", 8, None), ("max_depth", None, 4), ("lr", 0.01, 1), ("lr", 0.01, 0.5),
+    ("subsample", True, False), ("bootstrap", "resample", "identity"),
+    ("member_params", {}, {"max_depth": 2}), ("n_rounds", 100, 7),
+])
+def test_hyperparameter_of_the_default_type_passes(name, default, value):
+    assert learners._hp(LearnerSpec("cart", "classification", {name: value}),
+                        name, default) == value
+
+
+@pytest.mark.parametrize("name, default, value", [
+    ("max_depth", 8, "x"), ("max_depth", 8, True), ("max_depth", None, 2.0),
+    ("n_rounds", 100, 5.0), ("n_rounds", 100, "abc"), ("lr", 0.01, True),
+    ("subsample", True, "false"), ("subsample", True, 1), ("bootstrap", "resample", 0),
+    ("member_params", {}, []), ("k", 5, None),
+])
+def test_hyperparameter_of_another_type_is_incompatible(name, default, value):
+    with pytest.raises(IncompatibleSpec):
+        learners._hp(LearnerSpec("cart", "classification", {name: value}), name, default)
+
+
+def test_hyperparameter_alias_is_type_checked_too():
+    spec = LearnerSpec("adaboost_cart", "classification", {"T": "many"})
+    with pytest.raises(IncompatibleSpec):
+        learners._hp(spec, "n_rounds", 100, alias="T")
+    assert learners._hp(LearnerSpec("adaboost_cart", "classification", {"T": 3}),
+                        "n_rounds", 100, alias="T") == 3

@@ -16,6 +16,7 @@ from farecast.metrics import (
     simulated_random_purchase_price,
 )
 from farecast.policy import PurchaseDecision
+from farecast.util import to_jsonable
 
 from conftest import series_of
 
@@ -177,7 +178,7 @@ def test_simulated_random_matches_exact_in_the_limit():
 def test_metrics_to_dict_keys():
     s = series_of([50, 40])
     m = route_metrics({s.key: buy_at(s, 1)}, {s.key: s})
-    d = m.to_dict()
+    d = to_jsonable(m)
     for k in (
         "route_id",
         "random_purchase_price",

@@ -15,7 +15,7 @@ from farecast.core import (
 )
 from farecast.pipeline import score_decisions
 from farecast.qlearn import QTable, _route_means, load_qtable, q_policy, q_train, save_qtable
-from farecast.util import derive_seed
+from farecast.util import derive_seed, to_jsonable
 
 from conftest import series_of
 
@@ -230,4 +230,4 @@ def test_q_train_matches_the_numpy_scalar_reference(seed, n_series, episodes, ga
                                     departure=date(2016, 2, 1) + timedelta(days=i)))
     got = q_train(series, episodes=episodes, gamma=gamma, alpha=alpha, seed=seed)
     want = reference_q_train(series, episodes, gamma, alpha, seed)
-    assert got.to_dict() == want.to_dict()
+    assert to_jsonable(got) == to_jsonable(want)

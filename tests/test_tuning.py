@@ -17,6 +17,7 @@ from farecast.tuning import (
     default_grid,
     grid_search,
 )
+from farecast.util import to_jsonable
 
 
 def series_rows(series_id, values, label_fn=None, reg_fn=None, route_idx=0):
@@ -287,7 +288,7 @@ def test_cv_cell_to_dict():
         failed=False,
         error=None,
     )
-    d = cell.to_dict()
+    d = to_jsonable(cell)
     assert d["spec"]["kind"] == "cart"
     assert d["fold_losses"] == [0.1, 0.2]
     assert d["failed"] is False
