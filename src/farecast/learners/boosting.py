@@ -8,9 +8,11 @@ by the test suite, not silently assumed here.
 
 Both fits take sample weights, so an oversampled matrix can be fit as its
 distinct rows weighted by their counts (``tree.distinct_rows``): the
-reweighting treats a row of weight k*w as k rows of weight w. Each round
-reads its tree's training predictions from ``Cart.fitted_value`` instead of
-predicting X again, and drops them, so the ensemble keeps no per-row array.
+reweighting treats a row of weight k*w as k rows of weight w. X is coded
+once (``tree.ColumnCodes``) and every round's tree fits those codes. Each
+round reads its tree's training predictions from ``Cart.fitted_value``
+instead of predicting X again, and drops them, so the ensemble keeps no
+per-row array.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ import numpy as np
 
 from ..core import FarecastError
 from ..util import NOT_SAVED, from_jsonable
-from .tree import Cart, presort
+from .tree import Cart, ColumnCodes
 
 logger = logging.getLogger(__name__)
 
 
-def _fit_round(tree: Cart, X, y, w, presorted) -> np.ndarray:
+def _fit_round(tree: Cart, coded: ColumnCodes, y, w) -> np.ndarray:
     """Fit ``tree`` and hand over its training rows' leaf values."""
-    tree.fit(X, y, sample_weight=w, presorted=presorted)
+    tree.fit(coded, y, sample_weight=w)
     fitted, tree.fitted_value = tree.fitted_value, None
     return fitted
 
@@ -58,7 +60,7 @@ class AdaBoostClassifier:
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "AdaBoostClassifier":
-        X = np.asfortranarray(X, dtype=float)  # every round's Cart reads columns
+        coded = ColumnCodes.of(X)
         y = np.asarray(y, dtype=int)
         n = len(y)
         sign = 2.0 * y - 1.0
@@ -67,7 +69,6 @@ class AdaBoostClassifier:
         self.majority = int(math.fsum(w[y == 1]) > math.fsum(w[y == 0]))
         w = w / w.sum()
         w0 = w.copy()  # training error is measured against the starting weights
-        presorted = presort(X)
 
         self.trees, self.alphas = [], []
         self.epsilons, self.bounds, self.train_errors = [], [], []
@@ -77,7 +78,7 @@ class AdaBoostClassifier:
         for t in range(self.n_rounds):
             tree = Cart(task="classification", max_depth=self.weak_depth,
                         min_leaf=self.min_leaf)
-            h = 2.0 * (_fit_round(tree, X, y, w, presorted) > 0.5) - 1.0
+            h = 2.0 * (_fit_round(tree, coded, y, w) > 0.5) - 1.0
             miss = h != sign
             eps = float(w[miss].sum())
             if eps >= 0.5:
@@ -158,19 +159,18 @@ class AdaBoostRegressor:
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "AdaBoostRegressor":
-        X = np.asfortranarray(X, dtype=float)
+        coded = ColumnCodes.of(X)
         y = np.asarray(y, dtype=float)
         n = len(y)
         w = np.ones(n) / n if sample_weight is None else np.asarray(sample_weight, dtype=float)
         w = w / w.sum()
-        presorted = presort(X)
 
         self.trees, self.log_inv_betas, self.avg_losses = [], [], []
         self.stopped_early = None
         for t in range(self.n_rounds):
             tree = Cart(task="regression", max_depth=self.weak_depth,
                         min_leaf=self.min_leaf)
-            abs_err = np.abs(_fit_round(tree, X, y, w, presorted) - y)
+            abs_err = np.abs(_fit_round(tree, coded, y, w) - y)
             worst = float(abs_err.max())
             if worst == 0.0:
                 self.trees, self.log_inv_betas = [tree], [1.0]
@@ -193,7 +193,7 @@ class AdaBoostRegressor:
             # Nothing accepted: keep a single tree under the starting weights.
             tree = Cart(task="regression", max_depth=self.weak_depth,
                         min_leaf=self.min_leaf)
-            _fit_round(tree, X, y, sample_weight, presorted)
+            _fit_round(tree, coded, y, sample_weight)
             self.trees, self.log_inv_betas = [tree], [1.0]
         return self
 

@@ -19,6 +19,10 @@ from ..util import as_float_arrays, check_shapes, from_jsonable
 _BLOCK = 64
 
 
+class TooFewRows(FarecastError):
+    """Fewer training rows than neighbours asked for."""
+
+
 @dataclass
 class Knn:
     task: str
@@ -37,7 +41,7 @@ class Knn:
         self.X = np.asarray(X, dtype=float).copy()
         self.y = np.asarray(y, dtype=float).copy()
         if len(self.X) < self.k:
-            raise ValueError(f"k={self.k} exceeds {len(self.X)} training rows")
+            raise TooFewRows(f"k={self.k} exceeds {len(self.X)} training rows")
         return self
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:

@@ -6,26 +6,34 @@ at max depth, or when no split strictly reduces impurity. Ties between
 candidate splits resolve to the lowest feature index, then the lowest
 threshold, so fits are reproducible without a seed.
 
-Split search works on presorted attribute lists partitioned at every split
-(SLIQ, Mehta et al. 1996; SPRINT, Shafer et al. 1996). A fit copies the
-column-wise argsort of X into one (d+1, n) index array: row f lists the
-samples in ascending X[:, f], ties by sample index, and row d lists them in
-ascending sample index. Every node owns the same column range [lo, hi) of
-all rows. A split stably partitions that range, left members first, so each
-row stays sorted and each level of the tree reads each row once. Row d gives
-the node's weighted sums the summation order of a boolean member mask.
+Split search reads histograms with one bin per distinct value of each
+feature, so no tree is approximated (the histograms of LightGBM, Ke et al.
+2017, without its value buckets). ``ColumnCodes`` codes each column once by
+the rank of its distinct values and counts the rows holding each value,
+which are the root's counts. A node adds its rows' count, weight w and
+w*y, plus w*y*y for regression, into the bins of each candidate feature:
+into buffers over all of X's values, which the fit allocates once, keeping
+the bins that hold rows (so every node, however small, clears and scans
+buffers as wide as X's bins). Each bin adds its rows one by one in ascending
+sample index, as a bincount does. Running sums over a feature's bins that
+hold rows, restarting at each feature, give every cut's left side; the
+feature's total minus the left gives the right. A cut follows every held
+value but the feature's last, at the midpoint of the two values around it.
+A node's own value and impurity still sum its rows directly,
+``w[idx].sum()``.
 
-Scoring keeps a running sum over the node's sorted weights on every feature,
-which fixes the bits of each partial sum, and evaluates the impurity only
-where the sorted feature value changes: a route dummy has one such place.
+When every feature is a candidate (no ``mtry``) and the larger child of a
+split may split again, only the smaller child is binned, and the larger
+takes its parent's histogram minus the smaller's. That skips binning the
+larger half of every split, but the larger child's sums are differences,
+not sums of its rows: their last bits can differ, and with them a near-tie
+split.
 
 A fit keeps each training row's leaf value in ``fitted_value`` (not
-saved): the leaves own the row ranges already, and boosting reads its
-round's training predictions there instead of predicting X again.
+saved), so boosting reads its round's training predictions there instead
+of predicting X again.
 
-Boosting shares across its rounds the one thing that does not change, X:
-``presort`` sorts it once and X is read column by column from one
-Fortran-ordered copy. Only the sample weights change between rounds.
+Boosting codes X once and fits every round on the same ``ColumnCodes``.
 
 One row of weight k*w is the same, for weighted Gini, weighted squared error
 and the AdaBoost update, as k copies of weight w (Freund & Schapire 1997).
@@ -50,19 +58,27 @@ from ..util import NOT_SAVED, from_jsonable
 _EPS = 1e-12
 
 
-def _index_dtype(n: int):
-    # 32-bit sample indices halve the memory of the index arrays a fit holds.
-    return np.int32 if n <= np.iinfo(np.int32).max else np.intp
+@dataclass(frozen=True)
+class ColumnCodes:
+    """A matrix by column: ``values[f]`` holds the distinct values of column
+    f in ascending order, ``codes[f, i]`` the rank of X[i, f] among them, and
+    ``counts`` how many rows hold each value, feature after feature."""
 
+    codes: np.ndarray  # (d, n) int32
+    values: tuple[np.ndarray, ...]
+    counts: np.ndarray
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """Stable argsort of every column of X: an (n, d) array whose transpose
-    is C-contiguous, so ``Cart.fit`` copies it row by row."""
-    n, d = X.shape
-    order = np.empty((d, n), dtype=_index_dtype(n))
-    for f in range(d):
-        order[f] = np.argsort(X[:, f], kind="stable")
-    return order.T
+    @classmethod
+    def of(cls, X: np.ndarray) -> "ColumnCodes":
+        X = np.asarray(X, dtype=float)
+        codes = np.empty((X.shape[1], X.shape[0]), dtype=np.int32)
+        values, counts = [], []
+        for f in range(X.shape[1]):
+            distinct, codes[f], count = np.unique(X[:, f], return_inverse=True,
+                                                  return_counts=True)
+            values.append(distinct)
+            counts.append(count)
+        return cls(codes, tuple(values), np.concatenate([np.empty(0, np.intp), *counts]))
 
 
 def distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,6 +101,38 @@ def distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     first = order[starts]
     by_position = np.argsort(first)
     return first[by_position], counts[by_position]
+
+
+def _bins(coded, offsets, node_sums, idx, features, count_buf, sum_buf):
+    """(bins, count, sums) of the node's rows: add each candidate feature's
+    rows into the fit's buffers over all of its values, then keep the bins
+    the node holds. ``np.add.at`` adds in row order, as a bincount would.
+    The root holds every row, so it takes its counts from ``coded``."""
+    count_buf[:] = 0
+    sum_buf[:len(node_sums)] = 0
+    root = len(idx) == coded.codes.shape[1]
+    for f in features:
+        lo, hi = offsets[f], offsets[f + 1]
+        if root:
+            node_codes = coded.codes[f]
+            count_buf[lo:hi] = coded.counts[lo:hi]
+        else:
+            node_codes = coded.codes[f][idx]
+            np.add.at(count_buf[lo:hi], node_codes, 1)
+        for row, weights in zip(sum_buf, node_sums):
+            np.add.at(row[lo:hi], node_codes, weights)
+    bins = np.flatnonzero(count_buf)
+    return bins, count_buf[bins], np.take(sum_buf[:len(node_sums)], bins, axis=1)
+
+
+def _minus(hist, count_buf, sum_buf):
+    """``hist`` minus the histogram ``_bins`` left in the buffers,
+    computed in ``hist``'s arrays; keeps the bins that still hold rows."""
+    bins, count, sums = hist
+    count -= count_buf[bins]
+    sums -= np.take(sum_buf[:len(sums)], bins, axis=1)
+    held = np.flatnonzero(count)
+    return bins[held], count[held], np.take(sums, held, axis=1)
 
 
 @dataclass
@@ -115,15 +163,17 @@ class Cart:
 
     def fit(
         self,
-        X: np.ndarray,
+        X: np.ndarray | ColumnCodes,
         y: np.ndarray,
         sample_weight: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
-        presorted: Optional[np.ndarray] = None,
     ) -> "Cart":
-        X = np.asfortranarray(X, dtype=float)
+        """Grow the tree on X, or on X's ``ColumnCodes`` when an ensemble
+        shares them across its trees."""
+        coded = X if isinstance(X, ColumnCodes) else ColumnCodes.of(X)
+        codes = coded.codes
+        d, n = codes.shape
         y = np.asarray(y, dtype=float)
-        n, d = X.shape
         w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
         if self.mtry is not None and rng is None:
             raise ValueError("feature subsampling needs an rng")
@@ -132,34 +182,52 @@ class Cart:
         self.left, self.right, self.value = [], [], []
         depth_cap = self.max_depth if self.max_depth is not None else 30
 
-        cols = X.T  # cols[f] is X[:, f], contiguous
-        wy = w * y
-        wyy = wy * y if self.task == "regression" else None
-        # The partitioned index array of the module docstring.
-        index = np.empty((d + 1, n), dtype=_index_dtype(n))
-        index[:d] = (presort(X) if presorted is None else presorted).T
-        index[d] = np.arange(n)
-        goes_left = np.empty(n, dtype=bool)
+        # The sums a histogram holds, packed two to a complex number: w + i w*y,
+        # and for regression also w*y*y. Complex addition adds the two parts
+        # apart, so one scatter-add bins both, each exactly as alone.
+        sums = np.zeros((1 if self.task == "classification" else 2, n), dtype=complex)
+        sums[0].real = w
+        np.multiply(w, y, out=sums[0].imag)
+        if len(sums) == 2:
+            np.multiply(sums[0].imag, y, out=sums[1].real)
+        widths = [len(v) for v in coded.values]
+        offsets = np.concatenate(([0], np.cumsum(widths))).astype(np.intp)
+        n_bins = int(offsets[-1])
+        bin_value = np.concatenate(coded.values) if d else np.empty(0)
+        # Buffers for binning and split scoring, reused by every node.
+        count_buf = np.empty(n_bins, dtype=np.intp)
+        sum_buf = np.empty((2 * len(sums), n_bins), dtype=complex)
+        score_buf = np.empty(n_bins)
         self.fitted_value = np.empty(n)
 
-        # (node_id, lo, hi, depth); preorder so node ids are stable.
-        stack = [(self._new_node(), 0, n, 0)]
+        # (node_id, rows ascending, depth, histogram or None); preorder so
+        # node ids are stable.
+        stack = [(self._new_node(), np.arange(n), 0, None)]
         while stack:
-            node_id, lo, hi, depth = stack.pop()
-            idx = index[d, lo:hi].astype(np.intp)
-            w_total = w[idx].sum()
-            s = float(wy[idx].sum())
+            node_id, idx, depth, hist = stack.pop()
+            m = len(idx)
+            node_sums = sums if m == n else np.take(sums, idx, axis=1)
+            # A strided view sums pairwise just as a contiguous w[idx] would.
+            w_total = node_sums[0].real.sum()
+            s = float(node_sums[0].imag.sum())
             self.value[node_id] = float(s / w_total) if w_total > 0 else float(y[idx].mean())
 
             split = None
-            if depth < depth_cap and hi - lo >= 2 * self.min_leaf:
+            if depth < depth_cap and m >= 2 * self.min_leaf:
                 if self.task == "classification":
                     # Weighted Gini of a {0,1} node: 2 p (1-p) scaled by total weight.
                     impurity = 2.0 * s * (w_total - s) / w_total
                 else:
-                    impurity = float(wyy[idx].sum()) - s * s / w_total
+                    impurity = float(node_sums[1].real.sum()) - s * s / w_total
                 if impurity > _EPS:
-                    split = self._best_split(cols, w, wy, wyy, index, lo, hi, rng, impurity)
+                    if self.mtry is not None and self.mtry < d:
+                        features = np.sort(rng.choice(d, size=self.mtry, replace=False))
+                    else:
+                        features = np.arange(d)
+                    if hist is None:
+                        hist = _bins(coded, offsets, node_sums, idx, features, count_buf, sum_buf)
+                    split = self._best_split(hist, offsets, bin_value, m, impurity,
+                                             sum_buf, score_buf)
             if split is None:
                 self.fitted_value[idx] = self.value[node_id]
                 continue
@@ -169,20 +237,22 @@ class Cart:
             self.left[node_id] = self._new_node()
             self.right[node_id] = self._new_node()
 
-            # Stable partition of the node's columns: left members first,
-            # each row keeping its order. Children at the depth cap are never
-            # split, so they need only the sample-index row.
-            member_left = cols[f][idx] <= thr
-            goes_left[idx] = member_left
-            n_left = int(np.count_nonzero(member_left))
-            for row in index[:, lo:hi] if depth + 1 < depth_cap else index[d:, lo:hi]:
-                flags = goes_left[row.astype(np.intp)]
-                left_part, right_part = row[flags], row[~flags]
-                row[:n_left] = left_part
-                row[n_left:] = right_part
-
-            stack.append((self.right[node_id], lo + n_left, hi, depth + 1))
-            stack.append((self.left[node_id], lo, lo + n_left, depth + 1))
+            # Rows at or below the threshold go left, as in predict_value.
+            goes_left = codes[f][idx] < np.searchsorted(coded.values[f], thr, side="right")
+            children = [idx[goes_left], idx[~goes_left]]
+            child_hists = [None, None]
+            small = 0 if len(children[0]) < len(children[1]) else 1
+            large = 1 - small
+            if (self.mtry is None and depth + 1 < depth_cap
+                    and len(children[large]) >= 2 * self.min_leaf):
+                # The smaller child is binned and the larger takes the
+                # parent's histogram minus it.
+                child_hists[small] = _bins(
+                    coded, offsets, np.take(sums, children[small], axis=1), children[small],
+                    features, count_buf, sum_buf)
+                child_hists[large] = _minus(hist, count_buf, sum_buf)
+            stack.append((self.right[node_id], children[1], depth + 1, child_hists[1]))
+            stack.append((self.left[node_id], children[0], depth + 1, child_hists[0]))
         return self
 
     def _new_node(self) -> int:
@@ -193,55 +263,60 @@ class Cart:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def _best_split(self, cols, w, wy, wyy, index, lo, hi, rng, parent_impurity):
-        d = len(cols)
-        if self.mtry is not None and self.mtry < d:
-            candidates = np.sort(rng.choice(d, size=self.mtry, replace=False))
-        else:
-            candidates = np.arange(d)
-
-        m = hi - lo
-        best = (parent_impurity - _EPS, -1, 0.0)  # (score to beat, feature, threshold)
-        for f in candidates:
-            sel = index[f, lo:hi].astype(np.intp)
-            xv = cols[f][sel]
-            if xv[0] == xv[-1]:
-                continue
-            # A split after sorted position i is a candidate only where the
-            # value changes; the running sums still cover every position, so
-            # each partial sum is the same float whatever the ties.
-            cut = np.flatnonzero(xv[:-1] < xv[1:])
-            w_run = np.cumsum(w[sel])
-            s_run = np.cumsum(wy[sel])
-            w_left, s_left = w_run[cut], s_run[cut]
-            w_right = w_run[-1] - w_left
-            s_right = s_run[-1] - s_left
-
-            valid = (w_left > 0) & (w_right > 0)
-            if self.min_leaf > 1:
-                counts = cut + 1
-                valid &= (counts >= self.min_leaf) & (m - counts >= self.min_leaf)
-            if not valid.any():
-                continue
-
-            if self.task == "classification":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    score = (2.0 * s_left * (w_left - s_left) / w_left
-                             + 2.0 * s_right * (w_right - s_right) / w_right)
-            else:
-                q_run = np.cumsum(wyy[sel])
-                q_left = q_run[cut]
-                q_right = q_run[-1] - q_left
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    score = (q_left - s_left * s_left / w_left) + (q_right - s_right * s_right / w_right)
-            score = np.where(valid, score, np.inf)
-            i = int(np.argmin(score))
-            if score[i] < best[0]:
-                j = cut[i]
-                best = (float(score[i]), int(f), float((xv[j] + xv[j + 1]) / 2.0))
-        if best[1] < 0:
+    def _best_split(self, hist, offsets, bin_value, m, parent_impurity, buf, score):
+        bins, count, sums = hist
+        k, n_held = sums.shape
+        left, right = buf[:k, :n_held], buf[k:2 * k, :n_held]
+        # Feature f's bins are positions [bounds[f], bounds[f + 1]).
+        bounds = np.searchsorted(bins, offsets)
+        starts, stops = bounds[:-1], bounds[1:]
+        held = stops > starts
+        for a, b in zip(starts[held].tolist(), stops[held].tolist()):
+            np.cumsum(sums[:, a:b], axis=1, out=left[:, a:b])
+            np.subtract(left[:, b - 1:b], left[:, a:b], out=right[:, a:b])
+        # A cut follows every bin; a feature's last leaves nothing on the
+        # right, so its right weight is 0 and it is never valid.
+        w_left, s_left = left[0].real, left[0].imag
+        w_right, s_right = right[0].real, right[0].imag
+        valid = (w_left > 0) & (w_right > 0)
+        if self.min_leaf > 1:
+            count_run = np.cumsum(count)
+            base = count_run[starts[held]] - count[starts[held]]
+            counts = count_run - np.repeat(base, stops[held] - starts[held])
+            valid &= (counts >= self.min_leaf) & (m - counts >= self.min_leaf)
+        if not valid.any():
             return None
-        return best[1], best[2]
+
+        # The scores, in place in the buffers, in the order of operations of
+        #   classification: 2 s_l (w_l - s_l) / w_l + 2 s_r (w_r - s_r) / w_r
+        #   regression:     (q_l - s_l s_l / w_l) + (q_r - s_r s_r / w_r)
+        score = score[:n_held]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.task == "classification":
+                np.multiply(s_left, 2.0, out=score)
+                score *= np.subtract(w_left, s_left, out=s_left)
+                score /= w_left
+                gap = np.subtract(w_right, s_right, out=w_left)
+                s_right *= 2.0
+                s_right *= gap
+                s_right /= w_right
+                score += s_right
+            else:
+                q_left, q_right = left[1].real, right[1].real
+                s_left *= s_left
+                s_left /= w_left
+                np.subtract(q_left, s_left, out=score)
+                s_right *= s_right
+                s_right /= w_right
+                q_right -= s_right
+                score += q_right
+        score[~valid] = np.inf
+        # The first minimum: the lowest feature, then the lowest threshold.
+        i = int(np.argmin(score))
+        if not score[i] < parent_impurity - _EPS:
+            return None
+        f = int(np.searchsorted(stops, i, side="right"))
+        return f, float((bin_value[bins[i]] + bin_value[bins[i + 1]]) / 2.0)
 
     # -- prediction ------------------------------------------------------
 

@@ -49,11 +49,11 @@ def round_sig(value, digits: int = 6):
 
 @contextmanager
 def malformed_document(what: str, path) -> Iterator[None]:
-    """A decode, key or type error while reading the JSON ``what`` at ``path`` raises
-    FarecastError instead."""
+    """A decode, key, type or domain error while reading the JSON ``what`` at
+    ``path`` raises a FarecastError that names the file."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (FarecastError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FarecastError(f"{what} {path} is malformed: {exc!r}") from exc
 
 

@@ -699,6 +699,23 @@ def test_malformed_saved_files_exit_two(workdir, gen_corpus, frozen_and_blend, s
     assert one_line_error(capsys.readouterr().err)["error"] == "FarecastError"
 
 
+def test_malformed_bank_template_error_names_its_file(workdir, gen_corpus, frozen_and_blend,
+                                                      tmp_path, capsys):
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    for i in range(8):
+        template = hmm_template(i)
+        if i == 3:
+            del template["norm_mean"]
+        write(bank / f"hmm_{i}.json", json.dumps(template))
+    capsys.readouterr()
+    assert main(["generalize", "--gen-quotes", str(gen_corpus), "--bank", str(bank),
+                 "--frozen-model", str(frozen_and_blend[0])]) == 2
+    message = one_line_error(capsys.readouterr().err)["message"]
+    assert str(bank / "hmm_3.json") in message
+    assert "norm_mean" in message
+
+
 def test_well_formed_saved_files_load(workdir, gen_corpus, saved_models, tmp_path):
     """The untouched documents the malformed cases start from are accepted."""
     bank = tmp_path / "bank"
@@ -715,27 +732,30 @@ def test_well_formed_saved_files_load(workdir, gen_corpus, saved_models, tmp_pat
                                                 "--out", os.devnull])]) == 0
 
 
-@pytest.mark.parametrize("model, hyperparams", [
-    ("cart", {"max_depth": "x"}),
-    ("adaboost_cart", {"n_rounds": "abc"}),
-    ("adaboost_cart", {"weak_depth": True}),
-    ("knn", {"k": 0}),
-    ("mlp3", {"hidden": 0}),
-    ("mlp3", {"epochs": 0}),
-    ("mlp3", {"batch_size": 0}),
-    ("random_forest", {"bootstrap": "x"}),
-    ("random_forest", {"subsample": "false"}),
-    ("random_forest", {"n_trees": 0}),
+SPEC_ERRORS = ("FarecastError", "IncompatibleSpec")
+
+
+@pytest.mark.parametrize("model, hyperparams, errors", [
+    ("cart", {"max_depth": "x"}, SPEC_ERRORS),
+    ("adaboost_cart", {"n_rounds": "abc"}, SPEC_ERRORS),
+    ("adaboost_cart", {"weak_depth": True}, SPEC_ERRORS),
+    ("knn", {"k": 0}, SPEC_ERRORS),
+    ("knn", {"k": 100000}, ("TooFewRows",)),
+    ("mlp3", {"hidden": 0}, SPEC_ERRORS),
+    ("mlp3", {"epochs": 0}, SPEC_ERRORS),
+    ("mlp3", {"batch_size": 0}, SPEC_ERRORS),
+    ("random_forest", {"bootstrap": "x"}, SPEC_ERRORS),
+    ("random_forest", {"subsample": "false"}, SPEC_ERRORS),
+    ("random_forest", {"n_trees": 0}, SPEC_ERRORS),
 ], ids=["cart-depth-string", "adaboost-rounds-string", "adaboost-depth-bool", "knn-k-0",
-        "mlp3-hidden-0", "mlp3-epochs-0", "mlp3-batch-0", "forest-bootstrap-x",
-        "forest-subsample-string", "forest-trees-0"])
-def test_bad_hyperparameters_exit_two(workdir, capsys, model, hyperparams):
+        "knn-k-above-the-training-rows", "mlp3-hidden-0", "mlp3-epochs-0", "mlp3-batch-0",
+        "forest-bootstrap-x", "forest-subsample-string", "forest-trees-0"])
+def test_bad_hyperparameters_exit_two(workdir, capsys, model, hyperparams, errors):
     capsys.readouterr()
     assert main(["train", *base_args(workdir, [
         "--task", "classification", "--model", model,
         "--hyperparams", json.dumps(hyperparams)])]) == 2
-    assert one_line_error(capsys.readouterr().err)["error"] in ("FarecastError",
-                                                                "IncompatibleSpec")
+    assert one_line_error(capsys.readouterr().err)["error"] in errors
 
 
 def test_tune_grid_of_only_bad_cells_exits_two(workdir, tmp_path, capsys):

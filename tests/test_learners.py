@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farecast.learners.boosting import AdaBoostClassifier, AdaBoostRegressor
 from farecast.learners.forest import RandomForest, default_mtry
-from farecast.learners.knn import Knn
+from farecast.learners.knn import Knn, TooFewRows
 from farecast.learners.linear import LeastSquares, Logistic
 from farecast.learners.mlp import Mlp3
-from farecast.learners.tree import _EPS, Cart, distinct_rows
+from farecast.learners import tree as tree_module
+from farecast.learners.tree import _EPS, Cart, ColumnCodes, distinct_rows
 from farecast.util import to_jsonable
 
 
@@ -311,19 +312,26 @@ def test_cart_constant_target_single_leaf():
     assert np.allclose(tree.predict(X), 9.5)
 
 
-def reference_cart_fit(tree, X, y, sample_weight=None, rng=None, presorted=None):
-    """The per-node mask split search, kept as the oracle for ``Cart.fit``.
+def as_matrix(X):
+    """X itself, or the matrix a ``ColumnCodes`` was coded from."""
+    if isinstance(X, ColumnCodes):
+        return np.column_stack([v[c] for v, c in zip(X.values, X.codes)])
+    return np.asarray(X, dtype=float)
+
+
+def reference_cart_fit(tree, X, y, sample_weight=None, rng=None):
+    """The per-node mask split search over presorted rows, kept as the
+    oracle for ``Cart.fit`` where every partial sum is exact.
 
     Every node rescans all n presorted rows of every candidate feature and
     scores every sorted position; fills ``tree`` in place, with
     ``fitted_value`` from ``predict_value``, and returns it.
     """
-    X = np.asarray(X, dtype=float)
+    X = as_matrix(X)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    if presorted is None:
-        presorted = np.argsort(X, axis=0, kind="stable")
+    presorted = np.argsort(X, axis=0, kind="stable")
 
     def impurity_of(yv, wv, w_total):
         s = float((wv * yv).sum())
@@ -403,9 +411,109 @@ def reference_cart_fit(tree, X, y, sample_weight=None, rng=None, presorted=None)
     return tree
 
 
+def histogram_reference_fit(tree, X, y, sample_weight=None, rng=None):
+    """The per-node mask split search that sums in ``Cart.fit``'s order,
+    kept as its oracle for any weights.
+
+    Every node bins its rows (a boolean mask over all n) per feature, one
+    bin per distinct value of X, adding rows in ascending index; the larger
+    child of a split takes its parent's bins minus the smaller child's when
+    every feature is a candidate. Running sums restart at each feature and
+    skip empty bins. Fills ``tree`` in place, with ``fitted_value`` from
+    ``predict_value``, and returns it.
+    """
+    X = as_matrix(X)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+    values, codes = zip(*(np.unique(column, return_inverse=True) for column in X.T))
+    row_sums = [w, w * y] if tree.task == "classification" else [w, w * y, w * y * y]
+
+    def bin_rows(mask):
+        """Per feature: the count and each row sum of every bin."""
+        return [[np.bincount(codes[f][mask], minlength=len(values[f]))]
+                + [np.bincount(codes[f][mask], weights=r[mask], minlength=len(values[f]))
+                   for r in row_sums] for f in range(d)]
+
+    def best_split(hist, m, candidates, parent_impurity):
+        best = (parent_impurity - _EPS, -1, 0.0)
+        for f in candidates:
+            count, *bin_sums = hist[f]
+            held = np.flatnonzero(count)
+            if len(held) < 2:
+                continue
+            w_left, s_left, *q_left = [np.cumsum(b[held]) for b in bin_sums]
+            w_right, s_right = w_left[-1] - w_left, s_left[-1] - s_left
+            counts = np.cumsum(count[held])
+            valid = (w_left > 0) & (w_right > 0)
+            valid &= (counts >= tree.min_leaf) & (m - counts >= tree.min_leaf)
+            if not valid.any():
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if tree.task == "classification":
+                    score = (2.0 * s_left * (w_left - s_left) / w_left
+                             + 2.0 * s_right * (w_right - s_right) / w_right)
+                else:
+                    q_right = q_left[0][-1] - q_left[0]
+                    score = ((q_left[0] - s_left * s_left / w_left)
+                             + (q_right - s_right * s_right / w_right))
+            score = np.where(valid, score, np.inf)
+            i = int(np.argmin(score))
+            if score[i] < best[0]:
+                thr = (values[f][held[i]] + values[f][held[i + 1]]) / 2.0
+                best = (float(score[i]), int(f), float(thr))
+        return None if best[1] < 0 else (best[1], best[2])
+
+    tree.feature, tree.threshold = [], []
+    tree.left, tree.right, tree.value = [], [], []
+    depth_cap = tree.max_depth if tree.max_depth is not None else 30
+    stack = [(tree._new_node(), np.ones(n, dtype=bool), 0, None)]
+    while stack:
+        node_id, mask, depth, hist = stack.pop()
+        idx = np.flatnonzero(mask)
+        wv, yv = w[idx], y[idx]
+        w_total = wv.sum()
+        s = float((wv * yv).sum())
+        tree.value[node_id] = float(s / w_total) if w_total > 0 else float(yv.mean())
+        if depth >= depth_cap or len(idx) < 2 * tree.min_leaf:
+            continue
+        if tree.task == "classification":
+            impurity = 2.0 * s * (w_total - s) / w_total
+        else:
+            impurity = float((wv * yv * yv).sum()) - s * s / w_total
+        if impurity <= _EPS:
+            continue
+        if tree.mtry is not None and tree.mtry < d:
+            candidates = np.sort(rng.choice(d, size=tree.mtry, replace=False))
+        else:
+            candidates = np.arange(d)
+        hist = bin_rows(mask) if hist is None else hist
+        split = best_split(hist, len(idx), candidates, impurity)
+        if split is None:
+            continue
+        f, thr = split
+        tree.feature[node_id] = f
+        tree.threshold[node_id] = thr
+        tree.left[node_id] = tree._new_node()
+        tree.right[node_id] = tree._new_node()
+        masks = [mask & (X[:, f] <= thr), mask & (X[:, f] > thr)]
+        hists = [None, None]
+        small = 0 if masks[0].sum() < masks[1].sum() else 1
+        if tree.mtry is None:
+            hists[small] = bin_rows(masks[small])
+            hists[1 - small] = [[p - c for p, c in zip(parent, child)]
+                                for parent, child in zip(hist, hists[small])]
+        stack.append((tree.right[node_id], masks[1], depth + 1, hists[1]))
+        stack.append((tree.left[node_id], masks[0], depth + 1, hists[0]))
+    tree.fitted_value = tree.predict_value(X)
+    return tree
+
+
 @st.composite
-def cart_problems(draw):
-    """Small weighted matrices with constant, binary and heavily tied columns."""
+def cart_problems(draw, exact=False):
+    """Small weighted matrices with constant, binary and heavily tied columns.
+    With ``exact``, weights and targets are integers, so every partial sum
+    is exact whatever its grouping."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 150))
     d = draw(st.integers(1, 5))
@@ -426,8 +534,18 @@ def cart_problems(draw):
     if task == "classification":
         y = rng.integers(0, 2, n).astype(float)
     else:
-        y = np.round(rng.normal(0.0, 2.0, n), draw(st.sampled_from([0, 3])))
-    w = rng.random(n) if draw(st.booleans()) else np.ones(n)
+        y = np.round(rng.normal(0.0, 2.0, n), 0 if exact else draw(st.sampled_from([0, 3])))
+    # Tenths are inexact in binary, so the grouping of their sums decides
+    # near-ties that integer weights would make exact.
+    weights = draw(st.sampled_from(["unit", "integer"] if exact else ["unit", "random", "tenths"]))
+    if weights == "unit":
+        w = np.ones(n)
+    elif weights == "integer":
+        w = rng.integers(1, 4, n).astype(float)
+    elif weights == "random":
+        w = rng.random(n)
+    else:
+        w = rng.integers(1, 4, n) / 10.0
     if draw(st.booleans()):
         w[rng.random(n) < 0.3] = 0.0
     if not w.any():
@@ -438,17 +556,57 @@ def cart_problems(draw):
     return X, y, w, task, max_depth, min_leaf, mtry, seed
 
 
-@settings(max_examples=300, deadline=None)
-@given(cart_problems())
-def test_cart_fit_matches_the_per_node_mask_reference(problem):
+def fit_both(problem, reference):
     X, y, w, task, max_depth, min_leaf, mtry, seed = problem
     fitted = []
-    for fit in (Cart.fit, reference_cart_fit):
+    for fit in (Cart.fit, reference):
         tree = Cart(task=task, max_depth=max_depth, min_leaf=min_leaf, mtry=mtry)
         rng = np.random.default_rng(seed) if mtry is not None else None
         fit(tree, X, y, sample_weight=w, rng=rng)
         fitted.append(to_jsonable(tree))
-    assert fitted[0] == fitted[1]
+    return fitted
+
+
+@settings(max_examples=300, deadline=None)
+@given(cart_problems(exact=True))
+def test_cart_fit_matches_the_presorted_reference_where_sums_are_exact(problem):
+    # Integer weights and targets: only the grouping of the partial sums
+    # changed from the presorted search, so the trees must be the same.
+    fast, slow = fit_both(problem, reference_cart_fit)
+    assert fast == slow
+
+
+# Children of equal size, where the histogram subtracted and the one
+# binned decide the bits of a near-tie.
+EVEN_SPLIT = (np.array([[0, 1, 1, 1, 1], [0, 0, 0, 1, 0], [1, 1, 0, 1, 1], [0, 1, 1, 0, 1],
+                        [0, 0, 0, 1, 0], [0, 0, 1, 0, 1], [0, 0, 0, 0, 1], [1, 1, 0, 0, 1]],
+                       dtype=float),
+              np.array([1.0, -2.0, 2.0, -1.0, -2.0, 2.0, 1.0, 0.0]),
+              np.array([0.2, 0.3, 0.3, 0.3, 0.1, 0.2, 0.2, 0.1]),
+              "regression", 4, 1, None, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cart_problems())
+@example(EVEN_SPLIT)
+def test_cart_fit_matches_the_per_node_mask_reference(problem):
+    fast, slow = fit_both(problem, histogram_reference_fit)
+    assert fast == slow
+
+
+def test_even_split_bins_one_child_and_subtracts_the_other(monkeypatch):
+    calls = {}
+    for name in ("_bins", "_minus"):
+        def spy(*args, _name=name, _fn=getattr(tree_module, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(tree_module, name, spy)
+    X, y, w, task, max_depth, min_leaf, mtry, seed = EVEN_SPLIT
+    tree = Cart(task=task, max_depth=max_depth, min_leaf=min_leaf).fit(X, y, sample_weight=w)
+    assert tree.feature[0] >= 0
+    # The root, then one binned child per subtracted one.
+    assert calls["_minus"] >= 1
+    assert calls["_bins"] >= 1 + calls["_minus"]
 
 
 def test_adaboost_matches_boosting_over_reference_trees(monkeypatch):
@@ -457,11 +615,30 @@ def test_adaboost_matches_boosting_over_reference_trees(monkeypatch):
                          rng.integers(0, 2, 300).astype(float), np.zeros(300)])
     y = ((X[:, 0] + X[:, 1] > 0.3) ^ (rng.random(300) < 0.15)).astype(int)
     fast = AdaBoostClassifier(n_rounds=25, weak_depth=3).fit(X, y)
-    monkeypatch.setattr(Cart, "fit", reference_cart_fit)
+    monkeypatch.setattr(Cart, "fit", histogram_reference_fit)
     slow = AdaBoostClassifier(n_rounds=25, weak_depth=3).fit(X, y)
     assert fast.epsilons == slow.epsilons
     assert fast.train_errors == slow.train_errors
     assert to_jsonable(fast) == to_jsonable(slow)
+
+
+def test_boosting_with_shared_codes_fits_the_trees_of_coding_per_tree(monkeypatch):
+    rng = np.random.default_rng(22)
+    X = np.column_stack([rng.normal(0, 1, 400), np.round(rng.normal(0, 1, 400), 1),
+                         rng.integers(0, 2, (400, 3)).astype(float)])
+    y = ((X[:, 0] - X[:, 1] > 0.2) ^ (rng.random(400) < 0.1)).astype(int)
+    w = rng.random(400)
+    shared = [AdaBoostClassifier(n_rounds=10, weak_depth=3).fit(X, y, sample_weight=w),
+              AdaBoostRegressor(n_rounds=5, weak_depth=4).fit(X, y + X[:, 0], sample_weight=w)]
+
+    # Boosting whose every tree codes X again.
+    fit = Cart.fit
+    monkeypatch.setattr(Cart, "fit", lambda tree, X, *args, **kwargs:
+                        fit(tree, as_matrix(X), *args, **kwargs))
+    assert to_jsonable(AdaBoostClassifier(n_rounds=10, weak_depth=3).fit(
+        X, y, sample_weight=w)) == to_jsonable(shared[0])
+    assert to_jsonable(AdaBoostRegressor(n_rounds=5, weak_depth=4).fit(
+        X, y + X[:, 0], sample_weight=w)) == to_jsonable(shared[1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -785,7 +962,7 @@ def test_knn_vote_tie_predicts_wait():
 def test_knn_k_larger_than_train_raises():
     X = np.zeros((3, 2))
     y = np.array([0, 1, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewRows):
         Knn(task="classification", k=4).fit(X, y)
 
 

@@ -143,7 +143,7 @@ def test_failing_spec_is_excluded():
     assert best == grid[0]
     assert table[1].failed
     assert table[1].mean_loss is None
-    assert "ValueError" in table[1].error
+    assert "TooFewRows" in table[1].error
 
 
 def test_spec_fails_if_any_single_fold_fails():
