@@ -2,15 +2,16 @@
 
 Every learner trains from a Dataset and returns a TrainedModel that
 predicts on a design matrix of the same layout, its predictions depending
-only on (parameters, input). Scale-sensitive kinds (least squares, logistic,
-the MLP, KNN) get the continuous block standardized by a scaler fit on the
-training rows; tree-based kinds see raw features. Models serialize to a versioned JSON document.
+only on (its fitted fields, input). ``_KIND_TABLE`` declares each learner
+kind once; ``fit`` resolves a spec's hyperparameters against it before any
+work. Scale-sensitive kinds get the continuous block standardized by a scaler
+fit on the training rows; the others see raw features. Every classification
+core answers ``predict_scores``. Models serialize to a versioned JSON document.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -28,20 +29,45 @@ from .linear import LeastSquares, Logistic
 from .mlp import Mlp3
 from .tree import Cart, distinct_rows
 
-logger = logging.getLogger(__name__)
-
-KINDS = (
-    "least_squares",
-    "logistic",
-    "mlp3",
-    "cart",
-    "adaboost_cart",
-    "random_forest",
-    "knn",
-    "uniform_blend",
-)
 TASKS = ("regression", "classification")
-_STANDARDIZED = {"least_squares", "logistic", "mlp3", "knn"}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A learner kind: its core class for each task it accepts, its
+    hyperparameters with their defaults, whether its continuous block is
+    standardized, and its stock tuning grid."""
+
+    cores: dict
+    hyperparams: dict
+    standardized: bool = False
+    grid: tuple = ({},)
+
+
+_KIND_TABLE = {
+    "least_squares": _Kind({"regression": LeastSquares}, {}, True),
+    "logistic": _Kind({"classification": Logistic}, {"grad_tol": 1e-6, "max_iter": 1000}, True),
+    "mlp3": _Kind(dict.fromkeys(TASKS, Mlp3),
+                  {"hidden": 16, "lr": 0.01, "epochs": 200, "batch_size": 32}, True,
+                  tuple({"hidden": h, "lr": lr} for h in (8, 16, 32) for lr in (0.01, 0.001))),
+    "cart": _Kind(dict.fromkeys(TASKS, Cart), {"max_depth": 8, "min_leaf": 1},
+                  grid=tuple({"max_depth": d} for d in (3, 5, 8, 12))),
+    "adaboost_cart": _Kind({"regression": AdaBoostRegressor, "classification": AdaBoostClassifier},
+                           {"n_rounds": 100, "weak_depth": 3, "min_leaf": 1},
+                           grid=tuple({"n_rounds": t, "weak_depth": d}
+                                      for t in (50, 100, 200) for d in (1, 2, 3))),
+    "random_forest": _Kind(dict.fromkeys(TASKS, RandomForest),
+                           {"n_trees": 100, "max_depth": None, "min_leaf": 1,
+                            "bootstrap": "resample", "subsample": True},
+                           grid=({"n_trees": 50}, {"n_trees": 100})),
+    "knn": _Kind(dict.fromkeys(TASKS, Knn), {"k": 5}, True,
+                 tuple({"k": k} for k in (3, 5, 7, 11))),
+    # The core is the per-route member models. A null member_kind is
+    # adaboost_cart for classification and cart for regression.
+    "uniform_blend": _Kind(dict.fromkeys(TASKS, list), {"member_kind": None, "member_params": {}}),
+}
+KINDS = tuple(_KIND_TABLE)
+_ALIASES = {"T": "n_rounds", "B": "n_trees"}
 
 MODEL_FORMAT = "farecast-model"
 MODEL_VERSION = 1
@@ -70,10 +96,9 @@ class LearnerSpec:
             raise IncompatibleSpec(f"unknown learner kind {self.kind!r}")
         if self.task not in TASKS:
             raise IncompatibleSpec(f"unknown task {self.task!r}")
-        if self.kind == "least_squares" and self.task != "regression":
-            raise IncompatibleSpec("least_squares is regression-only")
-        if self.kind == "logistic" and self.task != "classification":
-            raise IncompatibleSpec("logistic is classification-only")
+        tasks = _KIND_TABLE[self.kind].cores
+        if self.task not in tasks:
+            raise IncompatibleSpec(f"{self.kind} is {', '.join(tasks)}-only")
         if not isinstance(self.hyperparams, dict):
             raise IncompatibleSpec(f"hyperparams must be a JSON object, got {self.hyperparams!r}")
 
@@ -81,26 +106,51 @@ class LearnerSpec:
 @dataclass
 class TrainedModel:
     spec: LearnerSpec
-    parameters: dict  # n_features, standardizer (or None), core payload
+    n_features: int  # input columns, counted before the standardizer drops any
+    standardizer: Optional[Standardizer]
+    core: object  # the kind's core for its task; a blend's is its member models
     train_summary: dict
 
 
 _HP_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: (dict,)}
+_NAMED_TYPES = {"max_depth": (int, type(None)), "member_kind": (str,)}
 
 
-def _hp(spec: LearnerSpec, name: str, default, alias: Optional[str] = None):
-    """The hyperparameter ``name`` (or ``alias``), else ``default``. A value
-    must have the default's JSON type: an int takes no bool, a float takes an
-    int, and ``max_depth`` also takes null. A wrong type raises IncompatibleSpec."""
-    key = name if name in spec.hyperparams else alias
-    if key not in spec.hyperparams:
-        return default
-    value = spec.hyperparams[key]
-    types = (int, type(None)) if name == "max_depth" else _HP_TYPES[type(default)]
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        raise IncompatibleSpec(f"{spec.kind} hyperparameter {key!r} must be of type "
-                               f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
-    return value
+def _resolve(spec: LearnerSpec) -> dict:
+    """The kind's default hyperparameters overridden by the spec's (``T`` and
+    ``B`` name ``n_rounds`` and ``n_trees``). A value must have the default's
+    JSON type: an int takes no bool, a float takes an int, ``max_depth`` also
+    takes null. An unknown or repeated name, a wrong type, or ``epochs`` or
+    ``max_iter`` below 1 raises IncompatibleSpec."""
+    defaults = _KIND_TABLE[spec.kind].hyperparams
+    resolved = dict(defaults)
+    for key, value in spec.hyperparams.items():
+        name = _ALIASES.get(key, key)
+        if name not in defaults:
+            raise IncompatibleSpec(f"{spec.kind} has no hyperparameter {key!r}; "
+                                   f"it takes {', '.join(defaults) or 'none'}")
+        if name != key and name in spec.hyperparams:
+            raise IncompatibleSpec(f"{spec.kind} hyperparameter {name!r} is given twice, "
+                                   f"once as {key!r}")
+        types = _NAMED_TYPES.get(name) or _HP_TYPES[type(defaults[name])]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise IncompatibleSpec(f"{spec.kind} hyperparameter {key!r} must be of type "
+                                   f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
+        resolved[name] = value
+    for name in ("epochs", "max_iter"):  # the cores allow 0, a fit that trains nothing
+        if resolved.get(name, 1) < 1:
+            raise IncompatibleSpec(f"{spec.kind} {name} must be >= 1")
+    return resolved
+
+
+def _new_core(spec: LearnerSpec, hyperparams: dict):
+    """The kind's core for the spec's task, built from the resolved
+    hyperparameters, plus ``task`` where the class takes one. A core that
+    could scale its own columns does not: scaling is ``_design``'s."""
+    cls = _KIND_TABLE[spec.kind].cores[spec.task]
+    extra = {"task": spec.task, "standardize": False}
+    names = {f.name for f in fields(cls)}
+    return cls(**hyperparams, **{k: v for k, v in extra.items() if k in names})
 
 
 def _design(spec: LearnerSpec, train: Dataset):
@@ -115,7 +165,7 @@ def _design(spec: LearnerSpec, train: Dataset):
     else:
         y = train.label_reg
     standardizer = None
-    if spec.kind in _STANDARDIZED:
+    if _KIND_TABLE[spec.kind].standardized:
         standardizer = Standardizer.fit(X)
         X = standardizer.transform(X)
     return X, y, standardizer, n_features
@@ -140,114 +190,70 @@ def _weighted_distinct(X: np.ndarray, y: np.ndarray, min_leaf: int):
 
 def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
     """Train one model; deterministic in (spec, data, seed)."""
+    hyperparams = _resolve(spec)
     if len(train) == 0:
         raise DegenerateData("empty training set")
     if spec.kind == "uniform_blend":
-        return _fit_blend(spec, train, seed)
+        return _fit_blend(spec, hyperparams, train, seed)
 
+    core = _new_core(spec, hyperparams)
     X, y, standardizer, n_features = _design(spec, train)
-    summary: dict
-
     if spec.kind == "least_squares":
-        core = LeastSquares(standardize=False).fit(X, y)
-        rmse = float(np.sqrt(np.mean((core.predict(X) - y) ** 2)))
-        summary = {"train_rmse": rmse}
+        core.fit(X, y)
+        summary = {"train_rmse": float(np.sqrt(np.mean((core.predict(X) - y) ** 2)))}
     elif spec.kind == "logistic":
-        core = Logistic(
-            grad_tol=_hp(spec, "grad_tol", 1e-6),
-            max_iter=_hp(spec, "max_iter", 1000),
-        ).fit(X, y)
-        summary = {
-            "final_loss": core.loss_history[-1],
-            "iterations": len(core.loss_history),
-            "converged": core.converged,
-        }
+        core.fit(X, y)
+        summary = {"final_loss": core.loss_history[-1], "iterations": len(core.loss_history),
+                   "converged": core.converged}
     elif spec.kind == "mlp3":
-        epochs = _hp(spec, "epochs", 200)
-        if epochs < 1:  # Mlp3 itself allows 0: a fit that only initializes
-            raise IncompatibleSpec("mlp3 epochs must be >= 1")
-        core = Mlp3(
-            task=spec.task,
-            hidden=_hp(spec, "hidden", 16),
-            lr=float(_hp(spec, "lr", 0.01)),
-            epochs=epochs,
-            batch_size=_hp(spec, "batch_size", 32),
-        ).fit(X, y, seed=seed)
+        core.fit(X, y, seed=seed)
         summary = {"final_loss": core.loss_history[-1], "epochs": core.epochs}
     elif spec.kind == "cart":
-        min_leaf = _hp(spec, "min_leaf", 1)
-        core = Cart(
-            task=spec.task,
-            max_depth=_hp(spec, "max_depth", 8),
-            min_leaf=min_leaf,
-        ).fit(*_weighted_distinct(X, y, min_leaf))
+        core.fit(*_weighted_distinct(X, y, core.min_leaf))
         summary = {"n_nodes": len(core.feature)}
     elif spec.kind == "adaboost_cart":
-        n_rounds = _hp(spec, "n_rounds", 100, alias="T")
-        weak_depth = _hp(spec, "weak_depth", 3)
-        min_leaf = _hp(spec, "min_leaf", 1)
-        X, y, weight = _weighted_distinct(X, y, min_leaf)
-        cls = AdaBoostClassifier if spec.task == "classification" else AdaBoostRegressor
-        core = cls(n_rounds=n_rounds, weak_depth=weak_depth,
-                   min_leaf=min_leaf).fit(X, y, sample_weight=weight)
+        X, y, weight = _weighted_distinct(X, y, core.min_leaf)
+        core.fit(X, y, weight)
         # The fit diagnostics the document leaves out are the summary.
         summary = {"rounds_used": len(core.trees),
                    **{f.name: to_jsonable(getattr(core, f.name)) for f in fields(core)
                       if f.metadata == NOT_SAVED}}
     elif spec.kind == "random_forest":
-        core = RandomForest(
-            task=spec.task,
-            n_trees=_hp(spec, "n_trees", 100, alias="B"),
-            max_depth=_hp(spec, "max_depth", None),
-            min_leaf=_hp(spec, "min_leaf", 1),
-            bootstrap=_hp(spec, "bootstrap", "resample"),
-            subsample=_hp(spec, "subsample", True),
-        ).fit(X, y, seed=seed)
+        core.fit(X, y, seed=seed)
         summary = {"n_trees": core.n_trees}
-    elif spec.kind == "knn":
-        core = Knn(task=spec.task, k=_hp(spec, "k", 5)).fit(X, y)
+    else:  # knn
+        core.fit(X, y)
         summary = {"n_train": len(train)}
-    else:  # pragma: no cover - guarded by LearnerSpec validation
-        raise IncompatibleSpec(spec.kind)
-
-    return TrainedModel(
-        spec=spec,
-        parameters={"n_features": n_features, "standardizer": standardizer, "core": core},
-        train_summary=summary,
-    )
+    return TrainedModel(spec, n_features, standardizer, core, summary)
 
 
-def _fit_blend(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
-    member_kind = _hp(spec, "member_kind",
-                      "adaboost_cart" if spec.task == "classification" else "cart")
-    member_params = _hp(spec, "member_params", {})
+def _fit_blend(spec: LearnerSpec, hyperparams: dict, train: Dataset, seed: int) -> TrainedModel:
+    member_kind = hyperparams["member_kind"] or (
+        "adaboost_cart" if spec.task == "classification" else "cart")
     width = train.X.shape[1] - len(CONTINUOUS_NAMES)
     route = train.X[:, :width].argmax(axis=1)
     missing = [r for r in range(width) if not (route == r).any()]
     if missing:
         raise DegenerateData(f"no training rows for route index(es) {missing}")
 
-    member_spec = LearnerSpec(kind=member_kind, task=spec.task, hyperparams=member_params)
+    member_spec = LearnerSpec(kind=member_kind, task=spec.task,
+                              hyperparams=hyperparams["member_params"])
     members = [fit(member_spec, train.take(route == r), seed=derive_seed(seed, "member", r))
                for r in range(width)]
-    return TrainedModel(
-        spec=spec,
-        parameters={"n_features": train.X.shape[1], "standardizer": None, "core": members},
-        train_summary={"member_kind": member_kind,
-                       "per_member": [m.train_summary for m in members]},
-    )
+    return TrainedModel(spec, train.X.shape[1], None, members,
+                        {"member_kind": member_kind,
+                         "per_member": [m.train_summary for m in members]})
 
 
 def _core_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    if X.shape[1] != model.parameters["n_features"]:
+    if X.shape[1] != model.n_features:
         raise FeatureMismatch(
-            f"model expects {model.parameters['n_features']} features, rows have {X.shape[1]}"
+            f"model expects {model.n_features} features, rows have {X.shape[1]}"
         )
     if not (X[:, :dummy_width(model)].sum(axis=1) == 1.0).all():
         raise FeatureMismatch("every row needs exactly one route dummy set")
-    standardizer = model.parameters["standardizer"]
-    if standardizer is not None:
-        X = standardizer.transform(X)
+    if model.standardizer is not None:
+        X = model.standardizer.transform(X)
     return X
 
 
@@ -255,11 +261,10 @@ def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Hard labels {0,1} for classification, real values for regression, one
     per row of the design matrix ``X``."""
     if model.spec.kind == "uniform_blend":
-        members = model.parameters["core"]
         if model.spec.task == "classification":
-            return blend_predict(members, X)
-        return np.mean([predict(m, X) for m in members], axis=0)
-    return model.parameters["core"].predict(_core_matrix(model, X))
+            return blend_predict(model.core, X)
+        return np.mean([predict(m, X) for m in model.core], axis=0)
+    return model.core.predict(_core_matrix(model, X))
 
 
 def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -268,23 +273,15 @@ def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     Regression models return their predictions unchanged.
     """
     if model.spec.kind == "uniform_blend":  # the vote share, or the mean prediction
-        return np.mean([predict(m, X) for m in model.parameters["core"]], axis=0)
+        return np.mean([predict(m, X) for m in model.core], axis=0)
     if model.spec.task == "regression":
         return predict(model, X)
-    X = _core_matrix(model, X)
-    core = model.parameters["core"]
-    if isinstance(core, (Logistic, Mlp3, AdaBoostClassifier)):
-        return core.predict_proba(X)
-    if isinstance(core, Cart):
-        return core.predict_value(X)
-    if isinstance(core, (RandomForest, Knn)):
-        return core.predict_scores(X)
-    raise IncompatibleSpec(f"no score path for {model.spec.kind}")  # pragma: no cover
+    return model.core.predict_scores(_core_matrix(model, X))
 
 
 def dummy_width(model: TrainedModel) -> int:
     """Number of route dummies in the rows the model was trained on."""
-    return model.parameters["n_features"] - len(CONTINUOUS_NAMES)
+    return model.n_features - len(CONTINUOUS_NAMES)
 
 
 def blend_predict(members: Sequence[TrainedModel], X: np.ndarray,
@@ -314,29 +311,19 @@ def blend_predict(members: Sequence[TrainedModel], X: np.ndarray,
 
 # -- serialization ---------------------------------------------------------
 
-_CORE_CLASSES = {
-    "least_squares": LeastSquares,
-    "logistic": Logistic,
-    "mlp3": Mlp3,
-    "cart": Cart,
-    "random_forest": RandomForest,
-    "knn": Knn,
-}
-_DOCUMENT_KEYS = ("format", "version", "spec", "n_features", "standardizer", "core",
-                  "train_summary")
+_DOCUMENT_KEYS = ("format", "version", *(f.name for f in fields(TrainedModel)))
 
 
 def _document(model: TrainedModel) -> dict:
-    core = model.parameters["core"]
-    standardizer = model.parameters["standardizer"]
+    standardizer = model.standardizer
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "spec": model.spec,
-        "n_features": model.parameters["n_features"],
+        "n_features": model.n_features,
         "standardizer": standardizer.to_dict() if standardizer is not None else None,
-        "core": ({"members": [_document(m) for m in core]}
-                 if model.spec.kind == "uniform_blend" else core),
+        "core": ({"members": [_document(m) for m in model.core]}
+                 if model.spec.kind == "uniform_blend" else model.core),
         "train_summary": model.train_summary,
     }
 
@@ -363,15 +350,9 @@ def model_from_dict(raw: dict) -> TrainedModel:
         require_keys("blend core", raw["core"], ("members",))
         core = [model_from_dict(m) for m in raw["core"]["members"]]
     else:
-        cls = ((AdaBoostClassifier if spec.task == "classification" else AdaBoostRegressor)
-               if spec.kind == "adaboost_cart" else _CORE_CLASSES[spec.kind])
         n_inputs = n_features if standardizer is None else int(standardizer.keep.sum())
-        core = cls.from_jsonable(raw["core"], n_inputs)
-    return TrainedModel(
-        spec=spec,
-        parameters={"n_features": n_features, "standardizer": standardizer, "core": core},
-        train_summary=dict(raw["train_summary"]),
-    )
+        core = _KIND_TABLE[spec.kind].cores[spec.task].from_jsonable(raw["core"], n_inputs)
+    return TrainedModel(spec, n_features, standardizer, core, dict(raw["train_summary"]))
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:

@@ -38,6 +38,12 @@ def _fit_round(tree: Cart, coded: ColumnCodes, y, w) -> np.ndarray:
     return fitted
 
 
+def _check_size(model) -> None:
+    """Fewer than one round or a weak depth below 1 boosts nothing."""
+    if min(model.n_rounds, model.weak_depth) < 1:
+        raise FarecastError("n_rounds and weak_depth must each be >= 1")
+
+
 def _trees_from_jsonable(trees: list, weights: list, n_inputs: Optional[int]) -> list[Cart]:
     if len(trees) != len(weights):
         raise FarecastError(f"{len(trees)} trees for {len(weights)} weights")
@@ -57,6 +63,9 @@ class AdaBoostClassifier:
     train_errors: list[float] = field(default_factory=list, metadata=NOT_SAVED)
     stopped_early: Optional[str] = field(default=None, metadata=NOT_SAVED)
     majority: int = 0  # fallback when no weak learner is accepted
+
+    def __post_init__(self):
+        _check_size(self)
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "AdaBoostClassifier":
@@ -121,7 +130,7 @@ class AdaBoostClassifier:
             return np.full(len(X), self.majority, dtype=int)
         return (self.decision_margin(X) > 0.0).astype(int)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Margin mapped affinely onto [0, 1]; 0.5 is the decision point."""
         if not self.trees:
             return np.full(len(X), float(self.majority))
@@ -156,6 +165,9 @@ class AdaBoostRegressor:
     log_inv_betas: list[float] = field(default_factory=list)
     avg_losses: list[float] = field(default_factory=list, metadata=NOT_SAVED)
     stopped_early: Optional[str] = field(default=None, metadata=NOT_SAVED)
+
+    def __post_init__(self):
+        _check_size(self)
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             sample_weight: Optional[np.ndarray] = None) -> "AdaBoostRegressor":

@@ -136,12 +136,12 @@ class Logistic:
         self.coef = beta
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_scores(self, X: np.ndarray) -> np.ndarray:
         Z = _with_intercept(np.asarray(X, dtype=float))
         return 1.0 / (1.0 + np.exp(-(Z @ self.coef)))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) > 0.5).astype(int)
+        return (self.predict_scores(X) > 0.5).astype(int)
 
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "Logistic":

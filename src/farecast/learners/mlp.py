@@ -35,7 +35,7 @@ class Mlp3:
         if min(self.hidden, self.batch_size) < 1:
             raise FarecastError("hidden and batch_size must each be >= 1")
         as_float_arrays(self, "w1", "b1", "w2")
-        self.b2 = float(self.b2)
+        self.lr, self.b2 = float(self.lr), float(self.b2)
 
     # -- parameter vector plumbing (for the finite-difference check) -------
 
@@ -112,12 +112,12 @@ class Mlp3:
         _, out = self._forward(np.asarray(X, dtype=float))
         return out
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_scores(self, X: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-self.predict_raw(X)))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.task == "classification":
-            return (self.predict_proba(X) > 0.5).astype(int)
+            return (self.predict_scores(X) > 0.5).astype(int)
         return self.predict_raw(X)
 
     @classmethod

@@ -158,6 +158,8 @@ class Cart:
             raise FarecastError(f"unknown task {self.task!r}")
         if self.mtry is not None and self.mtry < 1:
             raise FarecastError("mtry must be >= 1")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise FarecastError("max_depth must be >= 0 or null")
 
     # -- fitting ---------------------------------------------------------
 
@@ -237,7 +239,7 @@ class Cart:
             self.left[node_id] = self._new_node()
             self.right[node_id] = self._new_node()
 
-            # Rows at or below the threshold go left, as in predict_value.
+            # Rows at or below the threshold go left, as in predict_scores.
             goes_left = codes[f][idx] < np.searchsorted(coded.values[f], thr, side="right")
             children = [idx[goes_left], idx[~goes_left]]
             child_hists = [None, None]
@@ -320,7 +322,7 @@ class Cart:
 
     # -- prediction ------------------------------------------------------
 
-    def predict_value(self, X: np.ndarray) -> np.ndarray:
+    def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Raw leaf values: class-1 weight fraction, or the weighted mean target."""
         X = np.asarray(X, dtype=float)
         feature = np.asarray(self.feature)
@@ -341,7 +343,7 @@ class Cart:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Labels for classification (leaf ties go to 0), values for regression."""
-        raw = self.predict_value(X)
+        raw = self.predict_scores(X)
         if self.task == "classification":
             return (raw > 0.5).astype(int)
         return raw

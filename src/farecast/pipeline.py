@@ -101,7 +101,7 @@ def run_uniform_generalized(
     """
     if blend_model.spec.kind != "uniform_blend":
         raise FarecastError("uniform generalization needs a uniform_blend model")
-    members = blend_model.parameters["core"]
+    members = blend_model.core
     block = feature_dataset(gen_series, len(members), "generalized", anchor)
     votes = block.split(blend_predict(members, block.X, own_dummies=True))
     return {s.key: decide_classification(s, v) for s, v in zip(gen_series, votes)}

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Dataset, FarecastError
-from .learners import LearnerSpec, fit, predict
+from .learners import _KIND_TABLE, LearnerSpec, fit, predict
 from .util import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -128,18 +128,6 @@ def grid_search(
 
 
 def default_grid(kind: str, task: str) -> list[LearnerSpec]:
-    """The stock hyperparameter grids, one list per learner kind."""
-    if kind == "cart":
-        cells = [{"max_depth": d} for d in (3, 5, 8, 12)]
-    elif kind == "adaboost_cart":
-        cells = [{"n_rounds": t, "weak_depth": d}
-                 for t in (50, 100, 200) for d in (1, 2, 3)]
-    elif kind == "random_forest":
-        cells = [{"n_trees": b} for b in (50, 100)]
-    elif kind == "knn":
-        cells = [{"k": k} for k in (3, 5, 7, 11)]
-    elif kind == "mlp3":
-        cells = [{"hidden": h, "lr": lr} for h in (8, 16, 32) for lr in (0.01, 0.001)]
-    else:
-        cells = [{}]
-    return [LearnerSpec(kind=kind, task=task, hyperparams=hp) for hp in cells]
+    """The kind's stock hyperparameter grid, from the learner kind table."""
+    return [LearnerSpec(kind=kind, task=task, hyperparams=dict(hp))
+            for hp in _KIND_TABLE[kind].grid]

@@ -747,15 +747,52 @@ SPEC_ERRORS = ("FarecastError", "IncompatibleSpec")
     ("random_forest", {"bootstrap": "x"}, SPEC_ERRORS),
     ("random_forest", {"subsample": "false"}, SPEC_ERRORS),
     ("random_forest", {"n_trees": 0}, SPEC_ERRORS),
+    ("logistic", {"max_iter": 0}, SPEC_ERRORS),
+    ("logistic", {"max_iter": -3}, SPEC_ERRORS),
+    ("adaboost_cart", {"n_rounds": 0}, SPEC_ERRORS),
+    ("adaboost_cart", {"n_rounds": -2}, SPEC_ERRORS),
+    ("adaboost_cart", {"weak_depth": 0}, SPEC_ERRORS),
+    ("cart", {"max_depth": -1}, SPEC_ERRORS),
+    ("uniform_blend", {"member_params": {"max_dept": 2}}, SPEC_ERRORS),
 ], ids=["cart-depth-string", "adaboost-rounds-string", "adaboost-depth-bool", "knn-k-0",
         "knn-k-above-the-training-rows", "mlp3-hidden-0", "mlp3-epochs-0", "mlp3-batch-0",
-        "forest-bootstrap-x", "forest-subsample-string", "forest-trees-0"])
+        "forest-bootstrap-x", "forest-subsample-string", "forest-trees-0",
+        "logistic-iterations-0", "logistic-iterations-negative", "adaboost-rounds-0",
+        "adaboost-rounds-negative", "adaboost-depth-0", "cart-depth-negative",
+        "blend-member-unknown-name"])
 def test_bad_hyperparameters_exit_two(workdir, capsys, model, hyperparams, errors):
     capsys.readouterr()
     assert main(["train", *base_args(workdir, [
         "--task", "classification", "--model", model,
         "--hyperparams", json.dumps(hyperparams)])]) == 2
     assert one_line_error(capsys.readouterr().err)["error"] in errors
+
+
+@pytest.mark.parametrize("model, hyperparams, key", [
+    ("cart", {"max_dept": 2}, "max_dept"), ("adaboost_cart", {"T": 5, "n_rounds": 5}, "n_rounds"),
+], ids=["unknown", "repeated"])
+def test_unknown_or_repeated_hyperparameter_error_names_the_key(workdir, capsys, model,
+                                                                hyperparams, key):
+    capsys.readouterr()
+    assert main(["train", *base_args(workdir, [
+        "--task", "classification", "--model", model,
+        "--hyperparams", json.dumps(hyperparams)])]) == 2
+    error = one_line_error(capsys.readouterr().err)
+    assert error["error"] == "IncompatibleSpec"
+    assert repr(key) in error["message"]
+
+
+def test_tune_typo_cell_fails_alone(workdir, tmp_path, capsys):
+    config = write(tmp_path / "c.json", json.dumps(
+        {"grids": {"cart": [{"max_dept": 2}, {"max_depth": 2}]}}))
+    out = tmp_path / "tune.json"
+    assert main(["tune", *base_args(workdir, [
+        "--config", str(config), "--task", "classification", "--model", "cart",
+        "--out", str(out)])]) == 0
+    report = read_report(out)
+    assert [c["failed"] for c in report["cv_table"]] == [True, False]
+    assert "max_dept" in report["cv_table"][0]["error"]
+    assert report["best_spec"]["hyperparams"] == {"max_depth": 2}
 
 
 def test_tune_grid_of_only_bad_cells_exits_two(workdir, tmp_path, capsys):

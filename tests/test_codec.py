@@ -54,9 +54,9 @@ def fitted_documents(corpus):
     train_ds, test_ds, train_series, test_series = corpus
     for kind, task, hp in PAIRS:
         model = learners.fit(LearnerSpec(kind, task, hp), train_ds, seed=3)
-        std = model.parameters["standardizer"]
-        n_inputs = model.parameters["n_features"] if std is None else int(std.keep.sum())
-        core = model.parameters["core"]
+        std = model.standardizer
+        n_inputs = model.n_features if std is None else int(std.keep.sum())
+        core = model.core
         yield core, lambda raw, cls=type(core), n=n_inputs: cls.from_jsonable(raw, n)
     yield hmm.hmm_fit(train_series[:3], n_states=2, max_iter=5, seed=1), None
     yield qlearn.q_train(train_series, episodes=2, seed=1), None

@@ -105,7 +105,7 @@ def test_logistic_loss_non_increasing():
 def test_logistic_zero_coef_predicts_wait():
     X, y = separable_blobs(seed=3)
     model = Logistic(max_iter=0).fit(X, y)
-    assert np.allclose(model.predict_proba(X), 0.5)
+    assert np.allclose(model.predict_scores(X), 0.5)
     assert not model.predict(X).any()  # p == 0.5 is not a buy
 
 
@@ -119,7 +119,7 @@ def test_logistic_json_round_trip():
     X, y = separable_blobs(seed=5)
     model = Logistic().fit(X, y)
     clone = Logistic.from_jsonable(to_jsonable(model), X.shape[1])
-    assert np.array_equal(model.predict_proba(X), clone.predict_proba(X))
+    assert np.array_equal(model.predict_scores(X), clone.predict_scores(X))
 
 
 # -- MLP --------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_mlp_json_round_trip():
     y = (X[:, 0] > 0).astype(int)
     net = Mlp3(task="classification", hidden=4, epochs=20).fit(X, y, seed=0)
     clone = Mlp3.from_jsonable(to_jsonable(net), X.shape[1])
-    assert np.array_equal(net.predict_proba(X), clone.predict_proba(X))
+    assert np.array_equal(net.predict_scores(X), clone.predict_scores(X))
 
 
 # -- CART -------------------------------------------------------------------
@@ -325,7 +325,7 @@ def reference_cart_fit(tree, X, y, sample_weight=None, rng=None):
 
     Every node rescans all n presorted rows of every candidate feature and
     scores every sorted position; fills ``tree`` in place, with
-    ``fitted_value`` from ``predict_value``, and returns it.
+    ``fitted_value`` from ``predict_scores``, and returns it.
     """
     X = as_matrix(X)
     y = np.asarray(y, dtype=float)
@@ -407,7 +407,7 @@ def reference_cart_fit(tree, X, y, sample_weight=None, rng=None):
         tree.right[node_id] = tree._new_node()
         stack.append((tree.right[node_id], mask & (X[:, f] > thr), depth + 1))
         stack.append((tree.left[node_id], mask & (X[:, f] <= thr), depth + 1))
-    tree.fitted_value = tree.predict_value(X)
+    tree.fitted_value = tree.predict_scores(X)
     return tree
 
 
@@ -420,7 +420,7 @@ def histogram_reference_fit(tree, X, y, sample_weight=None, rng=None):
     child of a split takes its parent's bins minus the smaller child's when
     every feature is a candidate. Running sums restart at each feature and
     skip empty bins. Fills ``tree`` in place, with ``fitted_value`` from
-    ``predict_value``, and returns it.
+    ``predict_scores``, and returns it.
     """
     X = as_matrix(X)
     y = np.asarray(y, dtype=float)
@@ -505,7 +505,7 @@ def histogram_reference_fit(tree, X, y, sample_weight=None, rng=None):
                                 for parent, child in zip(hist, hists[small])]
         stack.append((tree.right[node_id], masks[1], depth + 1, hists[1]))
         stack.append((tree.left[node_id], masks[0], depth + 1, hists[0]))
-    tree.fitted_value = tree.predict_value(X)
+    tree.fitted_value = tree.predict_scores(X)
     return tree
 
 
@@ -647,7 +647,7 @@ def test_cart_fitted_value_is_the_leaf_value_of_each_training_row(problem):
     X, y, w, task, max_depth, min_leaf, mtry, seed = problem
     tree = Cart(task=task, max_depth=max_depth, min_leaf=min_leaf, mtry=mtry)
     tree.fit(X, y, sample_weight=w, rng=np.random.default_rng(seed) if mtry else None)
-    assert np.array_equal(tree.fitted_value, tree.predict_value(X))
+    assert np.array_equal(tree.fitted_value, tree.predict_scores(X))
 
 
 @st.composite
@@ -806,7 +806,7 @@ def test_adaboost_proba_centered_on_half():
     X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
     model = AdaBoostClassifier(n_rounds=10, weak_depth=1).fit(X, y)
-    p = model.predict_proba(X)
+    p = model.predict_scores(X)
     assert ((0.0 <= p) & (p <= 1.0)).all()
     assert np.array_equal((p > 0.5).astype(int), model.predict(X))
 

@@ -1,6 +1,7 @@
 """The fit/predict facade: specs, dispatch, blending, serialization."""
 
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from farecast.learners import (
 from farecast.learners.boosting import AdaBoostClassifier, AdaBoostRegressor
 from farecast.learners.tree import Cart, distinct_rows
 from farecast.preprocess import oversample
+from farecast.tuning import default_grid
 from farecast.util import to_jsonable
 
 
@@ -159,9 +161,9 @@ def test_standardizer_only_on_scale_sensitive_kinds(threshold_data):
         spec = LearnerSpec(kind=kind, task=task, hyperparams=FAST_HP.get(kind, {}))
         model = learners.fit(spec, threshold_data, seed=0)
         if kind in scaled:
-            assert model.parameters["standardizer"] is not None
+            assert model.standardizer is not None
         else:
-            assert model.parameters["standardizer"] is None
+            assert model.standardizer is None
 
 
 def test_adaboost_train_summary_fields(threshold_data):
@@ -261,7 +263,7 @@ def test_balanced_oversampled_classes_fall_back_to_wait():
     assert AdaBoostClassifier(n_rounds=1).fit(train.X, train.label_class).majority == 0
     model = learners.fit(LearnerSpec("adaboost_cart", "classification", {"n_rounds": 1}),
                          train, seed=0)
-    assert model.parameters["core"].majority == 0
+    assert model.core.majority == 0
 
 
 # -- uniform blend ----------------------------------------------------------
@@ -332,7 +334,7 @@ def test_fit_uniform_blend_classification():
         {"member_params": {"n_rounds": 10, "weak_depth": 1}},
     )
     model = learners.fit(spec, train, seed=2)
-    members = model.parameters["core"]
+    members = model.core
     assert len(members) == 8
     assert all(m.spec.kind == "adaboost_cart" for m in members)
     probe = cheap_probe()
@@ -348,7 +350,7 @@ def test_fit_uniform_blend_regression_is_member_mean():
     train = blend_train_data()
     spec = LearnerSpec("uniform_blend", "regression", {"member_kind": "cart"})
     model = learners.fit(spec, train, seed=2)
-    members = model.parameters["core"]
+    members = model.core
     probe = dataset_of(feature_rows([33.0], reg_fn=float)).X
     expected = np.mean([learners.predict(m, probe) for m in members], axis=0)
     assert np.allclose(learners.predict(model, probe), expected)
@@ -433,7 +435,7 @@ def test_save_load_blend_round_trip(tmp_path):
     path = tmp_path / "blend.json"
     save_model(model, path)
     clone = load_model(path)
-    assert len(clone.parameters["core"]) == 8
+    assert len(clone.core) == 8
     assert np.array_equal(
         learners.predict(model, train.X), learners.predict(clone, train.X)
     )
@@ -570,7 +572,14 @@ def test_predict_on_the_block_equals_predict_per_series(kind, task, corpus_block
         np.testing.assert_allclose(scores, scores_per_series, rtol=0, atol=1e-12)
 
 
-# -- hyperparameter types ------------------------------------------------------------
+# -- hyperparameter resolution -------------------------------------------------------
+
+
+def owner_spec(name, default, value):
+    """A spec of the kind whose table entry has ``name`` with ``default``."""
+    kind, entry = next((k, e) for k, e in learners._KIND_TABLE.items()
+                       if name in e.hyperparams and e.hyperparams[name] == default)
+    return LearnerSpec(kind, next(iter(entry.cores)), {name: value})
 
 
 @pytest.mark.parametrize("name, default, value", [
@@ -579,8 +588,8 @@ def test_predict_on_the_block_equals_predict_per_series(kind, task, corpus_block
     ("member_params", {}, {"max_depth": 2}), ("n_rounds", 100, 7),
 ])
 def test_hyperparameter_of_the_default_type_passes(name, default, value):
-    assert learners._hp(LearnerSpec("cart", "classification", {name: value}),
-                        name, default) == value
+    resolved = learners._resolve(owner_spec(name, default, value))
+    assert resolved[name] == value
 
 
 @pytest.mark.parametrize("name, default, value", [
@@ -591,12 +600,54 @@ def test_hyperparameter_of_the_default_type_passes(name, default, value):
 ])
 def test_hyperparameter_of_another_type_is_incompatible(name, default, value):
     with pytest.raises(IncompatibleSpec):
-        learners._hp(LearnerSpec("cart", "classification", {name: value}), name, default)
+        learners._resolve(owner_spec(name, default, value))
 
 
 def test_hyperparameter_alias_is_type_checked_too():
     spec = LearnerSpec("adaboost_cart", "classification", {"T": "many"})
     with pytest.raises(IncompatibleSpec):
-        learners._hp(spec, "n_rounds", 100, alias="T")
-    assert learners._hp(LearnerSpec("adaboost_cart", "classification", {"T": 3}),
-                        "n_rounds", 100, alias="T") == 3
+        learners._resolve(spec)
+    assert learners._resolve(
+        LearnerSpec("adaboost_cart", "classification", {"T": 3}))["n_rounds"] == 3
+
+
+def test_resolver_fills_in_every_default():
+    assert learners._resolve(LearnerSpec("random_forest", "regression", {"B": 7})) == {
+        "n_trees": 7, "max_depth": None, "min_leaf": 1, "bootstrap": "resample",
+        "subsample": True}
+
+
+@pytest.mark.parametrize("kind, hyperparams", [
+    ("cart", {"max_dept": 2}), ("cart", {"T": 5}), ("least_squares", {"k": 3}),
+    ("adaboost_cart", {"T": 5, "n_rounds": 5}), ("random_forest", {"n_trees": 5, "B": 5}),
+], ids=["typo", "alias-of-another-kind", "kind-without-hyperparameters",
+        "rounds-twice", "trees-twice"])
+def test_unknown_or_repeated_hyperparameter_is_incompatible(kind, hyperparams, threshold_data):
+    spec = LearnerSpec(kind, "regression", hyperparams)
+    with pytest.raises(IncompatibleSpec, match=repr(next(iter(hyperparams)))):
+        learners._resolve(spec)
+    with pytest.raises(IncompatibleSpec):  # fit resolves before any work
+        learners.fit(spec, threshold_data, seed=0)
+
+
+def test_every_stock_grid_cell_resolves():
+    for kind, entry in learners._KIND_TABLE.items():
+        for task in entry.cores:
+            for spec in default_grid(kind, task):
+                learners._resolve(spec)
+
+
+def test_readme_table_lists_every_kind_task_and_hyperparameter():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Model kinds", 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("|")[1].strip(): line for line in section.splitlines()
+            if line.startswith("| `")}
+    assert set(rows) == {f"`{kind}`" for kind in learners.KINDS}
+    for kind, entry in learners._KIND_TABLE.items():
+        row = rows[f"`{kind}`"]
+        tasks = "both" if len(entry.cores) == 2 else next(iter(entry.cores))
+        assert row.split("|")[2].strip() == tasks, kind
+        names = list(entry.hyperparams) + [a for a, n in learners._ALIASES.items()
+                                           if n in entry.hyperparams]
+        for name in names:
+            assert f"`{name}`" in row, (kind, name)
