@@ -27,7 +27,7 @@ from .forest import RandomForest
 from .knn import Knn
 from .linear import LeastSquares, Logistic
 from .mlp import Mlp3
-from .tree import Cart, distinct_rows
+from .tree import DEPTH_CAP, Cart, distinct_rows
 
 TASKS = ("regression", "classification")
 
@@ -36,12 +36,14 @@ TASKS = ("regression", "classification")
 class _Kind:
     """A learner kind: its core class for each task it accepts, its
     hyperparameters with their defaults, whether its continuous block is
-    standardized, and its stock tuning grid."""
+    standardized, its stock tuning grid, and its nested hyperparameter: the
+    one whose smaller values give models read off a larger value's fit."""
 
     cores: dict
     hyperparams: dict
     standardized: bool = False
     grid: tuple = ({},)
+    nested: Optional[str] = None
 
 
 _KIND_TABLE = {
@@ -51,11 +53,12 @@ _KIND_TABLE = {
                   {"hidden": 16, "lr": 0.01, "epochs": 200, "batch_size": 32}, True,
                   tuple({"hidden": h, "lr": lr} for h in (8, 16, 32) for lr in (0.01, 0.001))),
     "cart": _Kind(dict.fromkeys(TASKS, Cart), {"max_depth": 8, "min_leaf": 1},
-                  grid=tuple({"max_depth": d} for d in (3, 5, 8, 12))),
+                  grid=tuple({"max_depth": d} for d in (3, 5, 8, 12)), nested="max_depth"),
     "adaboost_cart": _Kind({"regression": AdaBoostRegressor, "classification": AdaBoostClassifier},
                            {"n_rounds": 100, "weak_depth": 3, "min_leaf": 1},
                            grid=tuple({"n_rounds": t, "weak_depth": d}
-                                      for t in (50, 100, 200) for d in (1, 2, 3))),
+                                      for t in (50, 100, 200) for d in (1, 2, 3)),
+                           nested="n_rounds"),
     "random_forest": _Kind(dict.fromkeys(TASKS, RandomForest),
                            {"n_trees": 100, "max_depth": None, "min_leaf": 1,
                             "bootstrap": "resample", "subsample": True},
@@ -208,16 +211,10 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
     elif spec.kind == "mlp3":
         core.fit(X, y, seed=seed)
         summary = {"final_loss": core.loss_history[-1], "epochs": core.epochs}
-    elif spec.kind == "cart":
-        core.fit(*_weighted_distinct(X, y, core.min_leaf))
-        summary = {"n_nodes": len(core.feature)}
-    elif spec.kind == "adaboost_cart":
+    elif spec.kind in ("cart", "adaboost_cart"):
         X, y, weight = _weighted_distinct(X, y, core.min_leaf)
         core.fit(X, y, weight)
-        # The fit diagnostics the document leaves out are the summary.
-        summary = {"rounds_used": len(core.trees),
-                   **{f.name: to_jsonable(getattr(core, f.name)) for f in fields(core)
-                      if f.metadata == NOT_SAVED}}
+        summary = _nested_summary(spec, core)
     elif spec.kind == "random_forest":
         core.fit(X, y, seed=seed)
         summary = {"n_trees": core.n_trees}
@@ -225,6 +222,42 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
         core.fit(X, y)
         summary = {"n_train": len(train)}
     return TrainedModel(spec, n_features, standardizer, core, summary)
+
+
+def _nested_summary(spec: LearnerSpec, core) -> dict:
+    if spec.kind == "cart":
+        return {"n_nodes": len(core.feature)}
+    # The fit diagnostics the document leaves out are the summary.
+    return {"rounds_used": len(core.trees),
+            **{f.name: to_jsonable(getattr(core, f.name)) for f in fields(core)
+               if f.metadata == NOT_SAVED}}
+
+
+def nested_group(spec: LearnerSpec) -> tuple[Optional[tuple], int]:
+    """(group, size): specs of one group differ only in their kind's nested
+    hyperparameter, the size (a null ``max_depth`` is its cap). None where the
+    kind nests nothing or the hyperparameters do not resolve."""
+    nested = _KIND_TABLE[spec.kind].nested
+    try:
+        hyperparams = _resolve(spec)
+    except IncompatibleSpec:
+        return None, 0
+    if nested is None:
+        return None, 0
+    size = hyperparams.pop(nested)
+    group = (spec.kind, spec.task, *sorted(hyperparams.items()))
+    return group, DEPTH_CAP if size is None else size
+
+
+def truncated(model: TrainedModel, spec: LearnerSpec) -> Optional[TrainedModel]:
+    """What ``fit`` gives for ``spec`` on ``model``'s rows, read off ``model``,
+    a fit of a larger size of spec's ``nested_group``; None where a boosting
+    run that collapsed to one tree dropped the rounds before it."""
+    core = model.core.truncated(_resolve(spec)[_KIND_TABLE[spec.kind].nested])
+    if core is None:
+        return None
+    return TrainedModel(spec, model.n_features, model.standardizer, core,
+                        _nested_summary(spec, core))
 
 
 def _fit_blend(spec: LearnerSpec, hyperparams: dict, train: Dataset, seed: int) -> TrainedModel:

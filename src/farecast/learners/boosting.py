@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -42,6 +42,22 @@ def _check_size(model) -> None:
     """Fewer than one round or a weak depth below 1 boosts nothing."""
     if min(model.n_rounds, model.weak_depth) < 1:
         raise FarecastError("n_rounds and weak_depth must each be >= 1")
+
+
+def _truncated(model, n_rounds: int, per_round: tuple[str, ...]):
+    """The fit of ``n_rounds`` read off ``model``'s longer fit, whose first
+    rounds it runs (the loop uses ``n_rounds`` only as its bound); None where
+    the longer fit collapsed to one tree at round ``n_rounds`` or later and so
+    dropped the trees before it. ``per_round`` names the per-round lists, the
+    last a diagnostic that ends in 0 on such a collapse."""
+    diagnostics = getattr(model, per_round[-1])
+    collapsed = bool(diagnostics) and diagnostics[-1] == 0.0
+    ran = len(diagnostics) + (model.stopped_early is not None and not collapsed)
+    if collapsed and n_rounds < ran:
+        return None
+    return replace(model, n_rounds=n_rounds,
+                   stopped_early=model.stopped_early if n_rounds >= ran else None,
+                   **{name: getattr(model, name)[:min(n_rounds, ran)] for name in per_round})
 
 
 def _trees_from_jsonable(trees: list, weights: list, n_inputs: Optional[int]) -> list[Cart]:
@@ -129,6 +145,10 @@ class AdaBoostClassifier:
         if not self.trees:
             return np.full(len(X), self.majority, dtype=int)
         return (self.decision_margin(X) > 0.0).astype(int)
+
+    def truncated(self, n_rounds: int) -> Optional["AdaBoostClassifier"]:
+        return _truncated(self, n_rounds, ("trees", "alphas", "bounds", "train_errors",
+                                           "epsilons"))
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Margin mapped affinely onto [0, 1]; 0.5 is the decision point."""
@@ -220,6 +240,9 @@ class AdaBoostRegressor:
         half = 0.5 * cum[:, -1:]
         pick = (cum >= half).argmax(axis=1)
         return sorted_preds[np.arange(len(X)), pick]
+
+    def truncated(self, n_rounds: int) -> Optional["AdaBoostRegressor"]:
+        return _truncated(self, n_rounds, ("trees", "log_inv_betas", "avg_losses"))
 
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: Optional[int] = None) -> "AdaBoostRegressor":

@@ -34,8 +34,10 @@ class Mlp3:
             raise FarecastError(f"unknown task {self.task!r}")
         if min(self.hidden, self.batch_size) < 1:
             raise FarecastError("hidden and batch_size must each be >= 1")
-        as_float_arrays(self, "w1", "b1", "w2")
         self.lr, self.b2 = float(self.lr), float(self.b2)
+        if not 0.0 < self.lr < np.inf:  # 0 trains nothing, a negative lr ascends
+            raise FarecastError(f"lr must be positive and finite, got {self.lr}")
+        as_float_arrays(self, "w1", "b1", "w2")
 
     # -- parameter vector plumbing (for the finite-difference check) -------
 

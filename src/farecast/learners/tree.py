@@ -56,6 +56,8 @@ from ..util import NOT_SAVED, from_jsonable
 # Strict-improvement guard: splits must beat the parent impurity by more
 # than accumulated float noise, otherwise the node stays a leaf.
 _EPS = 1e-12
+# The depth at which a tree with a null max_depth stops.
+DEPTH_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,7 @@ class Cart:
 
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
-        depth_cap = self.max_depth if self.max_depth is not None else 30
+        depth_cap = self.max_depth if self.max_depth is not None else DEPTH_CAP
 
         # The sums a histogram holds, packed two to a complex number: w + i w*y,
         # and for regression also w*y*y. Complex addition adds the two parts
@@ -256,6 +258,25 @@ class Cart:
             stack.append((self.right[node_id], children[1], depth + 1, child_hists[1]))
             stack.append((self.left[node_id], children[0], depth + 1, child_hists[0]))
         return self
+
+    def truncated(self, max_depth: Optional[int]) -> "Cart":
+        """The tree a fit with ``max_depth`` grows, copied off this deeper fit
+        without ``mtry``: a node above the cap splits as here (its histogram
+        and split search do not depend on the cap), and nodes are numbered as
+        a fit numbers them, left subtree first."""
+        tree = Cart(self.task, max_depth, self.min_leaf)
+        cap = max_depth if max_depth is not None else DEPTH_CAP
+        stack = [(0, tree._new_node(), 0)]
+        while stack:
+            old, new, depth = stack.pop()
+            tree.value[new] = self.value[old]
+            if self.feature[old] < 0 or depth >= cap:
+                continue
+            tree.feature[new], tree.threshold[new] = self.feature[old], self.threshold[old]
+            tree.left[new], tree.right[new] = tree._new_node(), tree._new_node()
+            stack.append((self.right[old], tree.right[new], depth + 1))
+            stack.append((self.left[old], tree.left[new], depth + 1))
+        return tree
 
     def _new_node(self) -> int:
         self.feature.append(-1)

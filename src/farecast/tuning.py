@@ -4,6 +4,13 @@ Folds are dealt over series, not rows: both labels are functions of a whole
 series (its global minimum), so letting one series straddle folds would leak
 its own future into validation. Any preprocessing is re-fit inside each
 training fold; validation rows are never resampled or filtered.
+
+Cells that differ only in their kind's nested hyperparameter (``max_depth``
+of ``cart``, ``n_rounds`` of ``adaboost_cart``) form a group. CART grows
+top-down and AdaBoost round by round, so per fold the group's largest cell
+is fit once and each smaller cell is read off it: the same model, summary
+and loss as its own fit. A boosting run that collapsed to one tree before a
+smaller cell's last round has dropped that cell's trees, so the cell is fit.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Dataset, FarecastError
-from .learners import _KIND_TABLE, LearnerSpec, fit, predict
+from .learners import _KIND_TABLE, LearnerSpec, fit, nested_group, predict, truncated
 from .util import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -42,6 +49,8 @@ class CvCell:
 
 def cv_folds(n: int, k: int = 5, seed: int = 0) -> list[list[int]]:
     """Partition 0..n-1 into k folds whose sizes differ by at most one."""
+    if k < 2:
+        raise FarecastError(f"cross-validation needs at least 2 folds, got {k}")
     if n < k:
         raise TooFewSeries(f"{n} series cannot fill {k} folds")
     order = np.random.default_rng(seed).permutation(n)
@@ -74,16 +83,29 @@ def grid_search(
     series = np.unique(train.series)
     folds = cv_folds(len(series), k=k, seed=seed)
 
-    def run_cell(args) -> tuple[int, int, Optional[float], Optional[str]]:
-        spec_idx, f, fold_train, val = args
-        spec = spec_grid[spec_idx]
-        try:
-            model = fit(spec, fold_train, seed=derive_seed(seed, "fold-fit", f))
-            return spec_idx, f, _loss(spec, model, val), None
-        except (FarecastError, ValueError, np.linalg.LinAlgError) as exc:
-            return spec_idx, f, None, f"{type(exc).__name__}: {exc}"
+    # Cells of one nested group, largest first (ties in grid order).
+    groups: dict = {}
+    for spec_idx, spec in enumerate(spec_grid):
+        key, size = nested_group(spec)
+        groups.setdefault(key or spec_idx, []).append((-size, spec_idx))
+    cell_groups = [[spec_idx for _, spec_idx in sorted(cells)] for cells in groups.values()]
 
-    # One fold at a time: its cells share its train/validation data, and no
+    def run_group(args) -> list[tuple[int, int, Optional[float], Optional[str]]]:
+        """Fit the largest cell that fits; read the smaller ones off the last fit."""
+        cells, f, fold_train, val = args
+        out, whole = [], None
+        for spec_idx in cells:
+            spec = spec_grid[spec_idx]
+            try:
+                model = whole and truncated(whole, spec)
+                if model is None:
+                    model = whole = fit(spec, fold_train, seed=derive_seed(seed, "fold-fit", f))
+                out.append((spec_idx, f, _loss(spec, model, val), None))
+            except (FarecastError, ValueError, np.linalg.LinAlgError) as exc:
+                out.append((spec_idx, f, None, f"{type(exc).__name__}: {exc}"))
+        return out
+
+    # One fold at a time: its groups share its train/validation data, and no
     # other fold's data is held while they run.
     results = []
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
@@ -94,7 +116,8 @@ def grid_search(
             if preprocess is not None:
                 fold_train = preprocess(fold_train, derive_seed(seed, "fold-prep", f))
             val = train.take(held_out)
-            results += run(run_cell, [(s, f, fold_train, val) for s in range(len(spec_grid))])
+            for out in run(run_group, [(cells, f, fold_train, val) for cells in cell_groups]):
+                results += out
 
     by_spec: dict[int, dict[int, tuple[Optional[float], Optional[str]]]] = {}
     for spec_idx, f, loss, err in results:

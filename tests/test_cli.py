@@ -231,6 +231,34 @@ def test_tune_with_config_grid(workdir):
     assert len(rows) - 1 == 2
 
 
+GOLDEN = Path(__file__).parent / "data" / "tune"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("model, task", [
+    ("cart", "classification"), ("cart", "regression"),
+    ("adaboost_cart", "classification"), ("adaboost_cart", "regression"),
+])
+def test_tune_stock_grid_matches_the_per_cell_search(workdir, tmp_path, model, task, jobs):
+    out = tmp_path / "tune.json"
+    assert main(["tune", *base_args(workdir, [
+        "--task", task, "--model", model, "--jobs", jobs, "--out", str(out)])]) == 0
+    report = read_report(out)
+    golden = json.loads((GOLDEN / f"tune_{model}_{task}.json").read_text(encoding="utf-8"))
+    assert {key: report[key] for key in ("best_spec", "cv_table")} == golden
+
+
+@pytest.mark.parametrize("folds", ["1", "0", "-1"])
+def test_tune_needs_two_folds(workdir, tmp_path, capsys, folds):
+    capsys.readouterr()
+    out = tmp_path / "tune.json"
+    assert main(["tune", *base_args(workdir, [
+        "--task", "classification", "--model", "cart", "--folds", folds,
+        "--out", str(out)])]) == 2
+    assert "at least 2 folds" in one_line_error(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
 # -- qlearn ---------------------------------------------------------------------
 
 
@@ -754,12 +782,15 @@ SPEC_ERRORS = ("FarecastError", "IncompatibleSpec")
     ("adaboost_cart", {"weak_depth": 0}, SPEC_ERRORS),
     ("cart", {"max_depth": -1}, SPEC_ERRORS),
     ("uniform_blend", {"member_params": {"max_dept": 2}}, SPEC_ERRORS),
+    ("mlp3", {"lr": 0}, SPEC_ERRORS),
+    ("mlp3", {"lr": -1}, SPEC_ERRORS),
+    ("mlp3", {"lr": float("inf")}, SPEC_ERRORS),
 ], ids=["cart-depth-string", "adaboost-rounds-string", "adaboost-depth-bool", "knn-k-0",
         "knn-k-above-the-training-rows", "mlp3-hidden-0", "mlp3-epochs-0", "mlp3-batch-0",
         "forest-bootstrap-x", "forest-subsample-string", "forest-trees-0",
         "logistic-iterations-0", "logistic-iterations-negative", "adaboost-rounds-0",
         "adaboost-rounds-negative", "adaboost-depth-0", "cart-depth-negative",
-        "blend-member-unknown-name"])
+        "blend-member-unknown-name", "mlp3-lr-0", "mlp3-lr-negative", "mlp3-lr-infinite"])
 def test_bad_hyperparameters_exit_two(workdir, capsys, model, hyperparams, errors):
     capsys.readouterr()
     assert main(["train", *base_args(workdir, [

@@ -1,6 +1,7 @@
 """Low-level learner cores, exercised directly on numeric arrays."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -865,6 +866,94 @@ def test_adaboost_regressor_json_round_trip():
     model = AdaBoostRegressor(n_rounds=8, weak_depth=3).fit(X, y)
     clone = AdaBoostRegressor.from_jsonable(to_jsonable(model))
     assert np.array_equal(model.predict(X), clone.predict(X))
+
+
+# -- truncation: a shorter fit read off a longer one ---------------------------
+
+
+def everything(model):
+    """Every field of a core, the fit diagnostics included."""
+    return {f.name: to_jsonable(getattr(model, f.name)) for f in fields(model)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cart_problems(), st.sampled_from([None, 0, 1, 3]))
+def test_truncated_cart_is_the_fit_of_the_smaller_depth(problem, extra):
+    X, y, w, task, max_depth, min_leaf, _, _ = problem
+    deep_depth = None if extra is None or max_depth is None else max_depth + extra
+    deep = Cart(task=task, max_depth=deep_depth, min_leaf=min_leaf).fit(X, y, w)
+    direct = Cart(task=task, max_depth=max_depth, min_leaf=min_leaf).fit(X, y, w)
+    assert to_jsonable(deep.truncated(max_depth)) == to_jsonable(direct)
+
+
+# Runs found by search: each stops or collapses after at least two rounds.
+STOPS_AFTER_TWO_ROUNDS = (AdaBoostRegressor, np.array([[0.0], [0.0], [2.0], [3.0]]),
+                          np.array([2.0, 1.0, 2.0, 4.0]), None, 1, 12)
+STOPS_AFTER_NINE_ROUNDS = (AdaBoostClassifier, np.array([[2.0], [3.0], [3.0], [2.0], [3.0]]),
+                           np.array([0, 1, 0, 1, 0]), None, 2, 12)
+COLLAPSES_AT_ROUND_THREE = (AdaBoostClassifier,
+                            np.array([[3.0, 2.0], [2.0, 1.0], [3.0, 1.0], [2.0, 3.0]]),
+                            np.array([1, 1, 0, 0]), None, 2, 12)
+FITS_EXACTLY_AT_ROUND_TWO = (AdaBoostRegressor,
+                             np.array([[3.0, 0.0], [2.0, 2.0], [0.0, 2.0], [0.0, 3.0],
+                                       [1.0, 0.0]]),
+                             np.array([2.0, 0.0, 2.0, 3.0, 2.0]), None, 2, 12)
+
+
+@st.composite
+def boosting_problems(draw):
+    """Small, heavily tied matrices, on which boosting often stops early or
+    collapses to one tree."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    X = rng.integers(0, draw(st.integers(2, 6)), (n, draw(st.integers(1, 3)))).astype(float)
+    cls = draw(st.sampled_from([AdaBoostClassifier, AdaBoostRegressor]))
+    if cls is AdaBoostClassifier:
+        y = rng.integers(0, 2, n)
+    else:
+        y = rng.integers(0, 5, n).astype(float)
+    w = draw(st.sampled_from([None, rng.integers(1, 4, n).astype(float)]))
+    return cls, X, y, w, draw(st.integers(1, 3)), draw(st.integers(1, 15))
+
+
+@settings(max_examples=150, deadline=None)
+@given(boosting_problems())
+@example(STOPS_AFTER_TWO_ROUNDS)
+@example(STOPS_AFTER_NINE_ROUNDS)
+@example(COLLAPSES_AT_ROUND_THREE)
+@example(FITS_EXACTLY_AT_ROUND_TWO)
+def test_boosting_prefix_is_the_fit_of_fewer_rounds(problem):
+    cls, X, y, w, weak_depth, n_long = problem
+    long = cls(n_rounds=n_long, weak_depth=weak_depth).fit(X, y, w)
+    diagnostics = long.epsilons if cls is AdaBoostClassifier else long.avg_losses
+    collapse_round = len(diagnostics) - 1 if diagnostics and diagnostics[-1] == 0.0 else None
+    for n in range(1, n_long + 1):
+        direct = cls(n_rounds=n, weak_depth=weak_depth).fit(X, y, w)
+        prefix = long.truncated(n)
+        if collapse_round is not None and n <= collapse_round:
+            # The collapse dropped the trees of the rounds before it.
+            assert prefix is None
+            assert len(direct.trees) == n and direct.stopped_early is None
+            continue
+        assert everything(prefix) == everything(direct)
+        assert len(prefix.trees) == len(direct.trees)  # rounds_used
+        assert prefix.stopped_early == direct.stopped_early
+
+
+def test_the_found_runs_stop_and_collapse_where_named():
+    for problem, rounds, diagnostic in ((STOPS_AFTER_TWO_ROUNDS, 2, 0.5),
+                                        (STOPS_AFTER_NINE_ROUNDS, 9, 0.5),
+                                        (COLLAPSES_AT_ROUND_THREE, 3, 0.0),
+                                        (FITS_EXACTLY_AT_ROUND_TWO, 2, 0.0)):
+        cls, X, y, w, weak_depth, n_long = problem
+        model = cls(n_rounds=n_long, weak_depth=weak_depth).fit(X, y, w)
+        assert model.stopped_early.startswith(f"round {rounds}:")
+        last = (model.epsilons if cls is AdaBoostClassifier else model.avg_losses)[-1]
+        assert (last == 0.0) == (diagnostic == 0.0)
+        if diagnostic == 0.0:
+            assert model.truncated(rounds) is None
+            assert everything(model.truncated(rounds + 1)) == everything(
+                cls(n_rounds=rounds + 1, weak_depth=weak_depth).fit(X, y, w))
 
 
 # -- random forest -----------------------------------------------------------

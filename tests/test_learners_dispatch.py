@@ -21,7 +21,7 @@ from farecast.learners import (
     save_model,
 )
 from farecast.learners.boosting import AdaBoostClassifier, AdaBoostRegressor
-from farecast.learners.tree import Cart, distinct_rows
+from farecast.learners.tree import DEPTH_CAP, Cart, distinct_rows
 from farecast.preprocess import oversample
 from farecast.tuning import default_grid
 from farecast.util import to_jsonable
@@ -264,6 +264,50 @@ def test_balanced_oversampled_classes_fall_back_to_wait():
     model = learners.fit(LearnerSpec("adaboost_cart", "classification", {"n_rounds": 1}),
                          train, seed=0)
     assert model.core.majority == 0
+
+
+# -- nested grid cells ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def noisy_oversampled_data():
+    rng = np.random.default_rng(32)
+    values = np.round(rng.uniform(10, 90, 120))
+    data = dataset_of(feature_rows(values, label_fn=lambda v: (v < 50) != (v % 7 < 2),
+                                   reg_fn=lambda v: v % 13 + v / 10))
+    return oversample(data, seed=5)
+
+
+@pytest.mark.parametrize("task", learners.TASKS)
+@pytest.mark.parametrize("kind, fixed, sizes", [
+    ("cart", {}, [None, 12, 4, 1, 0]),
+    ("adaboost_cart", {"weak_depth": 2}, [25, 24, 9, 1]),
+])
+def test_truncated_model_is_the_direct_fit(noisy_oversampled_data, kind, fixed, sizes, task):
+    nested = learners._KIND_TABLE[kind].nested
+    specs = [LearnerSpec(kind, task, {**fixed, nested: size}) for size in sizes]
+    whole = learners.fit(specs[0], noisy_oversampled_data, seed=3)
+    for spec in specs:
+        derived = learners.truncated(whole, spec)
+        direct = learners.fit(spec, noisy_oversampled_data, seed=3)
+        assert model_to_dict(derived) == model_to_dict(direct)  # train_summary included
+
+
+def test_nested_groups():
+    groups = {}
+    for spec in default_grid("adaboost_cart", "classification"):
+        key, size = learners.nested_group(spec)
+        groups.setdefault(key, []).append(size)
+    assert sorted(groups.values()) == [[50, 100, 200]] * 3
+    alias = LearnerSpec("adaboost_cart", "classification", {"T": 7, "weak_depth": 1})
+    assert learners.nested_group(alias) == (next(iter(groups)), 7)
+
+    def cart(task="regression", **hp):
+        return learners.nested_group(LearnerSpec("cart", task, hp))
+    assert cart(max_depth=None) == (cart()[0], DEPTH_CAP)
+    assert cart(min_leaf=2)[0] != cart()[0] != cart("classification")[0]
+    assert cart(max_dept=2) == (None, 0)  # does not resolve
+    assert learners.nested_group(LearnerSpec("knn", "regression", {"k": 3})) == (None, 0)
 
 
 # -- uniform blend ----------------------------------------------------------
@@ -627,6 +671,13 @@ def test_unknown_or_repeated_hyperparameter_is_incompatible(kind, hyperparams, t
     with pytest.raises(IncompatibleSpec, match=repr(next(iter(hyperparams)))):
         learners._resolve(spec)
     with pytest.raises(IncompatibleSpec):  # fit resolves before any work
+        learners.fit(spec, threshold_data, seed=0)
+
+
+@pytest.mark.parametrize("lr", [0, -1, float("inf"), float("nan")])
+def test_mlp3_learning_rate_must_be_positive_and_finite(lr, threshold_data):
+    spec = LearnerSpec("mlp3", "classification", {"lr": lr})
+    with pytest.raises(FarecastError, match="lr must be positive and finite"):
         learners.fit(spec, threshold_data, seed=0)
 
 

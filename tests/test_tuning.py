@@ -4,20 +4,22 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import dataset_of
-from farecast.core import SeriesKey
-from farecast.learners import LearnerSpec
+from farecast import tuning
+from farecast.core import FarecastError, SeriesKey
+from farecast.learners import LearnerSpec, fit
 from farecast.tuning import (
     AllCellsFailed,
     CvCell,
     TooFewSeries,
+    _loss,
     cv_folds,
     default_grid,
     grid_search,
 )
-from farecast.util import to_jsonable
+from farecast.util import derive_seed, to_jsonable
 
 
 def series_rows(series_id, values, label_fn=None, reg_fn=None, route_idx=0):
@@ -259,6 +261,92 @@ def test_too_few_series_through_grid_search():
         grid_search(
             [LearnerSpec("cart", "classification", {})], train, seed=0, k=5
         )
+
+
+# -- nested groups ------------------------------------------------------------
+
+
+def per_cell_grid_search(spec_grid, train, seed, k=5):
+    """Oracle: every cell fit directly on every fold, the loop grid_search ran
+    before the cells of a nested group shared one fit. (fold losses, first
+    error) per cell."""
+    series = np.unique(train.series)
+    outcomes = [[] for _ in spec_grid]  # per cell, a loss or an error per fold
+    for f, fold in enumerate(cv_folds(len(series), k=k, seed=seed)):
+        held_out = np.isin(train.series, series[fold])
+        fold_train, val = train.take(~held_out), train.take(held_out)
+        for outcome, spec in zip(outcomes, spec_grid):
+            try:
+                model = fit(spec, fold_train, seed=derive_seed(seed, "fold-fit", f))
+                outcome.append(_loss(spec, model, val))
+            except (FarecastError, ValueError, np.linalg.LinAlgError) as exc:
+                outcome.append(f"{type(exc).__name__}: {exc}")
+    return [([x for x in outcome if not isinstance(x, str)],
+             next((x for x in outcome if isinstance(x, str)), None)) for outcome in outcomes]
+
+
+def noisy_train(seed, n_series=10, rows_per=6):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for s in range(n_series):
+        values = np.round(rng.uniform(10, 90, rows_per), 0)
+        rows += series_rows(s, values, label_fn=lambda v: (v < 50) != (v % 5 == 0),
+                            reg_fn=lambda v: v % 7)
+    return dataset_of(rows)
+
+
+NESTED_CELLS = st.one_of(
+    st.builds(lambda d, leaf: {"max_depth": d, "min_leaf": leaf},
+              st.sampled_from([None, 0, 1, 2, 3, 5, -1]), st.sampled_from([1, 2])),
+    st.builds(lambda t, d: {"n_rounds": t, "weak_depth": d},
+              st.sampled_from([1, 2, 3, 5, 8, 0]), st.sampled_from([1, 2])),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(NESTED_CELLS, st.sampled_from(["classification", "regression"])),
+                min_size=1, max_size=6),
+       st.integers(0, 2**16), st.sampled_from([1, 2]))
+def test_grid_search_equals_fitting_every_cell(cells, seed, jobs):
+    grid = [LearnerSpec("cart" if "max_depth" in hp else "adaboost_cart", task, hp)
+            for hp, task in cells]
+    train = noisy_train(seed)
+    expected = per_cell_grid_search(grid, train, seed=seed)
+    try:
+        best, table = grid_search(grid, train, seed=seed, jobs=jobs)
+    except AllCellsFailed:
+        assert all(error is not None for _, error in expected)
+        return
+    assert [(c.fold_losses, c.error) for c in table] == expected
+    assert best == min((c for c in table if not c.failed), key=lambda c: c.mean_loss).spec
+
+
+def collapsing_train():
+    """Five series of two rows with two small integer features and random
+    labels (rng seed 23, found by search): on three of the five folds a
+    12-round depth-2 AdaBoost fit collapses to one tree after round 0."""
+    rng = np.random.default_rng(23)
+    rows = []
+    for s in range(5):
+        key = SeriesKey("R1", date(2016, 3, 1) + timedelta(days=s))
+        for _ in range(2):
+            a, b = rng.integers(0, 3, 2).astype(float)
+            rows.append((key, 0, (a, b, 0.0, 0.0, 0.0), int(rng.integers(0, 2)), None))
+    return dataset_of(rows)
+
+
+def test_cells_a_collapse_dropped_are_fit_directly(monkeypatch):
+    train = collapsing_train()
+    grid = [LearnerSpec("adaboost_cart", "classification", {"n_rounds": t, "weak_depth": 2})
+            for t in (1, 2, 3, 12)]
+    fits = []
+    monkeypatch.setattr(tuning, "fit",
+                        lambda spec, *args, **kw: fits.append(spec) or fit(spec, *args, **kw))
+    _, table = grid_search(grid, train, seed=0)
+    # Per fold: the 12-round fit, then the longest cell its collapse dropped,
+    # whose own fit holds the cells below it.
+    assert [spec.hyperparams["n_rounds"] for spec in fits] == [12, 1, 12, 2, 12, 12, 12, 1]
+    assert [(c.fold_losses, c.error) for c in table] == per_cell_grid_search(grid, train, seed=0)
 
 
 # -- stock grids --------------------------------------------------------------
