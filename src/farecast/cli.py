@@ -38,7 +38,8 @@ from .pipeline import (
     train_specific,
 )
 from .tuning import default_grid, grid_search
-from .util import derive_seed, natural_key, round_sig, to_jsonable
+from .util import (JSON_TYPES, check_json_type, derive_seed, natural_key, read_json, round_sig,
+                   to_jsonable, write_json)
 
 import numpy as np
 
@@ -51,67 +52,39 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _json_object(text: str, what: str) -> dict:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FarecastError(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise FarecastError(f"{what} must be a JSON object")
-    return raw
-
-
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
-    return _json_object(Path(path).read_text(encoding="utf-8"), f"config {path}")
+    return read_json(path, "config", lambda raw: check_json_type("it", raw, (dict,)))
 
 
-def _section(config: dict, name: str) -> dict:
-    """The object ``config[name]``, or {} when the key is absent."""
-    value = config.get(name, {})
-    if not isinstance(value, dict):
-        raise FarecastError(f"config {name!r} must be a JSON object, got {value!r}")
-    return value
-
-
-_SETTING_TYPES = {"boolean": (bool,), "integer": (int,), "number": (int, float)}
-
-
-def _setting(section: dict, name: str, default, kind: str):
-    """``section[name]`` (or ``default``), which must be a JSON ``kind``;
-    true and false are booleans only, never numbers."""
-    value = section.get(name, default)
-    if not isinstance(value, _SETTING_TYPES[kind]) or (
-            kind != "boolean" and isinstance(value, bool)):
-        raise FarecastError(f"config {name!r} must be a JSON {kind}, got {value!r}")
-    return value
+def _setting(args, config: dict, section: Optional[str], name: str, default):
+    """The flag ``--name`` when given, else ``config[section][name]`` (a null
+    ``section`` is the top level), else ``default``. The section must be an
+    object even when the flag is given; a config value must have the
+    default's JSON type."""
+    if section is not None:
+        config = check_json_type(f"config {section!r}", config.get(section, {}), (dict,))
+    flag = getattr(args, name, None)
+    if flag is not None:
+        return flag
+    if name not in config:
+        return default
+    return check_json_type(f"config {name!r}", config[name], JSON_TYPES[type(default)])
 
 
 def _split_config(args, config: dict) -> SplitConfig:
     if getattr(args, "split_config", None):
-        return SplitConfig.from_dict(_load_config(args.split_config))
+        return SplitConfig.from_json(args.split_config)
     if "split" in config:
         return SplitConfig.from_dict(config["split"])
     return SplitConfig.default()
 
 
 def _prep_config(args, config: dict) -> PreprocessConfig:
-    oversample = _setting(config, "oversample", True, "boolean")
-    outlier = config.get("outlier_removal", "none")
-    if getattr(args, "oversample", None) is not None:
-        oversample = args.oversample == "on"
-    if getattr(args, "outlier_removal", None) is not None:
-        outlier = args.outlier_removal
-    return PreprocessConfig(oversample=oversample, outlier_removal=outlier)
-
-
-def _emit_report(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(round_sig(to_jsonable(report)), sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    return PreprocessConfig(
+        oversample=_setting(args, config, None, "oversample", True),
+        outlier_removal=_setting(args, config, None, "outlier_removal", "none"))
 
 
 def _metrics_csv(per_route, path: str) -> None:
@@ -151,7 +124,7 @@ def _aggregate_dict(per_route, mean: float, var: float) -> dict:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> None:
     overrides = {}
     if args.routes is not None:
         overrides["n_routes"] = args.routes
@@ -166,12 +139,8 @@ def cmd_gen_data(args) -> int:
     series = synthgen.generate_corpus(cfg, seed=args.seed)
     synthgen.write_corpus_csv(series, args.out)
     if args.split_out:
-        split_cfg = synthgen.default_split_for(cfg)
-        Path(args.split_out).write_text(
-            json.dumps(to_jsonable(split_cfg), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        write_json(to_jsonable(synthgen.default_split_for(cfg)), args.split_out, indent=2)
     print(f"wrote {sum(len(s) for s in series)} quotes to {args.out}")
-    return 0
 
 
 def _load_split_series(args, config):
@@ -185,14 +154,14 @@ def _load_split_series(args, config):
     return series, train_series, test_series, split_cfg, anchor, routes
 
 
-def cmd_tune(args) -> int:
+def cmd_tune(args) -> dict:
     config = _load_config(args.config)
     _, train_series, _, split_cfg, anchor, routes = _load_split_series(args, config)
     prep = _prep_config(args, config)
 
-    grids_cfg = _section(config, "grids")
-    if args.model in grids_cfg:
-        entries = grids_cfg[args.model]
+    grids = check_json_type("config 'grids'", config.get("grids", {}), (dict,))
+    if args.model in grids:
+        entries = grids[args.model]
         if not isinstance(entries, list) or not all(isinstance(hp, dict) for hp in entries):
             raise FarecastError(f"config grids.{args.model} must be a list of JSON objects")
         grid = [LearnerSpec(kind=args.model, task=args.task, hyperparams=dict(hp))
@@ -206,22 +175,6 @@ def cmd_tune(args) -> int:
     best, table = grid_search(
         grid, train_ds, seed=derive_seed(args.seed, "tune"), k=args.folds, jobs=args.jobs,
         preprocess=lambda ds, fold_seed: preprocess_for(grid[0], ds, prep, fold_seed))
-    report = {
-        "command": "tune",
-        "seed": args.seed,
-        "config": {
-            "quotes": args.quotes,
-            "split": split_cfg,
-            "task": args.task,
-            "model": args.model,
-            "folds": args.folds,
-            "preprocessing": prep,
-            "grid": grid,
-        },
-        "best_spec": best,
-        "cv_table": table,
-    }
-    _emit_report(report, args.out)
     if args.report_csv:
         with open(args.report_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -235,15 +188,30 @@ def cmd_tune(args) -> int:
                     "" if cell.var_loss is None else f"{cell.var_loss:.6f}",
                     int(cell.failed),
                 ])
-    return 0
+    return {
+        "config": {
+            "quotes": args.quotes,
+            "split": split_cfg,
+            "task": args.task,
+            "model": args.model,
+            "folds": args.folds,
+            "preprocessing": prep,
+            "grid": grid,
+        },
+        "best_spec": best,
+        "cv_table": table,
+    }
 
 
 def _spec_from_args(args) -> LearnerSpec:
-    hyper = _json_object(args.hyperparams, "--hyperparams") if args.hyperparams else {}
+    try:
+        hyper = json.loads(args.hyperparams) if args.hyperparams else {}
+    except json.JSONDecodeError as exc:
+        raise FarecastError(f"--hyperparams is not valid JSON: {exc}") from exc
     return LearnerSpec(kind=args.model, task=args.task, hyperparams=hyper)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict:
     config = _load_config(args.config)
     _, train_series, _, split_cfg, anchor, routes = _load_split_series(args, config)
     prep = _prep_config(args, config)
@@ -251,9 +219,7 @@ def cmd_train(args) -> int:
     model = train_specific(spec, train_series, routes, anchor, prep, seed=args.seed)
     if args.save_model:
         save_model(model, args.save_model)
-    report = {
-        "command": "train",
-        "seed": args.seed,
+    return {
         "config": {
             "quotes": args.quotes,
             "split": split_cfg,
@@ -264,11 +230,9 @@ def cmd_train(args) -> int:
         "train_summary": model.train_summary,
         "model_path": args.save_model,
     }
-    _emit_report(report, args.out)
-    return 0
 
 
-def cmd_backtest(args) -> int:
+def cmd_backtest(args) -> dict:
     config = _load_config(args.config)
     _, train_series, test_series, split_cfg, anchor, routes = _load_split_series(args, config)
     prep = _prep_config(args, config)
@@ -286,8 +250,6 @@ def cmd_backtest(args) -> int:
     per_route, mean, var = score_decisions(decisions, test_series)
 
     report = {
-        "command": "backtest",
-        "seed": args.seed,
         "config": {
             "quotes": args.quotes,
             "split": split_cfg,
@@ -299,7 +261,7 @@ def cmd_backtest(args) -> int:
         },
         "backtest": _aggregate_dict(per_route, mean, var),
     }
-    if args.simulate_random:
+    if args.simulate_random is not None:
         rng = np.random.default_rng(derive_seed(args.seed, "simulate-random"))
         sums: dict[str, list[float]] = {}
         for s in test_series:
@@ -308,7 +270,6 @@ def cmd_backtest(args) -> int:
         report["simulated_random"] = {
             route: sum(vals) / len(vals) for route, vals in sorted(sums.items())
         }
-    _emit_report(report, args.out)
     if args.report_csv:
         _metrics_csv(per_route, args.report_csv)
     if args.plot_data:
@@ -318,17 +279,15 @@ def cmd_backtest(args) -> int:
                       args.dump_features)
     if args.save_model and not args.load_model:
         save_model(model, args.save_model)
-    return 0
+    return report
 
 
-def cmd_qlearn(args) -> int:
+def cmd_qlearn(args) -> dict:
     config = _load_config(args.config)
     _, train_series, test_series, split_cfg, _, _ = _load_split_series(args, config)
-    q_cfg = _section(config, "qlearn")
-    episodes = args.episodes if args.episodes is not None else _setting(
-        q_cfg, "episodes", 200, "integer")
-    gamma = args.gamma if args.gamma is not None else _setting(q_cfg, "gamma", 1.0, "number")
-    alpha = args.alpha if args.alpha is not None else _setting(q_cfg, "alpha", 0.1, "number")
+    episodes = _setting(args, config, "qlearn", "episodes", 200)
+    gamma = _setting(args, config, "qlearn", "gamma", 1.0)
+    alpha = _setting(args, config, "qlearn", "alpha", 0.1)
 
     if args.load_table:
         table = qlearn.load_qtable(args.load_table)
@@ -340,9 +299,9 @@ def cmd_qlearn(args) -> int:
 
     decisions = {s.key: qlearn.q_policy(table, s) for s in test_series}
     per_route, mean, var = score_decisions(decisions, test_series)
-    report = {
-        "command": "qlearn",
-        "seed": args.seed,
+    if args.report_csv:
+        _metrics_csv(per_route, args.report_csv)
+    return {
         "config": {
             "quotes": args.quotes,
             "split": split_cfg,
@@ -354,10 +313,6 @@ def cmd_qlearn(args) -> int:
         "d_max": table.d_max,
         "backtest": _aggregate_dict(per_route, mean, var),
     }
-    _emit_report(report, args.out)
-    if args.report_csv:
-        _metrics_csv(per_route, args.report_csv)
-    return 0
 
 
 def _load_bank(bank_dir: str) -> list[hmm.HmmModel]:
@@ -370,13 +325,11 @@ def _load_bank(bank_dir: str) -> list[hmm.HmmModel]:
     return [hmm.load_model(Path(bank_dir) / name) for name in expected]
 
 
-def cmd_generalize(args) -> int:
+def cmd_generalize(args) -> dict:
     config = _load_config(args.config)
-    hmm_cfg = _section(config, "hmm")
-    n_states = args.n_states if args.n_states is not None else _setting(
-        hmm_cfg, "n_states", 4, "integer")
-    max_iter = _setting(hmm_cfg, "max_iter", 100, "integer")
-    tol = _setting(hmm_cfg, "tol", 1e-6, "number")
+    n_states = _setting(args, config, "hmm", "n_states", 4)
+    max_iter = _setting(args, config, "hmm", "max_iter", 100)
+    tol = _setting(args, config, "hmm", "tol", 1e-6)
 
     gen_series = load_quotes(args.gen_quotes)
     if args.anchor:
@@ -419,8 +372,6 @@ def cmd_generalize(args) -> int:
             counts[str(idx)] = counts.get(str(idx), 0) + 1
 
     report = {
-        "command": "generalize",
-        "seed": args.seed,
         "config": {
             "gen_quotes": args.gen_quotes,
             "quotes": args.quotes,
@@ -441,10 +392,9 @@ def cmd_generalize(args) -> int:
         uniform_decisions = run_uniform_generalized(blend, gen_series, anchor=anchor)
         u_route, u_mean, u_var = score_decisions(uniform_decisions, gen_series)
         report["uniform"] = _aggregate_dict(u_route, u_mean, u_var)
-    _emit_report(report, args.out)
     if args.report_csv:
         _metrics_csv(per_route, args.report_csv)
-    return 0
+    return report
 
 
 # -- argument parsing --------------------------------------------------------
@@ -462,6 +412,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+class _OnOff(argparse.Action):
+    """Stores an ``on``/``off`` choice as true/false."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values == "on")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--config", help="JSON config file")
@@ -472,7 +429,7 @@ def _add_split(p: argparse.ArgumentParser) -> None:
 
 
 def _add_prep(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--oversample", choices=("on", "off"), default=None,
+    p.add_argument("--oversample", choices=("on", "off"), action=_OnOff,
                    help="balance classes by duplicating minority rows")
     p.add_argument("--outlier-removal", choices=("none", "kmeans", "em"), default=None,
                    help="cluster-disagreement outlier filter")
@@ -576,12 +533,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand and write its report, with the command and seed, to
+    ``--out`` or stdout. A FarecastError or an OSError exits 2 with a one-line
+    JSON error; an OSError is named by its class less ``Error``."""
     _setup_logging()
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (FarecastError, FileNotFoundError) as exc:
-        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        report = args.func(args)
+        if report is not None:
+            report.update(command=args.command, seed=args.seed)
+            write_json(round_sig(to_jsonable(report)), args.out, indent=2)
+        return 0
+    except (FarecastError, OSError) as exc:
+        name = type(exc).__name__
+        if isinstance(exc, OSError):
+            name = name.removesuffix("Error")
         sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
         return 2
 

@@ -17,7 +17,6 @@ full mean.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -31,8 +30,8 @@ from .core import EmptySeries, FarecastError, PriceSeries, SeriesKey
 from .features import feature_dataset, set_route_dummies
 from .learners import TrainedModel, dummy_width, predict
 from .policy import PurchaseDecision, decide_classification
-from .util import (as_float_arrays, derive_seed, from_jsonable, malformed_document,
-                   to_jsonable)
+from .util import (as_float_arrays, check_types, derive_seed, from_jsonable, read_json,
+                   to_jsonable, write_json)
 
 logger = logging.getLogger(__name__)
 
@@ -51,8 +50,8 @@ class HmmModel:
     degenerate: bool = False
 
     def __post_init__(self):
-        self.route_index, self.n_states = int(self.route_index), int(self.n_states)
-        self.norm_mean, self.degenerate = float(self.norm_mean), bool(self.degenerate)
+        check_types(self, route_index=int, n_states=int, norm_mean=float, degenerate=bool)
+        self.norm_mean = float(self.norm_mean)
         as_float_arrays(self, "initial", "transition", "means", "variances")
         k = self.n_states
         if (self.transition.shape != (k, k)
@@ -74,14 +73,11 @@ class HmmModel:
 
 
 def save_model(model: HmmModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_jsonable(model), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(to_jsonable(model), path)
 
 
 def load_model(path: str | Path) -> HmmModel:
-    with open(path, "r", encoding="utf-8") as fh, malformed_document("HMM template", path):
-        return from_jsonable(HmmModel, json.load(fh))
+    return read_json(path, "HMM template", lambda raw: from_jsonable(HmmModel, raw))
 
 
 # -- forward algorithm -------------------------------------------------------
@@ -315,6 +311,9 @@ def hmm_fit(
     """
     if not route_series:
         raise EmptySeries("hmm_fit needs at least one series")
+    if n_states < 1 or max_iter < 1:
+        raise FarecastError(f"an HMM fit needs n_states and max_iter of at least 1, "
+                            f"got {n_states} and {max_iter}")
     prices = np.concatenate([s.prices for s in route_series])
     norm_mean = math.fsum(prices) / len(prices)
     sequences = [s.prices / norm_mean for s in route_series]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 from datetime import date
@@ -14,7 +13,7 @@ import numpy as np
 
 from .core import (FarecastError, NonPositivePrice, PriceSeries, QueryAfterDeparture,
                    SeriesKey)
-from .util import natural_key
+from .util import natural_key, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -70,8 +69,7 @@ class SplitConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SplitConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, "split config", cls.from_dict)
 
 
 def load_quotes(path: str | Path) -> list[PriceSeries]:

@@ -11,7 +11,6 @@ core answers ``predict_scores``. Models serialize to a versioned JSON document.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -20,8 +19,8 @@ import numpy as np
 
 from ..core import Dataset, FarecastError
 from ..features import CONTINUOUS_NAMES, FeatureMismatch, Standardizer, set_route_dummies
-from ..util import (NOT_SAVED, derive_seed, from_jsonable, malformed_document, require_keys,
-                    to_jsonable)
+from ..util import (JSON_TYPES, NOT_SAVED, check_json_type, derive_seed, from_jsonable,
+                    read_json, require_keys, to_jsonable, write_json)
 from .boosting import AdaBoostClassifier, AdaBoostRegressor
 from .forest import RandomForest
 from .knn import Knn
@@ -115,7 +114,6 @@ class TrainedModel:
     train_summary: dict
 
 
-_HP_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: (dict,)}
 _NAMED_TYPES = {"max_depth": (int, type(None)), "member_kind": (str,)}
 
 
@@ -135,11 +133,9 @@ def _resolve(spec: LearnerSpec) -> dict:
         if name != key and name in spec.hyperparams:
             raise IncompatibleSpec(f"{spec.kind} hyperparameter {name!r} is given twice, "
                                    f"once as {key!r}")
-        types = _NAMED_TYPES.get(name) or _HP_TYPES[type(defaults[name])]
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            raise IncompatibleSpec(f"{spec.kind} hyperparameter {key!r} must be of type "
-                                   f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
-        resolved[name] = value
+        resolved[name] = check_json_type(
+            f"{spec.kind} hyperparameter {key!r}", value,
+            _NAMED_TYPES.get(name) or JSON_TYPES[type(defaults[name])], IncompatibleSpec)
     for name in ("epochs", "max_iter"):  # the cores allow 0, a fit that trains nothing
         if resolved.get(name, 1) < 1:
             raise IncompatibleSpec(f"{spec.kind} {name} must be >= 1")
@@ -389,11 +385,8 @@ def model_from_dict(raw: dict) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh, malformed_document("model", path):
-        return model_from_dict(json.load(fh))
+    return read_json(path, "model", model_from_dict)

@@ -36,6 +36,8 @@ def random_purchase_price(s: PriceSeries) -> float:
 
 def simulated_random_purchase_price(s: PriceSeries, n_draws: int, rng) -> float:
     """Monte Carlo variant of the random-purchase benchmark (sampled draws)."""
+    if n_draws < 1:
+        raise FarecastError(f"the random-purchase estimate needs at least 1 draw, got {n_draws}")
     picks = rng.integers(0, len(s), size=n_draws)
     return math.fsum(s.prices[picks]) / n_draws
 

@@ -11,7 +11,6 @@ alpha=1 coincide with exact backward induction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,8 @@ import numpy as np
 
 from .core import EmptySeries, FarecastError, PriceSeries
 from .policy import PurchaseDecision
-from .util import as_float_arrays, derive_seed, from_jsonable, malformed_document, to_jsonable
+from .util import (JSON_TYPES, as_float_arrays, check_json_type, check_types, derive_seed,
+                   from_jsonable, read_json, to_jsonable, write_json)
 
 
 @dataclass
@@ -34,10 +34,12 @@ class QTable:
     route_means: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_types(self, d_max=int, gamma=float, alpha=float, route_means=dict)
         _check_rates(self.gamma, self.alpha)
-        self.d_max = int(self.d_max)
         as_float_arrays(self, "buy", "wait")
-        self.route_means = {str(k): float(v) for k, v in self.route_means.items()}
+        self.route_means = {k: float(check_json_type(f"QTable.route_means[{k!r}]", v,
+                                                     JSON_TYPES[float]))
+                            for k, v in self.route_means.items()}
         for name, values in (("buy", self.buy), ("wait", self.wait)):
             if values.shape != (self.d_max + 1,) or not np.isfinite(values).all():
                 raise FarecastError(f"Q-table {name} must hold d_max + 1 = {self.d_max + 1} "
@@ -53,14 +55,11 @@ class QTable:
 
 
 def save_qtable(table: QTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_jsonable(table), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(to_jsonable(table), path)
 
 
 def load_qtable(path: str | Path) -> QTable:
-    with open(path, "r", encoding="utf-8") as fh, malformed_document("Q-table", path):
-        return from_jsonable(QTable, json.load(fh))
+    return read_json(path, "Q-table", lambda raw: from_jsonable(QTable, raw))
 
 
 def _check_rates(gamma: float, alpha: float) -> None:
@@ -91,6 +90,8 @@ def q_train(
     """
     if not train_series:
         raise EmptySeries("Q-learning needs at least one training series")
+    if episodes < 1:
+        raise FarecastError(f"Q-learning needs at least 1 episode, got {episodes}")
     _check_rates(gamma, alpha)
     means = _route_means(train_series)
     # One (state, alpha * -price, next state) step per quote, in visiting

@@ -90,24 +90,27 @@ def grid_search(
         groups.setdefault(key or spec_idx, []).append((-size, spec_idx))
     cell_groups = [[spec_idx for _, spec_idx in sorted(cells)] for cells in groups.values()]
 
-    def run_group(args) -> list[tuple[int, int, Optional[float], Optional[str]]]:
+    # Each cell's fold losses in fold order, and its first error: folds run
+    # one after another, and a cell belongs to one group, so to one thread.
+    losses: list[list[float]] = [[] for _ in spec_grid]
+    errors: list[Optional[str]] = [None] * len(spec_grid)
+
+    def run_group(args) -> None:
         """Fit the largest cell that fits; read the smaller ones off the last fit."""
         cells, f, fold_train, val = args
-        out, whole = [], None
+        whole = None
         for spec_idx in cells:
             spec = spec_grid[spec_idx]
             try:
                 model = whole and truncated(whole, spec)
                 if model is None:
                     model = whole = fit(spec, fold_train, seed=derive_seed(seed, "fold-fit", f))
-                out.append((spec_idx, f, _loss(spec, model, val), None))
+                losses[spec_idx].append(_loss(spec, model, val))
             except (FarecastError, ValueError, np.linalg.LinAlgError) as exc:
-                out.append((spec_idx, f, None, f"{type(exc).__name__}: {exc}"))
-        return out
+                errors[spec_idx] = errors[spec_idx] or f"{type(exc).__name__}: {exc}"
 
     # One fold at a time: its groups share its train/validation data, and no
     # other fold's data is held while they run.
-    results = []
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
         run = pool.map if jobs > 1 else map
         for f, fold in enumerate(folds):
@@ -116,32 +119,16 @@ def grid_search(
             if preprocess is not None:
                 fold_train = preprocess(fold_train, derive_seed(seed, "fold-prep", f))
             val = train.take(held_out)
-            for out in run(run_group, [(cells, f, fold_train, val) for cells in cell_groups]):
-                results += out
-
-    by_spec: dict[int, dict[int, tuple[Optional[float], Optional[str]]]] = {}
-    for spec_idx, f, loss, err in results:
-        by_spec.setdefault(spec_idx, {})[f] = (loss, err)
+            list(run(run_group, [(cells, f, fold_train, val) for cells in cell_groups]))
 
     table: list[CvCell] = []
-    for spec_idx, spec in enumerate(spec_grid):
-        losses, first_error = [], None
-        for f in range(k):
-            loss, err = by_spec[spec_idx][f]
-            if err is not None and first_error is None:
-                first_error = err
-            if loss is not None:
-                losses.append(loss)
-        failed = first_error is not None
-        if failed:
-            logger.warning("grid cell %d (%s) failed: %s", spec_idx, spec.kind, first_error)
-            table.append(CvCell(spec=spec, fold_losses=losses, mean_loss=None,
-                                var_loss=None, failed=True, error=first_error))
-        else:
-            mean = float(np.mean(losses))
-            var = float(np.var(losses))
-            table.append(CvCell(spec=spec, fold_losses=losses, mean_loss=mean,
-                                var_loss=var, failed=False, error=None))
+    for spec_idx, (spec, fold_losses, error) in enumerate(zip(spec_grid, losses, errors)):
+        if error is not None:
+            logger.warning("grid cell %d (%s) failed: %s", spec_idx, spec.kind, error)
+        table.append(CvCell(spec=spec, fold_losses=fold_losses,
+                            mean_loss=None if error else float(np.mean(fold_losses)),
+                            var_loss=None if error else float(np.var(fold_losses)),
+                            failed=error is not None, error=error))
 
     viable = [c for c in table if not c.failed]
     if not viable:

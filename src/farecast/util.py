@@ -2,16 +2,18 @@
 
 A saved document or report record is its dataclass's fields less those marked
 ``NOT_SAVED``; the constructor's ``__post_init__`` converts and checks them.
+``read_json`` and ``write_json`` are the only readers and writers of JSON files.
 """
 
 from __future__ import annotations
 
+import json
 import re
+import sys
 import zlib
-from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from datetime import date
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -24,6 +26,8 @@ def derive_seed(seed: int, *keys: int | str) -> int:
     Children are independent streams of the master seed, so per-route or
     per-fold work is reproducible regardless of execution order.
     """
+    if seed < 0:
+        raise FarecastError(f"a seed must be a non-negative integer, got {seed}")
     spawn = tuple(
         zlib.crc32(k.encode("utf-8")) if isinstance(k, str) else int(k) for k in keys
     )
@@ -47,14 +51,47 @@ def round_sig(value, digits: int = 6):
     return value
 
 
-@contextmanager
-def malformed_document(what: str, path) -> Iterator[None]:
-    """A decode, key, type or domain error while reading the JSON ``what`` at
-    ``path`` raises a FarecastError that names the file."""
-    try:
-        yield
-    except (FarecastError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise FarecastError(f"{what} {path} is malformed: {exc!r}") from exc
+def read_json(path, what: str, build: Callable):
+    """``build`` of the UTF-8 JSON document at ``path``. A decode, key, type or
+    domain error raises a FarecastError that names ``what`` and the file; an
+    OSError, such as a missing file, passes through."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return build(json.load(fh))
+        except (FarecastError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise FarecastError(f"{what} {path} is malformed: {exc!r}") from exc
+
+
+def write_json(value, path=None, indent=None) -> None:
+    """Write the JSON value ``value`` with sorted keys and a final newline to
+    ``path``, or to stdout when ``path`` is empty."""
+    text = json.dumps(value, sort_keys=True, indent=indent) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+# The Python types a JSON value may have where one of the key's type is due: a
+# float may be written as an integer.
+JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: (dict,),
+              list: (list,)}
+
+
+def check_json_type(what: str, value, types: tuple, error=FarecastError):
+    """``value``, unless it is none of ``types``: then ``error`` names ``what``.
+    true and false are booleans only, never numbers."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise error(f"{what} must be of type {' or '.join(t.__name__ for t in types)}, "
+                    f"got {value!r}")
+    return value
+
+
+def check_types(obj, **kinds: type) -> None:
+    """Raise FarecastError unless each named field of ``obj`` has its kind's JSON type."""
+    for name, kind in kinds.items():
+        check_json_type(f"{type(obj).__name__}.{name}", getattr(obj, name), JSON_TYPES[kind])
 
 
 # Field metadata of a fit diagnostic: kept on the instance, never written.
@@ -105,11 +142,24 @@ def from_jsonable(cls, raw):
     return cls(**raw)
 
 
+def _numbers(value) -> bool:
+    """True when every entry of the (nested) list or array ``value`` is a number:
+    no string, boolean or null."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "fiu"
+    if isinstance(value, (list, tuple)):
+        return all(map(_numbers, value))
+    return isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+
+
 def as_float_arrays(obj, *names: str) -> None:
-    """Set each named field of ``obj`` to a float array; None stays None."""
+    """Set each named field of ``obj`` to a float array; None stays None. An entry
+    that is not a number raises FarecastError."""
     for name in names:
         value = getattr(obj, name)
         if value is not None:
+            if not _numbers(value):
+                raise FarecastError(f"{type(obj).__name__}.{name} must hold numbers only")
             setattr(obj, name, np.asarray(value, dtype=float))
 
 

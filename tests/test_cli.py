@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -611,8 +612,21 @@ def test_config_errors_exit_two(workdir, tmp_path, capsys, bad_input):
     ("qlearn", {"qlearn": 5}, []),
     ("qlearn", {"qlearn": {"episodes": True}}, []),
     ("backtest", {"oversample": "yes"}, []),
+    ("generalize", {"hmm": {"max_iter": 0}}, []),
+    ("generalize", {"hmm": {"n_states": 0}}, []),
+    ("generalize", {}, ["--n-states", "0"]),
+    ("generalize", {}, ["--n-states", "-1"]),
+    ("qlearn", {}, ["--episodes", "0"]),
+    ("qlearn", {"qlearn": {"episodes": -2}}, []),
+    ("backtest", {}, ["--simulate-random", "0"]),
+    ("backtest", {}, ["--simulate-random", "-1"]),
+    ("backtest", {}, ["--seed", "-1"]),
+    ("qlearn", {"qlearn": 5}, ["--episodes", "2", "--gamma", "1", "--alpha", "0.1"]),
 ], ids=["hmm-list", "hmm-string-states", "anchor-bad-date", "grid-number",
-        "grid-entry-number", "qlearn-number", "qlearn-bool-episodes", "oversample-string"])
+        "grid-entry-number", "qlearn-number", "qlearn-bool-episodes", "oversample-string",
+        "hmm-iterations-0", "hmm-states-0", "n-states-0", "n-states-negative", "episodes-0",
+        "episodes-negative", "simulate-random-0", "simulate-random-negative",
+        "seed-negative", "qlearn-number-all-flags"])
 def test_command_config_errors_exit_two(workdir, gen_corpus, frozen_and_blend, tmp_path,
                                         capsys, command, config, extra):
     data = base_args(workdir, ["--config", str(write(tmp_path / "c.json", json.dumps(config)))])
@@ -626,6 +640,60 @@ def test_command_config_errors_exit_two(workdir, gen_corpus, frozen_and_blend, t
     capsys.readouterr()
     assert main(argv + extra) == 2
     assert one_line_error(capsys.readouterr().err)["error"] == "FarecastError"
+
+
+NOT_UTF8 = b'{"hmm": {"n_states": "\xff"}}'
+
+
+def os_error_case(case, d, workdir, gen_corpus, frozen):
+    """(argv, expected error) of one case: a directory or a file where the
+    other is due, or a JSON file that is not UTF-8."""
+    data = base_args(workdir, [])
+    cart = ["--task", "classification", "--model", "cart"]
+    (d / "dir").mkdir()
+    (d / "bad.json").write_bytes(NOT_UTF8)
+    (d / "file").write_text("x", encoding="utf-8")
+    generalize = ["generalize", *data, "--gen-quotes", str(gen_corpus),
+                  "--frozen-model", str(frozen), "--n-states", "2"]
+    return {
+        "config-directory": (["train", *data, *cart, "--config", str(d / "dir")],
+                             "IsADirectory"),
+        "quotes-directory": (["train", "--quotes", str(d / "dir"), *cart], "IsADirectory"),
+        "load-model-directory": (["backtest", *data, "--load-model", str(d / "dir")],
+                                 "IsADirectory"),
+        "out-directory": (["train", *data, *cart, "--out", str(d / "dir")], "IsADirectory"),
+        "config-not-utf8": (["train", *data, *cart, "--config", str(d / "bad.json")],
+                            "FarecastError"),
+        "split-config-not-utf8": (["train", "--quotes", str(workdir / "quotes.csv"), *cart,
+                                   "--split-config", str(d / "bad.json")], "FarecastError"),
+        "bank-out-existing-file": ([*generalize, "--bank-out", str(d / "file")], "FileExists"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["config-directory", "quotes-directory",
+                                  "load-model-directory", "out-directory", "config-not-utf8",
+                                  "split-config-not-utf8", "bank-out-existing-file"])
+def test_os_errors_and_undecodable_files_exit_two(workdir, gen_corpus, frozen_and_blend,
+                                                  tmp_path, capsys, case):
+    argv, expected = os_error_case(case, tmp_path, workdir, gen_corpus, frozen_and_blend[0])
+    capsys.readouterr()
+    assert main(argv) == 2
+    error = one_line_error(capsys.readouterr().err)
+    assert error["error"] == expected
+    assert str(tmp_path) in error["message"]
+
+
+def test_report_is_written_after_the_side_files(workdir, tmp_path, capsys):
+    """A directory as ``--out`` exits 2 once the command has written its
+    other files: the report comes last."""
+    metrics = tmp_path / "metrics.csv"
+    (tmp_path / "dir").mkdir()
+    argv = ["backtest", *base_args(workdir, []), "--task", "classification", "--model",
+            "cart", "--report-csv", str(metrics), "--out", str(tmp_path / "dir")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert one_line_error(capsys.readouterr().err)["error"] == "IsADirectory"
+    assert metrics.read_text(encoding="utf-8").startswith("route_id,")
 
 
 # -- malformed saved files ----------------------------------------------------------
@@ -671,6 +739,13 @@ MALFORMED_FILES = {
     "bank-extra-key": ("--bank", json.dumps({**hmm_template(0), "extra": 1})),
     "bank-list": ("--bank", "[1, 2]"),
     "bank-bad-json": ("--bank", "{"),
+    "bank-fractional-route-index": ("--bank", json.dumps({**hmm_template(0),
+                                                        "route_index": 0.7})),
+    "bank-degenerate-string": ("--bank", json.dumps({**hmm_template(0), "degenerate": "no"})),
+    "bank-initial-string": ("--bank", json.dumps({**hmm_template(0),
+                                                  "initial": ["0.25", 0.25, 0.25, 0.25]})),
+    "bank-initial-bool": ("--bank", json.dumps({**hmm_template(0),
+                                                "initial": [True, 0, 0, 0]})),
     "frozen-model-list": ("--frozen-model", "[1, 2]"),
     # A (model, edit) pair edits that saved model's document in place.
     "model-no-spec": ("--load-model", ("cart", lambda doc: doc.pop("spec"))),
@@ -689,6 +764,8 @@ MALFORMED_FILES = {
     "mlp3-w2-cut": ("--load-model", ("mlp3", cut_to_3("core", "w2"))),
     "knn-y-cut": ("--load-model", ("knn", cut_to_3("core", "y"))),
     "knn-keep-cut": ("--load-model", ("knn", cut_to_3("standardizer", "keep"))),
+    "knn-y-strings": ("--load-model", ("knn", lambda doc: doc["core"].update(
+        y=[str(v) for v in doc["core"]["y"]]))),
     "qtable-no-buy": ("--load-table", json.dumps(
         {"d_max": 2, "wait": [0.0, 0.0, 0.0], "gamma": 1.0, "alpha": 0.1, "route_means": {}})),
     "qtable-no-route-means": ("--load-table", json.dumps(
@@ -697,6 +774,9 @@ MALFORMED_FILES = {
     "qtable-short-for-the-corpus": ("--load-table", qtable(d_max=95, buy=[0.0], wait=[0.0])),
     "qtable-short-for-its-d-max": ("--load-table", qtable(d_max=5, buy=[0.0], wait=[0.0])),
     "qtable-not-finite": ("--load-table", qtable(d_max=1, buy=[0.0, 1e400], wait=[0.0, 0.0])),
+    "qtable-fractional-d-max": ("--load-table", qtable(d_max=2.9)),
+    "qtable-buy-strings": ("--load-table", qtable(buy=["0", "0", "0"])),
+    "qtable-route-mean-string": ("--load-table", qtable(route_means={"R1": "100"})),
 }
 
 
@@ -860,6 +940,118 @@ def test_bank_out_removes_templates_of_an_earlier_bank(tmp_path, gen_corpus):
                  "--bank", str(bank), "--per-series", "--out", str(reuse)]) == 0
     counts = read_report(reuse)["template_counts"]
     assert {int(i) for c in counts.values() for i in c} <= set(range(4))
+
+
+# -- boundary fuzzing: every path and number a subcommand reads ----------------------
+
+PATH_KINDS = ("missing", "directory", "not-utf8", "bad-json", "wrong-shape", "valid")
+
+
+@pytest.fixture(scope="module")
+def boundary_inputs(tmp_path_factory):
+    """A valid file for each input flag, on corpora small enough for many runs."""
+    d = tmp_path_factory.mktemp("boundary")
+    quotes, split_json, gen = d / "quotes.csv", d / "split.json", d / "gen.csv"
+    assert main(["gen-data", "--seed", "3", "--out", str(quotes), "--routes", "2",
+                 "--departures", "3", "--horizon", "8", "--split-out", str(split_json)]) == 0
+    assert main(["gen-data", "--generalized", "--seed", "4", "--out", str(gen), "--routes",
+                 "2", "--departures", "1", "--horizon", "8"]) == 0
+    config = write(d / "config.json", json.dumps({
+        "hmm": {"max_iter": 3}, "qlearn": {"episodes": 2},
+        "split": json.loads(split_json.read_text(encoding="utf-8"))}))
+    data = ["--quotes", str(quotes), "--split-config", str(split_json), "--config", str(config)]
+    model, table, bank = d / "model.json", d / "table.json", d / "bank"
+    assert main(["train", *data, "--task", "classification", "--model", "cart",
+                 "--hyperparams", '{"max_depth": 2}', "--save-model", str(model),
+                 "--out", os.devnull]) == 0
+    assert main(["qlearn", *data, "--save-table", str(table), "--out", os.devnull]) == 0
+    assert main(["generalize", *data, "--gen-quotes", str(gen), "--frozen-model", str(model),
+                 "--n-states", "2", "--per-series", "--bank-out", str(bank),
+                 "--out", os.devnull]) == 0
+    return {"--quotes": quotes, "--split-config": split_json, "--config": config,
+            "--gen-quotes": gen, "--load-model": model, "--frozen-model": model,
+            "--blend-model": model, "--load-table": table, "--bank": bank}
+
+
+# Per subcommand: (fixed arguments, required path flags, optional path flags,
+# numeric flags with a negative, a zero and a positive value). A path flag the
+# fixture has no file for is an output.
+CORPUS = ["--quotes", "--split-config"]
+SUBCOMMANDS = {
+    "gen-data": ([], ["--out"], ["--split-out", "--config"],
+                 {"--routes": (-1, 0, 2), "--departures": (-1, 0, 3), "--horizon": (-1, 0, 8)}),
+    "tune": (["--task", "classification", "--model", "cart"], CORPUS,
+             ["--config", "--out", "--report-csv"],
+             {"--folds": (-1, 0, 2), "--jobs": (-1, 0, 2)}),
+    "train": (["--task", "classification", "--model", "cart"], CORPUS,
+              ["--config", "--save-model", "--out"], {}),
+    "backtest": (["--task", "classification", "--model", "cart"], CORPUS,
+                 ["--config", "--load-model", "--save-model", "--out",
+                  "--report-csv", "--plot-data", "--dump-features"],
+                 {"--simulate-random": (-1, 0, 5)}),
+    "qlearn": ([], CORPUS, ["--config", "--load-table", "--save-table", "--out",
+                            "--report-csv"],
+               {"--episodes": (-1, 0, 2), "--gamma": (-0.5, 0.0, 0.9),
+                "--alpha": (-0.5, 0.0, 0.5)}),
+    "generalize": (["--per-series"], ["--gen-quotes", "--frozen-model", *CORPUS],
+                   ["--config", "--bank", "--bank-out", "--blend-model", "--out", "--report-csv"],
+                   {"--n-states": (-1, 0, 2)}),
+}
+
+
+def mostly(usual, others) -> st.SearchStrategy:
+    """``usual`` four times in five draws or so, else one of ``others``: most
+    runs then get past their first check, and some reach a report."""
+    return st.sampled_from((usual,) * 4 * len(others) + tuple(others))
+
+
+def boundary_path(d: Path, flag: str, kind: str, valid) -> Path:
+    """A path of ``kind`` for ``flag`` under ``d``; a valid input is a copy of
+    ``valid``, a valid output a fresh path."""
+    path = d / flag.strip("-")
+    if kind == "missing":
+        return d / "absent" / path.name
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(NOT_UTF8)
+    elif kind in ("bad-json", "wrong-shape"):
+        write(path, "{" if kind == "bad-json" else "[1, 2]")
+    elif valid is not None and valid.is_dir():
+        shutil.copytree(valid, path)
+    elif valid is not None:
+        shutil.copy(valid, path)
+    return path
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_any_path_or_number_ends_in_report_or_exit_two(boundary_inputs, command, data):
+    fixed, required, optional, numbers = SUBCOMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        argv = [command, *fixed, "--seed", str(data.draw(mostly(3, (-1, 0)), label="--seed"))]
+        paths = {flag: data.draw(mostly("valid", PATH_KINDS), label=flag) for flag in required}
+        paths.update((flag, kind) for flag in optional
+                     if (kind := data.draw(mostly(None, PATH_KINDS), label=flag)) is not None)
+        for flag, kind in paths.items():
+            argv += [flag, str(boundary_path(d, flag, kind, boundary_inputs.get(flag)))]
+        for flag, values in numbers.items():
+            argv += [flag, str(data.draw(mostly(values[-1], values), label=flag))]
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 2:
+            assert "error" in one_line_error(err.getvalue())
+            return
+        assert code == 0
+        if command == "gen-data":
+            assert out.getvalue().startswith("wrote ")
+            return
+        report = out.getvalue() if "--out" not in paths else (d / "out").read_text()
+        assert json.loads(report)["command"] == command
 
 
 # -- process-level entry --------------------------------------------------------
