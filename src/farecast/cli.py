@@ -22,11 +22,12 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import hmm, qlearn, synthgen
-from .core import FarecastError, PriceSeries
+from .core import FarecastError, PriceSeries, format_price
 from .features import corpus_anchor, dump_features
 from .ingest import SplitConfig, load_quotes, split
 from .learners import KINDS, LearnerSpec, load_model, save_model
-from .metrics import BacktestMetrics, simulated_random_purchase_price
+from .metrics import (BacktestMetrics, optimal_price, random_purchase_price,
+                      simulated_random_purchase_price)
 from .pipeline import (
     PreprocessConfig,
     build_dataset,
@@ -104,12 +105,11 @@ def _decisions_csv(decisions, series: Sequence[PriceSeries], path: str) -> None:
                          "paid_price", "optimal_price", "mean_price", "forced"])
         for key in sorted(decisions, key=lambda k: (natural_key(k.route_id),
                                                     k.departure_date)):
-            d = decisions[key]
-            prices = by_key[key].prices.tolist()
+            d, s = decisions[key], by_key[key]
             writer.writerow([key.route_id, key.departure_date.isoformat(),
-                             d.buy_query_date.isoformat(), f"{d.paid_price:.3f}",
-                             f"{min(prices):.3f}",
-                             f"{sum(prices) / len(prices):.6f}", int(d.forced)])
+                             d.buy_query_date.isoformat(), format_price(d.paid_price),
+                             format_price(optimal_price(s)),
+                             f"{random_purchase_price(s):.6f}", int(d.forced)])
 
 
 def _aggregate_dict(per_route, mean: float, var: float) -> dict:
@@ -239,7 +239,7 @@ def cmd_backtest(args) -> dict:
 
     if args.load_model:
         model = load_model(args.load_model)
-        spec = model.spec
+        spec, prep = model.spec, None
     else:
         if not args.model or not args.task:
             raise FarecastError("backtest needs --load-model or --model with --task")
@@ -291,6 +291,7 @@ def cmd_qlearn(args) -> dict:
 
     if args.load_table:
         table = qlearn.load_qtable(args.load_table)
+        episodes = None  # a report records only the settings that ran
     else:
         table = qlearn.q_train(train_series, episodes=episodes, gamma=gamma,
                                alpha=alpha, seed=args.seed)
@@ -306,8 +307,8 @@ def cmd_qlearn(args) -> dict:
             "quotes": args.quotes,
             "split": split_cfg,
             "episodes": episodes,
-            "gamma": gamma,
-            "alpha": alpha,
+            "gamma": table.gamma,
+            "alpha": table.alpha,
             "loaded_table": args.load_table,
         },
         "d_max": table.d_max,
@@ -342,6 +343,7 @@ def cmd_generalize(args) -> dict:
 
     if args.bank:
         bank = _load_bank(args.bank)
+        n_states = max_iter = tol = None  # a report records only the settings that ran
     else:
         if not args.quotes:
             raise FarecastError("generalize needs --bank or --quotes to fit one")
@@ -419,12 +421,12 @@ class _OnOff(argparse.Action):
         setattr(namespace, self.dest, values == "on")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed")
+
+
+def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
-
-
-def _add_split(p: argparse.ArgumentParser) -> None:
     p.add_argument("--split-config", help="JSON file with the four split dates")
 
 
@@ -443,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a seeded synthetic quote corpus")
-    _add_common(p)
+    _add_seed(p)
     p.add_argument("--out", required=True)
     p.add_argument("--routes", type=int, default=None)
     p.add_argument("--departures", type=int, default=None)
@@ -454,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("tune", help="grid search a learner by series-grouped CV")
-    _add_common(p)
-    _add_split(p)
+    _add_seed(p)
+    _add_config(p)
     _add_prep(p)
     p.add_argument("--quotes", required=True)
     p.add_argument("--task", required=True, choices=("classification", "regression"))
@@ -468,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("train", help="fit one model on the training window")
-    _add_common(p)
-    _add_split(p)
+    _add_seed(p)
+    _add_config(p)
     _add_prep(p)
     p.add_argument("--quotes", required=True)
     p.add_argument("--task", required=True, choices=("classification", "regression"))
@@ -480,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("backtest", help="train (or load) a model and score the test window")
-    _add_common(p)
-    _add_split(p)
+    _add_seed(p)
+    _add_config(p)
     _add_prep(p)
     p.add_argument("--quotes", required=True)
     p.add_argument("--task", choices=("classification", "regression"))
@@ -498,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("qlearn", help="tabular Q-learning baseline")
-    _add_common(p)
-    _add_split(p)
+    _add_seed(p)
+    _add_config(p)
     p.add_argument("--quotes", required=True)
     p.add_argument("--episodes", type=int, default=None)
     p.add_argument("--gamma", type=float, default=None)
@@ -511,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qlearn)
 
     p = sub.add_parser("generalize", help="HMM template assignment for no-history routes")
-    _add_common(p)
-    _add_split(p)
+    _add_seed(p)
+    _add_config(p)
     p.add_argument("--gen-quotes", required=True)
     p.add_argument("--frozen-model", required=True)
     p.add_argument("--quotes", help="specific corpus, used when fitting the bank")

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Dataset, EmptySeries, FarecastError, PriceSeries, format_price
-from .util import check_shapes
+from .util import as_float_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -116,13 +116,19 @@ class Standardizer:
 
     mean: np.ndarray
     scale: np.ndarray
-    keep: np.ndarray  # boolean mask over the full column set
+    keep: np.ndarray  # 1 per column kept, 0 per column dropped, over the full column set
+
+    def __post_init__(self):
+        as_float_arrays(self, "mean", "scale", "keep")
+        if not np.isin(self.keep, (0, 1)).all():
+            raise FarecastError("Standardizer.keep must hold 0 or 1 per column")
+        self.keep = self.keep.astype(int)
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
         mean = X[:, CONTINUOUS].mean(axis=0)
         std = X[:, CONTINUOUS].std(axis=0)
-        keep = np.ones(X.shape[1], dtype=bool)
+        keep = np.ones(X.shape[1], dtype=int)
         degenerate = std == 0.0
         if degenerate.any():
             dropped = [CONTINUOUS_NAMES[i] for i in np.flatnonzero(degenerate)]
@@ -133,39 +139,14 @@ class Standardizer:
     def transform(self, X: np.ndarray) -> np.ndarray:
         out = X.astype(float)
         out[:, CONTINUOUS] = (out[:, CONTINUOUS] - self.mean) / self.scale
-        return out[:, self.keep]
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "keep": self.keep.astype(int).tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict, n_features: int) -> "Standardizer":
-        """Raises FarecastError unless ``keep`` has ``n_features`` entries and
-        ``mean`` and ``scale`` one per continuous feature."""
-        standardizer = cls(
-            mean=np.asarray(raw["mean"], dtype=float),
-            scale=np.asarray(raw["scale"], dtype=float),
-            keep=np.asarray(raw["keep"], dtype=bool),
-        )
-        n = len(CONTINUOUS_NAMES)
-        check_shapes(standardizer, mean=(n,), scale=(n,), keep=(n_features,))
-        return standardizer
+        return out[:, self.keep == 1]
 
 
 def dump_features(ds: Dataset, path: str | Path) -> None:
     """Write the rows of ``ds`` as CSV, one line per quote, for inspection."""
     width = ds.X.shape[1] - len(CONTINUOUS_NAMES)
-    header = (
-        ["route_id", "departure_date", "query_date", "min_price_so_far",
-         "max_price_so_far", "query_to_departure", "days_to_departure",
-         "current_price"]
-        + [f"f{i}" for i in range(width)]
-        + ["label_class", "label_reg"]
-    )
+    header = ["route_id", "departure_date", "query_date", *CONTINUOUS_NAMES,
+              *(f"f{i}" for i in range(width)), "label_class", "label_reg"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

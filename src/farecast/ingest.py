@@ -78,7 +78,8 @@ def load_quotes(path: str | Path) -> list[PriceSeries]:
     The file must be UTF-8 with the header
     ``route_id,departure_date,query_date,price``, ISO dates, and a decimal
     price; rows may come in any order and blank lines are skipped. Series
-    come sorted by route in natural order, then departure date.
+    come sorted by route in natural order (``util.natural_key``), then
+    departure date, so the result does not depend on the order of the rows.
 
     The earliest bad record raises, and a ParseError names its first
     physical line. Within a record the checks run in this order: the field
@@ -108,20 +109,15 @@ def load_quotes(path: str | Path) -> list[PriceSeries]:
     bad = np.isnat(departure) | np.isnat(query) | ~priced | (query > departure)
     n_ok = int(np.argmax(bad)) if bad.any() else len(lines)
 
-    # The rows before the first bad one, sorted by route in natural order,
-    # departure, series key (named by its first row, for routes that sort
-    # alike) and query date. The sort is stable, so a repeated triple follows
-    # its first copy.
-    names = {name: i for i, name in enumerate(dict.fromkeys(routes[:n_ok]))}
-    route_code = np.fromiter(map(names.__getitem__, routes[:n_ok]), np.intp, n_ok)
-    groups = {k: i for i, k in enumerate(sorted({natural_key(name) for name in names}))}
-    rank = np.array([groups[natural_key(name)] for name in names], dtype=np.intp)
+    # The rows before the first bad one, sorted by series, one integer (route
+    # rank in natural order x date codes + departure day code), then query
+    # date. The sort is stable, so a repeated triple follows its first copy.
+    rank = {name: i for i, name in enumerate(sorted(set(routes[:n_ok]), key=natural_key))}
+    route_rank = np.fromiter(map(rank.__getitem__, routes[:n_ok]), np.intp, n_ok)
     same_day = np.unique(day, return_inverse=True)[1]  # one code per date, however written
-    _, first_row, inverse = np.unique(route_code * len(day) + same_day[dep_code[:n_ok]],
-                                      return_index=True, return_inverse=True)
-    key_first = first_row[inverse]
-    order = np.lexsort((query[:n_ok], key_first, departure[:n_ok], rank[route_code]))
-    key_of, query_of = key_first[order], query[order]
+    series_key = route_rank * len(day) + same_day[dep_code[:n_ok]]
+    order = np.lexsort((query[:n_ok], series_key))
+    key_of, query_of = series_key[order], query[order]
     repeats = order[1:][(key_of[1:] == key_of[:-1]) & (query_of[1:] == query_of[:-1])]
     if len(repeats):
         i = int(repeats.min())
@@ -143,7 +139,7 @@ def load_quotes(path: str | Path) -> list[PriceSeries]:
     prices = price[order]
     starts = np.flatnonzero(np.diff(key_of, prepend=-1)).tolist()
     series = [PriceSeries(SeriesKey(routes[i], dates[dep_code[i]]), query_of[a:b], prices[a:b])
-              for i, a, b in zip(key_of[starts].tolist(), starts, starts[1:] + [n_ok])]
+              for i, a, b in zip(order[starts].tolist(), starts, starts[1:] + [n_ok])]
     logger.info("loaded %d quotes in %d series from %s", n_ok, len(series), path)
     return series
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from ..core import Dataset, FarecastError
 from ..features import CONTINUOUS_NAMES, FeatureMismatch, Standardizer, set_route_dummies
-from ..util import (JSON_TYPES, NOT_SAVED, check_json_type, derive_seed, from_jsonable,
-                    read_json, require_keys, to_jsonable, write_json)
+from ..util import (JSON_TYPES, NOT_SAVED, check_json_type, check_shapes, derive_seed,
+                    from_jsonable, read_json, require_keys, to_jsonable, write_json)
 from .boosting import AdaBoostClassifier, AdaBoostRegressor
 from .forest import RandomForest
 from .knn import Knn
@@ -344,13 +344,12 @@ _DOCUMENT_KEYS = ("format", "version", *(f.name for f in fields(TrainedModel)))
 
 
 def _document(model: TrainedModel) -> dict:
-    standardizer = model.standardizer
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "spec": model.spec,
         "n_features": model.n_features,
-        "standardizer": standardizer.to_dict() if standardizer is not None else None,
+        "standardizer": model.standardizer,
         "core": ({"members": [_document(m) for m in model.core]}
                  if model.spec.kind == "uniform_blend" else model.core),
         "train_summary": model.train_summary,
@@ -373,14 +372,19 @@ def model_from_dict(raw: dict) -> TrainedModel:
     n_features = raw["n_features"]
     if type(n_features) is not int or n_features <= len(CONTINUOUS_NAMES):
         raise FarecastError(f"bad n_features {n_features!r}: not an int above {len(CONTINUOUS_NAMES)}")
-    standardizer = (Standardizer.from_dict(raw["standardizer"], n_features)
-                    if raw["standardizer"] is not None else None)
+    standardizer = None
+    if raw["standardizer"] is not None:
+        standardizer = from_jsonable(Standardizer, raw["standardizer"])
+        n = len(CONTINUOUS_NAMES)
+        check_shapes(standardizer, mean=(n,), scale=(n,), keep=(n_features,))
     if spec.kind == "uniform_blend":
         require_keys("blend core", raw["core"], ("members",))
         core = [model_from_dict(m) for m in raw["core"]["members"]]
     else:
         n_inputs = n_features if standardizer is None else int(standardizer.keep.sum())
         core = _KIND_TABLE[spec.kind].cores[spec.task].from_jsonable(raw["core"], n_inputs)
+        if getattr(core, "task", spec.task) != spec.task:
+            raise FarecastError(f"a {spec.task} model holds a {core.task} core")
     return TrainedModel(spec, n_features, standardizer, core, dict(raw["train_summary"]))
 
 

@@ -28,8 +28,8 @@ logger = logging.getLogger(__name__)
 
 
 def route_order(series: Sequence[PriceSeries]) -> list[str]:
-    """Unique route ids in natural order, ties by string; defines the dummy index per route."""
-    return sorted({s.key.route_id for s in series}, key=lambda r: (natural_key(r), r))
+    """Unique route ids in natural order; defines the dummy index per route."""
+    return sorted({s.key.route_id for s in series}, key=natural_key)
 
 
 def build_dataset(

@@ -29,7 +29,8 @@ def _check_aligned(s: PriceSeries, predictions: Sequence) -> np.ndarray:
     return np.asarray(predictions)
 
 
-def _buy(s: PriceSeries, i: int, forced: bool) -> PurchaseDecision:
+def buy_at(s: PriceSeries, i: int, forced: bool) -> PurchaseDecision:
+    """The decision to buy ``s`` at its ``i``-th quote."""
     return PurchaseDecision(key=s.key, buy_query_date=s.query_dates[i].item(),
                             paid_price=float(s.prices[i]), forced=forced)
 
@@ -39,9 +40,9 @@ def _decide(s: PriceSeries, mask: np.ndarray) -> PurchaseDecision:
     quote still 7 days out, or the earliest one in a degenerate short series."""
     hits = np.flatnonzero(mask)
     if len(hits):
-        return _buy(s, hits[0], forced=False)
+        return buy_at(s, hits[0], forced=False)
     candidates = np.flatnonzero(s.days_to_departure >= LAST_BUY_DAYS_BEFORE_DEPARTURE)
-    return _buy(s, candidates[-1] if len(candidates) else 0, forced=True)
+    return buy_at(s, candidates[-1] if len(candidates) else 0, forced=True)
 
 
 def decide_regression(s: PriceSeries, predicted_min: Sequence[float]) -> PurchaseDecision:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import EmptySeries, FarecastError, PriceSeries
-from .policy import PurchaseDecision
+from .policy import PurchaseDecision, buy_at
 from .util import (JSON_TYPES, as_float_arrays, check_json_type, check_types, derive_seed,
                    from_jsonable, read_json, to_jsonable, write_json)
 
@@ -137,5 +137,4 @@ def q_policy(table: QTable, s: PriceSeries) -> PurchaseDecision:
         if table.q_buy(state) >= table.q_wait(state):
             forced, i = False, t
             break
-    return PurchaseDecision(key=s.key, buy_query_date=s.query_dates[i].item(),
-                            paid_price=float(s.prices[i]), forced=forced)
+    return buy_at(s, i, forced)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -110,9 +111,10 @@ def grid_search(
                 errors[spec_idx] = errors[spec_idx] or f"{type(exc).__name__}: {exc}"
 
     # One fold at a time: its groups share its train/validation data, and no
-    # other fold's data is held while they run.
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        run = pool.map if jobs > 1 else map
+    # other fold's data is held while they run. One group runs in this thread.
+    workers = min(jobs, len(cell_groups))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if workers > 1 else map
         for f, fold in enumerate(folds):
             held_out = np.isin(train.series, series[fold])
             fold_train = train.take(~held_out)

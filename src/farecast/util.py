@@ -35,9 +35,9 @@ def derive_seed(seed: int, *keys: int | str) -> int:
 
 
 def natural_key(text: str) -> tuple:
-    """Sort key treating digit runs as numbers, so R9 sorts before R10."""
-    return tuple(int(part) if part.isdigit() else part
-                 for part in re.split(r"(\d+)", text))
+    """Sort key treating digit runs as numbers, so R9 sorts before R10; ids
+    that read alike as numbers (R01, R1) sort as text, so no two ids tie."""
+    return tuple(int(p) if p.isdecimal() else p for p in re.split(r"(\d+)", text)), text
 
 
 def round_sig(value, digits: int = 6):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import farecast
 from farecast.cli import main
+from farecast.ingest import load_quotes
 
 
 def run_cli(argv, capsys=None):
@@ -552,7 +553,9 @@ def test_hand_built_corpora_end_in_report_or_exit_two(specific, generalized):
     (["train", "--model", "svm", "--task", "classification"], "invalid choice: 'svm'"),
     (["train", "--model", "cart", "--task", "classification"], "required: --quotes"),
     (["backtest", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
-], ids=["unknown-flag", "bad-int", "bad-choice", "missing-required", "jobs-outside-tune"])
+    (["gen-data", "--out", "x.csv", "--config", "x"], "unrecognized arguments: --config x"),
+], ids=["unknown-flag", "bad-int", "bad-choice", "missing-required", "jobs-outside-tune",
+        "config-in-gen-data"])
 def test_usage_errors_exit_two_with_one_json_line(workdir, capsys, argv, expected):
     if argv[0] == "backtest":
         argv = [argv[0], *base_args(workdir, argv[1:])]
@@ -766,6 +769,12 @@ MALFORMED_FILES = {
     "knn-keep-cut": ("--load-model", ("knn", cut_to_3("standardizer", "keep"))),
     "knn-y-strings": ("--load-model", ("knn", lambda doc: doc["core"].update(
         y=[str(v) for v in doc["core"]["y"]]))),
+    "standardizer-mean-strings": ("--load-model", ("logistic", lambda doc: doc[
+        "standardizer"].update(mean=[str(v) for v in doc["standardizer"]["mean"]]))),
+    "standardizer-keep-seven": ("--load-model", ("logistic", lambda doc: doc[
+        "standardizer"].update(keep=[7, *doc["standardizer"]["keep"][1:]]))),
+    "cart-core-task-regression": ("--load-model", ("cart", lambda doc: doc["core"].update(
+        task="regression"))),
     "qtable-no-buy": ("--load-table", json.dumps(
         {"d_max": 2, "wait": [0.0, 0.0, 0.0], "gamma": 1.0, "alpha": 0.1, "route_means": {}})),
     "qtable-no-route-means": ("--load-table", json.dumps(
@@ -942,6 +951,88 @@ def test_bank_out_removes_templates_of_an_earlier_bank(tmp_path, gen_corpus):
     assert {int(i) for c in counts.values() for i in c} <= set(range(4))
 
 
+# -- reports record what ran ---------------------------------------------------------
+
+
+def test_backtest_of_a_loaded_model_reports_no_preprocessing(workdir, frozen_and_blend,
+                                                             tmp_path, capsys):
+    out = tmp_path / "r.json"
+    loaded = ["--load-model", str(frozen_and_blend[0]), "--outlier-removal", "em"]
+    assert main(["backtest", *base_args(workdir, [*loaded, "--out", str(out)])]) == 0
+    assert read_report(out)["config"]["preprocessing"] is None
+    # the unused settings are still checked
+    config = write(tmp_path / "c.json", json.dumps({"oversample": "yes"}))
+    capsys.readouterr()
+    assert main(["backtest", *base_args(workdir, [*loaded, "--config", str(config)])]) == 2
+    assert "oversample" in one_line_error(capsys.readouterr().err)["message"]
+
+
+def test_qlearn_of_a_loaded_table_reports_the_tables_rates(workdir, tmp_path):
+    table, out = tmp_path / "q.json", tmp_path / "r.json"
+    assert main(["qlearn", *base_args(workdir, ["--episodes", "3", "--alpha", "0.5",
+                                                "--save-table", str(table),
+                                                "--out", os.devnull])]) == 0
+    assert main(["qlearn", *base_args(workdir, ["--load-table", str(table), "--gamma", "0.5",
+                                                "--alpha", "0.9", "--episodes", "7",
+                                                "--out", str(out)])]) == 0
+    config = read_report(out)["config"]
+    assert (config["gamma"], config["alpha"], config["episodes"]) == (1.0, 0.5, None)
+
+
+def test_generalize_with_a_loaded_bank_reports_no_bank_settings(workdir, gen_corpus,
+                                                                 frozen_and_blend, tmp_path):
+    bank, out = tmp_path / "bank", tmp_path / "r.json"
+    bank.mkdir()
+    for i in range(8):
+        write(bank / f"hmm_{i}.json", json.dumps(hmm_template(i)))
+    assert main(["generalize", "--gen-quotes", str(gen_corpus), "--bank", str(bank),
+                 "--frozen-model", str(frozen_and_blend[0]), "--n-states", "7",
+                 "--out", str(out)]) == 0
+    config = read_report(out)["config"]
+    assert [config[k] for k in ("n_states", "max_iter", "tol")] == [None, None, None]
+
+
+# -- the order of a corpus's rows --------------------------------------------------------
+
+
+def load_and_backtest(header, rows, quotes, split_json):
+    """The series of the corpus ``rows`` written in their order to ``quotes``,
+    as plain values, and the bytes of a backtest report on it."""
+    quotes.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    series = [(s.key, s.query_dates.tolist(), s.prices.tolist()) for s in load_quotes(quotes)]
+    out = quotes.with_suffix(".json")
+    assert main(["backtest", "--quotes", str(quotes), "--split-config", str(split_json),
+                 "--task", "classification", "--model", "adaboost_cart", "--hyperparams",
+                 '{"n_rounds": 20, "weak_depth": 2}', "--seed", "5", "--out", str(out)]) == 0
+    return series, out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def tied_routes(tmp_path_factory):
+    """A 3-route corpus whose second route is renamed R01, which reads as R1
+    by number: its header, its rows, the path a test writes them to, its
+    split file, and the series and report of its rows in file order."""
+    d = tmp_path_factory.mktemp("tied")
+    generated, split_json = d / "generated.csv", d / "split.json"
+    assert main(["gen-data", "--seed", "11", "--routes", "3", "--departures", "6",
+                 "--horizon", "12", "--out", str(generated),
+                 "--split-out", str(split_json)]) == 0
+    header, *rows = generated.read_text(encoding="utf-8").splitlines()
+    rows = [("R01" + row[2:]) if row.startswith("R2,") else row for row in rows]
+    quotes = d / "quotes.csv"
+    return header, rows, quotes, split_json, load_and_backtest(header, rows, quotes, split_json)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_row_order_changes_neither_the_series_nor_the_report(tied_routes, data):
+    header, rows, quotes, split_json, (series, report) = tied_routes
+    permuted = data.draw(st.permutations(rows))
+    assert load_and_backtest(header, permuted, quotes, split_json) == (series, report)
+    # ids that read alike as numbers sort as text, each route's series together
+    assert [key.route_id for key, _, _ in series[::6]] == ["R01", "R1", "R3"]
+
+
 # -- boundary fuzzing: every path and number a subcommand reads ----------------------
 
 PATH_KINDS = ("missing", "directory", "not-utf8", "bad-json", "wrong-shape", "valid")
@@ -978,7 +1069,7 @@ def boundary_inputs(tmp_path_factory):
 # fixture has no file for is an output.
 CORPUS = ["--quotes", "--split-config"]
 SUBCOMMANDS = {
-    "gen-data": ([], ["--out"], ["--split-out", "--config"],
+    "gen-data": ([], ["--out"], ["--split-out"],
                  {"--routes": (-1, 0, 2), "--departures": (-1, 0, 3), "--horizon": (-1, 0, 8)}),
     "tune": (["--task", "classification", "--model", "cart"], CORPUS,
              ["--config", "--out", "--report-csv"],

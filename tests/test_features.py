@@ -33,6 +33,7 @@ from farecast.features import (
     set_route_dummies,
 )
 from farecast.learners import LearnerSpec, fit, predict
+from farecast.util import from_jsonable, to_jsonable
 
 from conftest import series_of
 
@@ -266,7 +267,9 @@ def test_standardizer_round_trip():
     rng = np.random.default_rng(2)
     X = np.hstack([np.tile([0, 1, 0, 0, 0, 0, 0, 0], (20, 1)), rng.normal(2, 9, (20, 5))])
     std = Standardizer.fit(X)
-    clone = Standardizer.from_dict(std.to_dict(), X.shape[1])
+    saved = to_jsonable(std)
+    assert saved["keep"] == [1] * X.shape[1]  # written as integers, as in v1 documents
+    clone = from_jsonable(Standardizer, saved)
     assert np.array_equal(std.transform(X), clone.transform(X))
 
 
