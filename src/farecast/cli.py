@@ -5,7 +5,8 @@ report embeds the resolved configuration and master seed, carries no
 timestamps, sorts its keys, and prints floats at 6 significant digits, so a
 rerun with the same inputs is byte-identical. Failures, a bad command line
 included, exit 2 with a one-line JSON error record on stderr. FARECAST_LOG
-sets the log level.
+sets the log level. hmm, qlearn, synthgen and tuning are imported inside the
+one subcommand that runs each, at call time, so no other command loads them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from datetime import date
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import hmm, qlearn, synthgen
 from .core import FarecastError, PriceSeries, format_price
 from .features import corpus_anchor, dump_features
 from .ingest import SplitConfig, load_quotes, split
@@ -38,7 +38,6 @@ from .pipeline import (
     score_decisions,
     train_specific,
 )
-from .tuning import default_grid, grid_search
 from .util import (JSON_TYPES, check_json_type, derive_seed, natural_key, read_json, round_sig,
                    to_jsonable, write_json)
 
@@ -125,6 +124,8 @@ def _aggregate_dict(per_route, mean: float, var: float) -> dict:
 
 
 def cmd_gen_data(args) -> None:
+    from . import synthgen
+
     overrides = {}
     if args.routes is not None:
         overrides["n_routes"] = args.routes
@@ -155,6 +156,8 @@ def _load_split_series(args, config):
 
 
 def cmd_tune(args) -> dict:
+    from .tuning import default_grid, grid_search
+
     config = _load_config(args.config)
     _, train_series, _, split_cfg, anchor, routes = _load_split_series(args, config)
     prep = _prep_config(args, config)
@@ -283,6 +286,8 @@ def cmd_backtest(args) -> dict:
 
 
 def cmd_qlearn(args) -> dict:
+    from . import qlearn
+
     config = _load_config(args.config)
     _, train_series, test_series, split_cfg, _, _ = _load_split_series(args, config)
     episodes = _setting(args, config, "qlearn", "episodes", 200)
@@ -316,8 +321,11 @@ def cmd_qlearn(args) -> dict:
     }
 
 
-def _load_bank(bank_dir: str) -> list[hmm.HmmModel]:
-    """Every ``hmm_*.json`` in ``bank_dir``, which must be hmm_0.json .. hmm_<n-1>.json."""
+def _load_bank(bank_dir: str) -> list:
+    """Every ``hmm_*.json`` in ``bank_dir``, which must be hmm_0.json .. hmm_<n-1>.json,
+    as HMM templates."""
+    from . import hmm
+
     names = sorted(p.name for p in Path(bank_dir).glob("hmm_*.json"))
     expected = [f"hmm_{i}.json" for i in range(len(names))]
     if not names or names != sorted(expected):
@@ -327,6 +335,8 @@ def _load_bank(bank_dir: str) -> list[hmm.HmmModel]:
 
 
 def cmd_generalize(args) -> dict:
+    from . import hmm
+
     config = _load_config(args.config)
     n_states = _setting(args, config, "hmm", "n_states", 4)
     max_iter = _setting(args, config, "hmm", "max_iter", 100)

@@ -135,10 +135,6 @@ class Dataset:
         """One value per row, cut into the runs of consecutive rows of one series."""
         return np.split(values, np.flatnonzero(np.diff(self.series)) + 1)
 
-    def class_counts(self) -> tuple[int, int]:
-        """(wait, buy) row counts."""
-        return int((self.label_class == WAIT).sum()), int((self.label_class == BUY).sum())
-
 
 def format_price(price: float) -> str:
     """Canonical 3-decimal price rendering used in all file I/O."""

@@ -122,6 +122,10 @@ class Standardizer:
         as_float_arrays(self, "mean", "scale", "keep")
         if not np.isin(self.keep, (0, 1)).all():
             raise FarecastError("Standardizer.keep must hold 0 or 1 per column")
+        if not np.isfinite(self.mean).all():
+            raise FarecastError("Standardizer.mean must hold finite numbers")
+        if not (np.isfinite(self.scale) & (self.scale > 0)).all():
+            raise FarecastError("Standardizer.scale must hold positive finite numbers")
         self.keep = self.keep.astype(int)
 
     @classmethod

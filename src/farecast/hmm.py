@@ -67,10 +67,6 @@ class HmmModel:
         if (self.variances < VAR_FLOOR - 1e-15).any():
             raise FarecastError("variance below floor")
 
-    def raw_emission_means(self) -> np.ndarray:
-        """Emission means mapped back to price units."""
-        return self.means * self.norm_mean
-
 
 def save_model(model: HmmModel, path: str | Path) -> None:
     write_json(to_jsonable(model), path)
@@ -117,14 +113,6 @@ def _forward_rows(model: HmmModel, obs: np.ndarray, lengths: np.ndarray) -> np.n
             total[total == 0.0] = 1.0
             alpha[lo:] = (weighted / total[:, None]) @ model.transition
     return loglik
-
-
-def forward_loglik(model: HmmModel, observations: Sequence[float]) -> float:
-    """Log-likelihood of one sequence; exact in log-space, no underflow for long ones."""
-    obs = np.asarray(observations, dtype=float)
-    if obs.size == 0:
-        raise EmptySeries("cannot score an empty sequence")
-    return float(_forward_rows(model, obs[None], [len(obs)])[0])
 
 
 def classify(bank: Sequence[HmmModel], obs: np.ndarray, lengths: Sequence[int]) -> np.ndarray:

@@ -64,12 +64,6 @@ class LeastSquares:
         Z = _with_intercept((np.asarray(X, dtype=float) - self.mean) / self.scale)
         return Z @ self.coef
 
-    def coef_original(self) -> tuple[float, np.ndarray]:
-        """(intercept, slopes) in the unstandardized input units."""
-        slopes = self.coef[1:] / self.scale
-        intercept = float(self.coef[0] - (self.coef[1:] * self.mean / self.scale).sum())
-        return intercept, slopes
-
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "LeastSquares":
         """Raises FarecastError unless coef, mean and scale fit ``n_inputs``."""

@@ -196,22 +196,3 @@ def write_corpus_csv(series: Sequence[PriceSeries], path: str | Path) -> None:
                 (route_id, departure, query, format_price(price)) for query, price in
                 zip(np.datetime_as_string(s.query_dates).tolist(), s.prices.tolist()))
 
-
-def oracle_evaluate(corpus: Sequence[PriceSeries]) -> dict[str, tuple[float, float]]:
-    """Per-route (random purchase price, optimal price) from each series' raw prices.
-
-    Intentionally independent of the metrics module: benchmark values are
-    re-derived from raw quotes alone so the two code paths can be compared.
-    """
-    per_route: dict[str, list[tuple[float, float]]] = {}
-    for s in corpus:
-        prices = s.prices.tolist()
-        per_route.setdefault(s.key.route_id, []).append(
-            (math.fsum(prices) / len(prices), min(prices)))
-
-    out = {}
-    for route_id, values in sorted(per_route.items()):
-        randoms = math.fsum(v[0] for v in values) / len(values)
-        optima = math.fsum(v[1] for v in values) / len(values)
-        out[route_id] = (randoms, optima)
-    return out

@@ -81,6 +81,8 @@ def grid_search(
     """
     if not spec_grid:
         raise FarecastError("empty spec grid")
+    if jobs < 1:
+        raise FarecastError(f"grid search needs at least 1 job, got {jobs}")
     series = np.unique(train.series)
     folds = cv_folds(len(series), k=k, seed=seed)
 

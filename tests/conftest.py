@@ -1,19 +1,25 @@
-"""Shared builders for the test suite.
+"""Shared builders and reference computations for the test suite.
 
 Most tests need a PriceSeries with hand-picked prices; ``series_of`` builds
 one with consecutive daily quotes ending a configurable number of days
 before departure. ``dataset_of`` builds a Dataset from hand-written rows.
+It also holds the small computations only tests need (oracle prices, a
+single sequence's log-likelihood, class and coefficient read-outs), which the
+package does not carry.
 """
 
 from __future__ import annotations
 
+import math
 from datetime import date
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from farecast.core import Dataset, PriceSeries, SeriesKey
+from farecast.core import BUY, WAIT, Dataset, PriceSeries, SeriesKey
 from farecast.features import CONTINUOUS_NAMES, set_route_dummies
+from farecast.hmm import _forward_rows
 
 
 def series_of(
@@ -46,6 +52,44 @@ def dataset_of(rows, width: int = 8, role: str = "train") -> Dataset:
         keys=keys,
         role=role,
     )
+
+
+def class_counts(ds: Dataset) -> tuple[int, int]:
+    """(wait, buy) row counts."""
+    return int((ds.label_class == WAIT).sum()), int((ds.label_class == BUY).sum())
+
+
+def coef_original(model) -> tuple[float, np.ndarray]:
+    """A fitted LeastSquares' (intercept, slopes) in the unstandardized input units."""
+    slopes = model.coef[1:] / model.scale
+    intercept = float(model.coef[0] - (model.coef[1:] * model.mean / model.scale).sum())
+    return intercept, slopes
+
+
+def forward_loglik(model, observations) -> float:
+    """Log-likelihood of one non-empty sequence under an HMM template."""
+    obs = np.asarray(observations, dtype=float)
+    return float(_forward_rows(model, obs[None], [len(obs)])[0])
+
+
+def oracle_evaluate(corpus: Sequence[PriceSeries]) -> dict[str, tuple[float, float]]:
+    """Per-route (random purchase price, optimal price) from each series' raw prices.
+
+    Intentionally independent of the metrics module: benchmark values are
+    re-derived from raw quotes alone so the two code paths can be compared.
+    """
+    per_route: dict[str, list[tuple[float, float]]] = {}
+    for s in corpus:
+        prices = s.prices.tolist()
+        per_route.setdefault(s.key.route_id, []).append(
+            (math.fsum(prices) / len(prices), min(prices)))
+
+    out = {}
+    for route_id, values in sorted(per_route.items()):
+        randoms = math.fsum(v[0] for v in values) / len(values)
+        optima = math.fsum(v[1] for v in values) / len(values)
+        out[route_id] = (randoms, optima)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import register_criterion, series_of
+from conftest import (coef_original, forward_loglik, oracle_evaluate, register_criterion,
+                      series_of)
 from farecast.cli import main as cli_main
 from farecast.features import corpus_anchor
 from farecast.hmm import (
@@ -20,7 +21,6 @@ from farecast.hmm import (
     baum_welch,
     classify,
     fit_bank,
-    forward_loglik,
     generalized_predict,
     sample,
 )
@@ -51,7 +51,6 @@ from farecast.synthgen import (
     default_split_for,
     generalized_config,
     generate_corpus,
-    oracle_evaluate,
 )
 from farecast.tuning import grid_search
 from farecast.util import derive_seed
@@ -220,7 +219,7 @@ def test_c06_learner_sanity():
     y = X @ w_true + 4.0
     ls = LeastSquares().fit(X, y)
     assert np.abs(ls.predict(X) - y).max() < 1e-9
-    intercept, slopes = ls.coef_original()
+    intercept, slopes = coef_original(ls)
     assert np.abs(slopes - w_true).max() < 1e-9
     assert abs(intercept - 4.0) < 1e-9
 

@@ -261,6 +261,17 @@ def test_tune_needs_two_folds(workdir, tmp_path, capsys, folds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_tune_needs_one_job(workdir, tmp_path, capsys, jobs):
+    capsys.readouterr()
+    out = tmp_path / "tune.json"
+    assert main(["tune", *base_args(workdir, [
+        "--task", "classification", "--model", "cart", "--jobs", jobs,
+        "--out", str(out)])]) == 2
+    assert "at least 1 job" in one_line_error(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
 # -- qlearn ---------------------------------------------------------------------
 
 
@@ -773,6 +784,13 @@ MALFORMED_FILES = {
         "standardizer"].update(mean=[str(v) for v in doc["standardizer"]["mean"]]))),
     "standardizer-keep-seven": ("--load-model", ("logistic", lambda doc: doc[
         "standardizer"].update(keep=[7, *doc["standardizer"]["keep"][1:]]))),
+    # Each of these three loaded and reported a wrong mean_normalized_pct with exit 0.
+    "standardizer-scale-zero": ("--load-model", ("logistic", lambda doc: doc[
+        "standardizer"]["scale"].__setitem__(0, 0.0))),
+    "standardizer-scale-negative-huge": ("--load-model", ("logistic", lambda doc: doc[
+        "standardizer"]["scale"].__setitem__(0, -1e300))),
+    "standardizer-mean-nan": ("--load-model", ("logistic", lambda doc: doc[
+        "standardizer"]["mean"].__setitem__(0, float("nan")))),
     "cart-core-task-regression": ("--load-model", ("cart", lambda doc: doc["core"].update(
         task="regression"))),
     "qtable-no-buy": ("--load-table", json.dumps(

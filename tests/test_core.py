@@ -20,7 +20,7 @@ from farecast.synthgen import write_corpus_csv
 
 from farecast.features import set_route_dummies
 
-from conftest import dataset_of, series_of
+from conftest import class_counts, dataset_of, series_of
 
 KEY = SeriesKey("R1", date(2016, 1, 13))
 
@@ -182,8 +182,8 @@ def test_feature_row_with_dummies():
 def test_dataset_class_counts():
     key = SeriesKey("R1", date(2016, 1, 13))
     ds = dataset_of([(key, 0, (1.0, 1.0, 10, 5, 1.0), lab, None) for lab in [0, 0, 1, 0]])
-    assert ds.class_counts() == (3, 1)
-    assert ds.take(ds.label_class == 1).class_counts() == (0, 1)
+    assert class_counts(ds) == (3, 1)
+    assert class_counts(ds.take(ds.label_class == 1)) == (0, 1)
 
 
 def test_dataset_role_validated():

@@ -21,7 +21,6 @@ from farecast.hmm import (
     baum_welch,
     classify,
     fit_bank,
-    forward_loglik,
     generalized_predict,
     hmm_fit,
     load_model,
@@ -39,7 +38,7 @@ from farecast.learners import predict
 from farecast.policy import decide_classification
 from farecast.util import derive_seed
 
-from conftest import series_of
+from conftest import forward_loglik, series_of
 
 
 def unit_model(mean=0.0, var=1.0):
@@ -205,11 +204,6 @@ def test_forward_unreachable_observation_is_minus_inf():
     assert forward_loglik(model, [0.0, 1000.0]) == float("-inf")
 
 
-def test_forward_rejects_empty_sequence():
-    with pytest.raises(EmptySeries):
-        forward_loglik(unit_model(), [])
-
-
 def sparse_random_model(seed, k):
     """Random model whose initial and transition rows may hold zeros."""
     rng = np.random.default_rng(seed)
@@ -339,12 +333,6 @@ def test_model_round_trip(tmp_path):
     assert np.array_equal(clone.variances, model.variances)
     assert clone.norm_mean == model.norm_mean
     assert clone.degenerate == model.degenerate
-
-
-def test_raw_emission_means_scale_back():
-    model = unit_model(mean=1.25)
-    model.norm_mean = 80.0
-    assert np.allclose(model.raw_emission_means(), [100.0])
 
 
 # -- Baum-Welch ---------------------------------------------------------------
@@ -479,7 +467,7 @@ def test_hmm_fit_normalizes_by_route_mean():
     assert np.allclose(ma.means, mb.means, atol=1e-12)
     assert abs(ma.norm_mean - 100.0) < 1e-9
     assert abs(mb.norm_mean - 300.0) < 1e-9
-    assert np.allclose(mb.raw_emission_means(), 3 * ma.raw_emission_means())
+    assert np.allclose(mb.means * mb.norm_mean, 3 * ma.means * ma.norm_mean)
 
 
 def test_hmm_fit_constant_route_degenerates(caplog):
@@ -489,7 +477,7 @@ def test_hmm_fit_constant_route_degenerates(caplog):
     assert model.degenerate
     assert model.n_states == 1
     assert np.allclose(model.means, [1.0])  # the constant, mean-normalized
-    assert np.allclose(model.raw_emission_means(), [75.0])
+    assert np.allclose(model.means * model.norm_mean, [75.0])
     assert model.variances[0] == VAR_FLOOR
     assert any("degenerate" in r.message for r in caplog.records)
 

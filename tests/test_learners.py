@@ -17,6 +17,8 @@ from farecast.learners import tree as tree_module
 from farecast.learners.tree import _EPS, Cart, ColumnCodes, distinct_rows
 from farecast.util import to_jsonable
 
+from conftest import coef_original
+
 
 # -- least squares ----------------------------------------------------------
 
@@ -25,7 +27,7 @@ def test_least_squares_exact_on_linear_data():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([2.0, 4.0, 6.0])
     model = LeastSquares().fit(X, y)
-    intercept, slopes = model.coef_original()
+    intercept, slopes = coef_original(model)
     assert abs(slopes[0] - 2.0) < 1e-9
     assert abs(intercept) < 1e-9
     assert np.allclose(model.predict(X), y, atol=1e-9)
@@ -37,7 +39,7 @@ def test_least_squares_multifeature_exact():
     true = np.array([1.5, -2.0, 0.0, 3.25])
     y = X @ true + 7.0
     model = LeastSquares().fit(X, y)
-    intercept, slopes = model.coef_original()
+    intercept, slopes = coef_original(model)
     assert np.allclose(slopes, true, atol=1e-8)
     assert abs(intercept - 7.0) < 1e-8
 

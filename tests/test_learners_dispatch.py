@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dataset_of
+from conftest import class_counts, dataset_of
 from farecast import learners
 from farecast.core import FarecastError, SeriesKey
 from farecast.learners import (
@@ -259,7 +259,7 @@ def test_balanced_oversampled_classes_fall_back_to_wait():
     # 11 waits, then 4 buys that oversampling copies up to 11: the class
     # weights are exactly equal, so the no-tree fallback is wait.
     train = oversample(dataset_of(feature_rows(range(15), label_fn=lambda v: v >= 11)), seed=0)
-    assert train.class_counts() == (11, 11)
+    assert class_counts(train) == (11, 11)
     assert AdaBoostClassifier(n_rounds=1).fit(train.X, train.label_class).majority == 0
     model = learners.fit(LearnerSpec("adaboost_cart", "classification", {"n_rounds": 1}),
                          train, seed=0)

@@ -14,13 +14,12 @@ from farecast.synthgen import (
     default_split_for,
     generalized_config,
     generate_corpus,
-    oracle_evaluate,
     route_params,
     trend_price,
     write_corpus_csv,
 )
 
-from conftest import series_of
+from conftest import oracle_evaluate, series_of
 
 
 def quotes_of(series):
