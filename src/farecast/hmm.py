@@ -13,10 +13,21 @@ template over all of them. Per row, the stack is one series' prefixes, each
 normalized by its own mean, so no future information leaks into the
 assignment; per series, it is every series whole, each normalized by its
 full mean.
+
+Training has one path too: ``_em`` runs one Baum-Welch (Rabiner 1989) loop
+for a whole bank, and ``baum_welch`` and ``hmm_fit`` are that loop with one
+template. A route's sequences are stacked by length into (S, T) arrays. In
+each iteration, templates that hold stacks of the same shape run their
+forward pass together, time first on (T, R, S, K) arrays with an
+(R, S, K) @ (R, K, K) product per step; templates whose log-likelihood has
+converged leave before the backward pass. Shapes are never padded and each
+template's sums add its own stacks in its own order, so every template is
+bit for bit the one a fit of that route alone gives.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -60,6 +71,8 @@ class HmmModel:
         if not all(np.isfinite(a).all() for a in (self.initial, self.transition,
                                                   self.means, self.variances)):
             raise FarecastError("HMM parameters must be finite")
+        if (self.initial < 0).any() or (self.transition < 0).any():
+            raise FarecastError("HMM probabilities must not be negative")
         if abs(self.initial.sum() - 1.0) > 1e-9:
             raise FarecastError("initial distribution does not sum to 1")
         if np.abs(self.transition.sum(axis=1) - 1.0).max() > 1e-9:
@@ -79,17 +92,27 @@ def load_model(path: str | Path) -> HmmModel:
 # -- forward algorithm -------------------------------------------------------
 
 
-def _scaled_emission(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_emission(means: np.ndarray, var: np.ndarray,
+                     obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Emissions N(o; mu_k, var_k) for observations of any shape (...).
 
+    ``means`` and ``var`` (..., K) broadcast against ``obs[..., None]``.
     Returns the log shift (...), the largest log density over the states,
     and the densities divided by exp(shift) (..., K), whose max is 1.
     """
-    var = model.variances
-    diff = obs[..., None] - model.means
-    logb = -0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var)
-    shift = logb.max(axis=-1)
-    return shift, np.exp(logb - shift[..., None])
+    # -0.5 * (log(2 pi var) + diff * diff / var), in place in one array.
+    logb = obs[..., None] - means
+    logb *= logb
+    logb /= var
+    logb += np.log(2.0 * np.pi * var)
+    logb *= -0.5
+    # The max over the states, taken state by state: the values of
+    # logb.max(axis=-1) without its reduction loop of K entries per
+    # observation. It starts from a copy, as logb changes below.
+    states = np.moveaxis(logb, -1, 0)
+    shift = functools.reduce(np.maximum, states[1:], states[0].copy())
+    logb -= shift[..., None]
+    return shift, np.exp(logb, out=logb)
 
 
 def _forward_rows(model: HmmModel, obs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -101,7 +124,7 @@ def _forward_rows(model: HmmModel, obs: np.ndarray, lengths: np.ndarray) -> np.n
     are never read. An unreachable observation (total 0) leaves -inf and a
     zero alpha, so no nan reaches a later step or an argmax.
     """
-    shift, b = _scaled_emission(model, obs)
+    shift, b = _scaled_emission(model.means, model.variances, obs)
     loglik = np.zeros(len(obs))
     alpha = np.tile(model.initial, (len(obs), 1))
     live = np.searchsorted(lengths, np.arange(obs.shape[1]), side="right")
@@ -167,43 +190,89 @@ def _kmeans_1d(values: np.ndarray, k: int, seed: int, iters: int = 50) -> np.nda
     return np.sort(centers)
 
 
-def _e_step(model: HmmModel, stacks: Sequence[np.ndarray]) -> tuple:
-    """Scaled forward-backward (Rabiner 1989) over stacks (S, T) of equal-length sequences.
+def _forward(models: Sequence[HmmModel], obs: np.ndarray) -> tuple[list[float], tuple]:
+    """Scaled forward pass (Rabiner 1989) of R templates over stacks of one shape.
 
-    Returns the total log-likelihood and the M-step's accumulators (initial,
-    transition, occupancy, mean, square), each summed over every sequence.
+    ``obs`` (R, S, T) holds template r's S sequences of length T. The pass
+    runs time first, so each step reads and writes one contiguous (R, S, K)
+    block, and template r's (S, K) @ (K, K) product is the one a pass over
+    its stack alone takes. Returns each template's log-likelihood of its
+    stack and the pass, for ``_backward``.
     """
-    trans = model.transition
+    trans = np.stack([m.transition for m in models])
+    shift, b = _scaled_emission(np.stack([m.means for m in models])[:, None],
+                                np.stack([m.variances for m in models])[:, None],
+                                np.ascontiguousarray(obs.transpose(2, 0, 1)))  # (T, R, S, K)
+    alpha = np.empty_like(b)
+    c = np.empty_like(shift)
+    np.multiply(np.stack([m.initial for m in models])[:, None], b[0], out=alpha[0])
+    for t, (a, ct) in enumerate(zip(alpha, c)):
+        if t:
+            np.matmul(alpha[t - 1], trans, out=a)
+            a *= b[t]
+        a.sum(axis=-1, out=ct)
+        a /= ct[..., None]
+    # Sums over time run along contiguous rows, as over one stack alone.
+    loglik = (np.log(c.transpose(1, 2, 0).copy()).sum(axis=2)
+              + shift.transpose(1, 2, 0).copy().sum(axis=2)).sum(axis=1)
+    return loglik.tolist(), (trans, obs, b, alpha, c)
+
+
+def _backward(fwd: tuple, keep: Sequence[int]) -> list[tuple]:
+    """Finish the forward pass ``fwd`` for the templates at positions ``keep``.
+
+    Runs the scaled backward pass under the same shifts and scalers (over
+    every template of the pass, since a step costs the same either way),
+    then returns each kept template's M-step accumulators (initial,
+    transition, occupancy, mean, square), summed over its stack.
+    """
+    trans, obs, b, alpha, c = fwd
+    beta = np.empty_like(b)
+    beta[-1] = 1.0
+    trans_t = trans.transpose(0, 2, 1)
+    emitted = np.empty_like(b[0])
+    for t in range(len(b) - 2, -1, -1):
+        np.multiply(b[t + 1], beta[t + 1], out=emitted)
+        np.matmul(emitted, trans_t, out=beta[t])
+        beta[t] /= c[t + 1, ..., None]
+
     parts = []
-    for obs in stacks:
-        shift, b = _scaled_emission(model, obs)  # (S, T), (S, T, K)
-        alpha = np.empty_like(b)
-        c = np.empty_like(shift)
-        a = model.initial * b[:, 0]
-        for t in range(obs.shape[1]):
-            if t:
-                a = (alpha[:, t - 1] @ trans) * b[:, t]
-            c[:, t] = a.sum(axis=1)
-            alpha[:, t] = a / c[:, t, None]
-
-        # Scaled backward under the same shifts and scalers.
-        beta = np.ones_like(b)
-        for t in range(obs.shape[1] - 2, -1, -1):
-            beta[:, t] = ((b[:, t + 1] * beta[:, t + 1]) @ trans.T) / c[:, t + 1, None]
-
-        gamma = alpha * beta
+    for r in keep:
+        # The template's sums run over its own (S, T, K) copy, laid out as
+        # in a pass over its stack alone, so they add in the same order.
+        al, be, bo = (x[:, r].transpose(1, 0, 2).copy() for x in (alpha, beta, b))
+        co = c[:, r].T.copy()
+        gamma = al * be
         gamma /= gamma.sum(axis=2, keepdims=True)
-        xi = (alpha[:, :-1, :, None] * trans
-              * (b[:, 1:] * beta[:, 1:])[:, :, None, :]) / c[:, 1:, None, None]
+        xi = (al[:, :-1, :, None] * trans[r]
+              * (bo[:, 1:] * be[:, 1:])[:, :, None, :]) / co[:, 1:, None, None]
         parts.append((
-            float((np.log(c).sum(axis=1) + shift.sum(axis=1)).sum()),
             gamma[:, 0].sum(axis=0),
             (xi / xi.sum(axis=(2, 3), keepdims=True)).sum(axis=(0, 1)),
             gamma.sum(axis=(0, 1)),
-            np.einsum("stk,st->k", gamma, obs),
-            np.einsum("stk,st->k", gamma, obs * obs),
+            np.einsum("stk,st->k", gamma, obs[r]),
+            np.einsum("stk,st->k", gamma, obs[r] * obs[r]),
         ))
-    return tuple(sum(acc) for acc in zip(*parts))
+    return parts
+
+
+def _m_step(model: HmmModel, init_acc, trans_acc, gamma_acc, mean_acc, sq_acc) -> HmmModel:
+    """The parameters that maximize the expected log-likelihood of ``_backward``'s sums."""
+    new_means = mean_acc / gamma_acc
+    new_vars = np.maximum(sq_acc / gamma_acc - new_means**2, VAR_FLOOR)
+    # A state with no outgoing transition mass keeps its row instead of 0/0.
+    out_mass = trans_acc.sum(axis=1, keepdims=True)
+    new_trans = (np.where(out_mass > 0, trans_acc, model.transition)
+                 / np.where(out_mass > 0, out_mass, 1.0))
+    return HmmModel(
+        route_index=model.route_index,
+        n_states=model.n_states,
+        initial=init_acc / init_acc.sum(),
+        transition=new_trans,
+        means=new_means,
+        variances=new_vars,
+        norm_mean=model.norm_mean,
+    )
 
 
 @dataclass
@@ -211,6 +280,87 @@ class BaumWelchResult:
     model: HmmModel
     loglik_history: list[float] = field(default_factory=list)
     converged: bool = False
+
+
+def _em_start(sequences: Sequence[Sequence[float]], n_states: int, seed: int,
+              route_index: int, norm_mean: float) -> tuple[HmmModel, list[np.ndarray]]:
+    """The initial model and the stacks (S, T) of equal-length sequences.
+
+    Emission means come from seeded 1-D K-Means over the pooled observations
+    (sorted, so state identity is stable per seed), with the pooled
+    variance and uniform initial and transition probabilities.
+    """
+    seqs = [np.asarray(s, dtype=float) for s in sequences if len(s)]
+    if not seqs:
+        raise EmptySeries("Baum-Welch needs at least one non-empty sequence")
+    pooled = np.concatenate(seqs)
+    k = n_states
+    model = HmmModel(
+        route_index=route_index,
+        n_states=k,
+        initial=np.full(k, 1.0 / k),
+        transition=np.full((k, k), 1.0 / k),
+        means=_kmeans_1d(pooled, k, seed=seed),
+        variances=np.full(k, max(float(pooled.var()), VAR_FLOOR)),
+        norm_mean=norm_mean,
+    )
+    return model, [np.stack([obs for obs in seqs if len(obs) == n])
+                   for n in dict.fromkeys(map(len, seqs))]
+
+
+def _em(starts: Sequence[tuple[HmmModel, list[np.ndarray]]], max_iter: int,
+        tol: float) -> list[BaumWelchResult]:
+    """One EM loop for every template of ``starts`` (initial model, stacks).
+
+    Each iteration runs one forward pass per stack shape (S, T) over every
+    template still iterating that holds a stack of that shape. A template
+    whose log-likelihood gains less than ``tol`` stops there; the others
+    finish their passes backward and take their M-step. Every template's
+    sums add its stacks in its own order, so it ends exactly as it would
+    alone. The recorded history entry i is a template's total
+    log-likelihood under the parameters of iteration i, before that
+    iteration's update.
+    """
+    results = [BaumWelchResult(model) for model, _ in starts]
+    running = list(range(len(starts)))
+    for _ in range(max_iter):
+        groups: dict[tuple, list[tuple[int, int]]] = {}
+        for r in running:
+            for j, obs in enumerate(starts[r][1]):
+                groups.setdefault(obs.shape, []).append((r, j))
+        logliks = {r: [0.0] * len(starts[r][1]) for r in running}
+        passes = []
+        for members in groups.values():
+            lls, fwd = _forward([results[r].model for r, _ in members],
+                                np.stack([starts[r][1][j] for r, j in members]))
+            for (r, j), ll in zip(members, lls):
+                logliks[r][j] = ll
+            passes.append((members, fwd))
+
+        still = []
+        for r in running:
+            total_ll, history = sum(logliks[r]), results[r].loglik_history
+            if history and total_ll - history[-1] < tol and total_ll >= history[-1] - 1e-12:
+                results[r].converged = True
+            else:
+                still.append(r)
+            history.append(total_ll)
+        running = still
+        if not running:
+            break
+
+        accs = {r: [()] * len(starts[r][1]) for r in running}
+        for members, fwd in passes:
+            keep = [i for i, (r, _) in enumerate(members) if r in accs]
+            if keep:
+                for i, part in zip(keep, _backward(fwd, keep)):
+                    r, j = members[i]
+                    accs[r][j] = part
+        for r in running:
+            results[r].model = _m_step(results[r].model, *(sum(a) for a in zip(*accs[r])))
+    for r in running:
+        logger.info("Baum-Welch hit max_iter=%d", max_iter)
+    return results
 
 
 def baum_welch(
@@ -222,64 +372,51 @@ def baum_welch(
     route_index: int = -1,
     norm_mean: float = 1.0,
 ) -> BaumWelchResult:
-    """EM over multiple observation sequences.
+    """EM over multiple observation sequences: ``_em`` with the one template
+    that ``_em_start`` initializes from them."""
+    start = _em_start(sequences, n_states, seed, route_index, norm_mean)
+    return _em([start], max_iter, tol)[0]
 
-    Initialization: emission means from seeded 1-D K-Means over the pooled
-    observations (sorted, so state identity is stable per seed), pooled
-    variance, uniform initial and transition probabilities. The recorded
-    history entry i is the total log-likelihood under the parameters of
-    iteration i, before that iteration's update.
+
+def _fit_routes(routes: Sequence[tuple[Sequence[PriceSeries], int, int]], n_states: int,
+                max_iter: int, tol: float) -> list[HmmModel]:
+    """One template per (series, seed, route index) of ``routes``, fit in one EM loop.
+
+    Observations are all the route's prices divided by their overall mean.
+    If every price is identical the model degenerates to a single state
+    (with a warning) rather than failing: such a route is trivially
+    predictable and must not break bank training.
     """
-    seqs = [np.asarray(s, dtype=float) for s in sequences if len(s)]
-    if not seqs:
-        raise EmptySeries("Baum-Welch needs at least one non-empty sequence")
-    pooled = np.concatenate(seqs)
-    k = n_states
-    centers = _kmeans_1d(pooled, k, seed=seed)
-    pooled_var = max(float(pooled.var()), VAR_FLOOR)
-    model = HmmModel(
-        route_index=route_index,
-        n_states=k,
-        initial=np.full(k, 1.0 / k),
-        transition=np.full((k, k), 1.0 / k),
-        means=centers,
-        variances=np.full(k, pooled_var),
-        norm_mean=norm_mean,
-    )
-
-    stacks = [np.stack([obs for obs in seqs if len(obs) == n])
-              for n in dict.fromkeys(map(len, seqs))]
-
-    history: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        total_ll, init_acc, trans_acc, gamma_acc, mean_acc, sq_acc = _e_step(model, stacks)
-
-        if history and total_ll - history[-1] < tol and total_ll >= history[-1] - 1e-12:
-            history.append(total_ll)
-            converged = True
-            break
-        history.append(total_ll)
-
-        # M-step.
-        new_means = mean_acc / gamma_acc
-        new_vars = np.maximum(sq_acc / gamma_acc - new_means**2, VAR_FLOOR)
-        # A state with no outgoing transition mass keeps its row instead of 0/0.
-        out_mass = trans_acc.sum(axis=1, keepdims=True)
-        new_trans = (np.where(out_mass > 0, trans_acc, model.transition)
-                     / np.where(out_mass > 0, out_mass, 1.0))
-        model = HmmModel(
-            route_index=route_index,
-            n_states=k,
-            initial=init_acc / init_acc.sum(),
-            transition=new_trans,
-            means=new_means,
-            variances=new_vars,
-            norm_mean=norm_mean,
-        )
-    else:
-        logger.info("Baum-Welch hit max_iter=%d", max_iter)
-    return BaumWelchResult(model=model, loglik_history=history, converged=converged)
+    if n_states < 1 or max_iter < 1:
+        raise FarecastError(f"an HMM fit needs n_states and max_iter of at least 1, "
+                            f"got {n_states} and {max_iter}")
+    bank: list[Optional[HmmModel]] = []  # None where EM fits the template
+    starts = []
+    for route_series, seed, route_index in routes:
+        prices = np.concatenate([s.prices for s in route_series])
+        norm_mean = math.fsum(prices) / len(prices)
+        pooled = prices / norm_mean
+        if np.all(pooled == pooled[0]):
+            logger.warning(
+                "route %d: all prices identical, returning a degenerate single-state model",
+                route_index,
+            )
+            bank.append(HmmModel(
+                route_index=route_index,
+                n_states=1,
+                initial=np.array([1.0]),
+                transition=np.array([[1.0]]),
+                means=np.array([float(pooled[0])]),
+                variances=np.array([VAR_FLOOR]),
+                norm_mean=norm_mean,
+                degenerate=True,
+            ))
+            continue
+        bank.append(None)
+        starts.append(_em_start([s.prices / norm_mean for s in route_series], n_states,
+                                seed, route_index, norm_mean))
+    fits = iter([result.model for result in _em(starts, max_iter, tol)])
+    return [model if model is not None else next(fits) for model in bank]
 
 
 def hmm_fit(
@@ -290,40 +427,10 @@ def hmm_fit(
     seed: int = 0,
     route_index: int = -1,
 ) -> HmmModel:
-    """Train one route's template on its training series.
-
-    Observations are all the route's prices divided by their overall mean.
-    If every price is identical the model degenerates to a single state
-    (with a warning) rather than failing: such a route is trivially
-    predictable and must not break bank training.
-    """
+    """Train one route's template on its training series (see ``_fit_routes``)."""
     if not route_series:
         raise EmptySeries("hmm_fit needs at least one series")
-    if n_states < 1 or max_iter < 1:
-        raise FarecastError(f"an HMM fit needs n_states and max_iter of at least 1, "
-                            f"got {n_states} and {max_iter}")
-    prices = np.concatenate([s.prices for s in route_series])
-    norm_mean = math.fsum(prices) / len(prices)
-    sequences = [s.prices / norm_mean for s in route_series]
-    pooled = prices / norm_mean
-    if np.all(pooled == pooled[0]):
-        logger.warning(
-            "route %d: all prices identical, returning a degenerate single-state model",
-            route_index,
-        )
-        return HmmModel(
-            route_index=route_index,
-            n_states=1,
-            initial=np.array([1.0]),
-            transition=np.array([[1.0]]),
-            means=np.array([float(pooled[0])]),
-            variances=np.array([VAR_FLOOR]),
-            norm_mean=norm_mean,
-            degenerate=True,
-        )
-    result = baum_welch(sequences, n_states=n_states, max_iter=max_iter, tol=tol,
-                        seed=seed, route_index=route_index, norm_mean=norm_mean)
-    return result.model
+    return _fit_routes([(route_series, seed, route_index)], n_states, max_iter, tol)[0]
 
 
 def fit_bank(
@@ -334,15 +441,18 @@ def fit_bank(
     tol: float = 1e-6,
     seed: int = 0,
 ) -> list[HmmModel]:
-    """One template per route, in the given route order; template i has route index i."""
-    bank = []
+    """One template per route, in the given route order; template i has route index i.
+
+    Every route's template is fit in one EM loop, each exactly as ``hmm_fit``
+    fits it alone.
+    """
+    routes = []
     for idx, route_id in enumerate(route_order):
         route_series = [s for s in train_series if s.key.route_id == route_id]
         if not route_series:
             raise EmptySeries(f"route {route_id} has no training series")
-        bank.append(hmm_fit(route_series, n_states=n_states, max_iter=max_iter,
-                            tol=tol, seed=derive_seed(seed, "hmm", idx), route_index=idx))
-    return bank
+        routes.append((route_series, derive_seed(seed, "hmm", idx), idx))
+    return _fit_routes(routes, n_states, max_iter, tol)
 
 
 def _prefix_observations(s: PriceSeries) -> np.ndarray:

@@ -22,12 +22,13 @@ value but the feature's last, at the midpoint of the two values around it.
 A node's own value and impurity still sum its rows directly,
 ``w[idx].sum()``.
 
-When every feature is a candidate (no ``mtry``) and the larger child of a
-split may split again, only the smaller child is binned, and the larger
-takes its parent's histogram minus the smaller's. That skips binning the
-larger half of every split, but the larger child's sums are differences,
-not sums of its rows: their last bits can differ, and with them a near-tie
-split.
+When every feature is a candidate (no ``mtry``), a column that holds one
+value across the fit's rows is never binned, since it has no cut. If the
+larger child of a split may split again, only the smaller child is binned,
+and the larger takes its parent's histogram minus the smaller's. That
+skips binning the larger half of every split, but the larger child's sums
+are differences, not sums of its rows: their last bits can differ, and with
+them a near-tie split.
 
 A fit keeps each training row's leaf value in ``fitted_value`` (not
 saved), so boosting reads its round's training predictions there instead
@@ -197,6 +198,8 @@ class Cart:
         widths = [len(v) for v in coded.values]
         offsets = np.concatenate(([0], np.cumsum(widths))).astype(np.intp)
         n_bins = int(offsets[-1])
+        # A column that holds one value across the fit's rows has no cut.
+        splittable = np.flatnonzero(np.asarray(widths) > 1)
         bin_value = np.concatenate(coded.values) if d else np.empty(0)
         # Buffers for binning and split scoring, reused by every node.
         count_buf = np.empty(n_bins, dtype=np.intp)
@@ -227,7 +230,7 @@ class Cart:
                     if self.mtry is not None and self.mtry < d:
                         features = np.sort(rng.choice(d, size=self.mtry, replace=False))
                     else:
-                        features = np.arange(d)
+                        features = splittable
                     if hist is None:
                         hist = _bins(coded, offsets, node_sums, idx, features, count_buf, sum_buf)
                     split = self._best_split(hist, offsets, bin_value, m, impurity,

@@ -357,6 +357,22 @@ def test_generalize_fit_bank_and_reuse(workdir, gen_corpus, frozen_and_blend):
     assert r1["template_counts"] == r2["template_counts"]
 
 
+GOLDEN_BANK = Path(__file__).parent / "data" / "bank"
+
+
+def test_generalize_bank_out_matches_the_recorded_bank(workdir, gen_corpus, frozen_and_blend,
+                                                       tmp_path):
+    bank = tmp_path / "bank"
+    assert main(["generalize", *base_args(workdir, [
+        "--gen-quotes", str(gen_corpus), "--frozen-model", str(frozen_and_blend[0]),
+        "--seed", "1", "--bank-out", str(bank), "--out", str(tmp_path / "gen.json")])]) == 0
+    names = sorted(p.name for p in GOLDEN_BANK.glob("hmm_*.json"))
+    assert names == [f"hmm_{i}.json" for i in range(8)]
+    assert sorted(p.name for p in bank.iterdir()) == names
+    for name in names:
+        assert (bank / name).read_bytes() == (GOLDEN_BANK / name).read_bytes(), name
+
+
 def test_generalize_per_series_flag(workdir, gen_corpus, frozen_and_blend):
     frozen, _ = frozen_and_blend
     cfg_path = workdir / "gen_cfg.json"
@@ -760,6 +776,11 @@ MALFORMED_FILES = {
                                                   "initial": ["0.25", 0.25, 0.25, 0.25]})),
     "bank-initial-bool": ("--bank", json.dumps({**hmm_template(0),
                                                 "initial": [True, 0, 0, 0]})),
+    # Each sums to 1, so these loaded, and a nan log-likelihood won every row.
+    "bank-initial-negative": ("--bank", json.dumps({**hmm_template(0),
+                                                    "initial": [1.5, -0.5, 0, 0]})),
+    "bank-transition-negative": ("--bank", json.dumps({**hmm_template(0), "transition": [
+        [1.5, -0.5, 0, 0], *hmm_template(0)["transition"][1:]]})),
     "frozen-model-list": ("--frozen-model", "[1, 2]"),
     # A (model, edit) pair edits that saved model's document in place.
     "model-no-spec": ("--load-model", ("cart", lambda doc: doc.pop("spec"))),

@@ -1,10 +1,12 @@
 """Gaussian-emission HMM templates: scoring, training, classification."""
 
 import itertools
+import json
 import logging
 import math
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from farecast.hmm import (
     save_model,
 )
 from farecast.hmm import (
-    _e_step,
+    _backward,
+    _forward,
     _forward_rows,
     _kmeans_1d,
     _prefix_observations,
@@ -36,7 +39,7 @@ from farecast.hmm import (
 )
 from farecast.learners import predict
 from farecast.policy import decide_classification
-from farecast.util import derive_seed
+from farecast.util import derive_seed, to_jsonable
 
 from conftest import forward_loglik, series_of
 
@@ -317,6 +320,11 @@ def test_model_validation():
     with pytest.raises(FarecastError):  # 3 initial entries for 4 states
         HmmModel(0, 4, np.array([0.5, 0.25, 0.25]), np.full((4, 4), 0.25),
                  np.zeros(4), np.ones(4))
+    with pytest.raises(FarecastError):  # sums to 1 with a negative entry
+        HmmModel(0, 2, np.array([1.5, -0.5]), np.full((2, 2), 0.5), np.zeros(2), np.ones(2))
+    with pytest.raises(FarecastError):
+        HmmModel(0, 2, np.full(2, 0.5), np.array([[1.5, -0.5], [0.5, 0.5]]), np.zeros(2),
+                 np.ones(2))
     with pytest.raises(FarecastError):  # n_states disagrees with the arrays
         HmmModel(0, 2, np.array([1.0]), np.array([[1.0]]), np.array([0.0]),
                  np.array([1.0]))
@@ -424,6 +432,16 @@ def test_baum_welch_rejects_empty():
         baum_welch([[], []], n_states=2)
 
 
+def reference_forward(models, obs):
+    """``_forward`` and ``_backward`` by ``reference_e_step``, one stack each."""
+    parts = [reference_e_step(m, [o]) for m, o in zip(models, obs)]
+    return [p[0] for p in parts], parts
+
+
+def reference_backward(parts, keep):
+    return [parts[i][1:] for i in keep]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4),
        lengths=st.lists(st.integers(1, 25), min_size=0, max_size=7))
@@ -433,25 +451,30 @@ def test_batched_e_step_matches_per_sequence_reference(seed, k, lengths):
     seqs = [sample(truth, n, seed=seed + i) for i, n in enumerate(lengths)]
     visited = []
 
-    def recording_e_step(model, stacks):
-        visited.append((model, stacks))
-        return _e_step(model, stacks)
+    def recording_forward(models, obs):
+        logliks, fwd = _forward(models, obs)
+        visited.extend(zip(models, obs, logliks))
+        return logliks, fwd
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hmm, "_e_step", recording_e_step)
+        mp.setattr(hmm, "_forward", recording_forward)
         batched = baum_welch(seqs, n_states=k, max_iter=20, seed=seed)
-        mp.setattr(hmm, "_e_step", reference_e_step)
+        mp.setattr(hmm, "_forward", reference_forward)
+        mp.setattr(hmm, "_backward", reference_backward)
         looped = baum_welch(seqs, n_states=k, max_iter=20, seed=seed)
     assert len(batched.loglik_history) == len(looped.loglik_history)
     assert batched.converged == looped.converged
     # Two runs drift apart as the M-step amplifies rounding (up to 2e-10
-    # relative on a few short sequences), so the history and accumulators are
-    # checked against the reference under the same parameters, step by step.
-    assert len(visited) == len(batched.loglik_history)
-    for (model, stacks), loglik in zip(visited, batched.loglik_history):
-        want = reference_e_step(model, stacks)
+    # relative on a few short sequences), so each stack's log-likelihood and
+    # accumulators are checked against the reference under the same
+    # parameters, step by step.
+    n_stacks = len(set(lengths))
+    assert len(visited) == n_stacks * len(batched.loglik_history)
+    for model, obs, loglik in visited:
+        want = reference_e_step(model, [obs])
         assert_close(loglik, want[0])
-        for got_acc, want_acc in zip(_e_step(model, stacks), want):
+        (got,) = _backward(_forward([model], obs[None])[1], [0])
+        for got_acc, want_acc in zip(got, want[1:]):
             assert_close(got_acc, want_acc)
 
 
@@ -534,6 +557,47 @@ def test_fit_bank_per_route_seeds_are_derived(route_bank):
     solo = hmm_fit([s for s in series if s.key.route_id == "R3"], n_states=3,
                    max_iter=60, seed=derive_seed(0, "hmm", 2), route_index=2)
     assert np.array_equal(bank[2].means, solo.means)
+
+
+RECORDED_BANKS = Path(__file__).parent / "data" / "bank"
+# Series lengths per route: the stacks (3, 12), (1, 7) and (1, 5) are shared
+# by two or three templates, the others are one template's own, R5 holds a
+# one-step series, and R6's prices are constant.
+RAGGED = {"R1": [12, 12, 12, 7], "R2": [7, 12, 7, 12, 12], "R3": [12, 12, 12], "R4": [5],
+          "R5": [9, 7, 5, 9, 1], "R6": [6, 6], "R7": [20, 20]}
+
+
+def test_fit_bank_of_a_ragged_corpus_fits_each_route_as_alone(monkeypatch):
+    truth = HmmModel(0, 3, np.array([0.5, 0.3, 0.2]),
+                     np.array([[0.8, 0.15, 0.05], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]]),
+                     np.array([-1.0, 0.0, 1.5]), np.array([0.2, 0.1, 0.3]))
+    series = []
+    for r, (route, lengths) in enumerate(RAGGED.items()):
+        for i, n in enumerate(lengths):
+            prices = (np.full(n, 80.0) if route == "R6"
+                      else 100.0 * (1.0 + 0.05 * sample(truth, n, seed=10 * r + i)))
+            series.append(series_of(prices, route_id=route, departure=date(2016, 1, 13 + i)))
+    runs, real_em = [], hmm._em
+
+    def recording_em(starts, max_iter, tol):
+        runs.append(real_em(starts, max_iter, tol))
+        return runs[-1]
+
+    monkeypatch.setattr(hmm, "_em", recording_em)
+    bank = fit_bank(series, list(RAGGED), n_states=3, max_iter=26, seed=0)
+    # One loop for the six templates that iterate; each stops at its own
+    # iteration, and R7's runs out at max_iter.
+    (batch,) = runs
+    stops = [(len(r.loglik_history), r.converged) for r in batch]
+    assert stops == [(25, True), (21, True), (17, True), (8, True), (24, True), (26, False)]
+    assert [m.degenerate for m in bank] == [False] * 5 + [True, False]
+    # The bank the per-route loop fit, whose sums added each route's stacks
+    # in order of first appearance.
+    recorded = json.loads((RECORDED_BANKS / "ragged.json").read_text(encoding="utf-8"))
+    for idx, route in enumerate(RAGGED):
+        alone = hmm_fit([s for s in series if s.key.route_id == route], n_states=3,
+                        max_iter=26, seed=derive_seed(0, "hmm", idx), route_index=idx)
+        assert to_jsonable(bank[idx]) == to_jsonable(alone) == recorded[idx], route
 
 
 def test_fit_bank_missing_route_raises(route_bank):

@@ -588,10 +588,20 @@ EVEN_SPLIT = (np.array([[0, 1, 1, 1, 1], [0, 0, 0, 1, 0], [1, 1, 0, 1, 1], [0, 1
               np.array([0.2, 0.3, 0.3, 0.3, 0.1, 0.2, 0.2, 0.1]),
               "regression", 4, 1, None, 0)
 
+# Constant columns around and between the ones that split, like the route
+# dummies of a single-route fit: no column is binned that has no cut.
+_rng = np.random.default_rng(17)
+CONSTANT_COLUMNS = (np.column_stack([np.full(60, 1.0), np.round(_rng.normal(0, 1, 60), 1),
+                                     np.zeros(60), np.zeros(60), _rng.integers(0, 2, 60),
+                                     np.full(60, -2.5)]).astype(float),
+                    _rng.integers(0, 2, 60).astype(float), _rng.random(60),
+                    "classification", None, 1, None, 0)
+
 
 @settings(max_examples=300, deadline=None)
 @given(cart_problems())
 @example(EVEN_SPLIT)
+@example(CONSTANT_COLUMNS)
 def test_cart_fit_matches_the_per_node_mask_reference(problem):
     fast, slow = fit_both(problem, histogram_reference_fit)
     assert fast == slow
