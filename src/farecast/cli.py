@@ -32,6 +32,7 @@ from .pipeline import (
     PreprocessConfig,
     build_dataset,
     preprocess_for,
+    preprocessing_of,
     route_order,
     run_policy,
     run_uniform_generalized,
@@ -198,7 +199,7 @@ def cmd_tune(args) -> dict:
             "task": args.task,
             "model": args.model,
             "folds": args.folds,
-            "preprocessing": prep,
+            "preprocessing": preprocessing_of(grid[0], prep),
             "grid": grid,
         },
         "best_spec": best,
@@ -227,7 +228,7 @@ def cmd_train(args) -> dict:
             "quotes": args.quotes,
             "split": split_cfg,
             "spec": spec,
-            "preprocessing": prep,
+            "preprocessing": preprocessing_of(spec, prep),
             "routes": routes,
         },
         "train_summary": model.train_summary,
@@ -248,6 +249,7 @@ def cmd_backtest(args) -> dict:
             raise FarecastError("backtest needs --load-model or --model with --task")
         spec = _spec_from_args(args)
         model = train_specific(spec, train_series, routes, anchor, prep, seed=args.seed)
+        prep = preprocessing_of(spec, prep)
 
     decisions = run_policy(model, test_series, routes, anchor)
     per_route, mean, var = score_decisions(decisions, test_series)

@@ -60,10 +60,16 @@ def _truncated(model, n_rounds: int, per_round: tuple[str, ...]):
                    **{name: getattr(model, name)[:min(n_rounds, ran)] for name in per_round})
 
 
-def _trees_from_jsonable(trees: list, weights: list, n_inputs: Optional[int]) -> list[Cart]:
+def _trees_from_jsonable(trees: list, weights: list,
+                         n_inputs: Optional[int]) -> tuple[list[Cart], list[float]]:
+    """The trees and their weights as floats; raises FarecastError unless
+    there is one finite, positive weight per tree, as every fit gives."""
+    weights = [float(w) for w in weights]
     if len(trees) != len(weights):
         raise FarecastError(f"{len(trees)} trees for {len(weights)} weights")
-    return [Cart.from_jsonable(t, n_inputs) for t in trees]
+    if not all(0.0 < w < math.inf for w in weights):
+        raise FarecastError("tree weights must be finite and positive")
+    return [Cart.from_jsonable(t, n_inputs) for t in trees], weights
 
 
 @dataclass
@@ -160,8 +166,7 @@ class AdaBoostClassifier:
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: Optional[int] = None) -> "AdaBoostClassifier":
         model = from_jsonable(cls, raw)
-        model.trees = _trees_from_jsonable(model.trees, model.alphas, n_inputs)
-        model.alphas = [float(a) for a in model.alphas]
+        model.trees, model.alphas = _trees_from_jsonable(model.trees, model.alphas, n_inputs)
         if model.majority not in (0, 1):
             raise FarecastError(f"majority must be 0 or 1, got {model.majority!r}")
         return model
@@ -249,6 +254,6 @@ class AdaBoostRegressor:
         model = from_jsonable(cls, raw)
         if not model.trees:  # a fit keeps at least one
             raise FarecastError("a boosted regressor needs at least one tree")
-        model.trees = _trees_from_jsonable(model.trees, model.log_inv_betas, n_inputs)
-        model.log_inv_betas = [float(b) for b in model.log_inv_betas]
+        model.trees, model.log_inv_betas = _trees_from_jsonable(model.trees, model.log_inv_betas,
+                                                                n_inputs)
         return model

@@ -46,6 +46,7 @@ flip a near-tie split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -377,8 +378,9 @@ class Cart:
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: Optional[int] = None) -> "Cart":
         """Rebuild a tree; raises FarecastError unless its node lists have one
-        length, every split's children come after it (so a walk from the root
-        ends), and every split feature is below ``n_inputs`` when given."""
+        length, its thresholds and values are finite, every split's children
+        come after it (so a walk from the root ends), and every split feature
+        is below ``n_inputs`` when given."""
         tree = from_jsonable(cls, raw)
         for name, kind in (("feature", int), ("threshold", float), ("left", int),
                            ("right", int), ("value", float)):
@@ -388,6 +390,8 @@ class Cart:
         if n_nodes == 0 or any(len(v) != n_nodes for v in lists):
             raise FarecastError(f"tree node lists must share one nonzero length, "
                                 f"got {[len(v) for v in lists]}")
+        if not all(map(math.isfinite, tree.threshold + tree.value)):
+            raise FarecastError("tree thresholds and values must be finite")
         width = n_inputs if n_inputs is not None else float("inf")
         for node, f in enumerate(tree.feature):
             children = (tree.left[node], tree.right[node])

@@ -68,11 +68,16 @@ def apply_preprocessing(train: Dataset, cfg: PreprocessConfig, seed: int) -> Dat
     return out
 
 
+def preprocessing_of(spec: LearnerSpec, cfg: PreprocessConfig) -> Optional[PreprocessConfig]:
+    """The preprocessing a fit of ``spec`` runs: ``cfg`` for classification,
+    none for regression."""
+    return cfg if spec.task == "classification" else None
+
+
 def preprocess_for(spec: LearnerSpec, train: Dataset, cfg: PreprocessConfig,
                    seed: int) -> Dataset:
-    if spec.task != "classification":
-        return train
-    return apply_preprocessing(train, cfg, seed)
+    run = preprocessing_of(spec, cfg)
+    return train if run is None else apply_preprocessing(train, run, seed)
 
 
 def run_policy(

@@ -6,6 +6,26 @@ Gaussian mixture fit by EM) start from the class means, which fixes the
 cluster-to-class identification. Outlier removal runs before oversampling so
 duplicated minority points cannot produce singular clusters.
 
+Both fits keep each per-row quantity (a squared distance, a Mahalanobis
+term, a log joint density, a responsibility) as one contiguous array of n
+values per cluster, so no numpy call reduces or broadcasts over rows of only
+2 values, and a sum over the d columns adds whole columns. They give the bits
+of the row-major form they replace:
+
+- a sum of squares over the d columns adds them first to last, the order in
+  which ``(A * A).sum(axis=1)`` adds a row for d < 8 (``_squared_norms``);
+- a sum over the n rows adds them in the order the row-major form did:
+  ``resp.sum(axis=0)`` is sequential, a cumsum, and ``X[mask].mean(axis=0)``
+  stays as it was;
+- every BLAS product, ``(X - mean) @ inv(L).T``, ``resp.T @ X`` and
+  ``(diff * r).T @ diff``, keeps the operands of the row-major form, each a
+  C-ordered (n, d) or (n, 2) array, so its bits do not hang on the kernel a
+  BLAS picks for another layout.
+
+EM holds no more memory at its peak than the row-major form. X - mean lives
+in one (n, d) buffer, written a column at a time (``_centered``), and the
+next E-step starts from the M-step's last one; no (d, n) copy of X is made.
+
 Under-sampling and synthetic (algorithmic) oversampling are deliberately not
 provided.
 """
@@ -61,16 +81,27 @@ class KMeansFit:
     converged: bool
 
 
+def _squared_norms(A: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row of the (n, d) ``A``, added a column at a
+    time, first to last. For d < 8 that is the order in which numpy's pairwise
+    ``(A * A).sum(axis=1)`` adds them, so the two agree bit for bit."""
+    total = A[:, 0] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        total += A[:, j] * A[:, j]
+    return total
+
+
 def kmeans2(X: np.ndarray, init: ClusterInit, max_iter: int = 100, tol: float = 1e-8) -> KMeansFit:
     """Lloyd's algorithm with 2 clusters; equidistant points go to the lower index."""
+    row_index = np.arange(len(X))
     centers = init.centers.astype(float).copy()
     history: list[float] = []
     prev = None
     converged = False
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = np.argmin(d2, axis=1)  # argmin takes the first (lower) index on ties
-        history.append(float(d2[np.arange(len(X)), assign].sum()))
+        d2 = np.stack([_squared_norms(X - center) for center in centers])
+        assign = np.argmin(d2, axis=0)  # argmin takes the first (lower) index on ties
+        history.append(float(d2[assign, row_index].sum()))
         if prev is not None and np.array_equal(assign, prev):
             converged = True
             break
@@ -88,19 +119,37 @@ def kmeans2(X: np.ndarray, init: ClusterInit, max_iter: int = 100, tol: float = 
     else:
         logger.warning("k-means did not converge in %d iterations", max_iter)
     # Final assignment under the final centers.
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    assign = np.argmin(d2, axis=1)
+    assign = np.argmin(np.stack([_squared_norms(X - center) for center in centers]), axis=0)
     return KMeansFit(centers=centers, assignments=assign,
                      objective_history=history, converged=converged)
 
 
-def _log_gaussian(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = X.shape[1]
+def _log_gaussian(diff: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Gaussian log-density at the rows of ``diff``, the C-ordered (n, d)
+    differences X - mean."""
+    d = diff.shape[1]
     L = np.linalg.cholesky(cov)
-    z = (X - mean) @ np.linalg.inv(L).T
-    maha = (z * z).sum(axis=1)
-    logdet = 2.0 * np.log(np.diag(L)).sum()
-    return -0.5 * (d * math.log(2.0 * math.pi) + logdet + maha)
+    z = diff @ np.linalg.inv(L).T
+    log_density = _squared_norms(z)
+    log_density += d * math.log(2.0 * math.pi) + 2.0 * np.log(np.diag(L)).sum()
+    log_density *= -0.5
+    return log_density
+
+
+def _centered(X: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``X - mean`` written into ``out`` a column at a time, which is faster
+    than numpy's broadcast of one d-wide row over every row."""
+    for j, m in enumerate(mean):
+        np.subtract(X[:, j], m, out=out[:, j])
+    return out
+
+
+def _weighted_scatter(diff: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``(diff * r[:, None]).T @ diff`` for the C-ordered (n, d) ``diff``, its
+    weighted copy written a column at a time."""
+    weighted = np.empty_like(diff)
+    np.multiply(diff.T, r, out=weighted.T)
+    return weighted.T @ diff
 
 
 @dataclass
@@ -134,30 +183,36 @@ def gmm_em2(
     covs = np.stack([np.cov(X[y == k].T, bias=True).reshape(d, d) + COV_REG * np.eye(d)
                      for k in (0, 1)])
 
+    # X - means[k], C-ordered like X. It holds X - means[1] at the top of
+    # each iteration: set here, and left by the M-step.
+    diff = _centered(X, means[1], np.empty((n, d)))
+    log_joint = np.empty((2, n))
     history: list[float] = []
     converged = False
     resp = np.full((n, 2), 0.5)
     for _ in range(max_iter):
-        log_joint = np.stack(
-            [np.log(weights[k]) + _log_gaussian(X, means[k], covs[k]) for k in (0, 1)],
-            axis=1,
-        )
-        shift = log_joint.max(axis=1, keepdims=True)
-        log_norm = shift[:, 0] + np.log(np.exp(log_joint - shift).sum(axis=1))
+        log_joint[1] = _log_gaussian(diff, covs[1])
+        log_joint[0] = _log_gaussian(_centered(X, means[0], diff), covs[0])
+        log_joint += np.log(weights)[:, None]
+        shift = np.maximum(log_joint[0], log_joint[1])
+        scaled = np.exp(log_joint - shift)
+        log_norm = shift + np.log(scaled[0] + scaled[1])
         ll = float(log_norm.sum())
-        resp = np.exp(log_joint - log_norm[:, None])
+        resp_columns = np.exp(log_joint - log_norm)
+        resp = np.ascontiguousarray(resp_columns.T)
         if history and abs(ll - history[-1]) <= tol * abs(ll):
             history.append(ll)
             converged = True
             break
         history.append(ll)
 
-        nk = resp.sum(axis=0).clip(min=1e-12)
+        # resp.sum(axis=0) adds the rows one after another, as cumsum does.
+        nk = np.cumsum(resp_columns, axis=1)[:, -1].clip(min=1e-12)
         weights = nk / n
         means = (resp.T @ X) / nk[:, None]
         for k in (0, 1):
-            diff = X - means[k]
-            covs[k] = (diff * resp[:, k, None]).T @ diff / nk[k] + COV_REG * np.eye(d)
+            scatter = _weighted_scatter(_centered(X, means[k], diff), resp_columns[k])
+            covs[k] = scatter / nk[k] + COV_REG * np.eye(d)
     else:
         logger.warning("EM did not converge in %d iterations", max_iter)
     return GmmFit(means=means, covariances=covs, weights=weights,

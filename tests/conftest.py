@@ -4,22 +4,30 @@ Most tests need a PriceSeries with hand-picked prices; ``series_of`` builds
 one with consecutive daily quotes ending a configurable number of days
 before departure. ``dataset_of`` builds a Dataset from hand-written rows.
 It also holds the small computations only tests need (oracle prices, a
-single sequence's log-likelihood, class and coefficient read-outs), which the
-package does not carry.
+single sequence's log-likelihood, class and coefficient read-outs, the
+row-major k-means and EM fits), which the package does not carry.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from datetime import date
 from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from farecast.core import BUY, WAIT, Dataset, PriceSeries, SeriesKey
 from farecast.features import CONTINUOUS_NAMES, set_route_dummies
 from farecast.hmm import _forward_rows
+from farecast.preprocess import COV_REG, GmmFit, KMeansFit
+
+# ``HYPOTHESIS_PROFILE=ci`` prints the blob that replays a failing example
+# (``@reproduce_failure``), so a property that fails in CI can be rerun locally.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def series_of(
@@ -90,6 +98,79 @@ def oracle_evaluate(corpus: Sequence[PriceSeries]) -> dict[str, tuple[float, flo
         optima = math.fsum(v[1] for v in values) / len(values)
         out[route_id] = (randoms, optima)
     return out
+
+
+def row_major_kmeans2(X, init, max_iter=100, tol=1e-8) -> KMeansFit:
+    """``preprocess.kmeans2`` as it was written over the rows of X: the oracle
+    the column-layout fit must match bit for bit."""
+    centers = init.centers.astype(float).copy()
+    history: list[float] = []
+    prev = None
+    converged = False
+    for _ in range(max_iter):
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(len(X)), assign].sum()))
+        if prev is not None and np.array_equal(assign, prev):
+            converged = True
+            break
+        shift = 0.0
+        for k in (0, 1):
+            mask = assign == k
+            if mask.any():
+                new_center = X[mask].mean(axis=0)
+                shift = max(shift, float(np.abs(new_center - centers[k]).max()))
+                centers[k] = new_center
+        prev = assign
+        if shift < tol:
+            converged = True
+            break
+    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return KMeansFit(centers=centers, assignments=np.argmin(d2, axis=1),
+                     objective_history=history, converged=converged)
+
+
+def _row_major_log_gaussian(X, mean, cov):
+    d = X.shape[1]
+    L = np.linalg.cholesky(cov)
+    z = (X - mean) @ np.linalg.inv(L).T
+    maha = (z * z).sum(axis=1)
+    logdet = 2.0 * np.log(np.diag(L)).sum()
+    return -0.5 * (d * math.log(2.0 * math.pi) + logdet + maha)
+
+
+def row_major_gmm_em2(X, init, y, max_iter=100, tol=1e-8) -> GmmFit:
+    """``preprocess.gmm_em2`` as it was written over the rows of X: the oracle
+    the column-layout fit must match bit for bit."""
+    n, d = X.shape
+    means = init.centers.astype(float).copy()
+    weights = init.counts / init.counts.sum()
+    covs = np.stack([np.cov(X[y == k].T, bias=True).reshape(d, d) + COV_REG * np.eye(d)
+                     for k in (0, 1)])
+    history: list[float] = []
+    converged = False
+    resp = np.full((n, 2), 0.5)
+    for _ in range(max_iter):
+        log_joint = np.stack(
+            [np.log(weights[k]) + _row_major_log_gaussian(X, means[k], covs[k])
+             for k in (0, 1)], axis=1)
+        shift = log_joint.max(axis=1, keepdims=True)
+        log_norm = shift[:, 0] + np.log(np.exp(log_joint - shift).sum(axis=1))
+        ll = float(log_norm.sum())
+        resp = np.exp(log_joint - log_norm[:, None])
+        if history and abs(ll - history[-1]) <= tol * abs(ll):
+            history.append(ll)
+            converged = True
+            break
+        history.append(ll)
+        nk = resp.sum(axis=0).clip(min=1e-12)
+        weights = nk / n
+        means = (resp.T @ X) / nk[:, None]
+        for k in (0, 1):
+            diff = X - means[k]
+            covs[k] = (diff * resp[:, k, None]).T @ diff / nk[k] + COV_REG * np.eye(d)
+    return GmmFit(means=means, covariances=covs, weights=weights,
+                  responsibilities=resp, loglik_history=history, converged=converged)
 
 
 @pytest.fixture(scope="session")

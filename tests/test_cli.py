@@ -250,6 +250,19 @@ def test_tune_stock_grid_matches_the_per_cell_search(workdir, tmp_path, model, t
     assert {key: report[key] for key in ("best_spec", "cv_table")} == golden
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("method", ["em", "kmeans"])
+def test_tune_with_outlier_removal_matches_the_recorded_table(workdir, tmp_path, method, jobs):
+    out = tmp_path / "tune.json"
+    assert main(["tune", *base_args(workdir, [
+        "--task", "classification", "--model", "cart", "--outlier-removal", method,
+        "--jobs", jobs, "--out", str(out)])]) == 0
+    report = read_report(out)
+    golden = json.loads((GOLDEN / f"tune_cart_classification_{method}.json").read_text(
+        encoding="utf-8"))
+    assert {key: report[key] for key in ("best_spec", "cv_table")} == golden
+
+
 @pytest.mark.parametrize("folds", ["1", "0", "-1"])
 def test_tune_needs_two_folds(workdir, tmp_path, capsys, folds):
     capsys.readouterr()
@@ -1004,6 +1017,18 @@ def test_backtest_of_a_loaded_model_reports_no_preprocessing(workdir, frozen_and
     capsys.readouterr()
     assert main(["backtest", *base_args(workdir, [*loaded, "--config", str(config)])]) == 2
     assert "oversample" in one_line_error(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("command", ["tune", "train", "backtest"])
+def test_reports_record_preprocessing_only_where_it_ran(workdir, tmp_path, command, task):
+    # Regression fits skip outlier removal and oversampling.
+    out = tmp_path / "r.json"
+    assert main([command, *base_args(workdir, [
+        "--task", task, "--model", "cart", "--outlier-removal", "em",
+        "--out", str(out)])]) == 0
+    want = {"oversample": True, "outlier_removal": "em"} if task == "classification" else None
+    assert read_report(out)["config"]["preprocessing"] == want
 
 
 def test_qlearn_of_a_loaded_table_reports_the_tables_rates(workdir, tmp_path):

@@ -1,6 +1,8 @@
 """Saved documents are their dataclass fields: the util codec and the v1 format."""
 
 import json
+import math
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from farecast import hmm, learners, qlearn
+from farecast.cli import main
 from farecast.core import FarecastError
 from farecast.features import corpus_anchor
 from farecast.hmm import HmmModel
@@ -130,3 +133,53 @@ def test_v1_hmm_template_and_qtable_save_back_byte_for_byte(tmp_path):
     assert (tmp_path / "hmm_0.json").read_bytes() == (V1 / "hmm_0.json").read_bytes()
     qlearn.save_qtable(qlearn.load_qtable(V1 / "qtable.json"), tmp_path / "qtable.json")
     assert (tmp_path / "qtable.json").read_bytes() == (V1 / "qtable.json").read_bytes()
+
+
+TREE_MODELS = [name for name in V1_MODELS if "cart" in name or "forest" in name
+               or "blend" in name]
+BOOSTED_WEIGHTS = {"model_adaboost_cart_classification.json": "alphas",
+                   "model_adaboost_cart_regression.json": "log_inv_betas"}
+
+
+def first_tree(doc: dict) -> dict:
+    core = doc["core"]
+    if "members" in core:
+        return first_tree(core["members"][0])
+    return core["trees"][0] if "trees" in core else core
+
+
+def backtest_exit_code(doc: dict, tmp_path, capsys) -> int:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["backtest", "--quotes", str(V1 / "quotes.csv"), "--split-config",
+                 str(V1 / "split.json"), "--load-model", str(path), "--out", os.devnull])
+    if code == 2:
+        assert json.loads(capsys.readouterr().err)["error"] == "FarecastError"
+    return code
+
+
+@pytest.mark.parametrize("name", TREE_MODELS)
+def test_v1_tree_documents_back_test(name, tmp_path, capsys):
+    doc = json.loads((V1 / name).read_text(encoding="utf-8"))
+    assert backtest_exit_code(doc, tmp_path, capsys) == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["threshold", "value"])
+@pytest.mark.parametrize("name", TREE_MODELS)
+def test_a_tree_float_no_fit_gives_exits_two(name, field, bad, tmp_path, capsys):
+    doc = json.loads((V1 / name).read_text(encoding="utf-8"))
+    first_tree(doc)[field][0] = bad
+    assert backtest_exit_code(doc, tmp_path, capsys) == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0],
+                         ids=["nan", "inf", "-inf", "negative"])
+@pytest.mark.parametrize("name", sorted(BOOSTED_WEIGHTS))
+def test_a_boosting_weight_no_fit_gives_exits_two(name, bad, tmp_path, capsys):
+    # A NaN in alphas[0] of the bench model reported -49.35 with exit 0, and
+    # an infinite one 87.44: its mean_normalized_pct is 88.00.
+    doc = json.loads((V1 / name).read_text(encoding="utf-8"))
+    doc["core"][BOOSTED_WEIGHTS[name]][0] = bad
+    assert backtest_exit_code(doc, tmp_path, capsys) == 2

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import class_counts, dataset_of
+from conftest import class_counts, dataset_of, row_major_gmm_em2, row_major_kmeans2
 from farecast.core import SeriesKey
+from farecast.features import corpus_anchor
+from farecast.ingest import split
+from farecast.pipeline import build_dataset, route_order
 from farecast.preprocess import (
     COV_REG,
     ClusterInit,
@@ -21,7 +24,9 @@ from farecast.preprocess import (
     oversample,
     remove_outliers,
 )
-from farecast.preprocess import _log_gaussian
+from farecast.preprocess import _log_gaussian, _squared_norms
+from farecast.synthgen import default_split_for
+from farecast.tuning import cv_folds
 
 EM_TOL = 1e-8  # gmm_em2's default tol
 
@@ -183,7 +188,70 @@ def test_cholesky_log_gaussian_matches_solve(seed, d, n, rank, tied):
         # 50-digit evaluation by up to a few 1e-10, so a fixed 1e-10 bound
         # holds only on well-conditioned covariances.
         tol = 16 * np.finfo(float).eps * np.linalg.cond(cov)
-        assert np.all(np.abs(_log_gaussian(X, mean, cov) - ref) <= tol * (1.0 + np.abs(ref)))
+        assert np.all(np.abs(_log_gaussian(X - mean, cov) - ref) <= tol * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_squared_norms_add_in_the_order_of_a_row_sum(d):
+    rng = np.random.default_rng(d)
+    A = rng.normal(0.0, 1.0, (40, d)) * 10.0 ** rng.uniform(-8, 8, (40, d))
+    assert np.array_equal(_squared_norms(A), (A * A).sum(axis=1))
+
+
+def assert_fits_equal(fit, oracle):
+    """Every field of two KMeansFit or GmmFit instances holds the same bits."""
+    for name, value in vars(oracle).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(fit, name), value), name
+        else:
+            assert getattr(fit, name) == value, name
+
+
+def labeled_classes(seed, d, n_wait, n_buy, rank, tied):
+    """Standardized rows of two labeled classes. The BUY class spans ``rank``
+    random directions (fewer than d, or fewer than d + 1 rows, makes it
+    rank-deficient), and ``tied`` copies one raw feature into another on it,
+    as current_price == min_price_so_far holds on every BUY row."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(0.0, 1.0, (n_wait + n_buy, d)) * 10.0 ** rng.uniform(-1, 2, d)
+    buy = rng.normal(0.0, 1.0, (n_buy, rank)) @ rng.normal(0.0, 3.0, (rank, d))
+    raw[n_wait:] = buy + rng.normal(0.0, 2.0, d)
+    if tied and d > 1:
+        i, j = rng.choice(d, 2, replace=False)
+        raw[n_wait:, j] = raw[n_wait:, i]
+    y = np.repeat([0, 1], [n_wait, n_buy])
+    order = rng.permutation(len(y))
+    return standardized(raw[order]), y[order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n_wait=st.integers(1, 200),
+       n_buy=st.integers(1, 200), rank=st.integers(0, 5), tied=st.booleans(),
+       max_iter=st.integers(1, 100))
+def test_column_layout_fits_equal_the_row_major_oracles(seed, d, n_wait, n_buy, rank, tied,
+                                                         max_iter):
+    X, y = labeled_classes(seed, d, n_wait, n_buy, min(rank, d), tied)
+    init = class_mean_init(X, y)
+    assert_fits_equal(gmm_em2(X, init, y=y, max_iter=max_iter),
+                      row_major_gmm_em2(X, init, y=y, max_iter=max_iter))
+    assert_fits_equal(kmeans2(X, init, max_iter=max_iter),
+                      row_major_kmeans2(X, init, max_iter=max_iter))
+
+
+def test_column_layout_fits_equal_the_oracles_on_a_bench_fold(default_corpus):
+    """A training fold shaped like those of the bench ``tune`` workload: four
+    of five folds of the default corpus's training series, 17,280 rows of 5
+    continuous columns."""
+    cfg, series = default_corpus
+    train, _ = split(series, default_split_for(cfg))
+    ds = build_dataset(train, route_order(series), corpus_anchor(series), role="train")
+    held_out = np.isin(ds.series, cv_folds(len(ds.keys), k=5, seed=0)[0])
+    fold = ds.take(~held_out)
+    X, y = continuous_matrix(fold.X), fold.label_class
+    assert X.shape == (17_280, 5)
+    init = class_mean_init(X, y)
+    assert_fits_equal(gmm_em2(X, init, y=y), row_major_gmm_em2(X, init, y=y))
+    assert_fits_equal(kmeans2(X, init), row_major_kmeans2(X, init))
 
 
 def gaussian_classes(seed, d, n_per, sep, swap_frac):
