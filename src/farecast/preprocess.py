@@ -144,14 +144,6 @@ def _centered(X: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted_scatter(diff: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``(diff * r[:, None]).T @ diff`` for the C-ordered (n, d) ``diff``, its
-    weighted copy written a column at a time."""
-    weighted = np.empty_like(diff)
-    np.multiply(diff.T, r, out=weighted.T)
-    return weighted.T @ diff
-
-
 @dataclass
 class GmmFit:
     means: np.ndarray
@@ -210,9 +202,14 @@ def gmm_em2(
         nk = np.cumsum(resp_columns, axis=1)[:, -1].clip(min=1e-12)
         weights = nk / n
         means = (resp.T @ X) / nk[:, None]
+        # (diff * r_k).T @ diff with both operands C-ordered (n, d); the
+        # weighted copy is written a column at a time.
+        weighted = np.empty_like(diff)
         for k in (0, 1):
-            scatter = _weighted_scatter(_centered(X, means[k], diff), resp_columns[k])
-            covs[k] = scatter / nk[k] + COV_REG * np.eye(d)
+            _centered(X, means[k], diff)
+            np.multiply(diff.T, resp_columns[k], out=weighted.T)
+            covs[k] = weighted.T @ diff / nk[k] + COV_REG * np.eye(d)
+        del weighted  # kept into the next E-step, it would raise EM's peak memory
     else:
         logger.warning("EM did not converge in %d iterations", max_iter)
     return GmmFit(means=means, covariances=covs, weights=weights,

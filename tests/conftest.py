@@ -11,23 +11,16 @@ row-major k-means and EM fits), which the package does not carry.
 from __future__ import annotations
 
 import math
-import os
 from datetime import date
 from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from farecast.core import BUY, WAIT, Dataset, PriceSeries, SeriesKey
 from farecast.features import CONTINUOUS_NAMES, set_route_dummies
 from farecast.hmm import _forward_rows
 from farecast.preprocess import COV_REG, GmmFit, KMeansFit
-
-# ``HYPOTHESIS_PROFILE=ci`` prints the blob that replays a failing example
-# (``@reproduce_failure``), so a property that fails in CI can be rerun locally.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def series_of(
