@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Dataset, EmptySeries, FarecastError, PriceSeries, format_price
-from .util import as_float_arrays
+from .util import as_float_arrays, check_finite
 
 logger = logging.getLogger(__name__)
 
@@ -122,10 +122,7 @@ class Standardizer:
         as_float_arrays(self, "mean", "scale", "keep")
         if not np.isin(self.keep, (0, 1)).all():
             raise FarecastError("Standardizer.keep must hold 0 or 1 per column")
-        if not np.isfinite(self.mean).all():
-            raise FarecastError("Standardizer.mean must hold finite numbers")
-        if not (np.isfinite(self.scale) & (self.scale > 0)).all():
-            raise FarecastError("Standardizer.scale must hold positive finite numbers")
+        check_finite(self, "mean", positive=("scale",))
         self.keep = self.keep.astype(int)
 
     @classmethod

@@ -7,22 +7,24 @@ classification against the bank, one template per specific route, and a
 frozen specific-route classifier makes the buy/wait call on the resulting
 feature rows.
 
-Scoring has one path: ``classify`` takes a stack of observation rows of any
-lengths and runs the scaled forward recursion (``_forward_rows``) once per
-template over all of them. Per row, the stack is one series' prefixes, each
-normalized by its own mean, so no future information leaks into the
-assignment; per series, it is every series whole, each normalized by its
-full mean.
+One scaled forward recursion (``_forward``, Rabiner 1989) serves scoring and
+training. It runs time first over a stack of equal-length rows per template,
+(T, R, S, K) arrays with an (R, S, K) @ (R, K, K) product per step.
 
-Training has one path too: ``_em`` runs one Baum-Welch (Rabiner 1989) loop
-for a whole bank, and ``baum_welch`` and ``hmm_fit`` are that loop with one
-template. A route's sequences are stacked by length into (S, T) arrays. In
-each iteration, templates that hold stacks of the same shape run their
-forward pass together, time first on (T, R, S, K) arrays with an
-(R, S, K) @ (R, K, K) product per step; templates whose log-likelihood has
-converged leave before the backward pass. Shapes are never padded and each
-template's sums add its own stacks in its own order, so every template is
-bit for bit the one a fit of that route alone gives.
+Scoring: ``classify`` runs the pass once per template over a stack of rows of
+any lengths, and reads each row's log-likelihood at its own last step; steps
+past a row's end are computed and never read. Per row, the stack is one
+series' prefixes, each normalized by its own mean, so no future information
+leaks into the assignment; per series, it is every series whole, each
+normalized by its full mean.
+
+Training: ``_em`` runs one Baum-Welch loop for a whole bank. A route's
+sequences are stacked by length into (S, T) arrays. In each iteration,
+templates that hold stacks of the same shape run their forward pass
+together; templates whose log-likelihood has converged leave before the
+backward pass. Shapes are never padded and each template's sums add its own
+stacks in its own order, so every template is bit for bit the one a fit of
+that route alone gives.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .core import EmptySeries, FarecastError, PriceSeries, SeriesKey
 from .features import feature_dataset, set_route_dummies
 from .learners import TrainedModel, dummy_width, predict
 from .policy import PurchaseDecision, decide_classification
-from .util import (as_float_arrays, check_types, derive_seed, from_jsonable, read_json,
-                   to_jsonable, write_json)
+from .util import (as_float_arrays, check_finite, check_types, derive_seed, from_jsonable,
+                   read_json, to_jsonable, write_json)
 
 logger = logging.getLogger(__name__)
 
@@ -68,9 +70,7 @@ class HmmModel:
         if (self.transition.shape != (k, k)
                 or not self.initial.shape == self.means.shape == self.variances.shape == (k,)):
             raise FarecastError(f"HMM parameters must have shapes ({k},) and ({k}, {k})")
-        if not all(np.isfinite(a).all() for a in (self.initial, self.transition,
-                                                  self.means, self.variances)):
-            raise FarecastError("HMM parameters must be finite")
+        check_finite(self, "initial", "transition", "means", "variances")
         if (self.initial < 0).any() or (self.transition < 0).any():
             raise FarecastError("HMM probabilities must not be negative")
         if abs(self.initial.sum() - 1.0) > 1e-9:
@@ -115,27 +115,32 @@ def _scaled_emission(means: np.ndarray, var: np.ndarray,
     return shift, np.exp(logb, out=logb)
 
 
-def _forward_rows(model: HmmModel, obs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Scaled forward log-likelihood (Rabiner 1989) of every row of ``obs`` (N, T).
+def _forward(models: Sequence[HmmModel], obs: np.ndarray) -> tuple:
+    """Scaled forward pass (Rabiner 1989) of R templates over stacks of one shape.
 
-    Row i is the sequence ``obs[i, :lengths[i]]``; ``lengths`` ascend, so the
-    rows still running at step t are the suffix from
-    ``searchsorted(lengths, t, side="right")``, and later columns of a row
-    are never read. An unreachable observation (total 0) leaves -inf and a
-    zero alpha, so no nan reaches a later step or an argmax.
+    ``obs`` (R, S, T) holds template r's S sequences of length T; a stack of
+    one, (1, S, T), is read by every template. The pass runs time first, so
+    each step reads and writes one contiguous (R, S, K) block, and template
+    r's (S, K) @ (K, K) product is the one a pass over its stack alone
+    takes. Returns the pass ``(trans, obs, b, alpha, c, shift)``: the scaler
+    c and the emission shift (T, R, S) give log P(o_t | o_<t) = log c + shift.
+    A scaler of 0 (an observation no reachable state emits) divides as 1, so
+    its log is -inf and the alphas after it are 0, never nan.
     """
-    shift, b = _scaled_emission(model.means, model.variances, obs)
-    loglik = np.zeros(len(obs))
-    alpha = np.tile(model.initial, (len(obs), 1))
-    live = np.searchsorted(lengths, np.arange(obs.shape[1]), side="right")
-    with np.errstate(divide="ignore"):
-        for t, lo in enumerate(live.tolist()):
-            weighted = alpha[lo:] * b[lo:, t]
-            total = weighted.sum(axis=1)
-            loglik[lo:] += np.log(total) + shift[lo:, t]
-            total[total == 0.0] = 1.0
-            alpha[lo:] = (weighted / total[:, None]) @ model.transition
-    return loglik
+    trans = np.stack([m.transition for m in models])
+    shift, b = _scaled_emission(np.stack([m.means for m in models])[:, None],
+                                np.stack([m.variances for m in models])[:, None],
+                                np.ascontiguousarray(obs.transpose(2, 0, 1)))  # (T, R, S, K)
+    alpha = np.empty_like(b)
+    c = np.empty_like(shift)
+    np.multiply(np.stack([m.initial for m in models])[:, None], b[0], out=alpha[0])
+    for t, (a, ct) in enumerate(zip(alpha, c)):
+        if t:
+            np.matmul(alpha[t - 1], trans, out=a)
+            a *= b[t]
+        a.sum(axis=-1, out=ct)
+        np.divide(a, ct[..., None], out=a, where=ct[..., None] != 0.0)
+    return trans, obs, b, alpha, c, shift
 
 
 def classify(bank: Sequence[HmmModel], obs: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
@@ -144,26 +149,27 @@ def classify(bank: Sequence[HmmModel], obs: np.ndarray, lengths: Sequence[int]) 
     Rows may come in any order and ragged; ties go to the lowest index, and
     a row a template cannot emit scores -inf under it.
     """
+    return np.argmax(_row_logliks(bank, obs, lengths), axis=0)
+
+
+def _row_logliks(bank: Sequence[HmmModel], obs: np.ndarray,
+                 lengths: Sequence[int]) -> np.ndarray:
+    """(templates, rows): the log-likelihood of ``obs[i, :lengths[i]]`` under each template.
+
+    One forward pass per template runs over every row and step; row i reads
+    the running sum of log scaler plus shift at its last step, added step by
+    step. Later columns must be finite and are never read.
+    """
     lengths = np.asarray(lengths, dtype=np.intp)
     if (lengths < 1).any():
         raise EmptySeries("cannot score an empty sequence")
-    order = np.argsort(lengths, kind="stable")
-    rows, row_lengths = obs[order], lengths[order]
+    rows = np.arange(len(lengths))
     logliks = np.empty((len(bank), len(lengths)))
-    logliks[:, order] = [_forward_rows(m, rows, row_lengths) for m in bank]
-    return np.argmax(logliks, axis=0)
-
-
-def sample(model: HmmModel, length: int, seed: int) -> np.ndarray:
-    """Draw one observation sequence from the model."""
-    rng = np.random.default_rng(seed)
-    obs = np.empty(length)
-    state = rng.choice(model.n_states, p=model.initial)
-    for t in range(length):
-        obs[t] = rng.normal(model.means[state], np.sqrt(model.variances[state]))
-        if t + 1 < length:
-            state = rng.choice(model.n_states, p=model.transition[state])
-    return obs
+    with np.errstate(divide="ignore"):
+        for model, out in zip(bank, logliks):
+            *_, c, shift = _forward([model], obs[None])
+            out[:] = np.cumsum(np.log(c) + shift, axis=0)[lengths - 1, 0, rows]
+    return logliks
 
 
 # -- Baum-Welch ---------------------------------------------------------------
@@ -190,34 +196,6 @@ def _kmeans_1d(values: np.ndarray, k: int, seed: int, iters: int = 50) -> np.nda
     return np.sort(centers)
 
 
-def _forward(models: Sequence[HmmModel], obs: np.ndarray) -> tuple[list[float], tuple]:
-    """Scaled forward pass (Rabiner 1989) of R templates over stacks of one shape.
-
-    ``obs`` (R, S, T) holds template r's S sequences of length T. The pass
-    runs time first, so each step reads and writes one contiguous (R, S, K)
-    block, and template r's (S, K) @ (K, K) product is the one a pass over
-    its stack alone takes. Returns each template's log-likelihood of its
-    stack and the pass, for ``_backward``.
-    """
-    trans = np.stack([m.transition for m in models])
-    shift, b = _scaled_emission(np.stack([m.means for m in models])[:, None],
-                                np.stack([m.variances for m in models])[:, None],
-                                np.ascontiguousarray(obs.transpose(2, 0, 1)))  # (T, R, S, K)
-    alpha = np.empty_like(b)
-    c = np.empty_like(shift)
-    np.multiply(np.stack([m.initial for m in models])[:, None], b[0], out=alpha[0])
-    for t, (a, ct) in enumerate(zip(alpha, c)):
-        if t:
-            np.matmul(alpha[t - 1], trans, out=a)
-            a *= b[t]
-        a.sum(axis=-1, out=ct)
-        a /= ct[..., None]
-    # Sums over time run along contiguous rows, as over one stack alone.
-    loglik = (np.log(c.transpose(1, 2, 0).copy()).sum(axis=2)
-              + shift.transpose(1, 2, 0).copy().sum(axis=2)).sum(axis=1)
-    return loglik.tolist(), (trans, obs, b, alpha, c)
-
-
 def _backward(fwd: tuple, keep: Sequence[int]) -> list[tuple]:
     """Finish the forward pass ``fwd`` for the templates at positions ``keep``.
 
@@ -226,7 +204,7 @@ def _backward(fwd: tuple, keep: Sequence[int]) -> list[tuple]:
     then returns each kept template's M-step accumulators (initial,
     transition, occupancy, mean, square), summed over its stack.
     """
-    trans, obs, b, alpha, c = fwd
+    trans, obs, b, alpha, c, _ = fwd
     beta = np.empty_like(b)
     beta[-1] = 1.0
     trans_t = trans.transpose(0, 2, 1)
@@ -331,9 +309,13 @@ def _em(starts: Sequence[tuple[HmmModel, list[np.ndarray]]], max_iter: int,
         logliks = {r: [0.0] * len(starts[r][1]) for r in running}
         passes = []
         for members in groups.values():
-            lls, fwd = _forward([results[r].model for r, _ in members],
-                                np.stack([starts[r][1][j] for r, j in members]))
-            for (r, j), ll in zip(members, lls):
+            fwd = _forward([results[r].model for r, _ in members],
+                           np.stack([starts[r][1][j] for r, j in members]))
+            c, shift = fwd[4:]
+            # Sums over time run along contiguous rows, as over one stack alone.
+            lls = (np.log(c.transpose(1, 2, 0).copy()).sum(axis=2)
+                   + shift.transpose(1, 2, 0).copy().sum(axis=2)).sum(axis=1)
+            for (r, j), ll in zip(members, lls.tolist()):
                 logliks[r][j] = ll
             passes.append((members, fwd))
 
@@ -361,21 +343,6 @@ def _em(starts: Sequence[tuple[HmmModel, list[np.ndarray]]], max_iter: int,
     for r in running:
         logger.info("Baum-Welch hit max_iter=%d", max_iter)
     return results
-
-
-def baum_welch(
-    sequences: Sequence[Sequence[float]],
-    n_states: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    seed: int = 0,
-    route_index: int = -1,
-    norm_mean: float = 1.0,
-) -> BaumWelchResult:
-    """EM over multiple observation sequences: ``_em`` with the one template
-    that ``_em_start`` initializes from them."""
-    start = _em_start(sequences, n_states, seed, route_index, norm_mean)
-    return _em([start], max_iter, tol)[0]
 
 
 def _fit_routes(routes: Sequence[tuple[Sequence[PriceSeries], int, int]], n_states: int,
@@ -419,20 +386,6 @@ def _fit_routes(routes: Sequence[tuple[Sequence[PriceSeries], int, int]], n_stat
     return [model if model is not None else next(fits) for model in bank]
 
 
-def hmm_fit(
-    route_series: Sequence[PriceSeries],
-    n_states: int = 4,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    seed: int = 0,
-    route_index: int = -1,
-) -> HmmModel:
-    """Train one route's template on its training series (see ``_fit_routes``)."""
-    if not route_series:
-        raise EmptySeries("hmm_fit needs at least one series")
-    return _fit_routes([(route_series, seed, route_index)], n_states, max_iter, tol)[0]
-
-
 def fit_bank(
     train_series: Sequence[PriceSeries],
     route_order: Sequence[str],
@@ -443,8 +396,8 @@ def fit_bank(
 ) -> list[HmmModel]:
     """One template per route, in the given route order; template i has route index i.
 
-    Every route's template is fit in one EM loop, each exactly as ``hmm_fit``
-    fits it alone.
+    Every route's template is fit in one EM loop, each exactly as a fit of
+    that route alone.
     """
     routes = []
     for idx, route_id in enumerate(route_order):

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
-from ..util import as_float_arrays, check_shapes, from_jsonable
+from ..util import as_float_arrays, check_finite, check_shapes, from_jsonable
 
 _BLOCK = 64
 
@@ -64,10 +64,12 @@ class Knn:
 
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "Knn":
-        """Raises FarecastError unless X is (m, n_inputs), y is (m,) and k <= m."""
+        """Raises FarecastError unless X is (m, n_inputs), y is (m,), both finite,
+        and k <= m."""
         model = from_jsonable(cls, raw)
         m = np.size(model.y)
         check_shapes(model, X=(m, n_inputs), y=(m,))
+        check_finite(model, "X", "y")
         if model.k > m:
             raise FarecastError(f"k={model.k} exceeds the {m} stored training rows")
         return model

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..util import NOT_SAVED, as_float_arrays, check_shapes, from_jsonable
+from ..util import NOT_SAVED, as_float_arrays, check_finite, check_shapes, from_jsonable
 
 logger = logging.getLogger(__name__)
 
@@ -66,9 +66,11 @@ class LeastSquares:
 
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "LeastSquares":
-        """Raises FarecastError unless coef, mean and scale fit ``n_inputs``."""
+        """Raises FarecastError unless coef, mean and scale fit ``n_inputs`` and are
+        finite, the scales positive."""
         model = from_jsonable(cls, raw)
         check_shapes(model, coef=(n_inputs + 1,), mean=(n_inputs,), scale=(n_inputs,))
+        check_finite(model, "coef", "mean", positive=("scale",))
         return model
 
 
@@ -139,7 +141,8 @@ class Logistic:
 
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "Logistic":
-        """Raises FarecastError unless coef has ``n_inputs`` + 1 entries."""
+        """Raises FarecastError unless coef has ``n_inputs`` + 1 finite entries."""
         model = from_jsonable(cls, raw)
         check_shapes(model, coef=(n_inputs + 1,))
+        check_finite(model, "coef")
         return model

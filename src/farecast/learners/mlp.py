@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
-from ..util import NOT_SAVED, as_float_arrays, check_shapes, from_jsonable
+from ..util import NOT_SAVED, as_float_arrays, check_finite, check_shapes, from_jsonable
 
 
 @dataclass
@@ -124,8 +124,10 @@ class Mlp3:
 
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "Mlp3":
-        """Raises FarecastError unless w1 is (n_inputs, hidden), b1 and w2 (hidden,)."""
+        """Raises FarecastError unless w1 is (n_inputs, hidden), b1 and w2 (hidden,),
+        and every weight and bias is finite."""
         model = from_jsonable(cls, raw)
         h = model.hidden
         check_shapes(model, w1=(n_inputs, h), b1=(h,), w2=(h,))
+        check_finite(model, "w1", "b1", "w2", "b2")
         return model

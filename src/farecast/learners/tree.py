@@ -46,14 +46,13 @@ flip a near-tie split.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..core import FarecastError
-from ..util import NOT_SAVED, from_jsonable
+from ..util import NOT_SAVED, check_finite, from_jsonable
 
 # Strict-improvement guard: splits must beat the parent impurity by more
 # than accumulated float noise, otherwise the node stays a leaf.
@@ -390,8 +389,7 @@ class Cart:
         if n_nodes == 0 or any(len(v) != n_nodes for v in lists):
             raise FarecastError(f"tree node lists must share one nonzero length, "
                                 f"got {[len(v) for v in lists]}")
-        if not all(map(math.isfinite, tree.threshold + tree.value)):
-            raise FarecastError("tree thresholds and values must be finite")
+        check_finite(tree, "threshold", "value")
         width = n_inputs if n_inputs is not None else float("inf")
         for node, f in enumerate(tree.feature):
             children = (tree.left[node], tree.right[node])

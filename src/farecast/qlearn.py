@@ -40,6 +40,8 @@ class QTable:
         self.route_means = {k: float(check_json_type(f"QTable.route_means[{k!r}]", v,
                                                      JSON_TYPES[float]))
                             for k, v in self.route_means.items()}
+        if not all(0.0 < v < math.inf for v in self.route_means.values()):
+            raise FarecastError("Q-table route_means must be positive and finite")
         for name, values in (("buy", self.buy), ("wait", self.wait)):
             if values.shape != (self.d_max + 1,) or not np.isfinite(values).all():
                 raise FarecastError(f"Q-table {name} must hold d_max + 1 = {self.d_max + 1} "

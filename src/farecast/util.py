@@ -163,6 +163,16 @@ def as_float_arrays(obj, *names: str) -> None:
             setattr(obj, name, np.asarray(value, dtype=float))
 
 
+def check_finite(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
+    """Raise FarecastError unless each named field of ``obj`` holds finite numbers
+    only, and each field of ``positive`` finite numbers above 0."""
+    for name in (*names, *positive):
+        values = np.asarray(getattr(obj, name), dtype=float)
+        if not np.isfinite(values).all() or (name in positive and not (values > 0).all()):
+            raise FarecastError(f"{type(obj).__name__}.{name} must hold "
+                                f"{'positive ' if name in positive else ''}finite numbers")
+
+
 def check_shapes(obj, **shapes: tuple) -> None:
     """Raise FarecastError unless each named field of ``obj`` has its shape."""
     for name, shape in shapes.items():

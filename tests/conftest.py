@@ -3,9 +3,10 @@
 Most tests need a PriceSeries with hand-picked prices; ``series_of`` builds
 one with consecutive daily quotes ending a configurable number of days
 before departure. ``dataset_of`` builds a Dataset from hand-written rows.
-It also holds the small computations only tests need (oracle prices, a
-single sequence's log-likelihood, class and coefficient read-outs, the
-row-major k-means and EM fits), which the package does not carry.
+It also holds the small computations only tests need (oracle prices, the
+row-by-row forward pass and a single sequence's log-likelihood, one-template
+HMM fits and draws, class and coefficient read-outs, the row-major k-means
+and EM fits), which the package does not carry.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from farecast.core import BUY, WAIT, Dataset, PriceSeries, SeriesKey
+from farecast.core import BUY, WAIT, Dataset, EmptySeries, PriceSeries, SeriesKey
 from farecast.features import CONTINUOUS_NAMES, set_route_dummies
-from farecast.hmm import _forward_rows
+from farecast.hmm import BaumWelchResult, HmmModel, _em, _em_start, _fit_routes, _scaled_emission
 from farecast.preprocess import COV_REG, GmmFit, KMeansFit
 
 
@@ -67,10 +68,62 @@ def coef_original(model) -> tuple[float, np.ndarray]:
     return intercept, slopes
 
 
+def _forward_rows(model: HmmModel, obs: np.ndarray, lengths) -> np.ndarray:
+    """Scaled forward log-likelihood (Rabiner 1989) of every row of ``obs`` (N, T).
+
+    Row i is the sequence ``obs[i, :lengths[i]]``; ``lengths`` ascend, so the
+    rows still running at step t are the suffix from
+    ``searchsorted(lengths, t, side="right")``, and later columns of a row
+    are never read. An unreachable observation (total 0) leaves -inf and a
+    zero alpha, so no nan reaches a later step or an argmax. The scoring
+    oracle of ``hmm.classify``, which runs every row to the last step.
+    """
+    shift, b = _scaled_emission(model.means, model.variances, obs)
+    loglik = np.zeros(len(obs))
+    alpha = np.tile(model.initial, (len(obs), 1))
+    live = np.searchsorted(lengths, np.arange(obs.shape[1]), side="right")
+    with np.errstate(divide="ignore"):
+        for t, lo in enumerate(live.tolist()):
+            weighted = alpha[lo:] * b[lo:, t]
+            total = weighted.sum(axis=1)
+            loglik[lo:] += np.log(total) + shift[lo:, t]
+            total[total == 0.0] = 1.0
+            alpha[lo:] = (weighted / total[:, None]) @ model.transition
+    return loglik
+
+
 def forward_loglik(model, observations) -> float:
     """Log-likelihood of one non-empty sequence under an HMM template."""
     obs = np.asarray(observations, dtype=float)
     return float(_forward_rows(model, obs[None], [len(obs)])[0])
+
+
+def sample(model: HmmModel, length: int, seed: int) -> np.ndarray:
+    """Draw one observation sequence from the model."""
+    rng = np.random.default_rng(seed)
+    obs = np.empty(length)
+    state = rng.choice(model.n_states, p=model.initial)
+    for t in range(length):
+        obs[t] = rng.normal(model.means[state], np.sqrt(model.variances[state]))
+        if t + 1 < length:
+            state = rng.choice(model.n_states, p=model.transition[state])
+    return obs
+
+
+def baum_welch(sequences, n_states: int, max_iter: int = 100, tol: float = 1e-6,
+               seed: int = 0, route_index: int = -1, norm_mean: float = 1.0) -> BaumWelchResult:
+    """EM over multiple observation sequences: the bank's EM loop with the one
+    template that ``_em_start`` initializes from them."""
+    start = _em_start(sequences, n_states, seed, route_index, norm_mean)
+    return _em([start], max_iter, tol)[0]
+
+
+def hmm_fit(route_series: Sequence[PriceSeries], n_states: int = 4, max_iter: int = 100,
+            tol: float = 1e-6, seed: int = 0, route_index: int = -1) -> HmmModel:
+    """One route's template, fit from its training series as ``fit_bank`` fits it."""
+    if not route_series:
+        raise EmptySeries("hmm_fit needs at least one series")
+    return _fit_routes([(route_series, seed, route_index)], n_states, max_iter, tol)[0]
 
 
 def oracle_evaluate(corpus: Sequence[PriceSeries]) -> dict[str, tuple[float, float]]:

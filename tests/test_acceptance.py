@@ -12,18 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (coef_original, forward_loglik, oracle_evaluate, register_criterion,
-                      series_of)
+from conftest import (baum_welch, coef_original, forward_loglik, oracle_evaluate,
+                      register_criterion, sample, series_of)
 from farecast.cli import main as cli_main
 from farecast.features import corpus_anchor
-from farecast.hmm import (
-    HmmModel,
-    baum_welch,
-    classify,
-    fit_bank,
-    generalized_predict,
-    sample,
-)
+from farecast.hmm import HmmModel, classify, fit_bank, generalized_predict
 from farecast.ingest import split
 from farecast.learners import LearnerSpec, fit, predict
 from farecast.learners.boosting import AdaBoostClassifier

@@ -386,6 +386,23 @@ def test_generalize_bank_out_matches_the_recorded_bank(workdir, gen_corpus, froz
         assert (bank / name).read_bytes() == (GOLDEN_BANK / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("flags, name", [([], "generalize_per_row.json"),
+                                         (["--per-series"], "generalize_per_series.json")])
+def test_generalize_with_the_recorded_bank_matches_the_recorded_report(
+        workdir, gen_corpus, frozen_and_blend, tmp_path, monkeypatch, flags, name):
+    # Relative paths, as the README's commands give them, so the report's
+    # config matches too.
+    shutil.copy(gen_corpus, tmp_path / "gen.csv")
+    shutil.copy(frozen_and_blend[0], tmp_path / "frozen.json")
+    (tmp_path / "bank").mkdir()
+    for template in GOLDEN_BANK.glob("hmm_*.json"):
+        shutil.copy(template, tmp_path / "bank")
+    monkeypatch.chdir(tmp_path)
+    assert main(["generalize", "--gen-quotes", "gen.csv", "--frozen-model", "frozen.json",
+                 "--bank", "bank", *flags, "--out", name]) == 0
+    assert (tmp_path / name).read_bytes() == (GOLDEN_BANK / name).read_bytes()
+
+
 def test_generalize_per_series_flag(workdir, gen_corpus, frozen_and_blend):
     frozen, _ = frozen_and_blend
     cfg_path = workdir / "gen_cfg.json"

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import hmm_fit
 from farecast import hmm, learners, qlearn
 from farecast.cli import main
 from farecast.core import FarecastError
@@ -61,7 +62,7 @@ def fitted_documents(corpus):
         n_inputs = model.n_features if std is None else int(std.keep.sum())
         core = model.core
         yield core, lambda raw, cls=type(core), n=n_inputs: cls.from_jsonable(raw, n)
-    yield hmm.hmm_fit(train_series[:3], n_states=2, max_iter=5, seed=1), None
+    yield hmm_fit(train_series[:3], n_states=2, max_iter=5, seed=1), None
     yield qlearn.q_train(train_series, episodes=2, seed=1), None
     decisions = {s.key: decide_classification(s, np.zeros(len(s), dtype=int))
                  for s in test_series}
@@ -159,8 +160,8 @@ def backtest_exit_code(doc: dict, tmp_path, capsys) -> int:
     return code
 
 
-@pytest.mark.parametrize("name", TREE_MODELS)
-def test_v1_tree_documents_back_test(name, tmp_path, capsys):
+@pytest.mark.parametrize("name", V1_MODELS)
+def test_v1_model_documents_back_test(name, tmp_path, capsys):
     doc = json.loads((V1 / name).read_text(encoding="utf-8"))
     assert backtest_exit_code(doc, tmp_path, capsys) == 0
 
@@ -183,3 +184,54 @@ def test_a_boosting_weight_no_fit_gives_exits_two(name, bad, tmp_path, capsys):
     doc = json.loads((V1 / name).read_text(encoding="utf-8"))
     doc["core"][BOOSTED_WEIGHTS[name]][0] = bad
     assert backtest_exit_code(doc, tmp_path, capsys) == 2
+
+
+# Every other saved float field, with the values no fit gives beyond nan and
+# +-inf: a scale of least squares and a Q-table's route mean must be positive.
+# A nan in Logistic.coef[0] reported a mean_normalized_pct of 50.11, not 78.77,
+# with exit 0, and a zero LeastSquares.scale[0] 54.85, not 57.26.
+NOT_FINITE = (math.nan, math.inf, -math.inf)
+NOT_POSITIVE = (*NOT_FINITE, 0.0, -1.0)
+MLP3, KNN = ("w1", "b1", "w2", "b2"), ("X", "y")
+SAVED_FLOATS = {
+    "model_least_squares_regression.json": {"coef": NOT_FINITE, "mean": NOT_FINITE,
+                                            "scale": NOT_POSITIVE},
+    "model_logistic_classification.json": {"coef": NOT_FINITE},
+    **{f"model_mlp3_{task}.json": dict.fromkeys(MLP3, NOT_FINITE)
+       for task in ("classification", "regression")},
+    **{f"model_knn_{task}.json": dict.fromkeys(KNN, NOT_FINITE)
+       for task in ("classification", "regression")},
+}
+
+
+def with_first_entry(values, bad):
+    """``values`` with its first scalar, however deeply nested, set to ``bad``."""
+    if not isinstance(values, list):
+        return bad
+    return [with_first_entry(values[0], bad), *values[1:]]
+
+
+@pytest.mark.parametrize("name, field, bad", [
+    (name, field, bad) for name, saved in sorted(SAVED_FLOATS.items())
+    for field, bads in saved.items() for bad in bads])
+def test_a_saved_float_no_fit_gives_exits_two(name, field, bad, tmp_path, capsys):
+    doc = json.loads((V1 / name).read_text(encoding="utf-8"))
+    doc["core"][field] = with_first_entry(doc["core"][field], bad)
+    assert backtest_exit_code(doc, tmp_path, capsys) == 2
+
+
+@pytest.mark.parametrize("bad", [None, *NOT_POSITIVE])
+def test_a_qtable_route_mean_no_fit_gives_exits_two(bad, tmp_path, capsys):
+    doc = json.loads((V1 / "qtable.json").read_text(encoding="utf-8"))
+    if bad is not None:
+        doc["route_means"]["R1"] = bad
+    path = tmp_path / "qtable.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["qlearn", "--quotes", str(V1 / "quotes.csv"), "--split-config",
+                 str(V1 / "split.json"), "--load-table", str(path), "--out", os.devnull])
+    if bad is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FarecastError"

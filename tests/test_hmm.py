@@ -18,30 +18,26 @@ from farecast.core import EmptySeries, FarecastError
 from farecast.features import feature_dataset
 from farecast.hmm import (
     VAR_FLOOR,
-    BaumWelchResult,
     HmmModel,
-    baum_welch,
     classify,
     fit_bank,
     generalized_predict,
-    hmm_fit,
     load_model,
-    sample,
     save_model,
 )
 from farecast.hmm import (
     _backward,
     _forward,
-    _forward_rows,
     _kmeans_1d,
     _prefix_observations,
+    _row_logliks,
     _series_observations,
 )
 from farecast.learners import predict
 from farecast.policy import decide_classification
 from farecast.util import derive_seed, to_jsonable
 
-from conftest import forward_loglik, series_of
+from conftest import _forward_rows, baum_welch, forward_loglik, hmm_fit, sample, series_of
 
 
 def unit_model(mean=0.0, var=1.0):
@@ -227,7 +223,7 @@ def sparse_random_model(seed, k):
 
 
 def degenerate_model():
-    """What hmm_fit returns for a constant route."""
+    """What the bank fit returns for a constant route."""
     return HmmModel(route_index=0, n_states=1, initial=np.array([1.0]),
                     transition=np.array([[1.0]]), means=np.array([1.0]),
                     variances=np.array([VAR_FLOOR]), degenerate=True)
@@ -242,9 +238,11 @@ def test_batched_prefixes_match_scalar_forward(seed, k, prices):
     for p in range(len(s)):  # row p is the prefix through p over its own mean
         mean = math.fsum(prices[: p + 1]) / (p + 1)
         assert obs[p, : p + 1].tolist() == [price / mean for price in prices[: p + 1]]
+    lengths = np.arange(1, len(s) + 1)
     for model in (sparse_random_model(seed, k), degenerate_model()):
         want = [scalar_forward_loglik(model, obs[p, : p + 1]) for p in range(len(s))]
-        assert_close(_forward_rows(model, obs, np.arange(1, len(s) + 1)), want)
+        assert_close(_row_logliks([model], obs, lengths)[0], want)
+        assert_close(_forward_rows(model, obs, lengths), want)
         assert_close(forward_loglik(model, obs[-1]), want[-1])
 
 
@@ -262,28 +260,32 @@ def broad_model():
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), n_random=st.integers(0, 2),
+@given(seed=st.integers(0, 2**32 - 1), ks=st.lists(st.integers(2, 5), max_size=3),
        rows=st.lists(st.lists(st.floats(0.5, 1.5), min_size=1, max_size=12),
                      min_size=1, max_size=6),
-       spike_at=st.integers(0, 11))
-def test_classify_ragged_stacks_match_scalar_forward(seed, k, n_random, rows, spike_at):
-    # Row 0 holds 1.3, which the fragile template 0 cannot emit.
+       spike_at=st.integers(0, 11), pad=st.sampled_from([0.0, 1.0, 1.3]))
+def test_classify_ragged_stacks_match_scalar_forward(seed, ks, rows, spike_at, pad):
+    # Row 0 holds 1.3, which the fragile template 0 cannot emit. A bank mixes
+    # a 1-state degenerate template with K = 2-5 ones whose transitions hold
+    # zeros, and the rows come ragged, in any order, with finite padding.
     rows[0][spike_at % len(rows[0])] = 1.3
-    bank = [fragile_model(), *(sparse_random_model(seed + i, k) for i in range(n_random)),
-            broad_model()]
+    bank = [fragile_model(), degenerate_model(),
+            *(sparse_random_model(seed + i, k) for i, k in enumerate(ks)), broad_model()]
     lengths = np.array([len(r) for r in rows])
-    obs = np.zeros((len(rows), 12))
+    obs = np.full((len(rows), 12), pad)
     for i, r in enumerate(rows):
         obs[i, : len(r)] = r
-    want = np.array([[scalar_forward_loglik(m, r) for m in bank] for r in rows])
-    assert want[0, 0] == -np.inf
-
     order = np.argsort(lengths, kind="stable")
+    want = np.empty((len(bank), len(rows)))
     for j, m in enumerate(bank):
-        assert_close(_forward_rows(m, obs[order], lengths[order]), want[order, j])
+        want[j, order] = _forward_rows(m, obs[order], lengths[order])
+    assert want[0, 0] == -np.inf
+    assert_close(want, [[scalar_forward_loglik(m, r) for r in rows] for m in bank])
+
+    assert_close(_row_logliks(bank, obs, lengths), want)
     got = classify(bank, obs, lengths)
-    assert got.tolist() == np.argmax(want, axis=1).tolist()
-    assert np.isfinite(want[np.arange(len(rows)), got]).all()  # -inf never wins
+    assert got.tolist() == np.argmax(want, axis=0).tolist()
+    assert np.isfinite(want[got, np.arange(len(rows))]).all()  # -inf never wins
 
 
 def test_sample_shape_and_determinism():
@@ -433,13 +435,16 @@ def test_baum_welch_rejects_empty():
 
 
 def reference_forward(models, obs):
-    """``_forward`` and ``_backward`` by ``reference_e_step``, one stack each."""
+    """A pass for ``_em`` by ``reference_e_step``, one stack each: its scalers
+    are 1 and its shifts each stack's log-likelihood, and it carries the
+    accumulators where ``_forward`` puts the emissions."""
     parts = [reference_e_step(m, [o]) for m, o in zip(models, obs)]
-    return [p[0] for p in parts], parts
+    logliks = np.array([p[0] for p in parts])
+    return None, obs, parts, None, np.ones((1, len(parts), 1)), logliks[None, :, None]
 
 
-def reference_backward(parts, keep):
-    return [parts[i][1:] for i in keep]
+def reference_backward(fwd, keep):
+    return [fwd[2][i][1:] for i in keep]
 
 
 @settings(max_examples=40, deadline=None)
@@ -452,9 +457,8 @@ def test_batched_e_step_matches_per_sequence_reference(seed, k, lengths):
     visited = []
 
     def recording_forward(models, obs):
-        logliks, fwd = _forward(models, obs)
-        visited.extend(zip(models, obs, logliks))
-        return logliks, fwd
+        visited.append((models, obs))
+        return _forward(models, obs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hmm, "_forward", recording_forward)
@@ -465,17 +469,19 @@ def test_batched_e_step_matches_per_sequence_reference(seed, k, lengths):
     assert len(batched.loglik_history) == len(looped.loglik_history)
     assert batched.converged == looped.converged
     # Two runs drift apart as the M-step amplifies rounding (up to 2e-10
-    # relative on a few short sequences), so each stack's log-likelihood and
-    # accumulators are checked against the reference under the same
-    # parameters, step by step.
+    # relative on a few short sequences), so each iteration's log-likelihood
+    # and each stack's accumulators are checked against the reference under
+    # the same parameters, step by step: one pass per stack shape.
     n_stacks = len(set(lengths))
     assert len(visited) == n_stacks * len(batched.loglik_history)
-    for model, obs, loglik in visited:
-        want = reference_e_step(model, [obs])
-        assert_close(loglik, want[0])
-        (got,) = _backward(_forward([model], obs[None])[1], [0])
-        for got_acc, want_acc in zip(got, want[1:]):
-            assert_close(got_acc, want_acc)
+    for i, loglik in enumerate(batched.loglik_history):
+        passes = visited[i * n_stacks: (i + 1) * n_stacks]
+        want = [reference_e_step(model, obs) for (model,), obs in passes]
+        assert_close(loglik, sum(w[0] for w in want))
+        for ((model,), obs), w in zip(passes, want):
+            (got,) = _backward(_forward([model], obs), [0])
+            for got_acc, want_acc in zip(got, w[1:]):
+                assert_close(got_acc, want_acc)
 
 
 # -- route fitting ------------------------------------------------------------
@@ -713,18 +719,18 @@ def test_generalized_per_series_classifies_once():
 
 
 def test_generalized_per_series_runs_one_pass_per_template(monkeypatch):
-    calls, forward_rows = [], hmm._forward_rows
+    calls, forward = [], hmm._forward
 
-    def counting(model, obs, lengths):
-        calls.append(len(obs))
-        return forward_rows(model, obs, lengths)
+    def counting(models, obs):
+        calls.append((len(models), obs.shape))
+        return forward(models, obs)
 
-    monkeypatch.setattr(hmm, "_forward_rows", counting)
+    monkeypatch.setattr(hmm, "_forward", counting)
     gen = [series_of([55.0, 52.0, 56.0, 54.0], route_id=f"G{i}", departure=date(2016, 2, 10))
            for i in range(3)]
     generalized_predict(near_constant_bank(), frozen_classifier(), gen,
                         anchor=gen[0].first_query_date, per_series=True)
-    assert calls == [3] * 8
+    assert calls == [(1, (1, 3, 4))] * 8
 
 
 def test_generalized_assignments_are_causal():
@@ -763,7 +769,7 @@ def test_unreachable_prefix_stays_minus_inf_and_never_wins():
     s = series_of([100.0, 100.0, 100.0, 130.0, 100.0, 100.0], route_id="G1",
                   departure=date(2016, 2, 10))
     obs, lengths = _prefix_observations(s), np.arange(1, len(s) + 1)
-    logliks = _forward_rows(fragile, obs, lengths)
+    (logliks,) = _row_logliks([fragile], obs, lengths)
     assert np.isfinite(logliks[:3]).all()
     assert (logliks[3:] == -np.inf).all()  # 130 is unreachable, and stays so
 
