@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for the nested cell groups of a fold")
+                   help="workers that cross-validate whole folds: this process and forked ones")
     p.add_argument("--out")
     p.add_argument("--report-csv")
     p.set_defaults(func=cmd_tune)

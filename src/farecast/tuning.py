@@ -11,14 +11,21 @@ top-down and AdaBoost round by round, so per fold the group's largest cell
 is fit once and each smaller cell is read off it: the same model, summary
 and loss as its own fit. A boosting run that collapsed to one tree before a
 smaller cell's last round has dropped that cell's trees, so the cell is fit.
-"""
+
+Fold f runs whole in worker f mod W, W = min(jobs, k, usable CPUs): worker 0
+is the caller, the others are forked from it (Linux), so folds share no GIL.
+Merged in fold order, results and the error raised are those of one worker."""
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,6 +65,14 @@ def cv_folds(n: int, k: int = 5, seed: int = 0) -> list[list[int]]:
     return [sorted(int(i) for i in order[f::k]) for f in range(k)]
 
 
+def _forked(w: int) -> list:
+    """Worker w's folds, by the fold runner fork copied in as ``_forked.run`` (none is
+    pickled). It exits once the parent is gone, even if killed: the parent's sentinel is ready."""
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=lambda: wait([sentinel]) and os._exit(1), daemon=True).start()
+    return _forked.run(w)
+
+
 def _loss(spec: LearnerSpec, model, val: Dataset) -> float:
     pred = predict(model, val.X)
     if spec.task == "classification":
@@ -91,39 +106,44 @@ def grid_search(
     for spec_idx, spec in enumerate(spec_grid):
         key, size = nested_group(spec)
         groups.setdefault(key or spec_idx, []).append((-size, spec_idx))
-    cell_groups = [[spec_idx for _, spec_idx in sorted(cells)] for cells in groups.values()]
+    cell_groups = [[(i, spec_grid[i]) for _, i in sorted(cells)] for cells in groups.values()]
 
-    # Each cell's fold losses in fold order, and its first error: folds run
-    # one after another, and a cell belongs to one group, so to one thread.
-    losses: list[list[float]] = [[] for _ in spec_grid]
-    errors: list[Optional[str]] = [None] * len(spec_grid)
+    def run_folds(w: int) -> list:
+        """(fold, spec_idx, loss, error) per cell on folds w, w + W, ...; an exception ends them."""
+        out: list = []
+        try:
+            for f in range(w, k, workers):
+                held_out = np.isin(train.series, series[folds[f]])
+                fold_train, val = train.take(~held_out), train.take(held_out)
+                if preprocess is not None:
+                    fold_train = preprocess(fold_train, derive_seed(seed, "fold-prep", f))
+                for cells in cell_groups:  # the largest cell that fits; smaller ones off it
+                    whole = None
+                    for spec_idx, spec in cells:
+                        try:
+                            model = whole and truncated(whole, spec)
+                            if model is None:
+                                model = whole = fit(spec, fold_train,
+                                                    seed=derive_seed(seed, "fold-fit", f))
+                            out.append((f, spec_idx, _loss(spec, model, val), None))
+                        except (FarecastError, ValueError, np.linalg.LinAlgError) as exc:
+                            out.append((f, spec_idx, None, f"{type(exc).__name__}: {exc}"))
+                fold_train = val = whole = model = None  # not held into the next fold
+        except Exception as exc:  # noqa: BLE001 - raised in fold order below
+            out.append((f, None, None, exc))
+        return out
 
-    def run_group(args) -> None:
-        """Fit the largest cell that fits; read the smaller ones off the last fit."""
-        cells, f, fold_train, val = args
-        whole = None
-        for spec_idx in cells:
-            spec = spec_grid[spec_idx]
-            try:
-                model = whole and truncated(whole, spec)
-                if model is None:
-                    model = whole = fit(spec, fold_train, seed=derive_seed(seed, "fold-fit", f))
-                losses[spec_idx].append(_loss(spec, model, val))
-            except (FarecastError, ValueError, np.linalg.LinAlgError) as exc:
-                errors[spec_idx] = errors[spec_idx] or f"{type(exc).__name__}: {exc}"
-
-    # One fold at a time: its groups share its train/validation data, and no
-    # other fold's data is held while they run. One group runs in this thread.
-    workers = min(jobs, len(cell_groups))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if workers > 1 else map
-        for f, fold in enumerate(folds):
-            held_out = np.isin(train.series, series[fold])
-            fold_train = train.take(~held_out)
-            if preprocess is not None:
-                fold_train = preprocess(fold_train, derive_seed(seed, "fold-prep", f))
-            val = train.take(held_out)
-            list(run(run_group, [(cells, f, fold_train, val) for cells in cell_groups]))
+    workers = min(jobs, k, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    with ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork"), setattr,
+                             (_forked, "run", run_folds)) if workers > 1 else nullcontext() as pool:
+        children = [pool.submit(_forked, w) for w in range(1, workers)]
+        outcomes = run_folds(0) + [o for child in children for o in child.result()]
+    losses, errors = [[] for _ in spec_grid], [None] * len(spec_grid)
+    for _, spec_idx, loss, error in sorted(outcomes, key=lambda o: o[0]):
+        if isinstance(error, Exception):
+            raise error
+        losses[spec_idx] += [] if error else [loss]
+        errors[spec_idx] = errors[spec_idx] or error
 
     table: list[CvCell] = []
     for spec_idx, (spec, fold_losses, error) in enumerate(zip(spec_grid, losses, errors)):

@@ -6,12 +6,14 @@ before departure. ``dataset_of`` builds a Dataset from hand-written rows.
 It also holds the small computations only tests need (oracle prices, the
 row-by-row forward pass and a single sequence's log-likelihood, one-template
 HMM fits and draws, class and coefficient read-outs, the row-major k-means
-and EM fits), which the package does not carry.
+and EM fits), which the package does not carry. An autouse fixture fails
+any test that leaves a child process running.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 from datetime import date
 from typing import Sequence
 
@@ -217,6 +219,14 @@ def row_major_gmm_em2(X, init, y, max_iter=100, tol=1e-8) -> GmmFit:
             covs[k] = (diff * resp[:, k, None]).T @ diff / nk[k] + COV_REG * np.eye(d)
     return GmmFit(means=means, covariances=covs, weights=weights,
                   responsibilities=resp, loglik_history=history, converged=converged)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test that leaves a live child process, such as a forked fold worker."""
+    yield
+    alive = multiprocessing.active_children()
+    assert not alive, f"child processes still running: {alive}"
 
 
 @pytest.fixture(scope="session")

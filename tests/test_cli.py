@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 import farecast
 from farecast.cli import main
 from farecast.ingest import load_quotes
+from farecast.tuning import cv_folds
+from farecast.util import derive_seed
 
 
 def run_cli(argv, capsys=None):
@@ -261,6 +263,31 @@ def test_tune_with_outlier_removal_matches_the_recorded_table(workdir, tmp_path,
     golden = json.loads((GOLDEN / f"tune_cart_classification_{method}.json").read_text(
         encoding="utf-8"))
     assert {key: report[key] for key in ("best_spec", "cv_table")} == golden
+
+
+def test_tune_exits_two_on_a_forked_fold_error_as_on_one_job(tmp_path, capsys):
+    # Ten one-route training series at one constant price, all rows BUY, but
+    # for fold 1's two, whose prices vary: only fold 1's training rows are
+    # one class, so only its oversampling fails. With --jobs 2 fold 1 runs
+    # in the forked worker.
+    seed = 4
+    varying = cv_folds(10, k=5, seed=derive_seed(seed, "tune"))[1]
+    write_corpus(tmp_path / "q.csv", [
+        ("R1", date(2016, 2, 1) + timedelta(days=i),
+         [(d, 100.0 + (d if i in varying else 0)) for d in (9, 6, 3)]) for i in range(12)])
+    write(tmp_path / "split.json", json.dumps({
+        "train_start": "2016-02-01", "train_end": "2016-02-10",
+        "test_start": "2016-02-11", "test_end": "2016-02-12"}))
+    errors = []
+    for jobs in ("1", "2"):
+        capsys.readouterr()
+        assert main(["tune", "--quotes", str(tmp_path / "q.csv"),
+                     "--split-config", str(tmp_path / "split.json"), "--task", "classification",
+                     "--model", "cart", "--seed", str(seed), "--jobs", jobs]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert one_line_error(errors[1]) == {"error": "SingleClassDataset",
+                                         "message": "oversampling needs both classes"}
 
 
 @pytest.mark.parametrize("folds", ["1", "0", "-1"])

@@ -1,6 +1,14 @@
 """Cross-validation folds and grid search."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import Future
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +18,7 @@ from conftest import dataset_of
 from farecast import tuning
 from farecast.core import FarecastError, SeriesKey
 from farecast.learners import LearnerSpec, fit
+from farecast.preprocess import SingleClassDataset
 from farecast.tuning import (
     AllCellsFailed,
     CvCell,
@@ -229,6 +238,123 @@ def test_jobs_do_not_change_results():
     best2, table2 = grid_search(grid, train, seed=10, k=5, jobs=3)
     assert best1 == best2
     assert [c.fold_losses for c in table1] == [c.fold_losses for c in table2]
+
+
+def failing_on(folds, seed):
+    """A preprocess that raises on the given folds, naming the fold."""
+    seeds = {derive_seed(seed, "fold-prep", f): f for f in folds}
+
+    def preprocess(ds, fold_seed):
+        if fold_seed in seeds:
+            raise SingleClassDataset(f"fold {seeds[fold_seed]} has one class")
+        return ds
+    return preprocess
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_preprocessing_error_in_a_forked_fold_reaches_the_caller(jobs):
+    # With two workers fold 1 runs in the forked child, folds 0 and 2 here:
+    # fold 1's error is raised, as when the folds run one after another.
+    grid = [LearnerSpec("cart", "classification", {"max_depth": 2})]
+    for failing in ([1], [1, 2], [3, 2]):
+        with pytest.raises(SingleClassDataset, match=f"^fold {min(failing)} has one class$"):
+            grid_search(grid, clean_blob_train(), seed=4, k=5, jobs=jobs,
+                        preprocess=failing_on(failing, seed=4))
+        assert multiprocessing.active_children() == []
+
+
+class FakeExecutor:
+    """Stands in for ProcessPoolExecutor: records how many workers it was
+    asked for, and runs the fold runner a worker would inherit in this process."""
+
+    built: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        FakeExecutor.built.append(max_workers)
+        self.runner = initargs[-1]  # the fold runner the initializer hands each worker
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(self.runner(*args))
+        return done
+
+
+@pytest.mark.parametrize("jobs, children", [(10**6, [1]), (2, [1]), (1, [])])
+def test_workers_are_capped_by_folds_and_cpus(monkeypatch, jobs, children):
+    monkeypatch.setattr(FakeExecutor, "built", [])
+    monkeypatch.setattr(tuning, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    grid = [LearnerSpec("cart", "classification", {"max_depth": d}) for d in (1, 2)]
+    _, table = grid_search(grid, clean_blob_train(), seed=10, k=5, jobs=jobs)
+    assert FakeExecutor.built == children
+    _, inline = grid_search(grid, clean_blob_train(), seed=10, k=5, jobs=1)
+    assert [c.fold_losses for c in table] == [c.fold_losses for c in inline]
+
+
+KILLED_CALLER = """
+import os, signal, sys, time
+import numpy as np
+from datetime import date
+from farecast.core import Dataset, SeriesKey
+from farecast.learners import LearnerSpec
+from farecast.tuning import grid_search
+from farecast.util import derive_seed
+
+pid_file = sys.argv[1]
+
+def preprocess(ds, fold_seed):
+    if fold_seed == derive_seed(0, "fold-prep", 1):  # fold 1, in the forked worker
+        with open(pid_file + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.rename(pid_file + ".tmp", pid_file)
+        time.sleep(30)  # SIGKILLed with its parent, or by itself below
+    while not os.path.exists(pid_file):  # fold 0, here, until the worker runs
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+ds = Dataset(X=np.zeros((10, 13)), label_class=np.arange(10) % 2, label_reg=np.zeros(10),
+             series=np.arange(10), keys=tuple(SeriesKey("R1", date(2016, 3, d + 1))
+                                              for d in range(10)), role="train")
+grid_search([LearnerSpec("cart", "classification", {"max_depth": 1})], ds, seed=0, k=5,
+            jobs=2, preprocess=preprocess)
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="folds are forked on Linux with at least 2 usable CPUs")
+def test_a_forked_fold_worker_dies_with_its_killed_caller(tmp_path):
+    pid_file = tmp_path / "worker.pid"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(tuning.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    # No pipes: a surviving worker would hold them open.
+    with open(tmp_path / "stderr", "w") as err:
+        done = subprocess.run([sys.executable, "-c", KILLED_CALLER, str(pid_file)], env=env,
+                              stderr=err, timeout=60)
+    assert done.returncode == -signal.SIGKILL, (tmp_path / "stderr").read_text()
+    worker = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and _running(worker):
+            time.sleep(0.05)
+        assert not _running(worker), "the forked worker outlived its killed caller"
+    finally:
+        if _running(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Whether the process exists and is not a zombie waiting for its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def test_regression_loss_is_rmse():
