@@ -175,15 +175,15 @@ def _row_logliks(bank: Sequence[HmmModel], obs: np.ndarray,
 # -- Baum-Welch ---------------------------------------------------------------
 
 
-def _kmeans_1d(values: np.ndarray, k: int, seed: int, iters: int = 50) -> np.ndarray:
-    """Seeded Lloyd's in one dimension; returns sorted cluster means."""
+def _kmeans_1d(values: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Seeded Lloyd's in one dimension, at most 50 iterations; returns sorted cluster means."""
     rng = np.random.default_rng(seed)
     uniq = np.unique(values)
     if len(uniq) >= k:
         centers = np.sort(rng.choice(uniq, size=k, replace=False))
     else:
         centers = np.sort(rng.choice(values, size=k, replace=True))
-    for _ in range(iters):
+    for _ in range(50):
         assign = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
         new_centers = centers.copy()
         for j in range(k):
@@ -341,7 +341,8 @@ def _em(starts: Sequence[tuple[HmmModel, list[np.ndarray]]], max_iter: int,
         for r in running:
             results[r].model = _m_step(results[r].model, *(sum(a) for a in zip(*accs[r])))
     for r in running:
-        logger.info("Baum-Welch hit max_iter=%d", max_iter)
+        logger.info("Baum-Welch hit max_iter=%d for route %d", max_iter,
+                    results[r].model.route_index)
     return results
 
 

@@ -3,10 +3,12 @@
 Every learner trains from a Dataset and returns a TrainedModel that
 predicts on a design matrix of the same layout, its predictions depending
 only on (its fitted fields, input). ``_KIND_TABLE`` declares each learner
-kind once; ``fit`` resolves a spec's hyperparameters against it before any
-work. Scale-sensitive kinds get the continuous block standardized by a scaler
-fit on the training rows; the others see raw features. Every classification
-core answers ``predict_scores``. Models serialize to a versioned JSON document.
+kind once, and it is the only place a hyperparameter default lives: the
+cores take every hyperparameter explicitly. ``fit`` resolves a spec's
+hyperparameters against it before any work. Scale-sensitive kinds get the
+continuous block standardized by a scaler fit on the training rows; the
+others see raw features. Every classification core answers
+``predict_scores``. Models serialize to a versioned JSON document.
 """
 
 from __future__ import annotations
@@ -144,12 +146,10 @@ def _resolve(spec: LearnerSpec) -> dict:
 
 def _new_core(spec: LearnerSpec, hyperparams: dict):
     """The kind's core for the spec's task, built from the resolved
-    hyperparameters, plus ``task`` where the class takes one. A core that
-    could scale its own columns does not: scaling is ``_design``'s."""
+    hyperparameters, plus ``task`` where the class takes one."""
     cls = _KIND_TABLE[spec.kind].cores[spec.task]
-    extra = {"task": spec.task, "standardize": False}
-    names = {f.name for f in fields(cls)}
-    return cls(**hyperparams, **{k: v for k, v in extra.items() if k in names})
+    task = {"task": spec.task} if "task" in {f.name for f in fields(cls)} else {}
+    return cls(**hyperparams, **task)
 
 
 def _design(spec: LearnerSpec, train: Dataset):

@@ -12,7 +12,7 @@ reweighting treats a row of weight k*w as k rows of weight w. X is coded
 once (``tree.ColumnCodes``) and every round's tree fits those codes. Each
 round reads its tree's training predictions from ``Cart.fitted_value``
 instead of predicting X again, and drops them, so the ensemble keeps no
-per-row array.
+per-row array. The hyperparameters' defaults live in ``learners._KIND_TABLE``.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _truncated(model, n_rounds: int, per_round: tuple[str, ...]):
 
 
 def _trees_from_jsonable(trees: list, weights: list,
-                         n_inputs: Optional[int]) -> tuple[list[Cart], list[float]]:
+                         n_inputs: int) -> tuple[list[Cart], list[float]]:
     """The trees and their weights as floats; raises FarecastError unless
     there is one finite, positive weight per tree, as every fit gives."""
     weights = [float(w) for w in weights]
@@ -74,9 +74,9 @@ def _trees_from_jsonable(trees: list, weights: list,
 
 @dataclass
 class AdaBoostClassifier:
-    n_rounds: int = 100
-    weak_depth: int = 1
-    min_leaf: int = 1
+    n_rounds: int
+    weak_depth: int
+    min_leaf: int
     trees: list[Cart] = field(default_factory=list)
     alphas: list[float] = field(default_factory=list)
     # per accepted round; fit diagnostics, not saved
@@ -164,7 +164,7 @@ class AdaBoostClassifier:
         return (self.decision_margin(X) / total + 1.0) / 2.0
 
     @classmethod
-    def from_jsonable(cls, raw: dict, n_inputs: Optional[int] = None) -> "AdaBoostClassifier":
+    def from_jsonable(cls, raw: dict, n_inputs: int) -> "AdaBoostClassifier":
         model = from_jsonable(cls, raw)
         model.trees, model.alphas = _trees_from_jsonable(model.trees, model.alphas, n_inputs)
         if model.majority not in (0, 1):
@@ -183,9 +183,9 @@ class AdaBoostRegressor:
     predictions under the log(1/beta) model weights.
     """
 
-    n_rounds: int = 100
-    weak_depth: int = 8
-    min_leaf: int = 1
+    n_rounds: int
+    weak_depth: int
+    min_leaf: int
     trees: list[Cart] = field(default_factory=list)
     log_inv_betas: list[float] = field(default_factory=list)
     avg_losses: list[float] = field(default_factory=list, metadata=NOT_SAVED)
@@ -250,7 +250,7 @@ class AdaBoostRegressor:
         return _truncated(self, n_rounds, ("trees", "log_inv_betas", "avg_losses"))
 
     @classmethod
-    def from_jsonable(cls, raw: dict, n_inputs: Optional[int] = None) -> "AdaBoostRegressor":
+    def from_jsonable(cls, raw: dict, n_inputs: int) -> "AdaBoostRegressor":
         model = from_jsonable(cls, raw)
         if not model.trees:  # a fit keeps at least one
             raise FarecastError("a boosted regressor needs at least one tree")

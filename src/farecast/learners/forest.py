@@ -3,7 +3,8 @@
 Per tree: a bootstrap resample and per-node feature subsampling (sqrt(d) for
 classification, d/3 for regression). `bootstrap="identity"` and
 `subsample=False` turn both randomizations off, which reduces a 1-tree
-forest to plain CART; the test suite holds it to that.
+forest to plain CART; the test suite holds it to that. The hyperparameters'
+defaults live in ``learners._KIND_TABLE``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ def default_mtry(task: str, d: int) -> int:
 @dataclass
 class RandomForest:
     task: str
-    n_trees: int = 100
-    max_depth: Optional[int] = None
-    min_leaf: int = 1
-    bootstrap: str = "resample"  # resample | identity
-    subsample: bool = True
+    n_trees: int
+    max_depth: Optional[int]
+    min_leaf: int
+    bootstrap: str  # resample | identity
+    subsample: bool
     trees: list[Cart] = field(default_factory=list)
 
     def __post_init__(self):
@@ -77,7 +78,7 @@ class RandomForest:
         return scores
 
     @classmethod
-    def from_jsonable(cls, raw: dict, n_inputs: Optional[int] = None) -> "RandomForest":
+    def from_jsonable(cls, raw: dict, n_inputs: int) -> "RandomForest":
         """Raises FarecastError unless it holds n_trees valid trees."""
         model = from_jsonable(cls, raw)
         if len(model.trees) != model.n_trees:

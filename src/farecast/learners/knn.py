@@ -3,7 +3,7 @@
 The caller is responsible for feature scaling (the pipeline standardizes the
 continuous block and keeps the dummies as-is). Distances are computed in
 blocks to bound memory; equidistant neighbors resolve to the lowest training
-index via a stable sort.
+index via a stable sort. The default ``k`` lives in ``learners._KIND_TABLE``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class TooFewRows(FarecastError):
 @dataclass
 class Knn:
     task: str
-    k: int = 5
+    k: int
     X: Optional[np.ndarray] = None
     y: Optional[np.ndarray] = None
 

@@ -1,4 +1,5 @@
-"""Linear models: least squares (regression) and logistic (classification)."""
+"""Linear models: least squares (regression) and logistic (classification);
+the logistic defaults live in ``learners._KIND_TABLE``."""
 
 from __future__ import annotations
 
@@ -23,14 +24,16 @@ def _with_intercept(X: np.ndarray) -> np.ndarray:
 class LeastSquares:
     """Ordinary least squares via normal equations.
 
-    Columns are standardized internally (constant columns are only
-    centered), and the ridge jitter keeps the Gram matrix invertible.
+    With ``standardize`` the columns are standardized internally (constant
+    columns are only centered); the facade leaves it off, since it scales
+    the continuous block itself. The ridge jitter keeps the Gram matrix
+    invertible.
     One iterative-refinement step against the unjittered normal equations
     removes the O(jitter) bias the regularizer would otherwise leave in
     the coefficients.
     """
 
-    standardize: bool = True
+    standardize: bool = False
     jitter: float = RIDGE_JITTER
     coef: Optional[np.ndarray] = None  # intercept first, in internal scale
     mean: Optional[np.ndarray] = None
@@ -84,8 +87,8 @@ class Logistic:
     gradient norm drops below ``grad_tol`` or at ``max_iter``.
     """
 
-    grad_tol: float = 1e-6
-    max_iter: int = 1000
+    grad_tol: float
+    max_iter: int
     coef: Optional[np.ndarray] = None
     loss_history: list[float] = field(default_factory=list, metadata=NOT_SAVED)
     converged: bool = False

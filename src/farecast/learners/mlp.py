@@ -2,7 +2,8 @@
 
 Trained with seeded mini-batch gradient descent. `loss_and_grad` exposes the
 full-batch analytic gradient as a flat vector so it can be compared against
-central finite differences.
+central finite differences. The hyperparameters' defaults live in
+``learners._KIND_TABLE``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from ..util import NOT_SAVED, as_float_arrays, check_finite, check_shapes, from_
 @dataclass
 class Mlp3:
     task: str  # regression | classification
-    hidden: int = 16
-    lr: float = 0.01
-    epochs: int = 200
-    batch_size: int = 32
+    hidden: int
+    lr: float
+    epochs: int
+    batch_size: int
     w1: Optional[np.ndarray] = None
     b1: Optional[np.ndarray] = None
     w2: Optional[np.ndarray] = None

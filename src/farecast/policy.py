@@ -8,14 +8,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BUY, FarecastError, PriceSeries, SeriesKey
+from .core import BUY, FarecastError, PriceSeries
 
 LAST_BUY_DAYS_BEFORE_DEPARTURE = 7
 
 
 @dataclass(frozen=True)
 class PurchaseDecision:
-    key: SeriesKey
     buy_query_date: date
     paid_price: float
     forced: bool  # True when the 7-day fallback fired
@@ -31,7 +30,7 @@ def _check_aligned(s: PriceSeries, predictions: Sequence) -> np.ndarray:
 
 def buy_at(s: PriceSeries, i: int, forced: bool) -> PurchaseDecision:
     """The decision to buy ``s`` at its ``i``-th quote."""
-    return PurchaseDecision(key=s.key, buy_query_date=s.query_dates[i].item(),
+    return PurchaseDecision(buy_query_date=s.query_dates[i].item(),
                             paid_price=float(s.prices[i]), forced=forced)
 
 

@@ -169,10 +169,10 @@ def generate_corpus(cfg: GeneratorConfig, seed: int) -> list[PriceSeries]:
     return series
 
 
-def default_split_for(cfg: GeneratorConfig, train_fraction: float = 0.6) -> SplitConfig:
-    """Departure-date split matching a generated corpus (about 60/40 by default)."""
+def default_split_for(cfg: GeneratorConfig) -> SplitConfig:
+    """Departure-date split matching a generated corpus, about 60/40."""
     n_train = max(1, min(cfg.departures_per_route - 1,
-                         math.ceil(cfg.departures_per_route * train_fraction)))
+                         math.ceil(cfg.departures_per_route * 0.6)))
     step = timedelta(days=cfg.departure_step_days)
     last = cfg.first_departure + (cfg.departures_per_route - 1) * step
     train_end = cfg.first_departure + (n_train - 1) * step

@@ -40,14 +40,14 @@ def natural_key(text: str) -> tuple:
     return tuple(int(p) if p.isdecimal() else p for p in re.split(r"(\d+)", text)), text
 
 
-def round_sig(value, digits: int = 6):
-    """Recursively round floats to ``digits`` significant digits for reports."""
+def round_sig(value):
+    """Recursively round floats to 6 significant digits for reports."""
     if isinstance(value, float):
-        return float(f"{value:.{digits}g}")
+        return float(f"{value:.6g}")
     if isinstance(value, dict):
-        return {k: round_sig(v, digits) for k, v in value.items()}
+        return {k: round_sig(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [round_sig(v, digits) for v in value]
+        return [round_sig(v) for v in value]
     return value
 
 

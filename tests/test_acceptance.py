@@ -99,7 +99,6 @@ def test_c01_metric_identities(default_corpus):
     # paying the expected random price on every series nets exactly zero
     random_decisions = {
         s.key: PurchaseDecision(
-            key=s.key,
             buy_query_date=s.query_dates[0].item(),
             paid_price=random_purchase_price(s),
             forced=False,
@@ -120,7 +119,6 @@ def test_c02_backtest_matches_generator_accounting(default_corpus):
     _, series = default_corpus
     decisions = {
         s.key: PurchaseDecision(
-            key=s.key,
             buy_query_date=s.query_dates[0].item(),
             paid_price=float(s.prices[0]),
             forced=False,
@@ -210,7 +208,7 @@ def test_c06_learner_sanity():
     X = rng.normal(0, 1, (30, 3))
     w_true = np.array([2.0, -1.0, 0.5])
     y = X @ w_true + 4.0
-    ls = LeastSquares().fit(X, y)
+    ls = LeastSquares(standardize=True).fit(X, y)
     assert np.abs(ls.predict(X) - y).max() < 1e-9
     intercept, slopes = coef_original(ls)
     assert np.abs(slopes - w_true).max() < 1e-9
@@ -223,13 +221,13 @@ def test_c06_learner_sanity():
 
     # logistic drives training error to zero on a separable set
     assert perceptron_separable(Xb, yb)
-    logit = Logistic().fit(Xb, yb)
+    logit = Logistic(grad_tol=1e-6, max_iter=1000).fit(Xb, yb)
     assert (logit.predict(Xb) == yb).mean() == 1.0
 
     # boosting shatters a pattern no single stump can
     Xi = np.arange(1, 9, dtype=float).reshape(-1, 1)
     yi = np.array([1, 1, 0, 0, 1, 1, 0, 0])
-    boost = AdaBoostClassifier(n_rounds=20, weak_depth=1).fit(Xi, yi)
+    boost = AdaBoostClassifier(n_rounds=20, weak_depth=1, min_leaf=1).fit(Xi, yi)
     assert boost.train_errors[-1] == 0.0
     assert np.array_equal(boost.predict(Xi), yi)
 
@@ -237,7 +235,7 @@ def test_c06_learner_sanity():
     for task in ("classification", "regression"):
         Xg = rng.normal(0, 1, (12, 4))
         yg = (rng.random(12) > 0.5).astype(float) if task == "classification" else rng.normal(0, 1, 12)
-        net = Mlp3(task=task, hidden=5, epochs=0)
+        net = Mlp3(task=task, hidden=5, epochs=0, lr=0.01, batch_size=32)
         net.fit(Xg, yg, seed=0)
         theta = net.pack()
         _, grad = net.loss_and_grad(Xg, yg)
@@ -260,9 +258,10 @@ def test_c06_learner_sanity():
     Xf = rng.normal(0, 1, (100, 5))
     yf = (Xf[:, 1] > 0.1).astype(int)
     forest = RandomForest(
-        task="classification", n_trees=1, bootstrap="identity", subsample=False
+        task="classification", n_trees=1, max_depth=None, min_leaf=1, bootstrap="identity",
+        subsample=False
     ).fit(Xf, yf, seed=0)
-    tree = Cart(task="classification").fit(Xf, yf)
+    tree = Cart(task="classification", max_depth=None, min_leaf=1).fit(Xf, yf)
     probe = rng.normal(0, 1, (40, 5))
     assert np.array_equal(forest.predict(probe), tree.predict(probe))
 
@@ -279,7 +278,7 @@ def test_c07_boosting_error_bound_holds_each_round():
 
     Xi = np.arange(1, 9, dtype=float).reshape(-1, 1)
     yi = np.array([1, 1, 0, 0, 1, 1, 0, 0])
-    check(AdaBoostClassifier(n_rounds=20, weak_depth=1).fit(Xi, yi))
+    check(AdaBoostClassifier(n_rounds=20, weak_depth=1, min_leaf=1).fit(Xi, yi))
 
     for seed in range(9):
         rng = np.random.default_rng(seed)
@@ -287,7 +286,7 @@ def test_c07_boosting_error_bound_holds_each_round():
         clean = ((X[:, 0] + X[:, 1] > 0)).astype(int)
         flip = rng.random(150) < 0.1
         y = np.where(flip, 1 - clean, clean)
-        model = AdaBoostClassifier(n_rounds=25, weak_depth=1 + seed % 2).fit(X, y)
+        model = AdaBoostClassifier(n_rounds=25, weak_depth=1 + seed % 2, min_leaf=1).fit(X, y)
         check(model)
 
 

@@ -162,6 +162,51 @@ def test_train_then_load_matches_fresh_train(workdir):
     assert read_report(fresh_out)["backtest"] == read_report(loaded_out)["backtest"]
 
 
+def test_backtest_saves_the_model_train_saves_and_a_reload_scores_the_same(workdir, tmp_path):
+    fit = ["--task", "classification", "--model", "adaboost_cart",
+           "--hyperparams", '{"n_rounds": 10, "weak_depth": 2}', "--seed", "6"]
+    trained, backtested = tmp_path / "trained.json", tmp_path / "backtested.json"
+    saving_out, loaded_out = tmp_path / "saving.json", tmp_path / "loaded.json"
+    assert main(["train", *base_args(workdir, [*fit, "--save-model", str(trained)])]) == 0
+    assert main(["backtest", *base_args(workdir, [
+        *fit, "--save-model", str(backtested), "--out", str(saving_out)])]) == 0
+    assert backtested.read_bytes() == trained.read_bytes()
+    assert main(["backtest", *base_args(workdir, [
+        "--load-model", str(backtested), "--out", str(loaded_out)])]) == 0
+    assert read_report(loaded_out)["backtest"] == read_report(saving_out)["backtest"]
+
+
+def test_oversample_off_flag_is_the_config_setting(workdir, tmp_path):
+    fit = ["--task", "classification", "--model", "cart", "--hyperparams", '{"max_depth": 3}',
+           "--seed", "5"]
+    config = write(tmp_path / "c.json", json.dumps({"oversample": False}))
+    backtests = {}
+    for name, extra in (("on", ["--oversample", "on"]), ("off", ["--oversample", "off"]),
+                        ("config", ["--config", str(config)])):
+        out = tmp_path / f"{name}.json"
+        assert main(["backtest", *base_args(workdir, [*fit, *extra, "--out", str(out)])]) == 0
+        backtests[name] = read_report(out)["backtest"]
+    assert backtests["off"] == backtests["config"] != backtests["on"]
+
+
+def test_input_that_leaves_nothing_to_fit_exits_two(workdir, gen_corpus, frozen_and_blend,
+                                                    tmp_path, capsys):
+    fit = ["--task", "classification", "--model", "cart"]
+    # The default split windows hold none of the synthetic corpus's departures.
+    assert main(["backtest", "--quotes", str(workdir / "quotes.csv"), *fit]) == 2
+    assert one_line_error(capsys.readouterr().err) == {
+        "error": "FarecastError",
+        "message": "the split left train or test empty; check the windows"}
+    empty = write(tmp_path / "empty.csv", "")
+    assert main(["backtest", *base_args(workdir, fit), "--quotes", str(empty)]) == 2
+    assert one_line_error(capsys.readouterr().err) == {
+        "error": "ParseError", "message": "line 1: empty file (header required)"}
+    header = write(tmp_path / "header.csv", "route_id,departure_date,query_date,price\n")
+    assert main(["generalize", *base_args(workdir, []), "--gen-quotes", str(header),
+                 "--frozen-model", str(frozen_and_blend[0])]) == 2
+    assert one_line_error(capsys.readouterr().err)["error"] == "EmptySeries"
+
+
 def test_backtest_side_outputs(workdir):
     out = workdir / "side.json"
     report_csv = workdir / "metrics.csv"

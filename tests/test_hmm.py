@@ -573,7 +573,7 @@ RAGGED = {"R1": [12, 12, 12, 7], "R2": [7, 12, 7, 12, 12], "R3": [12, 12, 12], "
           "R5": [9, 7, 5, 9, 1], "R6": [6, 6], "R7": [20, 20]}
 
 
-def test_fit_bank_of_a_ragged_corpus_fits_each_route_as_alone(monkeypatch):
+def ragged_series():
     truth = HmmModel(0, 3, np.array([0.5, 0.3, 0.2]),
                      np.array([[0.8, 0.15, 0.05], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]]),
                      np.array([-1.0, 0.0, 1.5]), np.array([0.2, 0.1, 0.3]))
@@ -583,6 +583,11 @@ def test_fit_bank_of_a_ragged_corpus_fits_each_route_as_alone(monkeypatch):
             prices = (np.full(n, 80.0) if route == "R6"
                       else 100.0 * (1.0 + 0.05 * sample(truth, n, seed=10 * r + i)))
             series.append(series_of(prices, route_id=route, departure=date(2016, 1, 13 + i)))
+    return series
+
+
+def test_fit_bank_of_a_ragged_corpus_fits_each_route_as_alone(monkeypatch):
+    series = ragged_series()
     runs, real_em = [], hmm._em
 
     def recording_em(starts, max_iter, tol):
@@ -604,6 +609,18 @@ def test_fit_bank_of_a_ragged_corpus_fits_each_route_as_alone(monkeypatch):
         alone = hmm_fit([s for s in series if s.key.route_id == route], n_states=3,
                         max_iter=26, seed=derive_seed(0, "hmm", idx), route_index=idx)
         assert to_jsonable(bank[idx]) == to_jsonable(alone) == recorded[idx], route
+
+
+def test_fit_bank_logs_each_template_that_hits_max_iter_by_route_index(caplog):
+    # At max_iter 26 only R7 (route index 6) is still iterating; at 8 the
+    # templates of routes 0, 1, 2 and 4 are too, and route 3 stops there.
+    for max_iter, unconverged in ((26, [6]), (8, [0, 1, 2, 4, 6])):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="farecast.hmm"):
+            fit_bank(ragged_series(), list(RAGGED), n_states=3, max_iter=max_iter, seed=0)
+        hits = [r.getMessage() for r in caplog.records if "max_iter" in r.getMessage()]
+        assert hits == [f"Baum-Welch hit max_iter={max_iter} for route {r}"
+                        for r in unconverged]
 
 
 def test_fit_bank_missing_route_raises(route_bank):

@@ -26,7 +26,7 @@ from conftest import coef_original
 def test_least_squares_exact_on_linear_data():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([2.0, 4.0, 6.0])
-    model = LeastSquares().fit(X, y)
+    model = LeastSquares(standardize=True).fit(X, y)
     intercept, slopes = coef_original(model)
     assert abs(slopes[0] - 2.0) < 1e-9
     assert abs(intercept) < 1e-9
@@ -38,7 +38,7 @@ def test_least_squares_multifeature_exact():
     X = rng.normal(0, 5, (50, 4))
     true = np.array([1.5, -2.0, 0.0, 3.25])
     y = X @ true + 7.0
-    model = LeastSquares().fit(X, y)
+    model = LeastSquares(standardize=True).fit(X, y)
     intercept, slopes = coef_original(model)
     assert np.allclose(slopes, true, atol=1e-8)
     assert abs(intercept - 7.0) < 1e-8
@@ -50,14 +50,14 @@ def test_least_squares_survives_collinear_columns():
     x = rng.normal(0, 1, 30)
     X = np.column_stack([x, x])
     y = 3 * x + 1
-    model = LeastSquares().fit(X, y)
+    model = LeastSquares(standardize=True).fit(X, y)
     assert np.allclose(model.predict(X), y, atol=1e-6)
 
 
 def test_least_squares_json_round_trip():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([2.0, 4.0, 6.0])
-    model = LeastSquares().fit(X, y)
+    model = LeastSquares(standardize=True).fit(X, y)
     clone = LeastSquares.from_jsonable(to_jsonable(model), X.shape[1])
     assert np.array_equal(model.predict(X), clone.predict(X))
 
@@ -93,13 +93,13 @@ def perceptron_separable(X, y, max_epochs=200):
 def test_logistic_separable_reaches_accuracy_one():
     X, y = separable_blobs()
     assert perceptron_separable(X, y)
-    model = Logistic().fit(X, y)
+    model = Logistic(grad_tol=1e-6, max_iter=1000).fit(X, y)
     assert np.array_equal(model.predict(X), y)
 
 
 def test_logistic_loss_non_increasing():
     X, y = separable_blobs(seed=2)
-    model = Logistic(max_iter=300).fit(X, y)
+    model = Logistic(max_iter=300, grad_tol=1e-6).fit(X, y)
     hist = model.loss_history
     assert len(hist) >= 2
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
@@ -107,7 +107,7 @@ def test_logistic_loss_non_increasing():
 
 def test_logistic_zero_coef_predicts_wait():
     X, y = separable_blobs(seed=3)
-    model = Logistic(max_iter=0).fit(X, y)
+    model = Logistic(max_iter=0, grad_tol=1e-6).fit(X, y)
     assert np.allclose(model.predict_scores(X), 0.5)
     assert not model.predict(X).any()  # p == 0.5 is not a buy
 
@@ -120,7 +120,7 @@ def test_logistic_converges_flag():
 
 def test_logistic_json_round_trip():
     X, y = separable_blobs(seed=5)
-    model = Logistic().fit(X, y)
+    model = Logistic(grad_tol=1e-6, max_iter=1000).fit(X, y)
     clone = Logistic.from_jsonable(to_jsonable(model), X.shape[1])
     assert np.array_equal(model.predict_scores(X), clone.predict_scores(X))
 
@@ -133,7 +133,7 @@ def test_mlp_gradient_matches_finite_differences(task):
     rng = np.random.default_rng(6)
     X = rng.normal(0, 1, (12, 4))
     y = (rng.random(12) > 0.5).astype(float) if task == "classification" else rng.normal(0, 1, 12)
-    net = Mlp3(task=task, hidden=5, epochs=0)
+    net = Mlp3(task=task, hidden=5, epochs=0, lr=0.01, batch_size=32)
     net.fit(X, y, seed=0)  # epochs=0: init only
     theta = net.pack()
     _, grad = net.loss_and_grad(X, y)
@@ -168,7 +168,7 @@ def test_mlp_loss_history_tracks_epochs():
     rng = np.random.default_rng(8)
     X = rng.normal(0, 1, (40, 3))
     y = rng.normal(0, 1, 40)
-    net = Mlp3(task="regression", hidden=4, epochs=25).fit(X, y, seed=0)
+    net = Mlp3(task="regression", hidden=4, epochs=25, lr=0.01, batch_size=32).fit(X, y, seed=0)
     assert len(net.loss_history) == 25
     assert net.loss_history[-1] < net.loss_history[0]
 
@@ -177,8 +177,8 @@ def test_mlp_deterministic_per_seed():
     rng = np.random.default_rng(9)
     X = rng.normal(0, 1, (30, 3))
     y = rng.normal(0, 1, 30)
-    a = Mlp3(task="regression", hidden=4, epochs=10).fit(X, y, seed=5)
-    b = Mlp3(task="regression", hidden=4, epochs=10).fit(X, y, seed=5)
+    a = Mlp3(task="regression", hidden=4, epochs=10, lr=0.01, batch_size=32).fit(X, y, seed=5)
+    b = Mlp3(task="regression", hidden=4, epochs=10, lr=0.01, batch_size=32).fit(X, y, seed=5)
     assert np.array_equal(a.predict(X), b.predict(X))
 
 
@@ -186,7 +186,8 @@ def test_mlp_json_round_trip():
     rng = np.random.default_rng(10)
     X = rng.normal(0, 1, (20, 3))
     y = (X[:, 0] > 0).astype(int)
-    net = Mlp3(task="classification", hidden=4, epochs=20).fit(X, y, seed=0)
+    net = Mlp3(task="classification", hidden=4, lr=0.01, epochs=20, batch_size=32).fit(
+        X, y, seed=0)
     clone = Mlp3.from_jsonable(to_jsonable(net), X.shape[1])
     assert np.array_equal(net.predict_scores(X), clone.predict_scores(X))
 
@@ -197,7 +198,7 @@ def test_mlp_json_round_trip():
 def test_cart_simple_threshold():
     X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
-    tree = Cart(task="classification").fit(X, y)
+    tree = Cart(task="classification", max_depth=None, min_leaf=1).fit(X, y)
     assert np.array_equal(tree.predict(X), y)
     assert np.array_equal(tree.predict(np.array([[5.0]])), [0])  # left of midpoint 6.5
     assert np.array_equal(tree.predict(np.array([[8.0]])), [1])
@@ -206,7 +207,7 @@ def test_cart_simple_threshold():
 def test_cart_split_at_midpoint_left_inclusive():
     X = np.array([[1.0], [3.0]])
     y = np.array([0, 1])
-    tree = Cart(task="classification").fit(X, y)
+    tree = Cart(task="classification", max_depth=None, min_leaf=1).fit(X, y)
     # boundary value 2.0 == midpoint goes left
     assert tree.predict(np.array([[2.0]]))[0] == 0
     assert tree.predict(np.array([[2.0001]]))[0] == 1
@@ -215,7 +216,7 @@ def test_cart_split_at_midpoint_left_inclusive():
 def test_cart_max_depth_zero_is_a_leaf():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([0, 1, 1])
-    tree = Cart(task="classification", max_depth=0).fit(X, y)
+    tree = Cart(task="classification", max_depth=0, min_leaf=1).fit(X, y)
     assert len(tree.feature) == 1  # single node
     assert np.array_equal(tree.predict(X), [1, 1, 1])
 
@@ -223,14 +224,14 @@ def test_cart_max_depth_zero_is_a_leaf():
 def test_cart_leaf_tie_predicts_wait():
     X = np.array([[1.0], [1.0]])
     y = np.array([0, 1])  # unsplittable, p = 0.5
-    tree = Cart(task="classification").fit(X, y)
+    tree = Cart(task="classification", max_depth=None, min_leaf=1).fit(X, y)
     assert tree.predict(np.array([[1.0]]))[0] == 0
 
 
 def test_cart_min_leaf_respected():
     X = np.arange(10, dtype=float).reshape(-1, 1)
     y = np.array([0] * 9 + [1])
-    tree = Cart(task="classification", min_leaf=3).fit(X, y)
+    tree = Cart(task="classification", min_leaf=3, max_depth=None).fit(X, y)
     # the lone positive cannot be isolated: every leaf carries >= 3 rows
     counts = np.bincount(_leaf_of(tree, X), minlength=len(tree.feature))
     for node, cnt in enumerate(counts):
@@ -285,7 +286,7 @@ def test_cart_every_split_strictly_reduces_impurity():
     X = rng.normal(0, 1, (120, 3))
     y = ((X[:, 0] > 0) ^ (X[:, 1] > 0.5)).astype(int)
     w = np.ones(len(y)) / len(y)
-    tree = Cart(task="classification", max_depth=6).fit(X, y)
+    tree = Cart(task="classification", max_depth=6, min_leaf=1).fit(X, y)
     decreases = _weighted_impurity(tree, X, y, w)
     assert decreases  # the pattern is splittable
     assert all(d > 0 for d in decreases)
@@ -295,14 +296,14 @@ def test_cart_zero_weight_rows_are_ignored():
     X = np.array([[1.0], [2.0], [3.0], [3.0]])
     y = np.array([0, 0, 1, 0])  # last row contradicts, but carries no weight
     w = np.array([1.0, 1.0, 1.0, 0.0])
-    tree = Cart(task="classification").fit(X, y, sample_weight=w)
+    tree = Cart(task="classification", max_depth=None, min_leaf=1).fit(X, y, sample_weight=w)
     assert tree.predict(np.array([[3.0]]))[0] == 1
 
 
 def test_cart_regression_variance_split():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([5.0, 5.0, 20.0, 22.0])
-    tree = Cart(task="regression", max_depth=1).fit(X, y)
+    tree = Cart(task="regression", max_depth=1, min_leaf=1).fit(X, y)
     assert tree.predict(np.array([[0.5]]))[0] == 5.0
     assert tree.predict(np.array([[10.5]]))[0] == 21.0  # leaf mean of {20, 22}
 
@@ -310,7 +311,7 @@ def test_cart_regression_variance_split():
 def test_cart_constant_target_single_leaf():
     X = np.arange(6, dtype=float).reshape(-1, 1)
     y = np.full(6, 9.5)
-    tree = Cart(task="regression").fit(X, y)
+    tree = Cart(task="regression", max_depth=None, min_leaf=1).fit(X, y)
     assert len(tree.feature) == 1
     assert np.allclose(tree.predict(X), 9.5)
 
@@ -627,9 +628,9 @@ def test_adaboost_matches_boosting_over_reference_trees(monkeypatch):
     X = np.column_stack([rng.normal(0, 1, 300), np.round(rng.normal(0, 1, 300), 1),
                          rng.integers(0, 2, 300).astype(float), np.zeros(300)])
     y = ((X[:, 0] + X[:, 1] > 0.3) ^ (rng.random(300) < 0.15)).astype(int)
-    fast = AdaBoostClassifier(n_rounds=25, weak_depth=3).fit(X, y)
+    fast = AdaBoostClassifier(n_rounds=25, weak_depth=3, min_leaf=1).fit(X, y)
     monkeypatch.setattr(Cart, "fit", histogram_reference_fit)
-    slow = AdaBoostClassifier(n_rounds=25, weak_depth=3).fit(X, y)
+    slow = AdaBoostClassifier(n_rounds=25, weak_depth=3, min_leaf=1).fit(X, y)
     assert fast.epsilons == slow.epsilons
     assert fast.train_errors == slow.train_errors
     assert to_jsonable(fast) == to_jsonable(slow)
@@ -641,16 +642,17 @@ def test_boosting_with_shared_codes_fits_the_trees_of_coding_per_tree(monkeypatc
                          rng.integers(0, 2, (400, 3)).astype(float)])
     y = ((X[:, 0] - X[:, 1] > 0.2) ^ (rng.random(400) < 0.1)).astype(int)
     w = rng.random(400)
-    shared = [AdaBoostClassifier(n_rounds=10, weak_depth=3).fit(X, y, sample_weight=w),
-              AdaBoostRegressor(n_rounds=5, weak_depth=4).fit(X, y + X[:, 0], sample_weight=w)]
+    shared = [AdaBoostClassifier(n_rounds=10, weak_depth=3, min_leaf=1).fit(X, y, sample_weight=w),
+              AdaBoostRegressor(n_rounds=5, weak_depth=4, min_leaf=1).fit(
+                  X, y + X[:, 0], sample_weight=w)]
 
     # Boosting whose every tree codes X again.
     fit = Cart.fit
     monkeypatch.setattr(Cart, "fit", lambda tree, X, *args, **kwargs:
                         fit(tree, as_matrix(X), *args, **kwargs))
-    assert to_jsonable(AdaBoostClassifier(n_rounds=10, weak_depth=3).fit(
+    assert to_jsonable(AdaBoostClassifier(n_rounds=10, weak_depth=3, min_leaf=1).fit(
         X, y, sample_weight=w)) == to_jsonable(shared[0])
-    assert to_jsonable(AdaBoostRegressor(n_rounds=5, weak_depth=4).fit(
+    assert to_jsonable(AdaBoostRegressor(n_rounds=5, weak_depth=4, min_leaf=1).fit(
         X, y + X[:, 0], sample_weight=w)) == to_jsonable(shared[1])
 
 
@@ -705,8 +707,8 @@ def test_cart_on_distinct_rows_equals_cart_on_the_copies(problem, task, max_dept
     if task == "regression":
         y = y * 3.0 + X[:, 0]
     rows, counts = distinct_rows(X, y)
-    copies = Cart(task=task, max_depth=max_depth).fit(X, y)
-    weighted = Cart(task=task, max_depth=max_depth).fit(X[rows], y[rows],
+    copies = Cart(task=task, max_depth=max_depth, min_leaf=1).fit(X, y)
+    weighted = Cart(task=task, max_depth=max_depth, min_leaf=1).fit(X[rows], y[rows],
                                                         sample_weight=counts.astype(float))
     assert to_jsonable(weighted) == to_jsonable(copies)
 
@@ -715,8 +717,8 @@ def test_cart_json_round_trip():
     rng = np.random.default_rng(12)
     X = rng.normal(0, 1, (60, 4))
     y = (X[:, 2] > 0.2).astype(int)
-    tree = Cart(task="classification", max_depth=4).fit(X, y)
-    clone = Cart.from_jsonable(to_jsonable(tree))
+    tree = Cart(task="classification", max_depth=4, min_leaf=1).fit(X, y)
+    clone = Cart.from_jsonable(to_jsonable(tree), X.shape[1])
     probe = rng.normal(0, 1, (30, 4))
     assert np.array_equal(tree.predict(probe), clone.predict(probe))
 
@@ -761,7 +763,7 @@ def test_adaboost_shatters_the_interleaved_pattern():
     # x in 1..8, buy at {1,2,5,6}: three stumps are provably needed
     X = np.arange(1, 9, dtype=float).reshape(-1, 1)
     y = np.array([1, 1, 0, 0, 1, 1, 0, 0])
-    model = AdaBoostClassifier(n_rounds=10, weak_depth=1).fit(X, y)
+    model = AdaBoostClassifier(n_rounds=10, weak_depth=1, min_leaf=1).fit(X, y)
     assert np.array_equal(model.predict(X), y)
     assert model.train_errors[-1] == 0.0
     # cross-check against the independent reference
@@ -774,7 +776,7 @@ def test_adaboost_per_round_invariants():
     clean = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)
     flip = rng.random(300) < 0.08
     y = np.where(flip, 1 - clean, clean)
-    model = AdaBoostClassifier(n_rounds=40, weak_depth=1).fit(X, y)
+    model = AdaBoostClassifier(n_rounds=40, weak_depth=1, min_leaf=1).fit(X, y)
     assert len(model.epsilons) >= 5
     for eps in model.epsilons:
         assert eps < 0.5
@@ -785,7 +787,7 @@ def test_adaboost_per_round_invariants():
 def test_adaboost_perfect_stump_collapses():
     X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0]])
     y = np.array([0, 0, 0, 1, 1])
-    model = AdaBoostClassifier(n_rounds=25, weak_depth=1).fit(X, y)
+    model = AdaBoostClassifier(n_rounds=25, weak_depth=1, min_leaf=1).fit(X, y)
     assert len(model.trees) == 1
     assert model.alphas == [1.0]
     assert model.epsilons[-1] == 0.0
@@ -799,7 +801,7 @@ def test_adaboost_stops_on_unlearnable_xor():
     # axis-aligned stumps are useless on XOR; first round fails at eps >= 0.5
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
-    model = AdaBoostClassifier(n_rounds=10, weak_depth=1).fit(X, y)
+    model = AdaBoostClassifier(n_rounds=10, weak_depth=1, min_leaf=1).fit(X, y)
     assert model.trees == []
     assert model.stopped_early and ">= 0.5" in model.stopped_early
     # majority fallback: balanced classes tie -> wait
@@ -809,7 +811,7 @@ def test_adaboost_stops_on_unlearnable_xor():
 def test_adaboost_zero_margin_counts_as_wait():
     X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0]])
     y = np.array([0, 0, 0, 1, 1])
-    model = AdaBoostClassifier(n_rounds=5, weak_depth=1).fit(X, y)
+    model = AdaBoostClassifier(n_rounds=5, weak_depth=1, min_leaf=1).fit(X, y)
     model.trees = model.trees * 2
     model.alphas = [1.0, -1.0]  # force margin exactly 0
     assert not model.predict(X).any()
@@ -818,7 +820,7 @@ def test_adaboost_zero_margin_counts_as_wait():
 def test_adaboost_proba_centered_on_half():
     X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
-    model = AdaBoostClassifier(n_rounds=10, weak_depth=1).fit(X, y)
+    model = AdaBoostClassifier(n_rounds=10, weak_depth=1, min_leaf=1).fit(X, y)
     p = model.predict_scores(X)
     assert ((0.0 <= p) & (p <= 1.0)).all()
     assert np.array_equal((p > 0.5).astype(int), model.predict(X))
@@ -828,8 +830,8 @@ def test_adaboost_json_round_trip():
     rng = np.random.default_rng(14)
     X = rng.normal(0, 1, (80, 3))
     y = (X[:, 0] + 0.3 * rng.normal(size=80) > 0).astype(int)
-    model = AdaBoostClassifier(n_rounds=15, weak_depth=2).fit(X, y)
-    clone = AdaBoostClassifier.from_jsonable(to_jsonable(model))
+    model = AdaBoostClassifier(n_rounds=15, weak_depth=2, min_leaf=1).fit(X, y)
+    clone = AdaBoostClassifier.from_jsonable(to_jsonable(model), X.shape[1])
     probe = rng.normal(0, 1, (20, 3))
     assert np.array_equal(model.predict(probe), clone.predict(probe))
 
@@ -840,7 +842,7 @@ def test_adaboost_json_round_trip():
 def test_adaboost_regressor_exact_fit_collapses():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    model = AdaBoostRegressor(n_rounds=20, weak_depth=8).fit(X, y)
+    model = AdaBoostRegressor(n_rounds=20, weak_depth=8, min_leaf=1).fit(X, y)
     assert len(model.trees) == 1
     assert model.stopped_early == "round 0: exact fit"
     assert np.allclose(model.predict(X), y)
@@ -850,8 +852,8 @@ def test_adaboost_regressor_improves_over_a_stump():
     rng = np.random.default_rng(15)
     X = rng.uniform(-3, 3, (200, 1))
     y = np.sin(X[:, 0])
-    stump = Cart(task="regression", max_depth=3).fit(X, y)
-    model = AdaBoostRegressor(n_rounds=30, weak_depth=3).fit(X, y)
+    stump = Cart(task="regression", max_depth=3, min_leaf=1).fit(X, y)
+    model = AdaBoostRegressor(n_rounds=30, weak_depth=3, min_leaf=1).fit(X, y)
     assert len(model.trees) > 1
     for avg in model.avg_losses:
         assert avg < 0.5
@@ -864,7 +866,7 @@ def test_adaboost_regressor_prediction_is_a_member_value():
     rng = np.random.default_rng(16)
     X = rng.uniform(-2, 2, (60, 2))
     y = X[:, 0] ** 2 + rng.normal(0, 0.05, 60)
-    model = AdaBoostRegressor(n_rounds=10, weak_depth=2).fit(X, y)
+    model = AdaBoostRegressor(n_rounds=10, weak_depth=2, min_leaf=1).fit(X, y)
     preds = np.column_stack([t.predict(X) for t in model.trees])
     out = model.predict(X)
     for i in range(len(X)):
@@ -875,8 +877,8 @@ def test_adaboost_regressor_json_round_trip():
     rng = np.random.default_rng(17)
     X = rng.uniform(-2, 2, (50, 2))
     y = X[:, 0] - X[:, 1]
-    model = AdaBoostRegressor(n_rounds=8, weak_depth=3).fit(X, y)
-    clone = AdaBoostRegressor.from_jsonable(to_jsonable(model))
+    model = AdaBoostRegressor(n_rounds=8, weak_depth=3, min_leaf=1).fit(X, y)
+    clone = AdaBoostRegressor.from_jsonable(to_jsonable(model), X.shape[1])
     assert np.array_equal(model.predict(X), clone.predict(X))
 
 
@@ -936,11 +938,11 @@ def boosting_problems(draw):
 @example(FITS_EXACTLY_AT_ROUND_TWO)
 def test_boosting_prefix_is_the_fit_of_fewer_rounds(problem):
     cls, X, y, w, weak_depth, n_long = problem
-    long = cls(n_rounds=n_long, weak_depth=weak_depth).fit(X, y, w)
+    long = cls(n_rounds=n_long, weak_depth=weak_depth, min_leaf=1).fit(X, y, w)
     diagnostics = long.epsilons if cls is AdaBoostClassifier else long.avg_losses
     collapse_round = len(diagnostics) - 1 if diagnostics and diagnostics[-1] == 0.0 else None
     for n in range(1, n_long + 1):
-        direct = cls(n_rounds=n, weak_depth=weak_depth).fit(X, y, w)
+        direct = cls(n_rounds=n, weak_depth=weak_depth, min_leaf=1).fit(X, y, w)
         prefix = long.truncated(n)
         if collapse_round is not None and n <= collapse_round:
             # The collapse dropped the trees of the rounds before it.
@@ -958,14 +960,14 @@ def test_the_found_runs_stop_and_collapse_where_named():
                                         (COLLAPSES_AT_ROUND_THREE, 3, 0.0),
                                         (FITS_EXACTLY_AT_ROUND_TWO, 2, 0.0)):
         cls, X, y, w, weak_depth, n_long = problem
-        model = cls(n_rounds=n_long, weak_depth=weak_depth).fit(X, y, w)
+        model = cls(n_rounds=n_long, weak_depth=weak_depth, min_leaf=1).fit(X, y, w)
         assert model.stopped_early.startswith(f"round {rounds}:")
         last = (model.epsilons if cls is AdaBoostClassifier else model.avg_losses)[-1]
         assert (last == 0.0) == (diagnostic == 0.0)
         if diagnostic == 0.0:
             assert model.truncated(rounds) is None
             assert everything(model.truncated(rounds + 1)) == everything(
-                cls(n_rounds=rounds + 1, weak_depth=weak_depth).fit(X, y, w))
+                cls(n_rounds=rounds + 1, weak_depth=weak_depth, min_leaf=1).fit(X, y, w))
 
 
 # -- random forest -----------------------------------------------------------
@@ -983,9 +985,10 @@ def test_forest_identity_single_tree_equals_cart():
     X = rng.normal(0, 1, (100, 5))
     y = (X[:, 1] > 0.1).astype(int)
     forest = RandomForest(
-        task="classification", n_trees=1, bootstrap="identity", subsample=False
+        task="classification", n_trees=1, max_depth=None, min_leaf=1, bootstrap="identity",
+        subsample=False
     ).fit(X, y, seed=0)
-    tree = Cart(task="classification").fit(X, y)
+    tree = Cart(task="classification", max_depth=None, min_leaf=1).fit(X, y)
     probe = rng.normal(0, 1, (40, 5))
     assert np.array_equal(forest.predict(probe), tree.predict(probe))
 
@@ -993,9 +996,10 @@ def test_forest_identity_single_tree_equals_cart():
 def test_forest_vote_tie_predicts_wait():
     X = np.array([[0.0], [1.0]])
     # constant-label training yields single-leaf trees with opposite votes
-    always_buy = Cart(task="classification").fit(X, np.array([1, 1]))
-    always_wait = Cart(task="classification").fit(X, np.array([0, 0]))
-    forest = RandomForest(task="classification", n_trees=2)
+    always_buy = Cart(task="classification", max_depth=None, min_leaf=1).fit(X, np.array([1, 1]))
+    always_wait = Cart(task="classification", max_depth=None, min_leaf=1).fit(X, np.array([0, 0]))
+    forest = RandomForest(task="classification", n_trees=2, max_depth=None, min_leaf=1,
+                          bootstrap="resample", subsample=True)
     forest.trees = [always_buy, always_wait]
     assert np.allclose(forest.predict_scores(X), 0.5)
     assert not forest.predict(X).any()
@@ -1005,8 +1009,8 @@ def test_forest_deterministic_per_seed():
     rng = np.random.default_rng(19)
     X = rng.normal(0, 1, (80, 4))
     y = (X[:, 0] > 0).astype(int)
-    a = RandomForest(task="classification", n_trees=10).fit(X, y, seed=7)
-    b = RandomForest(task="classification", n_trees=10).fit(X, y, seed=7)
+    a, b = (RandomForest(task="classification", n_trees=10, max_depth=None, min_leaf=1,
+                         bootstrap="resample", subsample=True).fit(X, y, seed=7) for _ in range(2))
     probe = rng.normal(0, 1, (30, 4))
     assert np.array_equal(a.predict_scores(probe), b.predict_scores(probe))
 
@@ -1015,7 +1019,8 @@ def test_forest_regression_mean_of_members():
     rng = np.random.default_rng(20)
     X = rng.uniform(-2, 2, (90, 3))
     y = X[:, 0] * 2
-    forest = RandomForest(task="regression", n_trees=5, max_depth=3).fit(X, y, seed=1)
+    forest = RandomForest(task="regression", n_trees=5, max_depth=3, min_leaf=1,
+                          bootstrap="resample", subsample=True).fit(X, y, seed=1)
     probe = rng.uniform(-2, 2, (10, 3))
     member = np.column_stack([t.predict(probe) for t in forest.trees])
     assert np.allclose(forest.predict(probe), member.mean(axis=1))
@@ -1025,8 +1030,9 @@ def test_forest_json_round_trip():
     rng = np.random.default_rng(21)
     X = rng.normal(0, 1, (60, 3))
     y = (X[:, 2] < 0).astype(int)
-    forest = RandomForest(task="classification", n_trees=4, max_depth=3).fit(X, y, seed=2)
-    clone = RandomForest.from_jsonable(to_jsonable(forest))
+    forest = RandomForest(task="classification", n_trees=4, max_depth=3, min_leaf=1,
+                          bootstrap="resample", subsample=True).fit(X, y, seed=2)
+    clone = RandomForest.from_jsonable(to_jsonable(forest), X.shape[1])
     assert np.array_equal(forest.predict(X), clone.predict(X))
 
 

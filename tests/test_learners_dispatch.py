@@ -1,5 +1,6 @@
 """The fit/predict facade: specs, dispatch, blending, serialization."""
 
+from dataclasses import MISSING, fields
 from datetime import date
 from pathlib import Path
 
@@ -20,8 +21,8 @@ from farecast.learners import (
     model_to_dict,
     save_model,
 )
-from farecast.learners.boosting import AdaBoostClassifier, AdaBoostRegressor
-from farecast.learners.tree import DEPTH_CAP, Cart, distinct_rows
+from farecast.learners.boosting import AdaBoostClassifier
+from farecast.learners.tree import DEPTH_CAP, distinct_rows
 from farecast.preprocess import oversample
 from farecast.tuning import default_grid
 from farecast.util import to_jsonable
@@ -198,12 +199,8 @@ def test_seeded_kinds_are_deterministic(kind, threshold_data):
 
 def direct_core(kind, task, X, y, sample_weight=None, **hp):
     """The core ``learners.fit`` builds for a tree kind, fit on (X, y) as given."""
-    if kind == "cart":
-        return Cart(task=task, max_depth=hp.get("max_depth", 8),
-                    min_leaf=hp.get("min_leaf", 1)).fit(X, y, sample_weight=sample_weight)
-    cls = AdaBoostClassifier if task == "classification" else AdaBoostRegressor
-    return cls(n_rounds=hp["n_rounds"], weak_depth=hp["weak_depth"],
-               min_leaf=hp.get("min_leaf", 1)).fit(X, y, sample_weight=sample_weight)
+    spec = LearnerSpec(kind, task, hp)
+    return learners._new_core(spec, learners._resolve(spec)).fit(X, y, sample_weight)
 
 
 TREE_SPECS = [("cart", "classification", {}), ("cart", "regression", {}),
@@ -260,7 +257,8 @@ def test_balanced_oversampled_classes_fall_back_to_wait():
     # weights are exactly equal, so the no-tree fallback is wait.
     train = oversample(dataset_of(feature_rows(range(15), label_fn=lambda v: v >= 11)), seed=0)
     assert class_counts(train) == (11, 11)
-    assert AdaBoostClassifier(n_rounds=1).fit(train.X, train.label_class).majority == 0
+    boost = AdaBoostClassifier(n_rounds=1, weak_depth=1, min_leaf=1)
+    assert boost.fit(train.X, train.label_class).majority == 0
     model = learners.fit(LearnerSpec("adaboost_cart", "classification", {"n_rounds": 1}),
                          train, seed=0)
     assert model.core.majority == 0
@@ -686,6 +684,19 @@ def test_every_stock_grid_cell_resolves():
         for task in entry.cores:
             for spec in default_grid(kind, task):
                 learners._resolve(spec)
+
+
+def test_the_kind_table_holds_the_only_hyperparameter_defaults():
+    # A blend's core is a list of member models, which has no fields.
+    for kind, entry in learners._KIND_TABLE.items():
+        for task, cls in entry.cores.items():
+            if cls is list:
+                continue
+            declared = {f.name: f for f in fields(cls)}
+            for name in entry.hyperparams:
+                assert name in declared, (kind, task, name)
+                assert declared[name].default is MISSING, (kind, task, name)
+                assert declared[name].default_factory is MISSING, (kind, task, name)
 
 
 def test_readme_table_lists_every_kind_task_and_hyperparameter():

@@ -22,7 +22,7 @@ from conftest import series_of
 
 
 def buy_at(s, idx):
-    return PurchaseDecision(key=s.key, buy_query_date=s.query_dates[idx].item(),
+    return PurchaseDecision(buy_query_date=s.query_dates[idx].item(),
                             paid_price=float(s.prices[idx]), forced=False)
 
 
@@ -51,7 +51,7 @@ def test_route_metrics_eq_chain():
 def test_route_metrics_zero_numerator():
     # paying exactly the random-purchase expectation → performance 0
     s = series_of([50, 40, 40, 60])
-    d = PurchaseDecision(key=s.key, buy_query_date=s.query_dates[0].item(), paid_price=47.5, forced=False)
+    d = PurchaseDecision(buy_query_date=s.query_dates[0].item(), paid_price=47.5, forced=False)
     m = route_metrics({s.key: d}, {s.key: s})
     assert m.performance_pct == 0.0
     assert m.normalized_performance_pct == 0.0
@@ -59,7 +59,7 @@ def test_route_metrics_zero_numerator():
 
 def test_route_metrics_hand_arithmetic():
     s = series_of([50, 40, 40, 60])
-    d = PurchaseDecision(key=s.key, buy_query_date=s.query_dates[3].item(), paid_price=44.0, forced=False)
+    d = PurchaseDecision(buy_query_date=s.query_dates[3].item(), paid_price=44.0, forced=False)
     m = route_metrics({s.key: d}, {s.key: s})
     expected = (3.5 / 47.5) / (7.5 / 47.5) * 100
     assert math.isclose(m.normalized_performance_pct, expected, rel_tol=1e-12)
