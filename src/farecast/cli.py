@@ -12,7 +12,6 @@ one subcommand that runs each, at call time, so no other command loads them.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -40,7 +39,7 @@ from .pipeline import (
     train_specific,
 )
 from .util import (JSON_TYPES, check_json_type, derive_seed, natural_key, read_json, round_sig,
-                   to_jsonable, write_json)
+                   to_jsonable, write_csv, write_json)
 
 import numpy as np
 
@@ -89,27 +88,21 @@ def _prep_config(args, config: dict) -> PreprocessConfig:
 
 
 def _metrics_csv(per_route, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(BacktestMetrics)])
-        for m in per_route:
-            writer.writerow([int(v) if isinstance(v, bool) else f"{v:.6f}"
-                             if isinstance(v, float) else v for v in to_jsonable(m).values()])
+    write_csv(path, [f.name for f in fields(BacktestMetrics)], (
+        [int(v) if isinstance(v, bool) else f"{v:.6f}" if isinstance(v, float) else v
+         for v in to_jsonable(m).values()] for m in per_route))
 
 
 def _decisions_csv(decisions, series: Sequence[PriceSeries], path: str) -> None:
     by_key = {s.key: s for s in series}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["route_id", "departure_date", "buy_query_date",
-                         "paid_price", "optimal_price", "mean_price", "forced"])
-        for key in sorted(decisions, key=lambda k: (natural_key(k.route_id),
-                                                    k.departure_date)):
-            d, s = decisions[key], by_key[key]
-            writer.writerow([key.route_id, key.departure_date.isoformat(),
-                             d.buy_query_date.isoformat(), format_price(d.paid_price),
-                             format_price(optimal_price(s)),
-                             f"{random_purchase_price(s):.6f}", int(d.forced)])
+    rows = []
+    for key in sorted(decisions, key=lambda k: (natural_key(k.route_id), k.departure_date)):
+        d, s = decisions[key], by_key[key]
+        rows.append([key.route_id, key.departure_date.isoformat(), d.buy_query_date.isoformat(),
+                     format_price(d.paid_price), format_price(optimal_price(s)),
+                     f"{random_purchase_price(s):.6f}", int(d.forced)])
+    write_csv(path, ["route_id", "departure_date", "buy_query_date", "paid_price",
+                     "optimal_price", "mean_price", "forced"], rows)
 
 
 def _aggregate_dict(per_route, mean: float, var: float) -> dict:
@@ -180,18 +173,12 @@ def cmd_tune(args) -> dict:
         grid, train_ds, seed=derive_seed(args.seed, "tune"), k=args.folds, jobs=args.jobs,
         preprocess=lambda ds, fold_seed: preprocess_for(grid[0], ds, prep, fold_seed))
     if args.report_csv:
-        with open(args.report_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "task", "hyperparams", "mean_loss", "var_loss",
-                             "failed"])
-            for cell in table:
-                writer.writerow([
-                    cell.spec.kind, cell.spec.task,
-                    json.dumps(cell.spec.hyperparams, sort_keys=True),
-                    "" if cell.mean_loss is None else f"{cell.mean_loss:.6f}",
-                    "" if cell.var_loss is None else f"{cell.var_loss:.6f}",
-                    int(cell.failed),
-                ])
+        write_csv(args.report_csv, ["kind", "task", "hyperparams", "mean_loss", "var_loss",
+                                    "failed"], (
+            [cell.spec.kind, cell.spec.task, json.dumps(cell.spec.hyperparams, sort_keys=True),
+             "" if cell.mean_loss is None else f"{cell.mean_loss:.6f}",
+             "" if cell.var_loss is None else f"{cell.var_loss:.6f}", int(cell.failed)]
+            for cell in table))
     return {
         "config": {
             "quotes": args.quotes,

@@ -10,7 +10,6 @@ that minimum itself.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -20,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Dataset, EmptySeries, FarecastError, PriceSeries, format_price
-from .util import as_float_arrays, check_finite
+from .util import as_float_arrays, check_finite, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -148,9 +147,8 @@ def dump_features(ds: Dataset, path: str | Path) -> None:
     width = ds.X.shape[1] - len(CONTINUOUS_NAMES)
     header = ["route_id", "departure_date", "query_date", *CONTINUOUS_NAMES,
               *(f"f{i}" for i in range(width)), "label_class", "label_reg"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+
+    def rows():
         for row, series, label_class, label_reg in zip(
                 ds.X.tolist(), ds.series.tolist(), ds.label_class.tolist(),
                 ds.label_reg.tolist()):
@@ -158,10 +156,10 @@ def dump_features(ds: Dataset, path: str | Path) -> None:
             low, high, query_to_departure, days_to_departure, price = row[width:]
             days_to_departure = int(days_to_departure)
             query_date = key.departure_date - timedelta(days=days_to_departure)
-            writer.writerow(
-                [key.route_id, key.departure_date.isoformat(), query_date.isoformat(),
-                 format_price(low), format_price(high), int(query_to_departure),
-                 days_to_departure, format_price(price)]
-                + [int(v) for v in row[:width]]
-                + [label_class, format_price(label_reg)]
-            )
+            yield ([key.route_id, key.departure_date.isoformat(), query_date.isoformat(),
+                    format_price(low), format_price(high), int(query_to_departure),
+                    days_to_departure, format_price(price)]
+                   + [int(v) for v in row[:width]]
+                   + [label_class, format_price(label_reg)])
+
+    write_csv(path, header, rows())

@@ -123,8 +123,9 @@ def _resolve(spec: LearnerSpec) -> dict:
     """The kind's default hyperparameters overridden by the spec's (``T`` and
     ``B`` name ``n_rounds`` and ``n_trees``). A value must have the default's
     JSON type: an int takes no bool, a float takes an int, ``max_depth`` also
-    takes null. An unknown or repeated name, a wrong type, or ``epochs`` or
-    ``max_iter`` below 1 raises IncompatibleSpec."""
+    takes null. An unknown or repeated name, a wrong type, ``epochs`` or
+    ``max_iter`` below 1, or a blend's ``member_kind`` of ``uniform_blend``
+    raises IncompatibleSpec."""
     defaults = _KIND_TABLE[spec.kind].hyperparams
     resolved = dict(defaults)
     for key, value in spec.hyperparams.items():
@@ -141,6 +142,9 @@ def _resolve(spec: LearnerSpec) -> dict:
     for name in ("epochs", "max_iter"):  # the cores allow 0, a fit that trains nothing
         if resolved.get(name, 1) < 1:
             raise IncompatibleSpec(f"{spec.kind} {name} must be >= 1")
+    if resolved.get("member_kind") == "uniform_blend":
+        raise IncompatibleSpec("uniform_blend member_kind must not be uniform_blend: "
+                               "a member is one route's model")
     return resolved
 
 

@@ -93,6 +93,8 @@ class Mlp3:
     # -- training / prediction ---------------------------------------------
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "Mlp3":
+        """Raises FarecastError, naming the epoch, once an epoch ends with a
+        training loss that is not finite, as a too large ``lr`` makes it."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n, d = X.shape
@@ -100,15 +102,20 @@ class Mlp3:
         self._init_params(d, rng)
         self.loss_history = []
         batch = min(self.batch_size, n)
-        for _ in range(self.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, batch):
-                rows = order[start : start + batch]
-                _, grad = self.loss_and_grad(X[rows], y[rows])
-                flat = self.pack() - self.lr * grad
-                self.unpack(flat)
-            epoch_loss, _ = self.loss_and_grad(X, y)
-            self.loss_history.append(epoch_loss)
+        # A diverging fit overflows before its loss is checked; the check reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, self.epochs + 1):
+                order = rng.permutation(n)
+                for start in range(0, n, batch):
+                    rows = order[start : start + batch]
+                    _, grad = self.loss_and_grad(X[rows], y[rows])
+                    flat = self.pack() - self.lr * grad
+                    self.unpack(flat)
+                epoch_loss, _ = self.loss_and_grad(X, y)
+                if not np.isfinite(epoch_loss):
+                    raise FarecastError(f"mlp3 diverged: the training loss is {epoch_loss} "
+                                        f"after epoch {epoch} of {self.epochs}; lower lr")
+                self.loss_history.append(epoch_loss)
         return self
 
     def predict_raw(self, X: np.ndarray) -> np.ndarray:

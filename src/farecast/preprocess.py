@@ -43,6 +43,8 @@ from .features import CONTINUOUS
 logger = logging.getLogger(__name__)
 
 COV_REG = 1e-6
+KMEANS_TOL = 1e-8  # in standardized units
+EM_TOL = 1e-8
 
 
 class SingleClassDataset(FarecastError):
@@ -91,8 +93,10 @@ def _squared_norms(A: np.ndarray) -> np.ndarray:
     return total
 
 
-def kmeans2(X: np.ndarray, init: ClusterInit, max_iter: int = 100, tol: float = 1e-8) -> KMeansFit:
-    """Lloyd's algorithm with 2 clusters; equidistant points go to the lower index."""
+def kmeans2(X: np.ndarray, init: ClusterInit, max_iter: int = 100) -> KMeansFit:
+    """Lloyd's algorithm with 2 clusters; equidistant points go to the lower index.
+    It stops when the assignments repeat or no center moves by ``KMEANS_TOL``
+    or more in any coordinate."""
     row_index = np.arange(len(X))
     centers = init.centers.astype(float).copy()
     history: list[float] = []
@@ -113,7 +117,7 @@ def kmeans2(X: np.ndarray, init: ClusterInit, max_iter: int = 100, tol: float = 
                 shift = max(shift, float(np.abs(new_center - centers[k]).max()))
                 centers[k] = new_center
         prev = assign
-        if shift < tol:
+        if shift < KMEANS_TOL:
             converged = True
             break
     else:
@@ -159,7 +163,6 @@ def gmm_em2(
     init: ClusterInit,
     y: np.ndarray,
     max_iter: int = 100,
-    tol: float = 1e-8,
 ) -> GmmFit:
     """2-component full-covariance Gaussian mixture fit by EM.
 
@@ -167,7 +170,7 @@ def gmm_em2(
     classes labeled by ``y``. The diagonal regularizer keeps covariances
     invertible in the presence of duplicates.
     EM stops when a step changes the log-likelihood ``ll`` by at most
-    ``tol * |ll|``.
+    ``EM_TOL * |ll|``.
     """
     n, d = X.shape
     means = init.centers.astype(float).copy()
@@ -192,7 +195,7 @@ def gmm_em2(
         ll = float(log_norm.sum())
         resp_columns = np.exp(log_joint - log_norm)
         resp = np.ascontiguousarray(resp_columns.T)
-        if history and abs(ll - history[-1]) <= tol * abs(ll):
+        if history and abs(ll - history[-1]) <= EM_TOL * abs(ll):
             history.append(ll)
             converged = True
             break
@@ -238,15 +241,13 @@ def remove_outliers(
     train: Dataset,
     method: str = "kmeans",
     max_iter: int = 100,
-    tol: float = 1e-8,
 ) -> tuple[Dataset, Dataset]:
     """Split the training set into (kept, removed) by cluster disagreement.
 
     A row is removed when its assigned cluster (nearest center for K-Means,
     maximum posterior for EM) differs from the cluster of its labeled class.
-    ``tol`` is relative to |ll| for EM and bounds the center shift, in
-    standardized units, for K-Means. An unconverged fit logs one warning and
-    its result is used as it stands.
+    The fits stop at ``KMEANS_TOL`` and ``EM_TOL``. An unconverged fit logs
+    one warning and its result is used as it stands.
     """
     if method not in ("kmeans", "em"):
         raise FarecastError(f"unknown outlier-removal method {method!r}")
@@ -256,10 +257,10 @@ def remove_outliers(
     X = continuous_matrix(train.X)
     init = class_mean_init(X, y)
     if method == "kmeans":
-        fit = kmeans2(X, init, max_iter=max_iter, tol=tol)
+        fit = kmeans2(X, init, max_iter=max_iter)
         assigned = fit.assignments
     else:
-        fit = gmm_em2(X, init, y=y, max_iter=max_iter, tol=tol)
+        fit = gmm_em2(X, init, y=y, max_iter=max_iter)
         assigned = fit.responsibilities.argmax(axis=1)
     keep = assigned == y
     logger.info("outlier removal (%s): flagged %d of %d training rows",

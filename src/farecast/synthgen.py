@@ -1,18 +1,20 @@
 """Seeded synthetic quote corpora with known ground truth.
 
 Stands in for the original crawl, which is not distributed. The price process
-is deliberately simple and fully parameterized: a per-route base level, a
-late surge toward departure, occasional one-day drop events, and bounded
-multiplicative noise. It makes no claim to model real airline pricing; it
-exists so the pipeline can be exercised against controllable ground truth.
+is deliberately simple: a per-route base level, a late surge toward
+departure, occasional one-day drop events, and bounded multiplicative noise.
+It makes no claim to model real airline pricing; it exists so the pipeline can
+be exercised against controllable ground truth. ``GeneratorConfig`` sets the
+corpus size, the route numbering and the drop and noise ranges; the module
+constants below fix the rest of the process.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +22,21 @@ import numpy as np
 
 from .core import FarecastError, PriceSeries, SeriesKey, format_price
 from .ingest import CSV_HEADER, SplitConfig
-from .util import derive_seed
+from .util import derive_seed, write_csv
+
+# The earliest quote of a corpus falls on the first day of the original crawl.
+FIRST_QUERY_DATE = date(2015, 11, 9)
+DEPARTURE_STEP_DAYS = 1
+# Every price is clipped to [PRICE_FLOOR, PRICE_CAP] EUR.
+PRICE_FLOOR = 1.0
+PRICE_CAP = 400.0
+ROUTE_PREFIX = "R"
+# Ranges the per-route base level, surge and surge decay length are drawn
+# from, and the range of a drop event's relative depth.
+BASE_RANGE = (40.0, 260.0)
+SURGE_RANGE = (0.4, 0.9)
+TAU_RANGE = (6.0, 18.0)
+DROP_DEPTH_RANGE = (0.25, 0.5)
 
 
 class InvalidConfig(FarecastError):
@@ -35,8 +51,6 @@ class RouteParams:
     surge: float         # relative price lift right before departure
     tau: float           # surge decay length in days
     drop_prob: float     # per-day probability of a one-day drop event
-    drop_lo: float       # drop depth range (relative)
-    drop_hi: float
     noise: float         # multiplicative noise amplitude
 
 
@@ -45,18 +59,9 @@ class GeneratorConfig:
     n_routes: int = 8
     departures_per_route: int = 50
     horizon_days: int = 90
-    first_query_date: date = date(2015, 11, 9)
-    departure_step_days: int = 1
-    price_cap: float = 400.0
-    price_floor: float = 1.0
-    route_prefix: str = "R"
     first_route_number: int = 1
-    # Ranges the per-route parameters are drawn from.
-    base_range: tuple[float, float] = (40.0, 260.0)
-    surge_range: tuple[float, float] = (0.4, 0.9)
-    tau_range: tuple[float, float] = (6.0, 18.0)
+    # Ranges the per-route drop probability and noise amplitude are drawn from.
     drop_prob_range: tuple[float, float] = (0.04, 0.09)
-    drop_depth_range: tuple[float, float] = (0.25, 0.5)
     noise_range: tuple[float, float] = (0.015, 0.04)
     # Relative jitter applied when a route mimics a template route (generalized corpora).
     template_jitter: float = 0.0
@@ -73,11 +78,11 @@ class GeneratorConfig:
     @property
     def first_departure(self) -> date:
         # Every series gets the full horizon of quotes, the last on departure
-        # day itself, so the earliest series starts exactly at first_query_date.
-        return self.first_query_date + timedelta(days=self.horizon_days - 1)
+        # day itself, so the earliest series starts exactly at FIRST_QUERY_DATE.
+        return FIRST_QUERY_DATE + timedelta(days=self.horizon_days - 1)
 
     def route_ids(self) -> list[str]:
-        return [f"{self.route_prefix}{self.first_route_number + i}" for i in range(self.n_routes)]
+        return [f"{ROUTE_PREFIX}{self.first_route_number + i}" for i in range(self.n_routes)]
 
 
 def generalized_config(
@@ -103,14 +108,11 @@ def _draw(rng: np.random.Generator, lo_hi: tuple[float, float]) -> float:
 
 def _fresh_params(cfg: GeneratorConfig, route_number: int, seed: int) -> RouteParams:
     rng = np.random.default_rng(derive_seed(seed, "route", route_number))
-    lo, hi = cfg.drop_depth_range
     return RouteParams(
-        base=_draw(rng, cfg.base_range),
-        surge=_draw(rng, cfg.surge_range),
-        tau=_draw(rng, cfg.tau_range),
+        base=_draw(rng, BASE_RANGE),
+        surge=_draw(rng, SURGE_RANGE),
+        tau=_draw(rng, TAU_RANGE),
         drop_prob=_draw(rng, cfg.drop_prob_range),
-        drop_lo=lo,
-        drop_hi=hi,
         noise=_draw(rng, cfg.noise_range),
     )
 
@@ -135,8 +137,7 @@ def route_params(cfg: GeneratorConfig, route_index: int, seed: int) -> RoutePara
 
         return RouteParams(
             base=jitter(template.base), surge=jitter(template.surge), tau=jitter(template.tau),
-            drop_prob=jitter(template.drop_prob), drop_lo=template.drop_lo,
-            drop_hi=template.drop_hi, noise=jitter(template.noise),
+            drop_prob=jitter(template.drop_prob), noise=jitter(template.noise),
         )
     return _fresh_params(cfg, route_number, seed)
 
@@ -153,16 +154,16 @@ def generate_corpus(cfg: GeneratorConfig, seed: int) -> list[PriceSeries]:
         params = route_params(cfg, i, seed)
         route_number = cfg.first_route_number + i
         for j in range(cfg.departures_per_route):
-            departure = cfg.first_departure + timedelta(days=j * cfg.departure_step_days)
+            departure = cfg.first_departure + timedelta(days=j * DEPARTURE_STEP_DAYS)
             rng = np.random.default_rng(derive_seed(seed, "series", route_number, j))
             prices = []
             for dtd in range(cfg.horizon_days - 1, -1, -1):
                 price = trend_price(params, dtd)
                 if params.drop_prob > 0 and rng.random() < params.drop_prob:
-                    price *= 1.0 - rng.uniform(params.drop_lo, params.drop_hi)
+                    price *= 1.0 - rng.uniform(*DROP_DEPTH_RANGE)
                 if params.noise > 0:
                     price *= 1.0 + rng.uniform(-params.noise, params.noise)
-                prices.append(round(min(max(price, cfg.price_floor), cfg.price_cap), 3))
+                prices.append(round(min(max(price, PRICE_FLOOR), PRICE_CAP), 3))
             query_dates = np.arange(cfg.horizon_days) + np.datetime64(
                 departure - timedelta(days=cfg.horizon_days - 1), "D")
             series.append(PriceSeries(SeriesKey(route_id, departure), query_dates, prices))
@@ -173,7 +174,7 @@ def default_split_for(cfg: GeneratorConfig) -> SplitConfig:
     """Departure-date split matching a generated corpus, about 60/40."""
     n_train = max(1, min(cfg.departures_per_route - 1,
                          math.ceil(cfg.departures_per_route * 0.6)))
-    step = timedelta(days=cfg.departure_step_days)
+    step = timedelta(days=DEPARTURE_STEP_DAYS)
     last = cfg.first_departure + (cfg.departures_per_route - 1) * step
     train_end = cfg.first_departure + (n_train - 1) * step
     return SplitConfig(
@@ -187,12 +188,9 @@ def default_split_for(cfg: GeneratorConfig) -> SplitConfig:
 def write_corpus_csv(series: Sequence[PriceSeries], path: str | Path) -> None:
     """Write every quote in the ingest CSV schema, series by series in query
     order. Byte-identical for a fixed input."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for s in series:
-            route_id, departure = s.key.route_id, s.key.departure_date.isoformat()
-            writer.writerows(
-                (route_id, departure, query, format_price(price)) for query, price in
-                zip(np.datetime_as_string(s.query_dates).tolist(), s.prices.tolist()))
+    # A series' route and departure are looked up once, not once per quote.
+    write_csv(path, CSV_HEADER, chain.from_iterable(
+        zip(repeat(s.key.route_id), repeat(s.key.departure_date.isoformat()),
+            np.datetime_as_string(s.query_dates).tolist(), map(format_price, s.prices.tolist()))
+        for s in series))
 

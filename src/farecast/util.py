@@ -1,19 +1,22 @@
-"""Small shared helpers: seed derivation, float rounding, natural sort, JSON documents.
+"""Small shared helpers: seed derivation, float rounding, natural sort, JSON
+documents and CSV files.
 
 A saved document or report record is its dataclass's fields less those marked
 ``NOT_SAVED``; the constructor's ``__post_init__`` converts and checks them.
-``read_json`` and ``write_json`` are the only readers and writers of JSON files.
+``read_json`` and ``write_json`` are the only readers and writers of JSON files,
+``write_csv`` the only writer of CSV files (``ingest.load_quotes`` reads quotes).
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import sys
 import zlib
 from dataclasses import fields, is_dataclass
 from datetime import date
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -71,6 +74,16 @@ def write_json(value, path=None, indent=None) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write ``header``, then each of ``rows``, to ``path`` as UTF-8 CSV in the
+    csv module's default dialect: commas, CRLF line ends, and quotes only
+    around a field that holds a comma, a quote or a line break."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # The Python types a JSON value may have where one of the key's type is due: a

@@ -2,9 +2,11 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -65,12 +67,18 @@ def base_args(workdir, extra):
 # -- gen-data -----------------------------------------------------------------
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_gen_data_writes_corpus_and_split(workdir, capsys):
     quotes = workdir / "quotes.csv"
     with open(quotes, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["route_id", "departure_date", "query_date", "price"]
     assert len(rows) - 1 == 8 * 5 * 12
+    assert rows[1] == ["R1", "2015-11-20", "2015-11-09", "86.843"]
+    assert sha256(quotes) == "71ded6f9e3ebd523a6298d5409fdb6f983489dd6bb5868397d5bf492b70d463d"
     split_cfg = json.loads((workdir / "split.json").read_text())
     assert set(split_cfg) == {"train_start", "train_end", "test_start", "test_end"}
 
@@ -220,16 +228,41 @@ def test_backtest_side_outputs(workdir):
         "--simulate-random", "50",
     ]))
     assert code == 0
-    with open(report_csv, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "route_id"
-    assert len(rows) - 1 == 8
-    with open(plot_csv, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) - 1 == 8 * 2  # one decision per test series
+    # The csv module's default dialect: CRLF line ends, quotes only where needed.
+    assert report_csv.read_bytes() == (
+        b"route_id,random_purchase_price,optimal_price,predicted_price,performance_pct,"
+        b"optimal_performance_pct,normalized_performance_pct,normalized_defined\r\n"
+        b"R1,94.025167,72.793500,87.553000,6.883441,22.580834,30.483554,1\r\n"
+        b"R2,100.853542,60.645000,62.283500,38.243616,39.868250,95.924995,1\r\n"
+        b"R3,341.304083,259.724500,312.830000,8.342732,23.902317,34.903443,1\r\n"
+        b"R4,74.502250,59.532500,69.358000,6.904825,20.093017,34.364301,1\r\n"
+        b"R5,79.424292,55.107000,67.493500,15.021590,30.616945,49.062995,1\r\n"
+        b"R6,134.145500,95.274000,121.535000,9.400614,28.977118,32.441506,1\r\n"
+        b"R7,170.344000,124.156000,161.313000,5.301625,27.114545,19.552698,1\r\n"
+        b"R8,164.134583,113.728000,154.283000,6.002137,30.710520,19.544239,1\r\n")
+    # One decision per test series.
+    assert plot_csv.read_bytes() == (
+        b"route_id,departure_date,buy_query_date,paid_price,optimal_price,mean_price,forced\r\n"
+        b"R1,2015-11-23,2015-11-12,87.537,58.581,92.977583,0\r\n"
+        b"R1,2015-11-24,2015-11-13,87.569,87.006,95.072750,0\r\n"
+        b"R2,2015-11-23,2015-11-12,60.761,60.761,102.210167,0\r\n"
+        b"R2,2015-11-24,2015-11-13,63.806,60.529,99.496917,0\r\n"
+        b"R3,2015-11-23,2015-11-12,310.468,204.257,329.908500,0\r\n"
+        b"R3,2015-11-24,2015-11-13,315.192,315.192,352.699667,0\r\n"
+        b"R4,2015-11-23,2015-11-12,67.981,67.981,75.565667,0\r\n"
+        b"R4,2015-11-24,2015-11-13,70.735,51.084,73.438833,0\r\n"
+        b"R5,2015-11-23,2015-11-12,66.228,52.370,78.985167,0\r\n"
+        b"R5,2015-11-24,2015-11-13,68.759,57.844,79.863417,0\r\n"
+        b"R6,2015-11-23,2015-11-12,120.765,120.765,138.538833,0\r\n"
+        b"R6,2015-11-24,2015-11-13,122.305,69.783,129.752167,0\r\n"
+        b"R7,2015-11-23,2015-11-12,159.625,159.625,177.212333,0\r\n"
+        b"R7,2015-11-24,2015-11-13,163.001,88.687,163.475667,0\r\n"
+        b"R8,2015-11-23,2015-11-12,152.675,121.256,164.402583,0\r\n"
+        b"R8,2015-11-24,2015-11-13,155.891,106.200,163.866583,0\r\n")
     with open(feats_csv, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) - 1 == 8 * 2 * 12  # every test quote becomes a row
+    assert sha256(feats_csv) == "73096f02e1b031ea1db0f82f357c040b6f828f03ca740cffe57df07dee4ac0a6"
     report = read_report(out)
     assert set(report["simulated_random"]) == {f"R{i}" for i in range(1, 9)}
 
@@ -275,9 +308,10 @@ def test_tune_with_config_grid(workdir):
     best_cell = min((c for c in report["cv_table"] if not c["failed"]),
                     key=lambda c: c["mean_loss"])
     assert best_cell["spec"]["hyperparams"]["max_depth"] == best_depth
-    with open(table_csv, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) - 1 == 2
+    assert table_csv.read_bytes() == (
+        b"kind,task,hyperparams,mean_loss,var_loss,failed\r\n"
+        b'cart,classification,"{""max_depth"": 2}",0.249167,0.051614,0\r\n'
+        b'cart,classification,"{""max_depth"": 4}",0.107500,0.000503,0\r\n')
 
 
 GOLDEN = Path(__file__).parent / "data" / "tune"
@@ -1065,6 +1099,43 @@ def test_tune_grid_of_only_bad_cells_exits_two(workdir, tmp_path, capsys):
     error = one_line_error(capsys.readouterr().err)
     assert error["error"] == "AllCellsFailed"
     assert "max_depth" in error["message"]
+
+
+DIVERGING_MLP3 = ["--task", "regression", "--model", "mlp3",
+                  "--hyperparams", '{"lr": 100.0, "epochs": 50}']
+
+
+def test_a_diverging_mlp3_fit_exits_two_and_saves_no_model(workdir, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["train", *base_args(workdir, [*DIVERGING_MLP3, "--save-model", str(model),
+                                               "--out", str(tmp_path / "train.json")])]) == 2
+    error = one_line_error(capsys.readouterr().err)
+    assert error["error"] == "FarecastError"
+    assert re.search(r"after epoch \d+ of 50", error["message"]), error["message"]
+    assert not model.exists()
+
+
+def test_a_diverging_mlp3_backtest_exits_two(workdir, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["backtest", *base_args(workdir, [*DIVERGING_MLP3,
+                                                  "--out", str(tmp_path / "bt.json")])]) == 2
+    assert "mlp3 diverged" in one_line_error(capsys.readouterr().err)["message"]
+
+
+def test_tune_fails_a_diverging_mlp3_cell_and_picks_the_other(workdir, tmp_path):
+    config = write(tmp_path / "c.json", json.dumps(
+        {"grids": {"mlp3": [{"lr": 1000.0, "epochs": 50}, {"lr": 0.01, "epochs": 20}]}}))
+    out, table_csv = tmp_path / "tune.json", tmp_path / "tune.csv"
+    assert main(["tune", *base_args(workdir, [
+        "--config", str(config), "--task", "regression", "--model", "mlp3", "--folds", "2",
+        "--out", str(out), "--report-csv", str(table_csv)])]) == 0
+    report = read_report(out)
+    assert [c["failed"] for c in report["cv_table"]] == [True, False]
+    assert "mlp3 diverged" in report["cv_table"][0]["error"]
+    assert report["best_spec"]["hyperparams"] == {"lr": 0.01, "epochs": 20}
+    # A failed cell has no losses.
+    assert table_csv.read_bytes().splitlines()[1].endswith(b",,,1")
 
 
 def test_bank_out_removes_templates_of_an_earlier_bank(tmp_path, gen_corpus):

@@ -1,5 +1,6 @@
 """What the package imports: numpy as its only third-party runtime
-dependency, and of its own modules only those a command runs."""
+dependency, csv in its one reader and one writer, and of its own modules only
+those a command runs."""
 
 import ast
 import os
@@ -31,6 +32,14 @@ def test_src_imports_only_the_standard_library_and_numpy():
     foreign = [f"{path.name}:{line}: {module}" for path in sources
                for line, module in absolute_imports(path) if module not in ALLOWED]
     assert foreign == []
+
+
+def test_only_ingest_and_util_import_csv():
+    # ingest.load_quotes is the one CSV reader and util.write_csv the one writer.
+    sources = sorted(Path(farecast.__file__).parent.rglob("*.py"))
+    importers = {path.stem for path in sources
+                 for _, module in absolute_imports(path) if module == "csv"}
+    assert importers == {"ingest", "util"}
 
 
 # Each loads in the one subcommand that runs it.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from farecast.core import FarecastError
 from farecast.learners.boosting import AdaBoostClassifier, AdaBoostRegressor
 from farecast.learners.forest import RandomForest, default_mtry
 from farecast.learners.knn import Knn, TooFewRows
@@ -171,6 +172,16 @@ def test_mlp_loss_history_tracks_epochs():
     net = Mlp3(task="regression", hidden=4, epochs=25, lr=0.01, batch_size=32).fit(X, y, seed=0)
     assert len(net.loss_history) == 25
     assert net.loss_history[-1] < net.loss_history[0]
+
+
+def test_a_diverging_mlp_fit_raises_naming_the_epoch():
+    # The suite turns RuntimeWarnings into errors: the overflow must not surface first.
+    rng = np.random.default_rng(8)
+    X = rng.normal(0, 1, (40, 3))
+    y = rng.normal(0, 1, 40)
+    net = Mlp3(task="regression", hidden=4, epochs=50, lr=100.0, batch_size=32)
+    with pytest.raises(FarecastError, match=r"mlp3 diverged: .* after epoch \d+ of 50"):
+        net.fit(X, y, seed=0)
 
 
 def test_mlp_deterministic_per_seed():

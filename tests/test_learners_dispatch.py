@@ -408,6 +408,17 @@ def test_fit_blend_requires_every_route():
         learners.fit(spec, dataset_of(rows), seed=0)
 
 
+@pytest.mark.parametrize("n_routes", [1, 2])
+def test_a_blend_of_blends_is_incompatible(n_routes):
+    rng = np.random.default_rng(33)
+    rows = []
+    for r in range(n_routes):
+        rows += feature_rows(rng.uniform(10, 90, 20), label_fn=lambda v: v < 50, route_idx=r)
+    spec = LearnerSpec("uniform_blend", "classification", {"member_kind": "uniform_blend"})
+    with pytest.raises(IncompatibleSpec, match="member_kind"):
+        learners.fit(spec, dataset_of(rows, width=n_routes), seed=0)
+
+
 def test_blend_own_dummies_retags_rows():
     """KNN members whose only informative feature is the route dummy."""
     members = []

@@ -9,6 +9,12 @@ import pytest
 from farecast.ingest import load_quotes, split
 from farecast.metrics import optimal_price, random_purchase_price
 from farecast.synthgen import (
+    BASE_RANGE,
+    FIRST_QUERY_DATE,
+    PRICE_CAP,
+    PRICE_FLOOR,
+    SURGE_RANGE,
+    TAU_RANGE,
     GeneratorConfig,
     InvalidConfig,
     default_split_for,
@@ -56,16 +62,16 @@ def test_every_series_spans_the_horizon(default_corpus):
 
 def test_first_series_starts_at_the_anchor(default_corpus):
     cfg, series = default_corpus
-    assert cfg.first_query_date == date(2015, 11, 9)
+    assert FIRST_QUERY_DATE == date(2015, 11, 9)
     assert cfg.first_departure == date(2015, 11, 9) + timedelta(days=89)
-    assert min(s.first_query_date for s in series) == cfg.first_query_date
+    assert min(s.first_query_date for s in series) == FIRST_QUERY_DATE
 
 
 def test_prices_respect_floor_and_cap(default_corpus):
-    cfg, series = default_corpus
+    _, series = default_corpus
     prices = [p for s in series for p in s.prices]
-    assert min(prices) >= cfg.price_floor
-    assert max(prices) <= cfg.price_cap
+    assert min(prices) >= PRICE_FLOOR
+    assert max(prices) <= PRICE_CAP
     assert min(prices) > 0
 
 
@@ -115,7 +121,7 @@ def test_noiseless_corpus_is_its_trend():
         assert params.drop_prob == 0.0
         for departure, query, price in ((d, q, p) for r, d, q, p in quotes if r == route_id):
             dtd = (departure - query).days
-            expected = min(max(trend_price(params, dtd), cfg.price_floor), cfg.price_cap)
+            expected = min(max(trend_price(params, dtd), PRICE_FLOOR), PRICE_CAP)
             assert price == round(expected, 3)
 
 
@@ -132,8 +138,7 @@ def test_noiseless_optimum_is_the_first_day():
 def test_trend_price_formula():
     from farecast.synthgen import RouteParams
 
-    params = RouteParams(base=100.0, surge=0.5, tau=10.0, drop_prob=0.0,
-                         drop_lo=0.0, drop_hi=0.0, noise=0.0)
+    params = RouteParams(base=100.0, surge=0.5, tau=10.0, drop_prob=0.0, noise=0.0)
     assert abs(trend_price(params, 0) - 150.0) < 1e-12
     expected = 100.0 * (1.0 + 0.5 * math.exp(-1.0))
     assert abs(trend_price(params, 10) - expected) < 1e-12
@@ -148,9 +153,9 @@ def test_route_params_deterministic_and_distinct():
     others = [route_params(cfg, i, seed=9) for i in range(1, 8)]
     assert all(o != a for o in others)
     for p in [a] + others:
-        assert cfg.base_range[0] <= p.base <= cfg.base_range[1]
-        assert cfg.surge_range[0] <= p.surge <= cfg.surge_range[1]
-        assert cfg.tau_range[0] <= p.tau <= cfg.tau_range[1]
+        assert BASE_RANGE[0] <= p.base <= BASE_RANGE[1]
+        assert SURGE_RANGE[0] <= p.surge <= SURGE_RANGE[1]
+        assert TAU_RANGE[0] <= p.tau <= TAU_RANGE[1]
         assert cfg.drop_prob_range[0] <= p.drop_prob <= cfg.drop_prob_range[1]
         assert cfg.noise_range[0] <= p.noise <= cfg.noise_range[1]
 
@@ -177,8 +182,6 @@ def test_template_routes_mimic_their_specific_template():
         for name in ("base", "surge", "tau", "drop_prob", "noise"):
             g, r = getattr(got, name), getattr(ref, name)
             assert abs(g - r) <= gen_cfg.template_jitter * abs(r) + 1e-12
-        assert got.drop_lo == ref.drop_lo
-        assert got.drop_hi == ref.drop_hi
 
 
 def test_generalized_routes_do_not_share_specific_noise():
