@@ -38,7 +38,7 @@ from .pipeline import (
     score_decisions,
     train_specific,
 )
-from .util import (JSON_TYPES, check_json_type, derive_seed, natural_key, read_json, round_sig,
+from .util import (JSON_TYPES, check_json_type, derive_seed, read_json, round_sig,
                    to_jsonable, write_csv, write_json)
 
 import numpy as np
@@ -94,15 +94,13 @@ def _metrics_csv(per_route, path: str) -> None:
 
 
 def _decisions_csv(decisions, series: Sequence[PriceSeries], path: str) -> None:
-    by_key = {s.key: s for s in series}
-    rows = []
-    for key in sorted(decisions, key=lambda k: (natural_key(k.route_id), k.departure_date)):
-        d, s = decisions[key], by_key[key]
-        rows.append([key.route_id, key.departure_date.isoformat(), d.buy_query_date.isoformat(),
-                     format_price(d.paid_price), format_price(optimal_price(s)),
-                     f"{random_purchase_price(s):.6f}", int(d.forced)])
+    """One row per series, in series order; ``decisions[i]`` is the purchase on ``series[i]``."""
     write_csv(path, ["route_id", "departure_date", "buy_query_date", "paid_price",
-                     "optimal_price", "mean_price", "forced"], rows)
+                     "optimal_price", "mean_price", "forced"], (
+        [s.key.route_id, s.key.departure_date.isoformat(), d.buy_query_date.isoformat(),
+         format_price(d.paid_price), format_price(optimal_price(s)),
+         f"{random_purchase_price(s):.6f}", int(d.forced)]
+        for d, s in zip(decisions, series, strict=True)))
 
 
 def _aggregate_dict(per_route, mean: float, var: float) -> dict:
@@ -292,7 +290,7 @@ def cmd_qlearn(args) -> dict:
     if args.save_table:
         qlearn.save_qtable(table, args.save_table)
 
-    decisions = {s.key: qlearn.q_policy(table, s) for s in test_series}
+    decisions = [qlearn.q_policy(table, s) for s in test_series]
     per_route, mean, var = score_decisions(decisions, test_series)
     if args.report_csv:
         _metrics_csv(per_route, args.report_csv)

@@ -430,7 +430,8 @@ def _series_observations(series: Sequence[PriceSeries]) -> tuple[np.ndarray, np.
 
 @dataclass
 class GeneralizedResult:
-    decisions: dict[SeriesKey, PurchaseDecision]
+    decisions: list[PurchaseDecision]  # decisions[i] is the purchase on series i
+    # Keyed by series: the hmm.generalized_predict hook of bench/tracing.py reads .values().
     assignments: dict[SeriesKey, tuple[int, ...]]  # template index per row
 
 
@@ -469,5 +470,5 @@ def generalized_predict(
     set_route_dummies(block.X, np.array([i for row in per_row for i in row], dtype=np.intp))
     predicted = block.split(predict(frozen_model, block.X))
     return GeneralizedResult(
-        decisions={s.key: decide_classification(s, p) for s, p in zip(gen_series, predicted)},
+        decisions=[decide_classification(s, p) for s, p in zip(gen_series, predicted)],
         assignments={s.key: tuple(row) for s, row in zip(gen_series, per_row)})

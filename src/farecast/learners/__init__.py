@@ -366,7 +366,8 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 def model_from_dict(raw: dict) -> TrainedModel:
     """Rebuild a model document; raises FarecastError unless every part has
-    exactly its saved keys and each core fits the width it is fed."""
+    exactly its saved keys and each core fits the width it is fed, and
+    IncompatibleSpec for a blend with a blend among its members."""
     if raw.get("format") != MODEL_FORMAT:
         raise FarecastError("not a model document")
     if raw.get("version") != MODEL_VERSION:
@@ -384,6 +385,9 @@ def model_from_dict(raw: dict) -> TrainedModel:
     if spec.kind == "uniform_blend":
         require_keys("blend core", raw["core"], ("members",))
         core = [model_from_dict(m) for m in raw["core"]["members"]]
+        if any(m.spec.kind == "uniform_blend" for m in core):
+            raise IncompatibleSpec("a uniform_blend member must not be a uniform_blend: "
+                                   "a member is one route's model")
     else:
         n_inputs = n_features if standardizer is None else int(standardizer.keep.sum())
         core = _KIND_TABLE[spec.kind].cores[spec.task].from_jsonable(raw["core"], n_inputs)

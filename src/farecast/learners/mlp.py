@@ -1,8 +1,9 @@
 """Three-layer perceptron: input, one tanh hidden layer, linear/sigmoid output.
 
-Trained with seeded mini-batch gradient descent. `loss_and_grad` exposes the
-full-batch analytic gradient as a flat vector so it can be compared against
-central finite differences. The hyperparameters' defaults live in
+Trained with seeded mini-batch gradient descent, each step updating the four
+parameters in place. `loss` and `grads` expose the mean loss and its
+analytic gradient so the gradient can be compared against central finite
+differences. The hyperparameters' defaults live in
 ``learners._KIND_TABLE``.
 """
 
@@ -40,19 +41,6 @@ class Mlp3:
             raise FarecastError(f"lr must be positive and finite, got {self.lr}")
         as_float_arrays(self, "w1", "b1", "w2")
 
-    # -- parameter vector plumbing (for the finite-difference check) -------
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2.ravel(), [self.b2]])
-
-    def unpack(self, flat: np.ndarray) -> None:
-        d = self.w1.shape[0]
-        h = self.hidden
-        self.w1 = flat[: d * h].reshape(d, h).copy()
-        self.b1 = flat[d * h : d * h + h].copy()
-        self.w2 = flat[d * h + h : d * h + 2 * h].copy()
-        self.b2 = float(flat[-1])
-
     def _init_params(self, d: int, rng: np.random.Generator) -> None:
         bound = 1.0 / np.sqrt(d)
         self.w1 = rng.uniform(-bound, bound, size=(d, self.hidden))
@@ -69,26 +57,22 @@ class Mlp3:
         out = a1 @ self.w2 + self.b2
         return a1, out
 
-    def loss_and_grad(self, X: np.ndarray, y: np.ndarray):
-        """Mean loss over the batch and its analytic gradient, packed flat."""
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        n = len(y)
+    def loss(self, X: np.ndarray, y: np.ndarray) -> float:
+        """Mean loss over the batch."""
+        _, out = self._forward(X)
+        if self.task == "regression":
+            return float(0.5 * np.mean((out - y) ** 2))
+        return float(np.mean(np.logaddexp(0.0, out) - y * out))
+
+    def grads(self, X: np.ndarray, y: np.ndarray):
+        """Analytic gradient of the mean batch loss: (w1, b1, w2, b2)."""
         a1, out = self._forward(X)
         if self.task == "regression":
-            loss = float(0.5 * np.mean((out - y) ** 2))
-            dout = (out - y) / n
+            dout = (out - y) / len(y)
         else:
-            loss = float(np.mean(np.logaddexp(0.0, out) - y * out))
-            dout = (1.0 / (1.0 + np.exp(-out)) - y) / n
-        gw2 = a1.T @ dout
-        gb2 = dout.sum()
-        da1 = np.outer(dout, self.w2)
-        dz1 = da1 * (1.0 - a1 * a1)
-        gw1 = X.T @ dz1
-        gb1 = dz1.sum(axis=0)
-        grad = np.concatenate([gw1.ravel(), gb1, gw2.ravel(), [gb2]])
-        return loss, grad
+            dout = (1.0 / (1.0 + np.exp(-out)) - y) / len(y)
+        dz1 = np.outer(dout, self.w2) * (1.0 - a1 * a1)
+        return X.T @ dz1, dz1.sum(axis=0), a1.T @ dout, dout.sum()
 
     # -- training / prediction ---------------------------------------------
 
@@ -108,10 +92,12 @@ class Mlp3:
                 order = rng.permutation(n)
                 for start in range(0, n, batch):
                     rows = order[start : start + batch]
-                    _, grad = self.loss_and_grad(X[rows], y[rows])
-                    flat = self.pack() - self.lr * grad
-                    self.unpack(flat)
-                epoch_loss, _ = self.loss_and_grad(X, y)
+                    gw1, gb1, gw2, gb2 = self.grads(X[rows], y[rows])
+                    self.w1 -= self.lr * gw1
+                    self.b1 -= self.lr * gb1
+                    self.w2 -= self.lr * gw2
+                    self.b2 = float(self.b2 - self.lr * gb2)
+                epoch_loss = self.loss(X, y)
                 if not np.isfinite(epoch_loss):
                     raise FarecastError(f"mlp3 diverged: the training loss is {epoch_loss} "
                                         f"after epoch {epoch} of {self.epochs}; lower lr")

@@ -3,16 +3,16 @@
 Performance is the percentage saved against a random purchase; optimal
 performance is the saving of the hindsight-optimal buyer; normalized
 performance is their ratio (x100). Normalized performance never exceeds 100
-but is unbounded below.
+but is unbounded below. A policy decides a list of series, one purchase each, in order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .core import EmptySeries, FarecastError, PriceSeries, SeriesKey
+from .core import FarecastError, PriceSeries
 from .policy import PurchaseDecision
 from .util import natural_key
 
@@ -66,50 +66,25 @@ def performance_metrics(
     return performance, optimal_perf, performance / optimal_perf * 100.0, True
 
 
-def route_metrics(
-    decisions: Mapping[SeriesKey, PurchaseDecision],
-    series: Mapping[SeriesKey, PriceSeries],
-) -> BacktestMetrics:
-    """Metrics for one route: benchmark and paid prices averaged over its series."""
-    if not decisions:
-        raise EmptySeries("no decisions to score")
-    route_ids = {key.route_id for key in decisions}
-    if len(route_ids) != 1:
-        raise FarecastError(f"route_metrics got several routes: {sorted(route_ids)}")
-    keys = sorted(decisions, key=lambda k: (k.route_id, k.departure_date))
-    missing = [k for k in keys if k not in series]
-    if missing:
-        raise FarecastError(f"decisions without series: {missing[:3]}")
-
-    random_p = math.fsum(random_purchase_price(series[k]) for k in keys) / len(keys)
-    optimal_p = math.fsum(optimal_price(series[k]) for k in keys) / len(keys)
-    predicted_p = math.fsum(decisions[k].paid_price for k in keys) / len(keys)
-    performance, optimal_perf, normalized, defined = performance_metrics(
-        random_p, optimal_p, predicted_p
-    )
-    return BacktestMetrics(
-        route_id=route_ids.pop(),
-        random_purchase_price=random_p,
-        optimal_price=optimal_p,
-        predicted_price=predicted_p,
-        performance_pct=performance,
-        optimal_performance_pct=optimal_perf,
-        normalized_performance_pct=normalized,
-        normalized_defined=defined,
-    )
-
-
+# Named by bench/layers.py's metric metrics.backtest_report.self_s.
 def backtest_report(
-    decisions: Mapping[SeriesKey, PurchaseDecision],
-    series: Mapping[SeriesKey, PriceSeries],
+    decisions: Sequence[PurchaseDecision],
+    series: Sequence[PriceSeries],
 ) -> list[BacktestMetrics]:
-    """Per-route metrics over all decided series, routes in sorted order."""
-    by_route: dict[str, dict[SeriesKey, PurchaseDecision]] = {}
-    for key, decision in decisions.items():
-        by_route.setdefault(key.route_id, {})[key] = decision
-    return [route_metrics(route_decisions, series)
-            for _, route_decisions in sorted(by_route.items(),
-                                              key=lambda kv: natural_key(kv[0]))]
+    """Per-route metrics in natural route order; ``decisions[i]`` buys ``series[i]``.
+    A route's prices are ``math.fsum`` means over its series, exact in any order."""
+    by_route: dict[str, list[tuple[PurchaseDecision, PriceSeries]]] = {}
+    for d, s in zip(decisions, series, strict=True):
+        by_route.setdefault(s.key.route_id, []).append((d, s))
+    report = []
+    for route_id in sorted(by_route, key=natural_key):
+        pairs = by_route[route_id]
+        random_p = math.fsum(random_purchase_price(s) for _, s in pairs) / len(pairs)
+        optimal_p = math.fsum(optimal_price(s) for _, s in pairs) / len(pairs)
+        predicted_p = math.fsum(d.paid_price for d, _ in pairs) / len(pairs)
+        report.append(BacktestMetrics(route_id, random_p, optimal_p, predicted_p,
+                                      *performance_metrics(random_p, optimal_p, predicted_p)))
+    return report
 
 
 def aggregate(per_route: Sequence[BacktestMetrics]) -> tuple[float, float]:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from datetime import date
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .core import Dataset, FarecastError, PriceSeries, SeriesKey
+from .core import Dataset, FarecastError, PriceSeries
 from .features import feature_dataset
 from .learners import LearnerSpec, TrainedModel, blend_predict, fit, predict
 from .metrics import BacktestMetrics, aggregate, backtest_report
@@ -85,21 +85,21 @@ def run_policy(
     test_series: Sequence[PriceSeries],
     routes: Sequence[str],
     anchor: date,
-) -> dict[SeriesKey, PurchaseDecision]:
-    """Predict every test row in one call and apply the buy/wait rule per series."""
+) -> list[PurchaseDecision]:
+    """One decision per test series, in order; all test rows are predicted in one call."""
     block = build_dataset(test_series, routes, anchor, role="test")
     predicted = block.split(predict(model, block.X))
     decide = (decide_classification if model.spec.task == "classification"
               else decide_regression)
-    return {s.key: decide(s, p) for s, p in zip(test_series, predicted)}
+    return [decide(s, p) for s, p in zip(test_series, predicted)]
 
 
 def run_uniform_generalized(
     blend_model: TrainedModel,
     gen_series: Sequence[PriceSeries],
     anchor: Optional[date] = None,
-) -> dict[SeriesKey, PurchaseDecision]:
-    """No-history variant of uniform blending.
+) -> list[PurchaseDecision]:
+    """No-history variant of uniform blending: one decision per series, in order.
 
     Generalized rows carry no route identity, so each member votes on the
     rows re-tagged with its own dummy index.
@@ -109,16 +109,15 @@ def run_uniform_generalized(
     members = blend_model.core
     block = feature_dataset(gen_series, len(members), "generalized", anchor)
     votes = block.split(blend_predict(members, block.X, own_dummies=True))
-    return {s.key: decide_classification(s, v) for s, v in zip(gen_series, votes)}
+    return [decide_classification(s, v) for s, v in zip(gen_series, votes)]
 
 
 def score_decisions(
-    decisions: Mapping[SeriesKey, PurchaseDecision],
+    decisions: Sequence[PurchaseDecision],
     series: Sequence[PriceSeries],
 ) -> tuple[list[BacktestMetrics], float, float]:
-    """(per-route metrics, mean normalized, population variance)."""
-    series_map = {s.key: s for s in series}
-    per_route = backtest_report(decisions, series_map)
+    """(per-route metrics, mean normalized, population variance); decisions[i] buys series[i]."""
+    per_route = backtest_report(decisions, series)
     mean, var = aggregate(per_route)
     return per_route, mean, var
 

@@ -44,6 +44,7 @@ def _decide(s: PriceSeries, mask: np.ndarray) -> PurchaseDecision:
     return buy_at(s, candidates[-1] if len(candidates) else 0, forced=True)
 
 
+# Per series: bench/tracing.py's HOOKS read .forced from each decide_* call (forced_ratio).
 def decide_regression(s: PriceSeries, predicted_min: Sequence[float]) -> PurchaseDecision:
     """Buy at the first day whose current price undercuts the predicted minimum.
 

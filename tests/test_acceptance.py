@@ -48,7 +48,7 @@ from farecast.synthgen import (
 from farecast.tuning import grid_search
 from farecast.util import derive_seed
 from test_hmm import brute_force_loglik, random_model
-from test_learners import perceptron_separable, separable_blobs
+from test_learners import mlp_gradient_error, perceptron_separable, separable_blobs
 from test_preprocess import blob_dataset
 from test_qlearn import gapped_series
 
@@ -85,11 +85,11 @@ def test_c01_metric_identities(default_corpus):
     start = time.perf_counter()
 
     # a clairvoyant policy buys at the true minimum on every series
-    oracle_decisions = {}
+    oracle_decisions = []
     for s in series:
         lowest = min(s.prices)
         labels = [1 if p == lowest else 0 for p in s.prices]
-        oracle_decisions[s.key] = decide_classification(s, labels)
+        oracle_decisions.append(decide_classification(s, labels))
     per_route, mean_norm, _ = score_decisions(oracle_decisions, series)
     assert len(per_route) == 8
     for m in per_route:
@@ -97,14 +97,14 @@ def test_c01_metric_identities(default_corpus):
         assert abs(m.normalized_performance_pct - 100.0) < 1e-9
 
     # paying the expected random price on every series nets exactly zero
-    random_decisions = {
-        s.key: PurchaseDecision(
+    random_decisions = [
+        PurchaseDecision(
             buy_query_date=s.query_dates[0].item(),
             paid_price=random_purchase_price(s),
             forced=False,
         )
         for s in series
-    }
+    ]
     per_route, _, _ = score_decisions(random_decisions, series)
     for m in per_route:
         assert abs(m.performance_pct) < 1e-9
@@ -117,14 +117,14 @@ def test_c01_metric_identities(default_corpus):
 
 def test_c02_backtest_matches_generator_accounting(default_corpus):
     _, series = default_corpus
-    decisions = {
-        s.key: PurchaseDecision(
+    decisions = [
+        PurchaseDecision(
             buy_query_date=s.query_dates[0].item(),
             paid_price=float(s.prices[0]),
             forced=False,
         )
         for s in series
-    }
+    ]
     per_route, _, _ = score_decisions(decisions, series)
     oracle = oracle_evaluate(series)
     assert {m.route_id for m in per_route} == set(oracle)
@@ -237,22 +237,7 @@ def test_c06_learner_sanity():
         yg = (rng.random(12) > 0.5).astype(float) if task == "classification" else rng.normal(0, 1, 12)
         net = Mlp3(task=task, hidden=5, epochs=0, lr=0.01, batch_size=32)
         net.fit(Xg, yg, seed=0)
-        theta = net.pack()
-        _, grad = net.loss_and_grad(Xg, yg)
-        eps = 1e-6
-        fd = np.zeros_like(theta)
-        for i in range(len(theta)):
-            up, dn = theta.copy(), theta.copy()
-            up[i] += eps
-            dn[i] -= eps
-            net.unpack(up)
-            lu, _ = net.loss_and_grad(Xg, yg)
-            net.unpack(dn)
-            ld, _ = net.loss_and_grad(Xg, yg)
-            fd[i] = (lu - ld) / (2 * eps)
-        net.unpack(theta)
-        rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
-        assert rel < 1e-4
+        assert mlp_gradient_error(net, Xg, yg) < 1e-4
 
     # a single-tree forest without resampling collapses to plain CART
     Xf = rng.normal(0, 1, (100, 5))
@@ -341,7 +326,7 @@ def test_c09_q_values_equal_backward_induction():
     decision = q_policy(table, s)
     assert decision.paid_price == 80.0
     assert not decision.forced
-    per_route, _, _ = score_decisions({s.key: decision}, [s])
+    per_route, _, _ = score_decisions([decision], [s])
     assert abs(per_route[0].normalized_performance_pct - 100.0) < 1e-9
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI flows on small seeded corpora."""
 
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -21,8 +22,9 @@ from hypothesis import strategies as st
 import farecast
 from farecast.cli import main
 from farecast.ingest import load_quotes
+from farecast.learners import IncompatibleSpec, model_from_dict
 from farecast.tuning import cv_folds
-from farecast.util import derive_seed
+from farecast.util import derive_seed, round_sig
 
 
 def run_cli(argv, capsys=None):
@@ -281,6 +283,25 @@ def test_missing_quotes_file_exits_two(workdir, capsys, tmp_path):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] in ("FileNotFound", "ParseError")
+
+
+def test_readme_library_use_block_runs_and_matches_backtest(tmp_path, monkeypatch):
+    """README's "Library use" block runs as written, one decision per test series,
+    and scores what `backtest` with the same spec and seed reports."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-data", "--seed", "3", "--out", "quotes.csv", "--routes", "8",
+                 "--departures", "5", "--horizon", "12", "--split-out", "split.json"]) == 0
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert len(names["decisions"]) == len(names["test"]) > 0
+    assert main(["backtest", "--quotes", "quotes.csv", "--split-config", "split.json",
+                 "--model", "adaboost_cart", "--task", "classification", "--hyperparams",
+                 json.dumps(names["spec"].hyperparams), "--seed", "5", "--out", "bt.json"]) == 0
+    report = read_report(tmp_path / "bt.json")["backtest"]
+    assert report["mean_normalized_pct"] == round_sig(names["mean_normalized"])
+    assert report["n_routes"] == len(names["per_route"]) == 8
 
 
 # -- tune ---------------------------------------------------------------------
@@ -1022,6 +1043,24 @@ def test_well_formed_saved_files_load(workdir, gen_corpus, saved_models, tmp_pat
     table = write(tmp_path / "q.json", qtable(d_max=11, buy=[0.0] * 12, wait=[0.0] * 12))
     assert main(["qlearn", *base_args(workdir, ["--load-table", str(table),
                                                 "--out", os.devnull])]) == 0
+
+
+def test_blend_of_blends_document_exits_two(workdir, frozen_and_blend, tmp_path, capsys):
+    """Fitting a blend whose members are blends exits 2, so loading one does too."""
+    blend = json.loads(frozen_and_blend[1].read_text(encoding="utf-8"))
+    nested = copy.deepcopy(blend)
+    nested["spec"]["hyperparams"]["member_kind"] = "uniform_blend"
+    nested["core"]["members"] = [copy.deepcopy(blend) for _ in blend["core"]["members"]]
+    path = write(tmp_path / "nested.json", json.dumps(nested))
+    capsys.readouterr()
+    assert main(["backtest", *base_args(workdir, ["--load-model", str(path),
+                                                  "--out", os.devnull])]) == 2
+    # The loader names the file, as for every malformed model document.
+    error = one_line_error(capsys.readouterr().err)
+    assert error["error"] == "FarecastError"
+    assert str(path) in error["message"] and "IncompatibleSpec" in error["message"]
+    with pytest.raises(IncompatibleSpec, match="member"):
+        model_from_dict(nested)
 
 
 SPEC_ERRORS = ("FarecastError", "IncompatibleSpec")

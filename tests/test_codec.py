@@ -64,9 +64,8 @@ def fitted_documents(corpus):
         yield core, lambda raw, cls=type(core), n=n_inputs: cls.from_jsonable(raw, n)
     yield hmm_fit(train_series[:3], n_states=2, max_iter=5, seed=1), None
     yield qlearn.q_train(train_series, episodes=2, seed=1), None
-    decisions = {s.key: decide_classification(s, np.zeros(len(s), dtype=int))
-                 for s in test_series}
-    yield backtest_report(decisions, {s.key: s for s in test_series})[0], None
+    decisions = [decide_classification(s, np.zeros(len(s), dtype=int)) for s in test_series]
+    yield backtest_report(decisions, test_series)[0], None
     grid = [LearnerSpec("cart", "classification", {"max_depth": d}) for d in (1, 2)]
     yield grid_search(grid, train_ds, seed=0, k=2)[1][0], None
 

@@ -717,7 +717,7 @@ def test_generalized_rows_tagged_with_winning_template():
     # the decision is the frozen model's on rows carrying route 1's dummy
     tagged = feature_dataset(gen, 8, "generalized", route_index=[1])
     assert tagged.X[:, :8].tolist() == [[0, 1, 0, 0, 0, 0, 0, 0]] * 4
-    decision = result.decisions[key]
+    [decision] = result.decisions
     assert decision == decide_classification(gen[0], predict(model, tagged.X))
     assert decision.paid_price in gen[0].prices
 

@@ -1,5 +1,5 @@
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from farecast.metrics import (
     optimal_price,
     performance_metrics,
     random_purchase_price,
-    route_metrics,
     simulated_random_purchase_price,
 )
 from farecast.policy import PurchaseDecision
@@ -39,7 +38,7 @@ def test_optimal_price_is_series_min():
 
 def test_route_metrics_eq_chain():
     s = series_of([50, 40, 40, 60])
-    m = route_metrics({s.key: buy_at(s, 1)}, {s.key: s})
+    m = backtest_report([buy_at(s, 1)], [s])[0]
     assert m.random_purchase_price == 47.5
     assert m.optimal_price == 40
     assert m.predicted_price == 40
@@ -52,7 +51,7 @@ def test_route_metrics_zero_numerator():
     # paying exactly the random-purchase expectation → performance 0
     s = series_of([50, 40, 40, 60])
     d = PurchaseDecision(buy_query_date=s.query_dates[0].item(), paid_price=47.5, forced=False)
-    m = route_metrics({s.key: d}, {s.key: s})
+    m = backtest_report([d], [s])[0]
     assert m.performance_pct == 0.0
     assert m.normalized_performance_pct == 0.0
 
@@ -60,7 +59,7 @@ def test_route_metrics_zero_numerator():
 def test_route_metrics_hand_arithmetic():
     s = series_of([50, 40, 40, 60])
     d = PurchaseDecision(buy_query_date=s.query_dates[3].item(), paid_price=44.0, forced=False)
-    m = route_metrics({s.key: d}, {s.key: s})
+    m = backtest_report([d], [s])[0]
     expected = (3.5 / 47.5) / (7.5 / 47.5) * 100
     assert math.isclose(m.normalized_performance_pct, expected, rel_tol=1e-12)
     assert round(m.normalized_performance_pct, 3) == 46.667
@@ -69,8 +68,7 @@ def test_route_metrics_hand_arithmetic():
 def test_route_metrics_averages_across_series():
     a = series_of([10, 20], departure=date(2016, 1, 13))
     b = series_of([30, 50], departure=date(2016, 1, 14))
-    decisions = {a.key: buy_at(a, 0), b.key: buy_at(b, 1)}
-    m = route_metrics(decisions, {a.key: a, b.key: b})
+    [m] = backtest_report([buy_at(a, 0), buy_at(b, 1)], [a, b])
     assert m.random_purchase_price == (15 + 40) / 2
     assert m.optimal_price == (10 + 30) / 2
     assert m.predicted_price == (10 + 50) / 2
@@ -78,7 +76,7 @@ def test_route_metrics_averages_across_series():
 
 def test_constant_route_normalized_definition():
     s = series_of([20, 20, 20])
-    m = route_metrics({s.key: buy_at(s, 0)}, {s.key: s})
+    m = backtest_report([buy_at(s, 0)], [s])[0]
     # predicted == optimal on a zero-spread route → normalized pinned at 100
     assert m.optimal_performance_pct == 0.0
     assert m.normalized_performance_pct == 100.0
@@ -92,12 +90,9 @@ def test_constant_route_undefined_when_suboptimal():
 
 
 def test_aggregate_trivial_and_population_variance():
-    # build metrics objects through route_metrics to keep fields consistent
-    series, decisions = {}, {}
-    for route, prices, idx in [("R1", [40, 60], 0), ("R2", [40, 60], 0)]:
-        s = series_of(prices, route_id=route)
-        series[s.key], decisions[s.key] = s, buy_at(s, idx)
-    per_route = backtest_report(decisions, series)
+    # build metrics objects through backtest_report to keep fields consistent
+    series = [series_of([40, 60], route_id=route) for route in ("R1", "R2")]
+    per_route = backtest_report([buy_at(s, 0) for s in series], series)
     mean, var = aggregate(per_route)
     assert mean == per_route[0].normalized_performance_pct
     assert var == 0.0
@@ -133,24 +128,34 @@ def test_aggregate_skips_undefined_rows():
 
 
 def test_backtest_report_natural_route_order():
-    series, decisions = {}, {}
-    for route in ["R10", "R2", "R1"]:
-        s = series_of([10, 20], route_id=route)
-        series[s.key], decisions[s.key] = s, buy_at(s, 0)
-    report = backtest_report(decisions, series)
+    series = [series_of([10, 20], route_id=route) for route in ["R10", "R2", "R1"]]
+    report = backtest_report([buy_at(s, 0) for s in series], series)
     assert [m.route_id for m in report] == ["R1", "R2", "R10"]
 
 
-def test_report_invariant_to_mapping_order():
-    series, decisions = {}, {}
-    for route in ["R3", "R1", "R2"]:
-        s = series_of([10, 20, 15], route_id=route)
-        series[s.key], decisions[s.key] = s, buy_at(s, 2)
-    fwd = backtest_report(decisions, series)
-    rev = backtest_report(
-        dict(reversed(decisions.items())), dict(reversed(series.items()))
-    )
-    assert fwd == rev
+@given(st.lists(st.tuples(st.sampled_from(["R1", "R2", "R10"]),
+                          st.lists(st.integers(min_value=1, max_value=500),
+                                   min_size=1, max_size=6),
+                          st.integers(min_value=0, max_value=5)),
+                min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+def test_report_invariant_to_pair_order(draws, rnd):
+    """Permuting (decision, series) pairs together leaves every digit of the report."""
+    series = [series_of([float(p) for p in prices], route_id=route,
+                        departure=date(2016, 1, 10) + timedelta(days=i))
+              for i, (route, prices, _) in enumerate(draws)]
+    decisions = [buy_at(s, idx % len(s)) for s, (_, _, idx) in zip(series, draws)]
+    pairs = list(zip(decisions, series))
+    rnd.shuffle(pairs)
+    shuffled = backtest_report([d for d, _ in pairs], [s for _, s in pairs])
+    assert to_jsonable(shuffled) == to_jsonable(backtest_report(decisions, series))
+
+
+@pytest.mark.parametrize("n_decisions", [0, 1, 3])
+def test_report_rejects_unaligned_lists(n_decisions):
+    series = [series_of([10, 20], route_id=route) for route in ("R1", "R2")]
+    with pytest.raises(ValueError):
+        backtest_report([buy_at(series[0], 0)] * n_decisions, series)
 
 
 @given(
@@ -161,7 +166,7 @@ def test_report_invariant_to_mapping_order():
 )
 def test_normalized_bounded_above(prices, buy_idx):
     s = series_of(prices)
-    m = route_metrics({s.key: buy_at(s, buy_idx % len(prices))}, {s.key: s})
+    m = backtest_report([buy_at(s, buy_idx % len(prices))], [s])[0]
     assert m.normalized_performance_pct <= 100.0 + 1e-12
     assert (m.normalized_performance_pct == 100.0) == (m.predicted_price == m.optimal_price)
 
@@ -177,7 +182,7 @@ def test_simulated_random_matches_exact_in_the_limit():
 
 def test_metrics_to_dict_keys():
     s = series_of([50, 40])
-    m = route_metrics({s.key: buy_at(s, 1)}, {s.key: s})
+    m = backtest_report([buy_at(s, 1)], [s])[0]
     d = to_jsonable(m)
     for k in (
         "route_id",

@@ -48,7 +48,7 @@ def test_three_day_example_policy_is_optimal():
     assert decision.paid_price == 20.0
     assert (s.key.departure_date - decision.buy_query_date).days == 1
     assert not decision.forced
-    metrics, mean_norm, _ = score_decisions({s.key: decision}, [s])
+    metrics, mean_norm, _ = score_decisions([decision], [s])
     assert metrics[0].normalized_performance_pct == 100.0
     assert mean_norm == 100.0
 
