@@ -129,10 +129,11 @@ def cmd_gen_data(args) -> None:
         cfg = synthgen.generalized_config(**overrides)
     else:
         cfg = synthgen.GeneratorConfig(**overrides)
+    split_cfg = synthgen.default_split_for(cfg) if args.split_out else None  # before any write
     series = synthgen.generate_corpus(cfg, seed=args.seed)
     synthgen.write_corpus_csv(series, args.out)
     if args.split_out:
-        write_json(to_jsonable(synthgen.default_split_for(cfg)), args.split_out, indent=2)
+        write_json(to_jsonable(split_cfg), args.split_out, indent=2)
     print(f"wrote {sum(len(s) for s in series)} quotes to {args.out}")
 
 

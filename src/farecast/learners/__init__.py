@@ -8,7 +8,8 @@ cores take every hyperparameter explicitly. ``fit`` resolves a spec's
 hyperparameters against it before any work. Scale-sensitive kinds get the
 continuous block standardized by a scaler fit on the training rows; the
 others see raw features. Every classification core answers
-``predict_scores``. Models serialize to a versioned JSON document.
+``predict_scores``, and ``majority`` is the one home of a blend's vote.
+Models serialize to a versioned JSON document, checked once as it loads.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core import Dataset, FarecastError
-from ..features import CONTINUOUS_NAMES, FeatureMismatch, Standardizer, set_route_dummies
+from ..features import CONTINUOUS_NAMES, FeatureMismatch, Standardizer
 from ..util import (JSON_TYPES, NOT_SAVED, check_json_type, check_shapes, derive_seed,
                     from_jsonable, read_json, require_keys, to_jsonable, write_json)
 from .boosting import AdaBoostClassifier, AdaBoostRegressor
@@ -82,10 +83,6 @@ class IncompatibleSpec(FarecastError):
 
 
 class DegenerateData(FarecastError):
-    pass
-
-
-class WrongMemberCount(FarecastError):
     pass
 
 
@@ -292,12 +289,16 @@ def _core_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 
 def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Hard labels {0,1} for classification, real values for regression, one
-    per row of the design matrix ``X``."""
+    per row of the design matrix ``X``: a blend's members' ``majority`` or mean."""
     if model.spec.kind == "uniform_blend":
-        if model.spec.task == "classification":
-            return blend_predict(model.core, X)
-        return np.mean([predict(m, X) for m in model.core], axis=0)
+        outputs = [predict(m, X) for m in model.core]
+        return majority(outputs) if model.spec.task == "classification" else np.mean(outputs, 0)
     return model.core.predict(_core_matrix(model, X))
+
+
+def majority(labels: Sequence[np.ndarray]) -> np.ndarray:
+    """A blend's vote on each row: 1 iff more than half the member labels are 1."""
+    return (np.sum(labels, axis=0) > len(labels) // 2).astype(int)
 
 
 def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -315,31 +316,6 @@ def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 def dummy_width(model: TrainedModel) -> int:
     """Number of route dummies in the rows the model was trained on."""
     return model.n_features - len(CONTINUOUS_NAMES)
-
-
-def blend_predict(members: Sequence[TrainedModel], X: np.ndarray,
-                  own_dummies: bool = False) -> np.ndarray:
-    """Majority vote of the per-route members: 1 iff more than half vote 1.
-
-    There is one member per route dummy the members were trained on. With
-    ``own_dummies`` each member sees the rows re-tagged with its own route's
-    dummy (the no-history variant, where rows carry no meaningful route
-    identity).
-    """
-    widths = sorted({dummy_width(m) for m in members})
-    if widths != [len(members)]:
-        raise WrongMemberCount(f"{len(members)} members for {widths} route dummies")
-    for m in members:
-        if m.spec.task != "classification":
-            raise IncompatibleSpec("blend members must be classification models")
-    if own_dummies:
-        X = X.copy()
-    votes = np.zeros(len(X))
-    for r, member in enumerate(members):
-        if own_dummies:
-            set_route_dummies(X, r)
-        votes += predict(member, X)
-    return (votes > len(members) // 2).astype(int)
 
 
 # -- serialization ---------------------------------------------------------
@@ -367,7 +343,7 @@ def model_to_dict(model: TrainedModel) -> dict:
 def model_from_dict(raw: dict) -> TrainedModel:
     """Rebuild a model document; raises FarecastError unless every part has
     exactly its saved keys and each core fits the width it is fed, and
-    IncompatibleSpec for a blend with a blend among its members."""
+    IncompatibleSpec for a blend unlike those ``fit`` makes, for either task."""
     if raw.get("format") != MODEL_FORMAT:
         raise FarecastError("not a model document")
     if raw.get("version") != MODEL_VERSION:
@@ -385,9 +361,13 @@ def model_from_dict(raw: dict) -> TrainedModel:
     if spec.kind == "uniform_blend":
         require_keys("blend core", raw["core"], ("members",))
         core = [model_from_dict(m) for m in raw["core"]["members"]]
-        if any(m.spec.kind == "uniform_blend" for m in core):
-            raise IncompatibleSpec("a uniform_blend member must not be a uniform_blend: "
-                                   "a member is one route's model")
+        width = n_features - len(CONTINUOUS_NAMES)
+        if (standardizer is not None or len(core) != width
+                or any(m.spec.kind == "uniform_blend" or m.spec.task != spec.task
+                       or m.n_features != n_features for m in core)):
+            raise IncompatibleSpec(
+                f"a {spec.task} uniform_blend needs no standardizer and {width} non-blend "
+                f"{spec.task} members of {n_features} features, one per route; it has {len(core)}")
     else:
         n_inputs = n_features if standardizer is None else int(standardizer.keep.sum())
         core = _KIND_TABLE[spec.kind].cores[spec.task].from_jsonable(raw["core"], n_inputs)

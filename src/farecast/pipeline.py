@@ -17,8 +17,8 @@ from datetime import date
 from typing import Optional, Sequence
 
 from .core import Dataset, FarecastError, PriceSeries
-from .features import feature_dataset
-from .learners import LearnerSpec, TrainedModel, blend_predict, fit, predict
+from .features import feature_dataset, set_route_dummies
+from .learners import LearnerSpec, TrainedModel, fit, majority, predict
 from .metrics import BacktestMetrics, aggregate, backtest_report
 from .policy import PurchaseDecision, decide_classification, decide_regression
 from .preprocess import oversample, remove_outliers
@@ -102,13 +102,17 @@ def run_uniform_generalized(
     """No-history variant of uniform blending: one decision per series, in order.
 
     Generalized rows carry no route identity, so each member votes on the
-    rows re-tagged with its own dummy index.
+    rows tagged with its own dummy index; ``learners.majority`` counts the votes.
     """
-    if blend_model.spec.kind != "uniform_blend":
-        raise FarecastError("uniform generalization needs a uniform_blend model")
+    if (blend_model.spec.kind, blend_model.spec.task) != ("uniform_blend", "classification"):
+        raise FarecastError("uniform generalization needs a classification uniform_blend model")
     members = blend_model.core
     block = feature_dataset(gen_series, len(members), "generalized", anchor)
-    votes = block.split(blend_predict(members, block.X, own_dummies=True))
+    labels = []
+    for r, member in enumerate(members):
+        set_route_dummies(block.X, r)
+        labels.append(predict(member, block.X))
+    votes = block.split(majority(labels))
     return [decide_classification(s, v) for s, v in zip(gen_series, votes)]
 
 

@@ -172,8 +172,9 @@ def generate_corpus(cfg: GeneratorConfig, seed: int) -> list[PriceSeries]:
 
 def default_split_for(cfg: GeneratorConfig) -> SplitConfig:
     """Departure-date split matching a generated corpus, about 60/40."""
-    n_train = max(1, min(cfg.departures_per_route - 1,
-                         math.ceil(cfg.departures_per_route * 0.6)))
+    if cfg.departures_per_route < 2:
+        raise InvalidConfig("a split needs at least 2 departures per route, one per window")
+    n_train = min(cfg.departures_per_route - 1, math.ceil(cfg.departures_per_route * 0.6))
     step = timedelta(days=DEPARTURE_STEP_DAYS)
     last = cfg.first_departure + (cfg.departures_per_route - 1) * step
     train_end = cfg.first_departure + (n_train - 1) * step

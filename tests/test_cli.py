@@ -93,6 +93,17 @@ def test_gen_data_same_seed_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_data_split_of_one_departure_exits_two_before_writing(tmp_path, capsys):
+    quotes, split_json = tmp_path / "q.csv", tmp_path / "split.json"
+    capsys.readouterr()
+    assert main(["gen-data", "--seed", "1", "--out", str(quotes), "--routes", "2",
+                 "--departures", "1", "--horizon", "8", "--split-out", str(split_json)]) == 2
+    assert one_line_error(capsys.readouterr().err) == {
+        "error": "InvalidConfig",
+        "message": "a split needs at least 2 departures per route, one per window"}
+    assert not quotes.exists() and not split_json.exists()
+
+
 def test_gen_data_generalized_routes(gen_corpus):
     with open(gen_corpus, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
@@ -899,12 +910,14 @@ def qtable(**fields):
 
 @pytest.fixture(scope="module")
 def saved_models(workdir, frozen_and_blend):
-    """Model documents by name: the frozen cart and one of each scaled kind."""
+    """Model documents by name: the frozen cart, one of each scaled kind and
+    a regression blend."""
     models = {"cart": frozen_and_blend[0]}
     for kind, task, hp in [("least_squares", "regression", {}),
                            ("logistic", "classification", {}),
                            ("mlp3", "classification", {"hidden": 4, "epochs": 3}),
-                           ("knn", "classification", {"k": 3})]:
+                           ("knn", "classification", {"k": 3}),
+                           ("uniform_blend", "regression", {"member_params": {"max_depth": 2}})]:
         models[kind] = workdir / f"saved_{kind}.json"
         assert main(["train", *base_args(workdir, [
             "--task", task, "--model", kind, "--hyperparams", json.dumps(hp),
@@ -914,6 +927,12 @@ def saved_models(workdir, frozen_and_blend):
 
 def cut_to_3(part, key):
     return lambda doc: doc[part].update({key: doc[part][key][:3]})
+
+
+def first_member_classification(doc):
+    """A loadable classification CART in place of a regression one."""
+    member = doc["core"]["members"][0]
+    member["spec"]["task"] = member["core"]["task"] = "classification"
 
 
 MALFORMED_FILES = {
@@ -971,6 +990,17 @@ MALFORMED_FILES = {
         "standardizer"]["mean"].__setitem__(0, float("nan")))),
     "cart-core-task-regression": ("--load-model", ("cart", lambda doc: doc["core"].update(
         task="regression"))),
+    # A regression blend of 3 members loaded and reported a wrong mean with exit 0;
+    # one of none ended in a traceback.
+    "blend-members-cut": ("--load-model", ("uniform_blend", cut_to_3("core", "members"))),
+    "blend-no-members": ("--load-model", ("uniform_blend", lambda doc: doc["core"].update(
+        members=[]))),
+    "blend-member-of-the-other-task": ("--load-model", ("uniform_blend",
+                                                        first_member_classification)),
+    "blend-member-of-another-width": ("--load-model", ("uniform_blend", lambda doc: doc[
+        "core"]["members"][0].update(n_features=doc["n_features"] + 1))),
+    "blend-standardizer": ("--load-model", ("uniform_blend", lambda doc: doc.update(
+        standardizer={"mean": [0.0] * 5, "scale": [1.0] * 5, "keep": [1] * doc["n_features"]}))),
     "qtable-no-buy": ("--load-table", json.dumps(
         {"d_max": 2, "wait": [0.0, 0.0, 0.0], "gamma": 1.0, "alpha": 0.1, "route_means": {}})),
     "qtable-no-route-means": ("--load-table", json.dumps(

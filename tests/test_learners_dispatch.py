@@ -1,21 +1,24 @@
 """The fit/predict facade: specs, dispatch, blending, serialization."""
 
+import functools
 from dataclasses import MISSING, fields
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import class_counts, dataset_of
 from farecast import learners
 from farecast.core import FarecastError, SeriesKey
+from farecast.features import CONTINUOUS_NAMES, feature_dataset, set_route_dummies
 from farecast.learners import (
     DegenerateData,
     IncompatibleSpec,
     LearnerSpec,
-    WrongMemberCount,
-    blend_predict,
+    TrainedModel,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -23,7 +26,10 @@ from farecast.learners import (
 )
 from farecast.learners.boosting import AdaBoostClassifier
 from farecast.learners.tree import DEPTH_CAP, distinct_rows
+from farecast.pipeline import run_uniform_generalized
+from farecast.policy import PurchaseDecision, decide_classification
 from farecast.preprocess import oversample
+from farecast.synthgen import generalized_config, generate_corpus
 from farecast.tuning import default_grid
 from farecast.util import to_jsonable
 
@@ -311,51 +317,124 @@ def test_nested_groups():
 # -- uniform blend ----------------------------------------------------------
 
 
-def vote_member(reversed_, route_idx, seed=0):
-    """A per-route CART that votes 1 on cheap rows (or the opposite)."""
+@functools.lru_cache(maxsize=None)
+def vote_member(reversed_, route_idx, width=8):
+    """A per-route CART over ``width`` route dummies that votes 1 on cheap
+    rows (or the opposite)."""
     rng = np.random.default_rng(100 + route_idx)
     values = rng.uniform(10, 90, 30)
     fn = (lambda v: v > 50) if reversed_ else (lambda v: v < 50)
     rows = feature_rows(values, label_fn=fn, route_idx=route_idx)
     return learners.fit(
         LearnerSpec("cart", "classification", {"max_depth": 2}),
-        dataset_of(rows),
-        seed=seed,
+        dataset_of(rows, width=width),
+        seed=0,
     )
 
 
-def cheap_probe():
-    return dataset_of(feature_rows([10.0], label_fn=lambda v: True)).X
+def cheap_probe(width=8):
+    return dataset_of(feature_rows([10.0], label_fn=lambda v: True), width=width).X
+
+
+def blend_document(members, task="classification", width=8):
+    """The document of a blend over ``width`` route dummies holding ``members``."""
+    spec = LearnerSpec("uniform_blend", task)
+    return model_to_dict(TrainedModel(spec, width + len(CONTINUOUS_NAMES), None, members, {}))
+
+
+def blend_of(members, width=8):
+    return model_from_dict(blend_document(members, width=width))
+
+
+@functools.lru_cache(maxsize=None)
+def gen_series():
+    """Two generalized series, the rows of which carry no route dummy."""
+    cfg = generalized_config(n_routes=2, departures_per_route=1, horizon_days=10)
+    return tuple(generate_corpus(cfg, seed=4))
 
 
 def test_blend_majority_of_five_buys():
-    members = [vote_member(r >= 5, r) for r in range(8)]
-    assert blend_predict(members, cheap_probe())[0] == 1
+    blend = blend_of([vote_member(r >= 5, r) for r in range(8)])
+    assert learners.predict(blend, cheap_probe())[0] == 1
 
 
 def test_blend_four_four_tie_waits():
-    members = [vote_member(r >= 4, r) for r in range(8)]
-    assert blend_predict(members, cheap_probe())[0] == 0
+    blend = blend_of([vote_member(r >= 4, r) for r in range(8)])
+    assert learners.predict(blend, cheap_probe())[0] == 0
 
 
 def test_blend_unanimous_matches_any_member():
     members = [vote_member(False, r) for r in range(8)]
     probe = cheap_probe()
-    assert blend_predict(members, probe)[0] == learners.predict(members[0], probe)[0] == 1
-    members = [vote_member(True, r) for r in range(8)]
-    assert blend_predict(members, probe)[0] == 0
+    assert (learners.predict(blend_of(members), probe)[0]
+            == learners.predict(members[0], probe)[0] == 1)
+    assert learners.predict(blend_of([vote_member(True, r) for r in range(8)]), probe)[0] == 0
 
 
-def test_blend_wrong_member_count():
-    members = [vote_member(False, r) for r in range(7)]
-    with pytest.raises(WrongMemberCount):
-        blend_predict(members, cheap_probe())
+@settings(max_examples=30, deadline=None)
+@given(labels=st.lists(st.integers(0, 1), min_size=1, max_size=9))
+def test_blend_vote_is_a_strict_majority(labels):
+    """On a cheap row member r votes labels[r]. The blend votes 1 iff more
+    than half of its n members do, and the no-history column is the same
+    vote over rows tagged with each member's own route."""
+    n = len(labels)
+    members = [vote_member(not label, r, width=n) for r, label in enumerate(labels)]
+    blend = blend_of(members, width=n)
+    assert learners.predict(blend, cheap_probe(width=n))[0] == int(sum(labels) > n // 2)
+
+    block = feature_dataset(gen_series(), n, "generalized")
+    votes = np.zeros(len(block), dtype=int)
+    for r, member in enumerate(members):
+        X = block.X.copy()
+        set_route_dummies(X, r)
+        votes += learners.predict(member, X)
+    expected = [decide_classification(s, v > n // 2)
+                for s, v in zip(gen_series(), block.split(votes))]
+    assert run_uniform_generalized(blend, gen_series()) == expected
 
 
-def test_blend_rejects_regression_members(threshold_data):
+def test_uniform_generalized_tags_rows_with_each_members_route():
+    """KNN members that see only the route dummies: member r votes 1 on a row
+    tagged r and 0 on any other, so only rows re-tagged per member buy."""
+    members = []
+    for r in range(8):
+        other = (r + 1) % 8
+        rows = [feature_rows([0.0], label_fn=lambda v: False, route_idx=other)[0],
+                feature_rows([0.0], label_fn=lambda v: True, route_idx=r)[0]]
+        members.append(learners.fit(LearnerSpec("knn", "classification", {"k": 1}),
+                                    dataset_of(rows), seed=0))
+    blend = blend_of(members)
+    block = feature_dataset(gen_series(), 8, "generalized")
+    for r in range(8):  # every member on route r's rows: one vote, so no row buys
+        set_route_dummies(block.X, r)
+        assert not learners.predict(blend, block.X).any()
+    decisions = run_uniform_generalized(blend, gen_series())
+    assert decisions == [PurchaseDecision(s.first_query_date, float(s.prices[0]), False)
+                         for s in gen_series()]
+
+
+def test_blend_document_needs_one_member_per_route():
+    members = [vote_member(False, r) for r in range(8)]
+    model_from_dict(blend_document(members))
+    for cut in (members[:7], members[:3], []):
+        with pytest.raises(IncompatibleSpec, match=f"8 non-blend .* it has {len(cut)}$"):
+            model_from_dict(blend_document(cut))
+
+
+def test_blend_document_rejects_members_of_another_task(threshold_data):
     reg = learners.fit(LearnerSpec("cart", "regression"), threshold_data, seed=0)
-    with pytest.raises(IncompatibleSpec):
-        blend_predict([reg] * 8, cheap_probe())
+    with pytest.raises(IncompatibleSpec, match="8 non-blend classification members"):
+        model_from_dict(blend_document([reg] * 8))
+    cls = vote_member(False, 0)
+    with pytest.raises(IncompatibleSpec, match="8 non-blend regression members"):
+        model_from_dict(blend_document([cls] * 8, task="regression"))
+
+
+def test_uniform_generalized_needs_a_classification_blend(threshold_data):
+    reg = learners.fit(LearnerSpec("cart", "regression"), threshold_data, seed=0)
+    regression_blend = model_from_dict(blend_document([reg] * 8, task="regression"))
+    with pytest.raises(FarecastError, match="classification uniform_blend"):
+        run_uniform_generalized(regression_blend, gen_series())
 
 
 def blend_train_data():
@@ -380,12 +459,9 @@ def test_fit_uniform_blend_classification():
     assert len(members) == 8
     assert all(m.spec.kind == "adaboost_cart" for m in members)
     probe = cheap_probe()
-    assert np.array_equal(
-        learners.predict(model, probe), blend_predict(members, probe)
-    )
-    scores = learners.predict_scores(model, probe)
     votes = sum(learners.predict(m, probe)[0] for m in members)
-    assert scores[0] == votes / 8
+    assert learners.predict(model, probe)[0] == int(votes > 4)
+    assert learners.predict_scores(model, probe)[0] == votes / 8
 
 
 def test_fit_uniform_blend_regression_is_member_mean():
@@ -417,31 +493,6 @@ def test_a_blend_of_blends_is_incompatible(n_routes):
     spec = LearnerSpec("uniform_blend", "classification", {"member_kind": "uniform_blend"})
     with pytest.raises(IncompatibleSpec, match="member_kind"):
         learners.fit(spec, dataset_of(rows, width=n_routes), seed=0)
-
-
-def test_blend_own_dummies_retags_rows():
-    """KNN members whose only informative feature is the route dummy."""
-    members = []
-    for r in range(8):
-        other = (r + 1) % 8
-        rows = [
-            feature_rows([0.0], label_fn=lambda v: False, route_idx=other)[0],
-            feature_rows([1.0], label_fn=lambda v: True, route_idx=r)[0],
-        ]
-        members.append(
-            learners.fit(
-                LearnerSpec("knn", "classification", {"k": 1}),
-                dataset_of(rows),
-                seed=0,
-            )
-        )
-    probe = dataset_of(feature_rows([0.5], label_fn=lambda v: True, route_idx=7)).X
-    # re-tagged: every member sees its own route dummy and finds the 1-label row
-    with_own = blend_predict(members, probe, own_dummies=True)
-    assert with_own[0] == 1
-    # raw rows carry route 7: only member 7 matches its 1-label row
-    without = blend_predict(members, probe, own_dummies=False)
-    assert without[0] == 0
 
 
 # -- serialization ----------------------------------------------------------
