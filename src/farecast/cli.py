@@ -5,8 +5,10 @@ report embeds the resolved configuration and master seed, carries no
 timestamps, sorts its keys, and prints floats at 6 significant digits, so a
 rerun with the same inputs is byte-identical. Failures, a bad command line
 included, exit 2 with a one-line JSON error record on stderr. FARECAST_LOG
-sets the log level. hmm, qlearn, synthgen and tuning are imported inside the
-one subcommand that runs each, at call time, so no other command loads them.
+sets the log level. Each subcommand imports the modules it runs when it is
+called, so ``gen-data`` loads no model code: only cli, core, ingest, synthgen
+and util. Because those imports run at call time, they pick up any wrapper
+installed on a module's functions, as ``bench/tracing.py`` installs.
 """
 
 from __future__ import annotations
@@ -22,22 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import FarecastError, PriceSeries, format_price
-from .features import corpus_anchor, dump_features
 from .ingest import SplitConfig, load_quotes, split
-from .learners import KINDS, LearnerSpec, load_model, save_model
-from .metrics import (BacktestMetrics, optimal_price, random_purchase_price,
-                      simulated_random_purchase_price)
-from .pipeline import (
-    PreprocessConfig,
-    build_dataset,
-    preprocess_for,
-    preprocessing_of,
-    route_order,
-    run_policy,
-    run_uniform_generalized,
-    score_decisions,
-    train_specific,
-)
 from .util import (JSON_TYPES, check_json_type, derive_seed, read_json, round_sig,
                    to_jsonable, write_csv, write_json)
 
@@ -81,13 +68,17 @@ def _split_config(args, config: dict) -> SplitConfig:
     return SplitConfig.default()
 
 
-def _prep_config(args, config: dict) -> PreprocessConfig:
+def _prep_config(args, config: dict):
+    from .pipeline import PreprocessConfig
+
     return PreprocessConfig(
         oversample=_setting(args, config, None, "oversample", True),
         outlier_removal=_setting(args, config, None, "outlier_removal", "none"))
 
 
 def _metrics_csv(per_route, path: str) -> None:
+    from .metrics import BacktestMetrics
+
     write_csv(path, [f.name for f in fields(BacktestMetrics)], (
         [int(v) if isinstance(v, bool) else f"{v:.6f}" if isinstance(v, float) else v
          for v in to_jsonable(m).values()] for m in per_route))
@@ -95,6 +86,8 @@ def _metrics_csv(per_route, path: str) -> None:
 
 def _decisions_csv(decisions, series: Sequence[PriceSeries], path: str) -> None:
     """One row per series, in series order; ``decisions[i]`` is the purchase on ``series[i]``."""
+    from .metrics import optimal_price, random_purchase_price
+
     write_csv(path, ["route_id", "departure_date", "buy_query_date", "paid_price",
                      "optimal_price", "mean_price", "forced"], (
         [s.key.route_id, s.key.departure_date.isoformat(), d.buy_query_date.isoformat(),
@@ -138,6 +131,9 @@ def cmd_gen_data(args) -> None:
 
 
 def _load_split_series(args, config):
+    from .features import corpus_anchor
+    from .pipeline import route_order
+
     series = load_quotes(args.quotes)
     split_cfg = _split_config(args, config)
     train_series, test_series = split(series, split_cfg)
@@ -149,6 +145,8 @@ def _load_split_series(args, config):
 
 
 def cmd_tune(args) -> dict:
+    from .learners import LearnerSpec
+    from .pipeline import build_dataset, preprocess_for, preprocessing_of
     from .tuning import default_grid, grid_search
 
     config = _load_config(args.config)
@@ -193,7 +191,9 @@ def cmd_tune(args) -> dict:
     }
 
 
-def _spec_from_args(args) -> LearnerSpec:
+def _spec_from_args(args):
+    from .learners import LearnerSpec
+
     try:
         hyper = json.loads(args.hyperparams) if args.hyperparams else {}
     except json.JSONDecodeError as exc:
@@ -202,6 +202,9 @@ def _spec_from_args(args) -> LearnerSpec:
 
 
 def cmd_train(args) -> dict:
+    from .learners import save_model
+    from .pipeline import preprocessing_of, train_specific
+
     config = _load_config(args.config)
     _, train_series, _, split_cfg, anchor, routes = _load_split_series(args, config)
     prep = _prep_config(args, config)
@@ -223,6 +226,12 @@ def cmd_train(args) -> dict:
 
 
 def cmd_backtest(args) -> dict:
+    from .features import dump_features
+    from .learners import load_model, save_model
+    from .metrics import simulated_random_purchase_price
+    from .pipeline import (build_dataset, preprocessing_of, run_policy, score_decisions,
+                           train_specific)
+
     config = _load_config(args.config)
     _, train_series, test_series, split_cfg, anchor, routes = _load_split_series(args, config)
     prep = _prep_config(args, config)
@@ -275,6 +284,7 @@ def cmd_backtest(args) -> dict:
 
 def cmd_qlearn(args) -> dict:
     from . import qlearn
+    from .pipeline import score_decisions
 
     config = _load_config(args.config)
     _, train_series, test_series, split_cfg, _, _ = _load_split_series(args, config)
@@ -324,6 +334,9 @@ def _load_bank(bank_dir: str) -> list:
 
 def cmd_generalize(args) -> dict:
     from . import hmm
+    from .features import corpus_anchor
+    from .learners import load_model
+    from .pipeline import run_uniform_generalized, score_decisions
 
     config = _load_config(args.config)
     n_states = _setting(args, config, "hmm", "n_states", 4)
@@ -419,6 +432,29 @@ class _OnOff(argparse.Action):
         setattr(namespace, self.dest, values == "on")
 
 
+class _LearnerKinds:
+    """The choices of ``--model``: ``learners.KINDS``, imported only when a
+    command line is checked or help is printed. argparse lists the choices of
+    an argument that has no metavar as soon as the argument is added."""
+
+    def __contains__(self, kind) -> bool:
+        return kind in self._kinds()
+
+    def __iter__(self):
+        return iter(self._kinds())
+
+    @staticmethod
+    def _kinds() -> tuple:
+        from .learners import KINDS
+
+        return KINDS
+
+
+def _add_model(p: argparse.ArgumentParser, required: bool) -> None:
+    p.add_argument("--model", required=required, choices=_LearnerKinds(), metavar="KIND",
+                   help="learner kind: %(choices)s")
+
+
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed")
 
@@ -459,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prep(p)
     p.add_argument("--quotes", required=True)
     p.add_argument("--task", required=True, choices=("classification", "regression"))
-    p.add_argument("--model", required=True, choices=KINDS)
+    _add_model(p, required=True)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1,
                    help="workers that cross-validate whole folds: this process and forked ones")
@@ -473,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prep(p)
     p.add_argument("--quotes", required=True)
     p.add_argument("--task", required=True, choices=("classification", "regression"))
-    p.add_argument("--model", required=True, choices=KINDS)
+    _add_model(p, required=True)
     p.add_argument("--hyperparams", help="inline JSON hyperparameter map")
     p.add_argument("--save-model")
     p.add_argument("--out")
@@ -485,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prep(p)
     p.add_argument("--quotes", required=True)
     p.add_argument("--task", choices=("classification", "regression"))
-    p.add_argument("--model", choices=KINDS)
+    _add_model(p, required=False)
     p.add_argument("--hyperparams", help="inline JSON hyperparameter map")
     p.add_argument("--load-model")
     p.add_argument("--save-model")

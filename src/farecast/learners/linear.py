@@ -20,6 +20,13 @@ def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((len(X), 1)), X])
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)). Below z of about -709, exp(-z) overflows to inf
+    without a warning, and the result is the limit, 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 @dataclass
 class LeastSquares:
     """Ordinary least squares via normal equations.
@@ -101,7 +108,7 @@ class Logistic:
         margin = Z @ beta
         # mean softplus(margin) - y*margin, stable for large |margin|
         loss = float(np.mean(np.logaddexp(0.0, margin) - y * margin))
-        p = 1.0 / (1.0 + np.exp(-margin))
+        p = _sigmoid(margin)
         grad = Z.T @ (p - y) / len(y)
         return loss, grad
 
@@ -137,7 +144,7 @@ class Logistic:
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         Z = _with_intercept(np.asarray(X, dtype=float))
-        return 1.0 / (1.0 + np.exp(-(Z @ self.coef)))
+        return _sigmoid(Z @ self.coef)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_scores(X) > 0.5).astype(int)

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..core import FarecastError
 from ..util import NOT_SAVED, as_float_arrays, check_finite, check_shapes, from_jsonable
+from .linear import _sigmoid
 
 
 @dataclass
@@ -70,7 +71,7 @@ class Mlp3:
         if self.task == "regression":
             dout = (out - y) / len(y)
         else:
-            dout = (1.0 / (1.0 + np.exp(-out)) - y) / len(y)
+            dout = (_sigmoid(out) - y) / len(y)
         dz1 = np.outer(dout, self.w2) * (1.0 - a1 * a1)
         return X.T @ dz1, dz1.sum(axis=0), a1.T @ dout, dout.sum()
 
@@ -109,7 +110,7 @@ class Mlp3:
         return out
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.predict_raw(X)))
+        return _sigmoid(self.predict_raw(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.task == "classification":

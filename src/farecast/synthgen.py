@@ -74,6 +74,10 @@ class GeneratorConfig:
             raise InvalidConfig("need at least one route and one departure")
         if self.template_of and len(self.template_of) != self.n_routes:
             raise InvalidConfig("template_of must name one template per route")
+        last = self.horizon_days - 1 + (self.departures_per_route - 1) * DEPARTURE_STEP_DAYS
+        if last > (date.max - FIRST_QUERY_DATE).days:
+            raise InvalidConfig(f"the last departure would fall {last} days after "
+                                f"{FIRST_QUERY_DATE}, past {date.max}")
 
     @property
     def first_departure(self) -> date:
@@ -147,26 +151,64 @@ def trend_price(params: RouteParams, days_to_departure: int) -> float:
     return params.base * (1.0 + params.surge * math.exp(-days_to_departure / params.tau))
 
 
+def _series_prices(trend: np.ndarray, params: RouteParams,
+                   rng: np.random.Generator) -> list[float]:
+    """One series' prices, in query order, from its route's trend.
+
+    Each day draws, in turn: a drop check when ``drop_prob`` is positive, a
+    drop depth when that check fires, and a noise term when ``noise`` is
+    positive. ``random()`` and ``uniform(lo, hi)`` each take one double
+    ``u`` of the stream, ``uniform`` giving ``lo + (hi - lo) * u``, so the
+    days are replayed from one block of doubles. Products and the clip are
+    float64 array operations, the same bits as on Python floats; the
+    rounding stays Python's correctly rounded ``round``.
+    """
+    n = len(trend)
+    checks, noisy = params.drop_prob > 0, params.noise > 0
+    stride = checks + noisy  # draws of a day without a drop
+    u = rng.random(n * (stride + checks))  # room for a drop on every day
+    fired = np.zeros(n, dtype=bool)
+    if checks:
+        # With `shift` drops so far, day d's check is u[shift + stride * d].
+        fire = u < params.drop_prob
+        day = shift = 0
+        while day < n:
+            lane = fire[shift + stride * day:shift + stride * n:stride]
+            k = int(lane.argmax())
+            if not lane[k]:
+                break
+            fired[day + k] = True
+            day, shift = day + k + 1, shift + 1
+    first = stride * np.arange(n) + np.cumsum(fired) - fired  # each day's first draw
+    prices = trend.copy()
+    lo, hi = DROP_DEPTH_RANGE
+    prices[fired] *= 1.0 - (lo + (hi - lo) * u[first[fired] + 1])
+    if noisy:
+        lo, hi = -params.noise, params.noise
+        prices *= 1.0 + (lo + (hi - lo) * u[first + checks + fired])
+    return list(map(round, np.clip(prices, PRICE_FLOOR, PRICE_CAP).tolist(), repeat(3)))
+
+
 def generate_corpus(cfg: GeneratorConfig, seed: int) -> list[PriceSeries]:
-    """Every series of a synthetic corpus, sorted by route, then departure."""
+    """Every series of a synthetic corpus, sorted by route, then departure.
+
+    Series j of route number r draws from its own stream,
+    ``derive_seed(seed, "series", r, j)``, so series never share draws.
+    """
     series = []
+    days = np.arange(cfg.horizon_days)
     for i, route_id in enumerate(cfg.route_ids()):
         params = route_params(cfg, i, seed)
         route_number = cfg.first_route_number + i
+        trend = np.array([trend_price(params, dtd)
+                          for dtd in range(cfg.horizon_days - 1, -1, -1)])
         for j in range(cfg.departures_per_route):
             departure = cfg.first_departure + timedelta(days=j * DEPARTURE_STEP_DAYS)
             rng = np.random.default_rng(derive_seed(seed, "series", route_number, j))
-            prices = []
-            for dtd in range(cfg.horizon_days - 1, -1, -1):
-                price = trend_price(params, dtd)
-                if params.drop_prob > 0 and rng.random() < params.drop_prob:
-                    price *= 1.0 - rng.uniform(*DROP_DEPTH_RANGE)
-                if params.noise > 0:
-                    price *= 1.0 + rng.uniform(-params.noise, params.noise)
-                prices.append(round(min(max(price, PRICE_FLOOR), PRICE_CAP), 3))
-            query_dates = np.arange(cfg.horizon_days) + np.datetime64(
+            query_dates = days + np.datetime64(
                 departure - timedelta(days=cfg.horizon_days - 1), "D")
-            series.append(PriceSeries(SeriesKey(route_id, departure), query_dates, prices))
+            series.append(PriceSeries(SeriesKey(route_id, departure), query_dates,
+                                      _series_prices(trend, params, rng)))
     return series
 
 

@@ -14,7 +14,8 @@ smaller cell's last round has dropped that cell's trees, so the cell is fit.
 
 Fold f runs whole in worker f mod W, W = min(jobs, k, usable CPUs): worker 0
 is the caller, the others are forked from it (Linux), so folds share no GIL.
-Merged in fold order, results and the error raised are those of one worker."""
+Merged in fold order, results, log records and the error raised are those of
+one worker."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Callable, Optional, Sequence
@@ -73,6 +74,34 @@ def _forked(w: int) -> list:
     return _forked.run(w)
 
 
+class _Held(logging.Handler):
+    """Keeps log records, their messages formatted, so that they pickle."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+@contextmanager
+def _held_log():
+    """The package's log records, held back from its handlers and its
+    ancestors', for the caller to emit in fold order. Levels stay as they are,
+    so a record below them is never made."""
+    package = logging.getLogger(__name__.partition(".")[0])
+    held, propagate = _Held(), package.propagate
+    package.addHandler(held)
+    package.propagate = False
+    try:
+        yield held.records
+    finally:
+        package.propagate = propagate
+        package.removeHandler(held)
+
+
 def _loss(spec: LearnerSpec, model, val: Dataset) -> float:
     pred = predict(model, val.X)
     if spec.task == "classification":
@@ -108,29 +137,36 @@ def grid_search(
         groups.setdefault(key or spec_idx, []).append((-size, spec_idx))
     cell_groups = [[(i, spec_grid[i]) for _, i in sorted(cells)] for cells in groups.values()]
 
-    def run_folds(w: int) -> list:
-        """(fold, spec_idx, loss, error) per cell on folds w, w + W, ...; an exception ends them."""
+    def run_fold(f: int) -> list:
+        """(spec_idx, loss, error) per cell of fold f."""
         out: list = []
-        try:
-            for f in range(w, k, workers):
-                held_out = np.isin(train.series, series[folds[f]])
-                fold_train, val = train.take(~held_out), train.take(held_out)
-                if preprocess is not None:
-                    fold_train = preprocess(fold_train, derive_seed(seed, "fold-prep", f))
-                for cells in cell_groups:  # the largest cell that fits; smaller ones off it
-                    whole = None
-                    for spec_idx, spec in cells:
-                        try:
-                            model = whole and truncated(whole, spec)
-                            if model is None:
-                                model = whole = fit(spec, fold_train,
-                                                    seed=derive_seed(seed, "fold-fit", f))
-                            out.append((f, spec_idx, _loss(spec, model, val), None))
-                        except (FarecastError, ValueError, np.linalg.LinAlgError) as exc:
-                            out.append((f, spec_idx, None, f"{type(exc).__name__}: {exc}"))
-                fold_train = val = whole = model = None  # not held into the next fold
-        except Exception as exc:  # noqa: BLE001 - raised in fold order below
-            out.append((f, None, None, exc))
+        held_out = np.isin(train.series, series[folds[f]])
+        fold_train, val = train.take(~held_out), train.take(held_out)
+        if preprocess is not None:
+            fold_train = preprocess(fold_train, derive_seed(seed, "fold-prep", f))
+        for cells in cell_groups:  # the largest cell that fits; smaller ones off it
+            whole = None
+            for spec_idx, spec in cells:
+                try:
+                    model = whole and truncated(whole, spec)
+                    if model is None:
+                        model = whole = fit(spec, fold_train, seed=derive_seed(seed, "fold-fit", f))
+                    out.append((spec_idx, _loss(spec, model, val), None))
+                except (FarecastError, ValueError, np.linalg.LinAlgError) as exc:
+                    out.append((spec_idx, None, f"{type(exc).__name__}: {exc}"))
+        return out
+
+    def run_folds(w: int) -> list:
+        """(fold, log records, cell outcomes, exception) per fold w, w + W, ...; an
+        exception ends them."""
+        out: list = []
+        for f in range(w, k, workers):
+            with _held_log() as records:
+                try:
+                    out.append((f, records, run_fold(f), None))
+                except Exception as exc:  # noqa: BLE001 - raised in fold order below
+                    out.append((f, records, [], exc))
+                    break
         return out
 
     workers = min(jobs, k, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
@@ -139,11 +175,14 @@ def grid_search(
         children = [pool.submit(_forked, w) for w in range(1, workers)]
         outcomes = run_folds(0) + [o for child in children for o in child.result()]
     losses, errors = [[] for _ in spec_grid], [None] * len(spec_grid)
-    for _, spec_idx, loss, error in sorted(outcomes, key=lambda o: o[0]):
-        if isinstance(error, Exception):
-            raise error
-        losses[spec_idx] += [] if error else [loss]
-        errors[spec_idx] = errors[spec_idx] or error
+    for _, records, cells, exc in sorted(outcomes, key=lambda o: o[0]):
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if exc is not None:
+            raise exc
+        for spec_idx, loss, error in cells:
+            losses[spec_idx] += [] if error else [loss]
+            errors[spec_idx] = errors[spec_idx] or error
 
     table: list[CvCell] = []
     for spec_idx, (spec, fold_losses, error) in enumerate(zip(spec_grid, losses, errors)):

@@ -6,7 +6,8 @@ before departure. ``dataset_of`` builds a Dataset from hand-written rows.
 It also holds the small computations only tests need (oracle prices, the
 row-by-row forward pass and a single sequence's log-likelihood, one-template
 HMM fits and draws, class and coefficient read-outs, the row-major k-means
-and EM fits), which the package does not carry. An autouse fixture fails
+and EM fits, the quote-by-quote corpus generator), which the package does
+not carry. An autouse fixture fails
 any test that leaves a child process running.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from datetime import date
+from datetime import date, timedelta
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,9 @@ from farecast.core import BUY, WAIT, Dataset, EmptySeries, PriceSeries, SeriesKe
 from farecast.features import CONTINUOUS_NAMES, set_route_dummies
 from farecast.hmm import BaumWelchResult, HmmModel, _em, _em_start, _fit_routes, _scaled_emission
 from farecast.preprocess import COV_REG, GmmFit, KMeansFit
+from farecast.synthgen import (DEPARTURE_STEP_DAYS, DROP_DEPTH_RANGE, PRICE_CAP, PRICE_FLOOR,
+                               GeneratorConfig, route_params, trend_price)
+from farecast.util import derive_seed
 
 
 def series_of(
@@ -126,6 +130,31 @@ def hmm_fit(route_series: Sequence[PriceSeries], n_states: int = 4, max_iter: in
     if not route_series:
         raise EmptySeries("hmm_fit needs at least one series")
     return _fit_routes([(route_series, seed, route_index)], n_states, max_iter, tol)[0]
+
+
+def quote_by_quote_corpus(cfg: GeneratorConfig, seed: int) -> list[PriceSeries]:
+    """``synthgen.generate_corpus`` one scalar draw at a time: per day a drop
+    check, a drop depth when it fires, then a noise term. The bit-exact
+    oracle of the generator, which replays these draws from one block."""
+    series = []
+    for i, route_id in enumerate(cfg.route_ids()):
+        params = route_params(cfg, i, seed)
+        route_number = cfg.first_route_number + i
+        for j in range(cfg.departures_per_route):
+            departure = cfg.first_departure + timedelta(days=j * DEPARTURE_STEP_DAYS)
+            rng = np.random.default_rng(derive_seed(seed, "series", route_number, j))
+            prices = []
+            for dtd in range(cfg.horizon_days - 1, -1, -1):
+                price = trend_price(params, dtd)
+                if params.drop_prob > 0 and rng.random() < params.drop_prob:
+                    price *= 1.0 - rng.uniform(*DROP_DEPTH_RANGE)
+                if params.noise > 0:
+                    price *= 1.0 + rng.uniform(-params.noise, params.noise)
+                prices.append(round(min(max(price, PRICE_FLOOR), PRICE_CAP), 3))
+            query_dates = np.arange(cfg.horizon_days) + np.datetime64(
+                departure - timedelta(days=cfg.horizon_days - 1), "D")
+            series.append(PriceSeries(SeriesKey(route_id, departure), query_dates, prices))
+    return series
 
 
 def oracle_evaluate(corpus: Sequence[PriceSeries]) -> dict[str, tuple[float, float]]:

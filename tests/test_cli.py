@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import shutil
@@ -93,15 +94,43 @@ def test_gen_data_same_seed_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gen_data_split_of_one_departure_exits_two_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["--routes", "2", "--departures", "1", "--horizon", "8"],
+     "a split needs at least 2 departures per route, one per window"),
+    (["--routes", "1", "--departures", "1", "--horizon", "3000000"],
+     "the last departure would fall 2999999 days after 2015-11-09, past 9999-12-31"),
+    (["--routes", "1", "--departures", "3000000"],
+     "the last departure would fall 3000088 days after 2015-11-09, past 9999-12-31"),
+], ids=["split-of-one-departure", "horizon-past-9999", "departures-past-9999"])
+def test_gen_data_bad_config_exits_two_before_writing(tmp_path, capsys, argv, message):
     quotes, split_json = tmp_path / "q.csv", tmp_path / "split.json"
     capsys.readouterr()
-    assert main(["gen-data", "--seed", "1", "--out", str(quotes), "--routes", "2",
-                 "--departures", "1", "--horizon", "8", "--split-out", str(split_json)]) == 2
-    assert one_line_error(capsys.readouterr().err) == {
-        "error": "InvalidConfig",
-        "message": "a split needs at least 2 departures per route, one per window"}
+    assert main(["gen-data", "--seed", "1", "--out", str(quotes), *argv,
+                 "--split-out", str(split_json)]) == 2
+    assert one_line_error(capsys.readouterr().err) == {"error": "InvalidConfig",
+                                                       "message": message}
     assert not quotes.exists() and not split_json.exists()
+
+
+# sha256 of each file gen-data writes for the benchmark's standard corpora.
+BENCH_CORPORA = {
+    "specific": (["--seed", "11"], {
+        "q.csv": "f5351a7666499ed8adcc3682d302241dac59ad4b9ae83a1f2269339517b7fb98",
+        "split.json": "b6134037815821f298a8e9e468bb44d8e7bed004137aa8cccc2f4420df964700"}),
+    "specific-for-generalize": (["--seed", "11", "--departures", "20"], {
+        "q.csv": "a73aa86cf484f14b9b974ade0888be8b7eea374c0c3fec06016ee6e614754d61",
+        "split.json": "aabc74738a24ae4d56e8c55891e1a32e3683489f87728b9f10bfc1b2dccf0bbb"}),
+    "generalized": (["--generalized", "--seed", "23", "--departures", "1"], {
+        "q.csv": "8c3f5b6179196b5cacd51030f66a4ed0862efef11884816a5c22addcb87dcd96"}),
+}
+
+
+@pytest.mark.parametrize("corpus", list(BENCH_CORPORA))
+def test_gen_data_writes_the_bench_corpora_byte_for_byte(tmp_path, corpus):
+    argv, digests = BENCH_CORPORA[corpus]
+    split_out = ["--split-out", str(tmp_path / "split.json")] if "split.json" in digests else []
+    assert main(["gen-data", *argv, "--out", str(tmp_path / "q.csv"), *split_out]) == 0
+    assert {name: sha256(tmp_path / name) for name in digests} == digests
 
 
 def test_gen_data_generalized_routes(gen_corpus):
@@ -399,6 +428,19 @@ def test_tune_exits_two_on_a_forked_fold_error_as_on_one_job(tmp_path, capsys):
     assert errors[0] == errors[1]
     assert one_line_error(errors[1]) == {"error": "SingleClassDataset",
                                          "message": "oversampling needs both classes"}
+
+
+def test_tune_logs_the_same_lines_in_fold_order_on_any_job_count(workdir, caplog):
+    logs = []
+    for jobs in ("1", "2"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="farecast"):
+            assert main(["tune", *base_args(workdir, [
+                "--task", "classification", "--model", "cart", "--outlier-removal", "em",
+                "--jobs", jobs, "--out", os.devnull])]) == 0
+        logs.append([(r.name, r.levelname, r.getMessage()) for r in caplog.records])
+    assert logs[0] == logs[1]
+    assert sum(m.startswith("outlier removal dropped") for _, _, m in logs[0]) == 5
 
 
 @pytest.mark.parametrize("folds", ["1", "0", "-1"])

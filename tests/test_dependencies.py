@@ -80,6 +80,16 @@ def test_synthgen_loads_no_learners():
     assert "farecast.learners" not in fresh_modules("import farecast.synthgen")
 
 
+@pytest.mark.parametrize("generalized", [False, True])
+def test_gen_data_loads_no_model_code(tmp_path, generalized):
+    argv = ["gen-data", "--out", str(tmp_path / "q.csv"), "--routes", "2", "--departures", "2",
+            "--horizon", "8",
+            *(["--generalized"] if generalized else ["--split-out", str(tmp_path / "s.json")])]
+    code = f"from farecast.cli import main\nassert main({argv!r}) == 0"
+    assert fresh_modules(code) == {"farecast", *(f"farecast.{name}" for name in (
+        "cli", "core", "ingest", "synthgen", "util"))}
+
+
 @pytest.mark.parametrize("command, own", [
     ("gen-data", "synthgen"), ("tune", "tuning"), ("qlearn", "qlearn"),
     ("generalize", "hmm"), ("backtest", None),

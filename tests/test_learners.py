@@ -113,6 +113,17 @@ def test_logistic_zero_coef_predicts_wait():
     assert not model.predict(X).any()  # p == 0.5 is not a buy
 
 
+def test_logistic_scores_far_from_the_boundary_are_0_and_1_without_a_warning():
+    # exp(-z) overflows below z of about -709; RuntimeWarnings are errors here
+    X, y = separable_blobs(seed=3)
+    model = Logistic(max_iter=0, grad_tol=1e-6).fit(X, y)
+    model.coef = np.zeros(X.shape[1] + 1)
+    model.coef[1] = 1.0
+    far = np.zeros((2, X.shape[1]))
+    far[:, 0] = [-1000.0, 1000.0]
+    assert model.predict_scores(far).tolist() == [0.0, 1.0]
+
+
 def test_logistic_converges_flag():
     X, y = separable_blobs(seed=4, n=20)
     model = Logistic(grad_tol=1e-4, max_iter=5000).fit(X, y)

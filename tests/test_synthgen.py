@@ -5,6 +5,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from farecast.ingest import load_quotes, split
 from farecast.metrics import optimal_price, random_purchase_price
@@ -25,7 +27,7 @@ from farecast.synthgen import (
     write_corpus_csv,
 )
 
-from conftest import oracle_evaluate, series_of
+from conftest import oracle_evaluate, quote_by_quote_corpus, series_of
 
 
 def quotes_of(series):
@@ -198,6 +200,12 @@ def test_generalized_routes_do_not_share_specific_noise():
 def test_config_validation():
     with pytest.raises(InvalidConfig):
         GeneratorConfig(horizon_days=7)
+    last_day = (date.max - FIRST_QUERY_DATE).days
+    assert GeneratorConfig(horizon_days=8, departures_per_route=last_day - 6)
+    with pytest.raises(InvalidConfig, match="past 9999-12-31"):
+        GeneratorConfig(horizon_days=8, departures_per_route=last_day - 5)
+    with pytest.raises(InvalidConfig, match="past 9999-12-31"):
+        GeneratorConfig(horizon_days=last_day + 2, departures_per_route=1)
     with pytest.raises(InvalidConfig):
         GeneratorConfig(n_routes=0)
     with pytest.raises(InvalidConfig):
@@ -270,3 +278,33 @@ def test_oracle_matches_metrics_module_exactly():
         optima = math.fsum(optimal_price(s) for s in members) / len(members)
         assert oracle[route_id][0] == randoms
         assert oracle[route_id][1] == optima
+
+
+# -- the generator against its quote-by-quote oracle ---------------------------
+
+# Drop and noise ranges; (0.0, 0.0) draws nothing for that step.
+RANGES = st.one_of(st.just((0.0, 0.0)),
+                   st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted).map(tuple))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(8, 120), n_routes=st.integers(1, 9),
+       departures=st.integers(1, 3), drop=RANGES, noise=RANGES, generalized=st.booleans(),
+       jitter=st.floats(0.0, 0.2))
+@example(seed=0, horizon=8, n_routes=1, departures=1, drop=(0.0, 0.0), noise=(0.0, 0.0),
+         generalized=False, jitter=0.0)
+@example(seed=1, horizon=30, n_routes=2, departures=2, drop=(1.0, 1.0), noise=(0.0, 0.0),
+         generalized=False, jitter=0.0)
+@example(seed=2, horizon=30, n_routes=2, departures=2, drop=(0.5, 0.9), noise=(0.0, 0.0),
+         generalized=False, jitter=0.0)
+def test_generate_corpus_equals_the_quote_by_quote_oracle(
+        seed, horizon, n_routes, departures, drop, noise, generalized, jitter):
+    sizes = dict(n_routes=n_routes, departures_per_route=departures, horizon_days=horizon,
+                 drop_prob_range=drop, noise_range=noise)
+    cfg = (generalized_config(template_jitter=jitter, **sizes) if generalized
+           else GeneratorConfig(**sizes))
+    got, want = generate_corpus(cfg, seed), quote_by_quote_corpus(cfg, seed)
+    assert [s.key for s in got] == [s.key for s in want]
+    for g, w in zip(got, want):
+        assert g.query_dates.tobytes() == w.query_dates.tobytes()
+        assert g.prices.tobytes() == w.prices.tobytes()

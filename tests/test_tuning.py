@@ -1,5 +1,6 @@
 """Cross-validation folds and grid search."""
 
+import logging
 import multiprocessing
 import os
 import signal
@@ -261,6 +262,50 @@ def test_a_preprocessing_error_in_a_forked_fold_reaches_the_caller(jobs):
             grid_search(grid, clean_blob_train(), seed=4, k=5, jobs=jobs,
                         preprocess=failing_on(failing, seed=4))
         assert multiprocessing.active_children() == []
+
+
+def logging_each_fold(seed):
+    """A preprocess that logs one info and one warning line naming the fold."""
+    folds = {derive_seed(seed, "fold-prep", f): f for f in range(5)}
+    log = logging.getLogger("farecast.preprocess")
+
+    def preprocess(ds, fold_seed):
+        log.info("fold %d", folds[fold_seed])
+        log.warning("fold %d warns", folds[fold_seed])
+        return ds
+    return preprocess
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fold_log_records_reach_the_caller_in_fold_order(caplog, jobs):
+    # With two workers folds 1 and 3 log in the forked child.
+    grid = [LearnerSpec("cart", "classification", {"max_depth": 2})]
+    caplog.set_level(logging.INFO, logger="farecast")
+    grid_search(grid, clean_blob_train(), seed=4, k=5, jobs=jobs,
+                preprocess=logging_each_fold(seed=4))
+    assert [r.getMessage() for r in caplog.records] == [
+        line for f in range(5) for line in (f"fold {f}", f"fold {f} warns")]
+    assert logging.getLogger("farecast").propagate
+
+
+def test_holding_fold_logs_makes_no_record_below_the_level(caplog):
+    made = []
+    factory = logging.getLogRecordFactory()
+
+    def counting(*args, **kwargs):
+        record = factory(*args, **kwargs)
+        made.append(record.getMessage())
+        return record
+    caplog.set_level(logging.WARNING, logger="farecast")
+    grid = [LearnerSpec("cart", "classification", {"max_depth": 2})]
+    logging.setLogRecordFactory(counting)
+    try:
+        grid_search(grid, clean_blob_train(), seed=4, k=5, jobs=1,
+                    preprocess=logging_each_fold(seed=4))
+    finally:
+        logging.setLogRecordFactory(factory)
+    assert made == [f"fold {f} warns" for f in range(5)]
+    assert [r.getMessage() for r in caplog.records] == made
 
 
 class FakeExecutor:
