@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .core import FarecastError, PriceSeries, format_price
 from .ingest import SplitConfig, load_quotes, split
-from .util import (JSON_TYPES, check_json_type, derive_seed, read_json, round_sig,
+from .util import (JSON_TYPES, check_json_type, derive_seed, finite, read_json, round_sig,
                    to_jsonable, write_csv, write_json)
 
 import numpy as np
@@ -195,8 +195,8 @@ def _spec_from_args(args):
     from .learners import LearnerSpec
 
     try:
-        hyper = json.loads(args.hyperparams) if args.hyperparams else {}
-    except json.JSONDecodeError as exc:
+        hyper = json.loads(args.hyperparams or "{}", parse_constant=finite, parse_float=finite)
+    except (ValueError, RecursionError) as exc:
         raise FarecastError(f"--hyperparams is not valid JSON: {exc}") from exc
     return LearnerSpec(kind=args.model, task=args.task, hyperparams=hyper)
 

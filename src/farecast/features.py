@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Dataset, EmptySeries, FarecastError, PriceSeries, format_price
-from .util import as_float_arrays, check_finite, write_csv
+from .util import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -118,11 +118,11 @@ class Standardizer:
     keep: np.ndarray  # 1 per column kept, 0 per column dropped, over the full column set
 
     def __post_init__(self):
-        as_float_arrays(self, "mean", "scale", "keep")
         if not np.isin(self.keep, (0, 1)).all():
             raise FarecastError("Standardizer.keep must hold 0 or 1 per column")
-        check_finite(self, "mean", positive=("scale",))
-        self.keep = self.keep.astype(int)
+        if not (self.scale > 0.0).all():
+            raise FarecastError("Standardizer.scale must hold positive numbers")
+        self.keep = self.keep.astype(int)  # an index mask, saved as integers
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":

@@ -43,8 +43,7 @@ from .core import EmptySeries, FarecastError, PriceSeries, SeriesKey
 from .features import feature_dataset, set_route_dummies
 from .learners import TrainedModel, dummy_width, predict
 from .policy import PurchaseDecision, decide_classification
-from .util import (as_float_arrays, check_finite, check_types, derive_seed, from_jsonable,
-                   read_json, to_jsonable, write_json)
+from .util import derive_seed, from_jsonable, read_json, to_jsonable, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -63,14 +62,14 @@ class HmmModel:
     degenerate: bool = False
 
     def __post_init__(self):
-        check_types(self, route_index=int, n_states=int, norm_mean=float, degenerate=bool)
-        self.norm_mean = float(self.norm_mean)
-        as_float_arrays(self, "initial", "transition", "means", "variances")
         k = self.n_states
         if (self.transition.shape != (k, k)
                 or not self.initial.shape == self.means.shape == self.variances.shape == (k,)):
             raise FarecastError(f"HMM parameters must have shapes ({k},) and ({k}, {k})")
-        check_finite(self, "initial", "transition", "means", "variances")
+        # Baum-Welch output as well as a loaded template passes here.
+        if not all(np.isfinite(a).all() for a in (self.initial, self.transition, self.means,
+                                                  self.variances)):
+            raise FarecastError("HMM parameters must be finite")
         if (self.initial < 0).any() or (self.transition < 0).any():
             raise FarecastError("HMM probabilities must not be negative")
         if abs(self.initial.sum() - 1.0) > 1e-9:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core import FarecastError
 from ..util import NOT_SAVED, from_jsonable
-from .tree import Cart, ColumnCodes
+from .tree import Cart, ColumnCodes, trees_from_jsonable
 
 logger = logging.getLogger(__name__)
 
@@ -60,16 +60,13 @@ def _truncated(model, n_rounds: int, per_round: tuple[str, ...]):
                    **{name: getattr(model, name)[:min(n_rounds, ran)] for name in per_round})
 
 
-def _trees_from_jsonable(trees: list, weights: list,
-                         n_inputs: int) -> tuple[list[Cart], list[float]]:
-    """The trees and their weights as floats; raises FarecastError unless
-    there is one finite, positive weight per tree, as every fit gives."""
-    weights = [float(w) for w in weights]
-    if len(trees) != len(weights):
-        raise FarecastError(f"{len(trees)} trees for {len(weights)} weights")
-    if not all(0.0 < w < math.inf for w in weights):
-        raise FarecastError("tree weights must be finite and positive")
-    return [Cart.from_jsonable(t, n_inputs) for t in trees], weights
+def _trees_from_jsonable(trees: list, weights: list, n_inputs: int, task: str) -> list[Cart]:
+    """The saved trees; raises FarecastError unless there is one positive
+    weight per tree and every tree is of ``task``, as every fit gives."""
+    if len(trees) != len(weights) or not all(w > 0.0 for w in weights):
+        raise FarecastError(f"{len(trees)} trees need as many positive weights, "
+                            f"got {weights!r:.80}")
+    return trees_from_jsonable(trees, n_inputs, task)
 
 
 @dataclass
@@ -166,7 +163,7 @@ class AdaBoostClassifier:
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "AdaBoostClassifier":
         model = from_jsonable(cls, raw)
-        model.trees, model.alphas = _trees_from_jsonable(model.trees, model.alphas, n_inputs)
+        model.trees = _trees_from_jsonable(model.trees, model.alphas, n_inputs, "classification")
         if model.majority not in (0, 1):
             raise FarecastError(f"majority must be 0 or 1, got {model.majority!r}")
         return model
@@ -254,6 +251,6 @@ class AdaBoostRegressor:
         model = from_jsonable(cls, raw)
         if not model.trees:  # a fit keeps at least one
             raise FarecastError("a boosted regressor needs at least one tree")
-        model.trees, model.log_inv_betas = _trees_from_jsonable(model.trees, model.log_inv_betas,
-                                                                n_inputs)
+        model.trees = _trees_from_jsonable(model.trees, model.log_inv_betas, n_inputs,
+                                           "regression")
         return model

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core import FarecastError
 from ..util import derive_seed, from_jsonable
-from .tree import Cart
+from .tree import Cart, trees_from_jsonable
 
 
 def default_mtry(task: str, d: int) -> int:
@@ -36,8 +36,6 @@ class RandomForest:
     trees: list[Cart] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.task not in ("regression", "classification"):
-            raise FarecastError(f"unknown task {self.task!r}")
         if self.bootstrap not in ("resample", "identity"):
             raise FarecastError(f"unknown bootstrap mode {self.bootstrap!r}")
         if self.n_trees < 1:
@@ -79,9 +77,9 @@ class RandomForest:
 
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "RandomForest":
-        """Raises FarecastError unless it holds n_trees valid trees."""
+        """Raises FarecastError unless it holds n_trees valid trees of its task."""
         model = from_jsonable(cls, raw)
         if len(model.trees) != model.n_trees:
             raise FarecastError(f"{len(model.trees)} trees for n_trees {model.n_trees}")
-        model.trees = [Cart.from_jsonable(t, n_inputs) for t in model.trees]
+        model.trees = trees_from_jsonable(model.trees, n_inputs, model.task)
         return model

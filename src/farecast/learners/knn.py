@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
-from ..util import as_float_arrays, check_finite, check_shapes, from_jsonable
+from ..util import check_shapes, from_jsonable
 
 _BLOCK = 64
 
@@ -31,11 +31,8 @@ class Knn:
     y: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.task not in ("regression", "classification"):
-            raise FarecastError(f"unknown task {self.task!r}")
         if self.k < 1:
             raise FarecastError("k must be >= 1")
-        as_float_arrays(self, "X", "y")
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "Knn":
         self.X = np.asarray(X, dtype=float).copy()
@@ -64,12 +61,10 @@ class Knn:
 
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "Knn":
-        """Raises FarecastError unless X is (m, n_inputs), y is (m,), both finite,
-        and k <= m."""
+        """Raises FarecastError unless X is (m, n_inputs), y is (m,) and k <= m."""
         model = from_jsonable(cls, raw)
         m = np.size(model.y)
         check_shapes(model, X=(m, n_inputs), y=(m,))
-        check_finite(model, "X", "y")
         if model.k > m:
             raise FarecastError(f"k={model.k} exceeds the {m} stored training rows")
         return model

@@ -9,7 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..util import NOT_SAVED, as_float_arrays, check_finite, check_shapes, from_jsonable
+from ..core import FarecastError
+from ..util import NOT_SAVED, check_shapes, from_jsonable
 
 logger = logging.getLogger(__name__)
 
@@ -46,9 +47,6 @@ class LeastSquares:
     mean: Optional[np.ndarray] = None
     scale: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        as_float_arrays(self, "coef", "mean", "scale")
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LeastSquares":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -76,11 +74,12 @@ class LeastSquares:
 
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "LeastSquares":
-        """Raises FarecastError unless coef, mean and scale fit ``n_inputs`` and are
-        finite, the scales positive."""
+        """Raises FarecastError unless coef, mean and scale fit ``n_inputs``, the
+        scales positive."""
         model = from_jsonable(cls, raw)
         check_shapes(model, coef=(n_inputs + 1,), mean=(n_inputs,), scale=(n_inputs,))
-        check_finite(model, "coef", "mean", positive=("scale",))
+        if not (model.scale > 0.0).all():
+            raise FarecastError("LeastSquares.scale must hold positive numbers")
         return model
 
 
@@ -99,9 +98,6 @@ class Logistic:
     coef: Optional[np.ndarray] = None
     loss_history: list[float] = field(default_factory=list, metadata=NOT_SAVED)
     converged: bool = False
-
-    def __post_init__(self):
-        as_float_arrays(self, "coef")
 
     @staticmethod
     def _loss_grad(Z: np.ndarray, y: np.ndarray, beta: np.ndarray):
@@ -151,8 +147,7 @@ class Logistic:
 
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "Logistic":
-        """Raises FarecastError unless coef has ``n_inputs`` + 1 finite entries."""
+        """Raises FarecastError unless coef has ``n_inputs`` + 1 entries."""
         model = from_jsonable(cls, raw)
         check_shapes(model, coef=(n_inputs + 1,))
-        check_finite(model, "coef")
         return model

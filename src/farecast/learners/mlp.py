@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
-from ..util import NOT_SAVED, as_float_arrays, check_finite, check_shapes, from_jsonable
+from ..util import NOT_SAVED, check_shapes, from_jsonable
 from .linear import _sigmoid
 
 
@@ -33,14 +33,11 @@ class Mlp3:
     loss_history: list[float] = field(default_factory=list, metadata=NOT_SAVED)
 
     def __post_init__(self):
-        if self.task not in ("regression", "classification"):
-            raise FarecastError(f"unknown task {self.task!r}")
         if min(self.hidden, self.batch_size) < 1:
             raise FarecastError("hidden and batch_size must each be >= 1")
-        self.lr, self.b2 = float(self.lr), float(self.b2)
+        self.lr = float(self.lr)  # a spec may give an integer
         if not 0.0 < self.lr < np.inf:  # 0 trains nothing, a negative lr ascends
             raise FarecastError(f"lr must be positive and finite, got {self.lr}")
-        as_float_arrays(self, "w1", "b1", "w2")
 
     def _init_params(self, d: int, rng: np.random.Generator) -> None:
         bound = 1.0 / np.sqrt(d)
@@ -119,10 +116,8 @@ class Mlp3:
 
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "Mlp3":
-        """Raises FarecastError unless w1 is (n_inputs, hidden), b1 and w2 (hidden,),
-        and every weight and bias is finite."""
+        """Raises FarecastError unless w1 is (n_inputs, hidden), b1 and w2 (hidden,)."""
         model = from_jsonable(cls, raw)
         h = model.hidden
         check_shapes(model, w1=(n_inputs, h), b1=(h,), w2=(h,))
-        check_finite(model, "w1", "b1", "w2", "b2")
         return model

@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
-from ..util import NOT_SAVED, check_finite, from_jsonable
+from ..util import NOT_SAVED, from_jsonable
 
 # Strict-improvement guard: splits must beat the parent impurity by more
 # than accumulated float noise, otherwise the node stays a leaf.
@@ -162,10 +162,6 @@ class Cart:
                                                metadata=NOT_SAVED)
 
     def __post_init__(self):
-        if self.task not in ("regression", "classification"):
-            raise FarecastError(f"unknown task {self.task!r}")
-        if self.mtry is not None and self.mtry < 1:
-            raise FarecastError("mtry must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
             raise FarecastError("max_depth must be >= 0 or null")
 
@@ -185,8 +181,6 @@ class Cart:
         d, n = codes.shape
         y = np.asarray(y, dtype=float)
         w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-        if self.mtry is not None and rng is None:
-            raise ValueError("feature subsampling needs an rng")
 
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
@@ -368,19 +362,14 @@ class Cart:
     @classmethod
     def from_jsonable(cls, raw: dict, n_inputs: int) -> "Cart":
         """Rebuild a tree; raises FarecastError unless its node lists have one
-        length, its thresholds and values are finite, every split's children
-        come after it (so a walk from the root ends), and every split feature
-        is below ``n_inputs``."""
+        length, every split's children come after it (so a walk from the root
+        ends), and every split feature is below ``n_inputs``."""
         tree = from_jsonable(cls, raw)
-        for name, kind in (("feature", int), ("threshold", float), ("left", int),
-                           ("right", int), ("value", float)):
-            setattr(tree, name, [kind(v) for v in getattr(tree, name)])
         n_nodes = len(tree.feature)
         lists = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
         if n_nodes == 0 or any(len(v) != n_nodes for v in lists):
             raise FarecastError(f"tree node lists must share one nonzero length, "
                                 f"got {[len(v) for v in lists]}")
-        check_finite(tree, "threshold", "value")
         for node, f in enumerate(tree.feature):
             children = (tree.left[node], tree.right[node])
             if not -1 <= f < n_inputs or (
@@ -388,3 +377,12 @@ class Cart:
                 raise FarecastError(f"tree node {node} (feature {f}, children {children}) "
                                     f"is out of range for {n_nodes} nodes")
         return tree
+
+
+def trees_from_jsonable(raw: list, n_inputs: int, task: str) -> list[Cart]:
+    """An ensemble's saved trees; raises FarecastError unless each is a valid
+    tree of the ensemble's ``task``."""
+    trees = [Cart.from_jsonable(t, n_inputs) for t in raw]
+    if any(tree.task != task for tree in trees):
+        raise FarecastError(f"a {task} ensemble holds a tree of another task")
+    return trees

@@ -20,8 +20,7 @@ import numpy as np
 
 from .core import EmptySeries, FarecastError, PriceSeries
 from .policy import PurchaseDecision, buy_at
-from .util import (JSON_TYPES, as_float_arrays, check_json_type, check_types, derive_seed,
-                   from_jsonable, read_json, to_jsonable, write_json)
+from .util import derive_seed, from_jsonable, read_json, to_jsonable, write_json
 
 
 @dataclass
@@ -34,18 +33,13 @@ class QTable:
     route_means: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        check_types(self, d_max=int, gamma=float, alpha=float, route_means=dict)
         _check_rates(self.gamma, self.alpha)
-        as_float_arrays(self, "buy", "wait")
-        self.route_means = {k: float(check_json_type(f"QTable.route_means[{k!r}]", v,
-                                                     JSON_TYPES[float]))
-                            for k, v in self.route_means.items()}
-        if not all(0.0 < v < math.inf for v in self.route_means.values()):
-            raise FarecastError("Q-table route_means must be positive and finite")
+        if not all(v > 0.0 for v in self.route_means.values()):
+            raise FarecastError("Q-table route_means must be positive")
         for name, values in (("buy", self.buy), ("wait", self.wait)):
-            if values.shape != (self.d_max + 1,) or not np.isfinite(values).all():
+            if values.shape != (self.d_max + 1,):
                 raise FarecastError(f"Q-table {name} must hold d_max + 1 = {self.d_max + 1} "
-                                    f"finite values, got shape {values.shape}")
+                                    f"values, got shape {values.shape}")
 
     def q_buy(self, state: int) -> float:
         return float(self.buy[state]) if state <= self.d_max else 0.0

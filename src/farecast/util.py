@@ -2,21 +2,28 @@
 documents and CSV files.
 
 A saved document or report record is its dataclass's fields less those marked
-``NOT_SAVED``; the constructor's ``__post_init__`` converts and checks them.
-``read_json`` and ``write_json`` are the only readers and writers of JSON files,
-``write_csv`` the only writer of CSV files (``ingest.load_quotes`` reads quotes).
+``NOT_SAVED``; ``from_jsonable`` types them by their annotations and the
+constructor's ``__post_init__`` checks shapes and ranges. ``read_json`` and
+``write_json`` are the only readers and writers of JSON files, ``write_csv``
+the only writer of CSV files (``ingest.load_quotes`` reads quotes). The reader
+rejects, naming the file: text that is not JSON or nests too deep; ``NaN``,
+``Infinity`` and a number that overflows a float (``1e999``); a missing or an
+extra key; and a field of another JSON type than its annotation, such as
+``true`` or ``2.5`` for an integer, or a string in an array of numbers.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 import re
 import sys
 import zlib
 from dataclasses import fields, is_dataclass
 from datetime import date
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -54,14 +61,24 @@ def round_sig(value):
     return value
 
 
+def finite(text: str) -> float:
+    """A JSON number literal as a float; NaN, Infinity and one such as 1e999 raise."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def read_json(path, what: str, build: Callable):
-    """``build`` of the UTF-8 JSON document at ``path``. A decode, key, type or
-    domain error raises a FarecastError that names ``what`` and the file; an
-    OSError, such as a missing file, passes through."""
+    """``build`` of the UTF-8 JSON document at ``path``, which holds finite
+    numbers only. A decode, key, type, domain, overflow or nesting error raises
+    a FarecastError that names ``what`` and the file; an OSError, such as a
+    missing file, passes through."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return build(json.load(fh))
-        except (FarecastError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            return build(json.load(fh, parse_constant=finite, parse_float=finite))
+        except (FarecastError, ValueError, KeyError, TypeError, AttributeError,
+                OverflowError, RecursionError) as exc:
             raise FarecastError(f"{what} {path} is malformed: {exc!r}") from exc
 
 
@@ -99,12 +116,6 @@ def check_json_type(what: str, value, types: tuple, error=FarecastError):
         raise error(f"{what} must be of type {' or '.join(t.__name__ for t in types)}, "
                     f"got {value!r}")
     return value
-
-
-def check_types(obj, **kinds: type) -> None:
-    """Raise FarecastError unless each named field of ``obj`` has its kind's JSON type."""
-    for name, kind in kinds.items():
-        check_json_type(f"{type(obj).__name__}.{name}", getattr(obj, name), JSON_TYPES[kind])
 
 
 # Field metadata of a fit diagnostic: kept on the instance, never written.
@@ -147,43 +158,60 @@ def require_keys(what: str, raw, names: Iterable[str]) -> None:
                             f"unknown keys {sorted(extra)}")
 
 
-def from_jsonable(cls, raw):
-    """The dataclass ``cls`` rebuilt from ``to_jsonable``'s dict; raises
-    FarecastError unless ``raw`` holds exactly the saved field names."""
-    require_keys(cls.__name__, raw,
-                 [f.name for f in fields(cls) if f.metadata.get("saved", True)])
-    return cls(**raw)
+def _parts(kind) -> tuple:
+    """(nullable, type, entry) of an annotation: whether it is Optional, its
+    type (the origin of ``list[X]`` or ``dict[str, X]``) and X, else None."""
+    args = get_args(kind)
+    if type(None) in args:
+        return (True, *_parts(args[0])[1:])
+    return False, get_origin(kind) or kind, args[-1] if args else None
+
+
+@functools.cache
+def _saved_types(cls) -> dict:
+    """Each saved field of the dataclass ``cls``: its name in errors, *_parts."""
+    hints = get_type_hints(cls)
+    return {f.name: (f"{cls.__name__}.{f.name}", *_parts(hints[f.name]))
+            for f in fields(cls) if f.metadata.get("saved", True)}
 
 
 def _numbers(value) -> bool:
-    """True when every entry of the (nested) list or array ``value`` is a number:
-    no string, boolean or null."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "fiu"
-    if isinstance(value, (list, tuple)):
+    """True when every entry of the nested list ``value`` is a number, not a bool."""
+    if isinstance(value, list):
         return all(map(_numbers, value))
-    return isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def as_float_arrays(obj, *names: str) -> None:
-    """Set each named field of ``obj`` to a float array; None stays None. An entry
-    that is not a number raises FarecastError."""
-    for name in names:
-        value = getattr(obj, name)
-        if value is not None:
-            if not _numbers(value):
-                raise FarecastError(f"{type(obj).__name__}.{name} must hold numbers only")
-            setattr(obj, name, np.asarray(value, dtype=float))
+def _typed(value, what: str, nullable: bool, kind, entry):
+    """``value`` checked against its field's ``_parts``, a float as a float and an
+    array as a float array; a dataclass, or a list of them, is its class's to read."""
+    if value is None and nullable:
+        return None
+    if kind is np.ndarray:
+        if not isinstance(value, list) or not _numbers(value):
+            raise FarecastError(f"{what} must be an array of numbers, got {value!r:.80}")
+        return np.asarray(value, dtype=float)
+    if kind not in JSON_TYPES:  # a dataclass
+        return value
+    value = check_json_type(what, value, JSON_TYPES[kind])
+    if kind is list and entry in JSON_TYPES:
+        types = JSON_TYPES[entry]
+        if not set(map(type, value)).issubset(types):  # type(), so true is not an int
+            check_json_type(f"{what} entry", next(v for v in value if type(v) not in types),
+                            types)
+        return list(map(float, value)) if entry is float else value
+    if kind is dict and entry is not None:
+        return {k: _typed(v, f"{what}[{k!r}]", False, entry, None) for k, v in value.items()}
+    return float(value) if kind is float else value
 
 
-def check_finite(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
-    """Raise FarecastError unless each named field of ``obj`` holds finite numbers
-    only, and each field of ``positive`` finite numbers above 0."""
-    for name in (*names, *positive):
-        values = np.asarray(getattr(obj, name), dtype=float)
-        if not np.isfinite(values).all() or (name in positive and not (values > 0).all()):
-            raise FarecastError(f"{type(obj).__name__}.{name} must hold "
-                                f"{'positive ' if name in positive else ''}finite numbers")
+def from_jsonable(cls, raw):
+    """The dataclass ``cls`` rebuilt from ``to_jsonable``'s dict; raises
+    FarecastError unless ``raw`` holds exactly the saved field names, each of
+    the JSON type its annotation asks."""
+    types = _saved_types(cls)
+    require_keys(cls.__name__, raw, types)
+    return cls(**{name: _typed(raw[name], *parts) for name, parts in types.items()})
 
 
 def check_shapes(obj, **shapes: tuple) -> None:

@@ -654,8 +654,12 @@ def test_route_count_follows_the_corpus(tmp_path, gen_corpus, frozen_and_blend, 
             for i in counts} <= set(range(n_routes))
 
     capsys.readouterr()
-    # the 8-route frozen model cannot use this bank
+    # the 8-route frozen model can score neither these rows nor this bank
     eight_route_frozen, _ = frozen_and_blend
+    assert main(["backtest", *data, "--load-model", str(eight_route_frozen)]) == 2
+    assert one_line_error(capsys.readouterr().err) == {
+        "error": "FeatureMismatch",
+        "message": f"model expects 13 features, rows have {n_routes + 5}"}
     assert main([*generalize, "--frozen-model", str(eight_route_frozen),
                  "--bank", str(bank)]) == 2
     assert "the frozen model needs 0..7" in one_line_error(capsys.readouterr().err)["message"]
@@ -831,8 +835,13 @@ def write(path, text):
          "test_start": "2016-01-06", "test_end": "2016-01-09"})))],
     lambda d: ["--config", str(write(d / "c.json", "{not json"))],
     lambda d: ["--hyperparams", "{max_depth: 3}"],
+    # 200 KB of brackets ended in a RecursionError traceback, exit 1.
+    lambda d: ["--config", str(write(d / "c.json", "[" * 100_000 + "]" * 100_000))],
+    lambda d: ["--split-config", str(write(d / "s.json", "[" * 100_000 + "]" * 100_000))],
+    lambda d: ["--hyperparams", "[" * 100_000 + "]" * 100_000],
 ], ids=["config-split-missing-key", "split-config-bad-date", "config-bad-json",
-        "hyperparams-bad-json"])
+        "hyperparams-bad-json", "config-nested-too-deep", "split-config-nested-too-deep",
+        "hyperparams-nested-too-deep"])
 def test_config_errors_exit_two(workdir, tmp_path, capsys, bad_input):
     argv = ["train", "--quotes", str(workdir / "quotes.csv"), "--task", "classification",
             "--model", "cart", *bad_input(tmp_path)]
@@ -852,6 +861,7 @@ def test_config_errors_exit_two(workdir, tmp_path, capsys, bad_input):
     ("qlearn", {"qlearn": 5}, []),
     ("qlearn", {"qlearn": {"episodes": True}}, []),
     ("backtest", {"oversample": "yes"}, []),
+    ("backtest", {"outlier_removal": "foo"}, []),
     ("generalize", {"hmm": {"max_iter": 0}}, []),
     ("generalize", {"hmm": {"n_states": 0}}, []),
     ("generalize", {}, ["--n-states", "0"]),
@@ -864,6 +874,7 @@ def test_config_errors_exit_two(workdir, tmp_path, capsys, bad_input):
     ("qlearn", {"qlearn": 5}, ["--episodes", "2", "--gamma", "1", "--alpha", "0.1"]),
 ], ids=["hmm-list", "hmm-string-states", "anchor-bad-date", "grid-number",
         "grid-entry-number", "qlearn-number", "qlearn-bool-episodes", "oversample-string",
+        "outlier-removal-unknown",
         "hmm-iterations-0", "hmm-states-0", "n-states-0", "n-states-negative", "episodes-0",
         "episodes-negative", "simulate-random-0", "simulate-random-negative",
         "seed-negative", "qlearn-number-all-flags"])
@@ -1160,12 +1171,15 @@ SPEC_ERRORS = ("FarecastError", "IncompatibleSpec")
     ("mlp3", {"lr": 0}, SPEC_ERRORS),
     ("mlp3", {"lr": -1}, SPEC_ERRORS),
     ("mlp3", {"lr": float("inf")}, SPEC_ERRORS),
+    # Trained for max_iter rounds, and saved a model the reader rejects.
+    ("logistic", {"grad_tol": float("nan")}, SPEC_ERRORS),
 ], ids=["cart-depth-string", "adaboost-rounds-string", "adaboost-depth-bool", "knn-k-0",
         "knn-k-above-the-training-rows", "mlp3-hidden-0", "mlp3-epochs-0", "mlp3-batch-0",
         "forest-bootstrap-x", "forest-subsample-string", "forest-trees-0",
         "logistic-iterations-0", "logistic-iterations-negative", "adaboost-rounds-0",
         "adaboost-rounds-negative", "adaboost-depth-0", "cart-depth-negative",
-        "blend-member-unknown-name", "mlp3-lr-0", "mlp3-lr-negative", "mlp3-lr-infinite"])
+        "blend-member-unknown-name", "mlp3-lr-0", "mlp3-lr-negative", "mlp3-lr-infinite",
+        "logistic-tolerance-nan"])
 def test_bad_hyperparameters_exit_two(workdir, capsys, model, hyperparams, errors):
     capsys.readouterr()
     assert main(["train", *base_args(workdir, [
@@ -1478,6 +1492,90 @@ def test_any_path_or_number_ends_in_report_or_exit_two(boundary_inputs, command,
             return
         report = out.getvalue() if "--out" not in paths else (d / "out").read_text()
         assert json.loads(report)["command"] == command
+
+
+# -- one mutation of any saved document or input file -----------------------------
+
+V1 = Path(__file__).parent / "data" / "v1"
+V1_DATA = ["--quotes", str(V1 / "quotes.csv"), "--split-config", str(V1 / "split.json")]
+V1_CART = str(V1 / "model_cart_classification.json")
+# Each document kind: its file in tests/data/v1 (none for the config).
+DOCUMENTS = {**{p.stem: p.name for p in sorted(V1.glob("model_*.json"))},
+             "hmm": "hmm_0.json", "qtable": "qtable.json", "split": "split.json",
+             "config": None}
+CONFIG = {"oversample": False, "outlier_removal": "kmeans",
+          "split": json.loads((V1 / "split.json").read_text(encoding="utf-8"))}
+OTHER_VALUES = [None, True, "text", [], {}, 0, -1, 0.5, float("nan")]
+
+
+def command_reading(kind: str, path: Path, gen: Path) -> list:
+    """The command that reads the document of ``kind`` from ``path``; an HMM
+    template is hmm_0.json of a bank."""
+    if kind == "hmm":
+        return ["generalize", "--gen-quotes", str(gen), "--frozen-model", V1_CART,
+                "--bank", str(path.parent)]
+    if kind == "qtable":
+        return ["qlearn", *V1_DATA, "--load-table", str(path)]
+    if kind == "split":
+        return ["backtest", *V1_DATA[:2], "--split-config", str(path), "--load-model", V1_CART]
+    if kind == "config":
+        return ["backtest", *V1_DATA[:2], "--task", "classification", "--model", "cart",
+                "--hyperparams", '{"max_depth": 2}', "--config", str(path)]
+    return ["backtest", *V1_DATA, "--load-model", str(path)]
+
+
+def mutated(data, doc):
+    """``doc`` after one mutation of a value found by walking down up to six
+    levels: a swap for another JSON value, NaN or a fractional number, a key
+    deleted or added, or a list truncated or extended."""
+    root = holder = {"doc": doc}
+    key = "doc"
+    for _ in range(data.draw(st.integers(0, 6), label="depth")):
+        if not (isinstance(holder[key], (dict, list)) and holder[key]):
+            break
+        holder = holder[key]
+        key = data.draw(st.sampled_from(sorted(holder) if isinstance(holder, dict)
+                                        else range(len(holder))), label="key")
+    value = holder[key]
+    options = ["swap"]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        options.append("fraction")
+    if isinstance(value, dict):
+        options += ["delete key", "add key"] if value else ["add key"]
+    if isinstance(value, list):
+        options += ["truncate", "extend"] if value else ["extend"]
+    mutation = data.draw(st.sampled_from(options), label="mutation")
+    if mutation == "swap":
+        holder[key] = data.draw(st.sampled_from(OTHER_VALUES), label="value")
+    elif mutation == "fraction":
+        holder[key] = value + 0.5
+    elif mutation == "delete key":
+        del value[data.draw(st.sampled_from(sorted(value)), label="deleted")]
+    elif mutation == "add key":
+        value["extra"] = data.draw(st.sampled_from(OTHER_VALUES), label="value")
+    elif mutation == "truncate":
+        del value[data.draw(st.integers(0, len(value) - 1), label="length"):]
+    else:
+        value.append(copy.deepcopy(value[-1]) if value else 0)
+    return root["doc"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_mutation_of_any_document_ends_in_report_or_exit_two(gen_corpus, data):
+    """The 13 v1 models, the HMM template, the Q-table, the split and a config."""
+    kind = data.draw(st.sampled_from(sorted(DOCUMENTS)), label="document")
+    name = DOCUMENTS[kind]
+    doc = CONFIG if name is None else json.loads((V1 / name).read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as tmp:
+        bank = Path(tmp) / "bank"
+        bank.mkdir()
+        template = json.loads((V1 / "hmm_0.json").read_text(encoding="utf-8"))
+        for i in range(1, 8):
+            write(bank / f"hmm_{i}.json", json.dumps({**template, "route_index": i}))
+        path = bank / "hmm_0.json" if kind == "hmm" else Path(tmp) / "document.json"
+        write(path, json.dumps(mutated(data, copy.deepcopy(doc))))
+        report_or_error(command_reading(kind, path, gen_corpus), Path(tmp) / "out.json")
 
 
 # -- process-level entry --------------------------------------------------------

@@ -96,8 +96,9 @@ def test_to_jsonable_converts_arrays_tuples_dates_and_numpy_scalars():
 @pytest.mark.parametrize("edit", [lambda d: d.pop("norm_mean"), lambda d: d.update(x=1)],
                          ids=["missing", "extra"])
 def test_from_jsonable_needs_exactly_the_saved_keys(edit):
-    model = HmmModel(route_index=0, n_states=1, initial=[1.0], transition=[[1.0]],
-                     means=[1.0], variances=[0.1])
+    model = HmmModel(route_index=0, n_states=1, initial=np.array([1.0]),
+                     transition=np.array([[1.0]]), means=np.array([1.0]),
+                     variances=np.array([0.1]))
     doc = to_jsonable(model)
     assert to_jsonable(from_jsonable(HmmModel, doc)) == doc
     edit(doc)
@@ -149,8 +150,10 @@ def first_tree(doc: dict) -> dict:
 
 
 def backtest_exit_code(doc: dict, tmp_path, capsys) -> int:
+    """``backtest --load-model`` of ``doc``, or of the text ``doc``; an exit of 2
+    must print one JSON line."""
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     code = main(["backtest", "--quotes", str(V1 / "quotes.csv"), "--split-config",
                  str(V1 / "split.json"), "--load-model", str(path), "--out", os.devnull])
@@ -234,3 +237,38 @@ def test_a_qtable_route_mean_no_fit_gives_exits_two(bad, tmp_path, capsys):
     else:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "FarecastError"
+
+
+# -- inputs the one reader rejects ------------------------------------------------
+
+
+OTHER_TASK = {"classification": "regression", "regression": "classification"}
+
+
+@pytest.mark.parametrize("name", ["model_adaboost_cart_classification.json",
+                                  "model_random_forest_classification.json",
+                                  "model_adaboost_cart_regression.json"])
+def test_member_trees_of_the_other_task_exit_two(name, tmp_path, capsys):
+    # These loaded with exit 0 and reported a mean_normalized_pct of 78.766,
+    # 62.9068 and 50.1109, against 68.2802, 68.0096 and 51.9671 as saved.
+    doc = json.loads((V1 / name).read_text(encoding="utf-8"))
+    for tree in doc["core"]["trees"]:
+        tree["task"] = OTHER_TASK[tree["task"]]
+    assert backtest_exit_code(doc, tmp_path, capsys) == 2
+
+
+# A tree field's first entry, as the literal JSON text of the file. Infinity and
+# the two overflowing literals ended in an OverflowError traceback; 2.5 loaded
+# as feature 2 and true as feature 1, with exit 0.
+TREE_LITERALS = [("feature", "Infinity"), ("left", "Infinity"), ("right", "Infinity"),
+                 ("feature", "2.5"), ("feature", "true"), ("feature", "1e999"),
+                 ("threshold", "1" + "0" * 400)]
+
+
+@pytest.mark.parametrize("field, literal", TREE_LITERALS,
+                         ids=[f"{f}-{t[:8]}" for f, t in TREE_LITERALS])
+def test_a_tree_entry_the_reader_rejects_exits_two(field, literal, tmp_path, capsys):
+    doc = json.loads((V1 / "model_cart_classification.json").read_text(encoding="utf-8"))
+    doc["core"][field][0] = "@@"
+    text = json.dumps(doc).replace('"@@"', literal)
+    assert backtest_exit_code(text, tmp_path, capsys) == 2
