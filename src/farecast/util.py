@@ -5,11 +5,13 @@ A saved document or report record is its dataclass's fields less those marked
 ``NOT_SAVED``; ``from_jsonable`` types them by their annotations and the
 constructor's ``__post_init__`` checks shapes and ranges. ``read_json`` and
 ``write_json`` are the only readers and writers of JSON files, ``write_csv``
-the only writer of CSV files (``ingest.load_quotes`` reads quotes). The reader
-rejects, naming the file: text that is not JSON or nests too deep; ``NaN``,
-``Infinity`` and a number that overflows a float (``1e999``); a missing or an
-extra key; and a field of another JSON type than its annotation, such as
-``true`` or ``2.5`` for an integer, or a string in an array of numbers.
+the only writer of CSV files (``ingest.load_quotes`` reads quotes). Both
+writers leave a file whole: the new one, or the old one if writing fails.
+The reader rejects, naming the file: text that is not JSON or nests too deep;
+``NaN``, ``Infinity`` and a number that overflows a float (``1e999``); a
+missing or an extra key; and a field of another JSON type than its
+annotation, such as ``true`` or ``2.5`` for an integer, or a string in an
+array of numbers.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import csv
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 import zlib
 from dataclasses import fields, is_dataclass
@@ -84,23 +88,54 @@ def read_json(path, what: str, build: Callable):
 
 def write_json(value, path=None, indent=None) -> None:
     """Write the JSON value ``value`` with sorted keys and a final newline to
-    ``path``, or to stdout when ``path`` is empty."""
+    ``path`` (whole, as ``_write_whole`` does), or to stdout when ``path`` is empty."""
     text = json.dumps(value, sort_keys=True, indent=indent) + "\n"
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_whole(path, lambda fh: fh.write(text))
 
 
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
     """Write ``header``, then each of ``rows``, to ``path`` as UTF-8 CSV in the
     csv module's default dialect: commas, CRLF line ends, and quotes only
-    around a field that holds a comma, a quote or a line break."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    around a field that holds a comma, a quote or a line break. The file is
+    replaced whole, as ``_write_whole`` does."""
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+    _write_whole(path, write, newline="")
+
+
+def _write_whole(path, write: Callable, newline=None) -> None:
+    """Call ``write`` on a new UTF-8 text file beside ``path``, then rename it
+    over ``path``, so a reader sees the old file or the new one, never a
+    part. If ``write`` raises, the old file stays and the new one goes.
+    The file gets the mode a plain ``open`` would give: the old file's, or
+    the umask's for a new one. A symlink is followed; a path that is
+    neither a regular file nor a directory, such as a pipe, is written in
+    place."""
+    path = os.fspath(path)
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            write(fh)
+        return
+    head, name = os.path.split(path)
+    temp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    fh = open(temp, "x", newline=newline, encoding="utf-8")
+    try:
+        with fh:
+            write(fh)
+        if os.path.isfile(path):
+            os.chmod(temp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 # The Python types a JSON value may have where one of the key's type is due: a

@@ -4,30 +4,42 @@ Most tests need a PriceSeries with hand-picked prices; ``series_of`` builds
 one with consecutive daily quotes ending a configurable number of days
 before departure. ``dataset_of`` builds a Dataset from hand-written rows.
 It also holds the small computations only tests need (oracle prices, the
-row-by-row forward pass and a single sequence's log-likelihood, one-template
+row-by-row forward pass and a single sequence's log-likelihood, the
+template-by-template scoring pass, the level-by-level tree walk, one-template
 HMM fits and draws, class and coefficient read-outs, the row-major k-means
 and EM fits, the quote-by-quote corpus generator), which the package does
-not carry. An autouse fixture fails
-any test that leaves a child process running.
+not carry. An autouse fixture fails any test that leaves a child process
+running.
+
+Hypothesis runs derandomized: every ``@given`` test draws the same examples
+on every run, with no example database, so a run fails or passes as the last
+one did. ``HYPOTHESIS_PROFILE=random`` draws new examples instead.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from datetime import date, timedelta
 from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from farecast.core import BUY, WAIT, Dataset, EmptySeries, PriceSeries, SeriesKey
 from farecast.features import CONTINUOUS_NAMES, set_route_dummies
-from farecast.hmm import BaumWelchResult, HmmModel, _em, _em_start, _fit_routes, _scaled_emission
+from farecast.hmm import (BaumWelchResult, HmmModel, _em, _em_start, _fit_routes, _forward,
+                          _scaled_emission)
 from farecast.preprocess import COV_REG, GmmFit, KMeansFit
 from farecast.synthgen import (DEPARTURE_STEP_DAYS, DROP_DEPTH_RANGE, PRICE_CAP, PRICE_FLOOR,
                                GeneratorConfig, route_params, trend_price)
 from farecast.util import derive_seed
+
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.register_profile("random", derandomize=False, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
 
 def series_of(
@@ -102,6 +114,40 @@ def forward_loglik(model, observations) -> float:
     """Log-likelihood of one non-empty sequence under an HMM template."""
     obs = np.asarray(observations, dtype=float)
     return float(_forward_rows(model, obs[None], [len(obs)])[0])
+
+
+def per_template_logliks(bank: Sequence[HmmModel], obs: np.ndarray, lengths) -> np.ndarray:
+    """``hmm._row_logliks`` with one forward pass per template: the exact
+    oracle of the pass that scores every template of a state count at once."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    rows = np.arange(len(lengths))
+    logliks = np.empty((len(bank), len(lengths)))
+    with np.errstate(divide="ignore"):
+        for model, out in zip(bank, logliks):
+            *_, c, shift = _forward([model], obs[None])
+            out[:] = np.cumsum(np.log(c) + shift, axis=0)[lengths - 1, 0, rows]
+    return logliks
+
+
+def level_walk_scores(tree, X: np.ndarray) -> np.ndarray:
+    """``Cart.predict_scores`` with every row moved down one level per step,
+    all rows at once: the exact oracle of the descent by row partition."""
+    X = np.asarray(X, dtype=float)
+    feature = np.asarray(tree.feature)
+    threshold = np.asarray(tree.threshold)
+    left = np.asarray(tree.left)
+    right = np.asarray(tree.right)
+    value = np.asarray(tree.value)
+
+    node = np.zeros(len(X), dtype=int)
+    active = feature[node] >= 0
+    while active.any():
+        rows = np.flatnonzero(active)
+        cur = node[rows]
+        go_left = X[rows, feature[cur]] <= threshold[cur]
+        node[rows] = np.where(go_left, left[cur], right[cur])
+        active = feature[node] >= 0
+    return value[node]
 
 
 def sample(model: HmmModel, length: int, seed: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from farecast.core import (
     BUY,
     WAIT,
     EmptySeries,
+    FarecastError,
     FeatureRow,
     PriceSeries,
     SeriesKey,
@@ -33,6 +34,7 @@ from farecast.features import (
     set_route_dummies,
 )
 from farecast.learners import LearnerSpec, fit, predict
+from farecast.pipeline import build_dataset
 from farecast.util import from_jsonable, to_jsonable
 
 from conftest import series_of
@@ -315,3 +317,9 @@ def test_route_order_is_total_under_every_hash_seed():
                               env={**os.environ, "PYTHONPATH": path,
                                    "PYTHONHASHSEED": hash_seed})
         assert proc.stdout.split() == ["R001,R01,R1,R2"], hash_seed
+
+
+def test_a_series_of_an_unknown_route_is_rejected():
+    s = series_of([100.0, 90.0], route_id="R2")
+    with pytest.raises(FarecastError, match="belongs to no known route"):
+        build_dataset([s], ["R1"], s.first_query_date, role="test")

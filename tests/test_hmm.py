@@ -37,7 +37,8 @@ from farecast.learners import predict
 from farecast.policy import decide_classification
 from farecast.util import derive_seed, to_jsonable
 
-from conftest import _forward_rows, baum_welch, forward_loglik, hmm_fit, sample, series_of
+from conftest import (_forward_rows, baum_welch, forward_loglik, hmm_fit, per_template_logliks,
+                      sample, series_of)
 
 
 def unit_model(mean=0.0, var=1.0):
@@ -286,6 +287,46 @@ def test_classify_ragged_stacks_match_scalar_forward(seed, ks, rows, spike_at, p
     got = classify(bank, obs, lengths)
     assert got.tolist() == np.argmax(want, axis=0).tolist()
     assert np.isfinite(want[got, np.arange(len(rows))]).all()  # -inf never wins
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       states=st.lists(st.sampled_from([1, 4, "fragile", "degenerate"]), min_size=1, max_size=9),
+       lengths=st.lists(st.integers(1, 15), min_size=1, max_size=9))
+def test_one_pass_per_state_count_scores_as_one_pass_per_template(seed, states, lengths):
+    # 1-, 2- and 4-state templates in any order share a pass with the
+    # others of their state count; rows come ragged, with finite padding.
+    kinds = {"fragile": fragile_model, "degenerate": degenerate_model}
+    bank = [kinds[k]() if k in kinds else sparse_random_model(seed + i, k)
+            for i, k in enumerate(states)]
+    obs = np.random.default_rng(seed).uniform(0.5, 1.5, (len(lengths), max(lengths)))
+    want = per_template_logliks(bank, obs, lengths)
+    got = _row_logliks(bank, obs, lengths)
+    assert got.tobytes() == want.tobytes()
+    assert classify(bank, obs, lengths).tolist() == np.argmax(want, axis=0).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 10), r=st.integers(1, 3),
+       s=st.integers(1, 5), t=st.integers(1, 8))
+def test_forward_steps_sum_and_scale_as_a_reduction_and_a_masked_divide(seed, k, r, s, t):
+    # Each step's scaler is a.sum(axis=-1), and a zero scaler leaves its row
+    # undivided, for every state count: below 8 the states are added one by
+    # one, from 8 on numpy's pairwise sum runs. With K = 2 the fragile
+    # template's scaler drops to 0 on any observation but 1.0.
+    models = [sparse_random_model(seed + i, k) for i in range(r)]
+    if k == 2:
+        models.append(fragile_model())
+    obs = np.random.default_rng(seed).uniform(0.5, 1.5, (1, s, t))
+    trans, _, b, alpha, c, _ = _forward(models, obs)
+    a = np.stack([m.initial for m in models])[:, None] * b[0]
+    for step in range(t):
+        if step:
+            a = (a @ trans) * b[step]
+        total = a.sum(axis=-1)
+        a = np.divide(a, total[..., None], out=a.copy(), where=total[..., None] != 0.0)
+        assert total.tobytes() == c[step].tobytes()
+        assert a.tobytes() == alpha[step].tobytes()
 
 
 def test_sample_shape_and_determinism():
@@ -735,19 +776,26 @@ def test_generalized_per_series_classifies_once():
     assert result.assignments[key] == (expected,) * 4
 
 
-def test_generalized_per_series_runs_one_pass_per_template(monkeypatch):
+def test_generalized_scoring_runs_one_pass_per_state_count(monkeypatch):
+    # Every template of a state count shares one pass over the one stack:
+    # per series, all series at once; per row, each series' prefixes.
     calls, forward = [], hmm._forward
 
     def counting(models, obs):
-        calls.append((len(models), obs.shape))
+        calls.append(([m.n_states for m in models], obs.shape))
         return forward(models, obs)
 
     monkeypatch.setattr(hmm, "_forward", counting)
+    bank = near_constant_bank()
+    bank[3] = replace(fragile_model(), route_index=3)
     gen = [series_of([55.0, 52.0, 56.0, 54.0], route_id=f"G{i}", departure=date(2016, 2, 10))
            for i in range(3)]
-    generalized_predict(near_constant_bank(), frozen_classifier(), gen,
+    generalized_predict(bank, frozen_classifier(), gen,
                         anchor=gen[0].first_query_date, per_series=True)
-    assert calls == [(1, (1, 3, 4))] * 8
+    assert calls == [([1] * 7, (1, 3, 4)), ([2], (1, 3, 4))]
+    calls.clear()
+    generalized_predict(bank, frozen_classifier(), gen, anchor=gen[0].first_query_date)
+    assert calls == [([1] * 7, (1, 4, 4)), ([2], (1, 4, 4))] * 3
 
 
 def test_generalized_assignments_are_causal():

@@ -18,7 +18,7 @@ from farecast.learners import tree as tree_module
 from farecast.learners.tree import _EPS, Cart, ColumnCodes, distinct_rows
 from farecast.util import to_jsonable
 
-from conftest import coef_original
+from conftest import coef_original, level_walk_scores
 
 
 # -- least squares ----------------------------------------------------------
@@ -594,6 +594,41 @@ def fit_both(problem, reference):
         fit(tree, X, y, sample_weight=w, rng=rng)
         fitted.append(to_jsonable(tree))
     return fitted
+
+
+@st.composite
+def trees_and_rows(draw):
+    """(tree, X): a single leaf, a full depth-3 tree, or a ragged tree up to
+    depth 14, whose thresholds and rows come from one grid of a few values,
+    so rows fall on thresholds; from 0 rows to past three partition cutoffs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth, split_prob = draw(st.sampled_from([(0, 1.0), (3, 1.0), (14, 0.8)]))
+    d = draw(st.integers(1, 5))
+    grid = np.round(rng.normal(0.0, 1.0, draw(st.integers(1, 8))), 1)
+    tree = Cart("regression", None, 1)
+    frontier = [(tree._new_node(), 0)]  # nodes numbered level by level
+    while frontier:
+        node, at = frontier.pop(0)
+        tree.value[node] = float(rng.normal())
+        if at < depth and rng.random() < split_prob:
+            tree.feature[node] = int(rng.integers(d))
+            tree.threshold[node] = float(rng.choice(grid))
+            tree.left[node], tree.right[node] = tree._new_node(), tree._new_node()
+            frontier += [(tree.left[node], at + 1), (tree.right[node], at + 1)]
+    n = draw(st.integers(0, 3 * tree_module._PARTITION_MIN_ROWS))
+    return tree, rng.choice(grid, (n, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees_and_rows())
+@example((Cart("regression", None, 1, feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0],
+               left=[1, -1, -1], right=[2, -1, -1], value=[0.0, 1.0, 2.0]), np.empty((0, 1))))
+@example((Cart("regression", None, 1, feature=[-1], threshold=[0.0], left=[-1], right=[-1],
+               value=[3.0]), np.empty((0, 2))))
+def test_partition_descent_predicts_as_the_level_walk(tree_and_rows):
+    tree, X = tree_and_rows
+    got = tree.predict_scores(X)
+    assert got.dtype == float and got.tobytes() == level_walk_scores(tree, X).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

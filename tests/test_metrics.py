@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from farecast.core import FarecastError
 from farecast.metrics import (
     aggregate,
     backtest_report,
@@ -14,6 +15,7 @@ from farecast.metrics import (
     random_purchase_price,
     simulated_random_purchase_price,
 )
+from farecast.pipeline import score_decisions
 from farecast.policy import PurchaseDecision
 from farecast.util import to_jsonable
 
@@ -87,6 +89,31 @@ def test_constant_route_undefined_when_suboptimal():
     perf, opt, norm, defined = performance_metrics(20.0, 20.0, 21.0)
     assert opt == 0.0
     assert not defined
+
+
+# The scoring raises, each reached through pipeline.score_decisions.
+
+
+def test_scoring_zero_series_raises():
+    with pytest.raises(FarecastError, match="zero routes"):
+        score_decisions([], [])
+
+
+def test_scoring_a_zero_price_route_raises():
+    # Quotes read from a file are positive; a series built in code may not be.
+    s = series_of([0.0, 0.0])
+    with pytest.raises(FarecastError, match="random purchase price is zero"):
+        score_decisions([buy_at(s, 0)], [s])
+
+
+def test_scoring_raises_when_no_route_has_a_defined_normalized_performance():
+    # The mean of 1 and the next float up rounds to 1, the minimum: the route
+    # has zero optimal performance, and a buy at the higher quote is not optimal.
+    s = series_of([1.0, math.nextafter(1.0, 2.0)])
+    (m,) = backtest_report([buy_at(s, 1)], [s])
+    assert m.optimal_performance_pct == 0.0 and not m.normalized_defined
+    with pytest.raises(FarecastError, match="no route has a defined"):
+        score_decisions([buy_at(s, 1)], [s])
 
 
 def test_aggregate_trivial_and_population_variance():
