@@ -559,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blend-model", help="uniform_blend model for the voting variant")
     p.add_argument("--n-states", type=int, default=None)
     p.add_argument("--per-series", action="store_true",
-                   help="classify once per series instead of per row")
+                   help="classify once per series instead of per row; this reads each "
+                        "series' later prices, so its decisions are not an online backtest")
     p.add_argument("--anchor", help="ISO date anchoring query_to_departure")
     p.add_argument("--out")
     p.add_argument("--report-csv")
@@ -570,17 +571,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand and write its report, with the command and seed, to
-    ``--out`` or stdout. A FarecastError or an OSError exits 2 with a one-line
-    JSON error; an OSError is named by its class less ``Error``."""
+    ``--out`` or stdout. A FarecastError, an OSError or a floating-point
+    overflow (numpy's, raised here rather than warned of) exits 2 with a
+    one-line JSON error; an OSError is named by its class less ``Error``."""
     _setup_logging()
     try:
-        args = build_parser().parse_args(argv)
-        report = args.func(args)
+        with np.errstate(over="raise"):
+            args = build_parser().parse_args(argv)
+            report = args.func(args)
         if report is not None:
             report.update(command=args.command, seed=args.seed)
             write_json(round_sig(to_jsonable(report)), args.out, indent=2)
         return 0
-    except (FarecastError, OSError) as exc:
+    except (FarecastError, OSError, FloatingPointError) as exc:
         name = type(exc).__name__
         if isinstance(exc, OSError):
             name = name.removesuffix("Error")

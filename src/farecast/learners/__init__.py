@@ -370,7 +370,8 @@ def model_from_dict(raw: dict) -> TrainedModel:
                 f"{spec.task} members of {n_features} features, one per route; it has {len(core)}")
     else:
         n_inputs = n_features if standardizer is None else int(standardizer.keep.sum())
-        core = _KIND_TABLE[spec.kind].cores[spec.task].from_jsonable(raw["core"], n_inputs)
+        core = from_jsonable(_KIND_TABLE[spec.kind].cores[spec.task], raw["core"])
+        core.check_inputs(n_inputs)
         if getattr(core, "task", spec.task) != spec.task:
             raise FarecastError(f"a {spec.task} model holds a {core.task} core")
     return TrainedModel(spec, n_features, standardizer, core, dict(raw["train_summary"]))

@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
-from ..util import NOT_SAVED, from_jsonable
-from .tree import Cart, ColumnCodes, trees_from_jsonable
+from ..util import NOT_SAVED
+from .tree import Cart, ColumnCodes, check_trees
 
 logger = logging.getLogger(__name__)
 
@@ -58,15 +58,6 @@ def _truncated(model, n_rounds: int, per_round: tuple[str, ...]):
     return replace(model, n_rounds=n_rounds,
                    stopped_early=model.stopped_early if n_rounds >= ran else None,
                    **{name: getattr(model, name)[:min(n_rounds, ran)] for name in per_round})
-
-
-def _trees_from_jsonable(trees: list, weights: list, n_inputs: int, task: str) -> list[Cart]:
-    """The saved trees; raises FarecastError unless there is one positive
-    weight per tree and every tree is of ``task``, as every fit gives."""
-    if len(trees) != len(weights) or not all(w > 0.0 for w in weights):
-        raise FarecastError(f"{len(trees)} trees need as many positive weights, "
-                            f"got {weights!r:.80}")
-    return trees_from_jsonable(trees, n_inputs, task)
 
 
 @dataclass
@@ -160,13 +151,10 @@ class AdaBoostClassifier:
         total = sum(self.alphas)
         return (self.decision_margin(X) / total + 1.0) / 2.0
 
-    @classmethod
-    def from_jsonable(cls, raw: dict, n_inputs: int) -> "AdaBoostClassifier":
-        model = from_jsonable(cls, raw)
-        model.trees = _trees_from_jsonable(model.trees, model.alphas, n_inputs, "classification")
-        if model.majority not in (0, 1):
-            raise FarecastError(f"majority must be 0 or 1, got {model.majority!r}")
-        return model
+    def check_inputs(self, n_inputs: int) -> None:
+        check_trees(self.trees, n_inputs, "classification", self.alphas)
+        if self.majority not in (0, 1):
+            raise FarecastError(f"majority must be 0 or 1, got {self.majority!r}")
 
 
 @dataclass
@@ -246,11 +234,7 @@ class AdaBoostRegressor:
     def truncated(self, n_rounds: int) -> Optional["AdaBoostRegressor"]:
         return _truncated(self, n_rounds, ("trees", "log_inv_betas", "avg_losses"))
 
-    @classmethod
-    def from_jsonable(cls, raw: dict, n_inputs: int) -> "AdaBoostRegressor":
-        model = from_jsonable(cls, raw)
-        if not model.trees:  # a fit keeps at least one
+    def check_inputs(self, n_inputs: int) -> None:
+        if not self.trees:  # a fit keeps at least one
             raise FarecastError("a boosted regressor needs at least one tree")
-        model.trees = _trees_from_jsonable(model.trees, model.log_inv_betas, n_inputs,
-                                           "regression")
-        return model
+        check_trees(self.trees, n_inputs, "regression", self.log_inv_betas)

@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
-from ..util import derive_seed, from_jsonable
-from .tree import Cart, trees_from_jsonable
+from ..util import derive_seed
+from .tree import Cart, check_trees
 
 
 def default_mtry(task: str, d: int) -> int:
@@ -75,11 +75,8 @@ class RandomForest:
             return (scores > 0.5).astype(int)  # vote ties go to wait
         return scores
 
-    @classmethod
-    def from_jsonable(cls, raw: dict, n_inputs: int) -> "RandomForest":
+    def check_inputs(self, n_inputs: int) -> None:
         """Raises FarecastError unless it holds n_trees valid trees of its task."""
-        model = from_jsonable(cls, raw)
-        if len(model.trees) != model.n_trees:
-            raise FarecastError(f"{len(model.trees)} trees for n_trees {model.n_trees}")
-        model.trees = trees_from_jsonable(model.trees, n_inputs, model.task)
-        return model
+        if len(self.trees) != self.n_trees:
+            raise FarecastError(f"{len(self.trees)} trees for n_trees {self.n_trees}")
+        check_trees(self.trees, n_inputs, self.task)

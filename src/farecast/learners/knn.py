@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
-from ..util import check_shapes, from_jsonable
+from ..util import check_shapes
 
 _BLOCK = 64
 
@@ -59,12 +59,9 @@ class Knn:
             return (scores > 0.5).astype(int)  # vote ties go to wait
         return scores
 
-    @classmethod
-    def from_jsonable(cls, raw: dict, n_inputs: int) -> "Knn":
+    def check_inputs(self, n_inputs: int) -> None:
         """Raises FarecastError unless X is (m, n_inputs), y is (m,) and k <= m."""
-        model = from_jsonable(cls, raw)
-        m = np.size(model.y)
-        check_shapes(model, X=(m, n_inputs), y=(m,))
-        if model.k > m:
-            raise FarecastError(f"k={model.k} exceeds the {m} stored training rows")
-        return model
+        m = np.size(self.y)
+        check_shapes(self, X=(m, n_inputs), y=(m,))
+        if self.k > m:
+            raise FarecastError(f"k={self.k} exceeds the {m} stored training rows")

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
-from ..util import NOT_SAVED, check_shapes, from_jsonable
+from ..util import NOT_SAVED, check_shapes
 
 logger = logging.getLogger(__name__)
 
@@ -72,15 +72,12 @@ class LeastSquares:
         Z = _with_intercept((np.asarray(X, dtype=float) - self.mean) / self.scale)
         return Z @ self.coef
 
-    @classmethod
-    def from_jsonable(cls, raw: dict, n_inputs: int) -> "LeastSquares":
+    def check_inputs(self, n_inputs: int) -> None:
         """Raises FarecastError unless coef, mean and scale fit ``n_inputs``, the
         scales positive."""
-        model = from_jsonable(cls, raw)
-        check_shapes(model, coef=(n_inputs + 1,), mean=(n_inputs,), scale=(n_inputs,))
-        if not (model.scale > 0.0).all():
+        check_shapes(self, coef=(n_inputs + 1,), mean=(n_inputs,), scale=(n_inputs,))
+        if not (self.scale > 0.0).all():
             raise FarecastError("LeastSquares.scale must hold positive numbers")
-        return model
 
 
 @dataclass
@@ -145,9 +142,6 @@ class Logistic:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_scores(X) > 0.5).astype(int)
 
-    @classmethod
-    def from_jsonable(cls, raw: dict, n_inputs: int) -> "Logistic":
+    def check_inputs(self, n_inputs: int) -> None:
         """Raises FarecastError unless coef has ``n_inputs`` + 1 entries."""
-        model = from_jsonable(cls, raw)
-        check_shapes(model, coef=(n_inputs + 1,))
-        return model
+        check_shapes(self, coef=(n_inputs + 1,))

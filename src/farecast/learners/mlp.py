@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
-from ..util import NOT_SAVED, check_shapes, from_jsonable
+from ..util import NOT_SAVED, check_shapes
 from .linear import _sigmoid
 
 
@@ -114,10 +114,7 @@ class Mlp3:
             return (self.predict_scores(X) > 0.5).astype(int)
         return self.predict_raw(X)
 
-    @classmethod
-    def from_jsonable(cls, raw: dict, n_inputs: int) -> "Mlp3":
+    def check_inputs(self, n_inputs: int) -> None:
         """Raises FarecastError unless w1 is (n_inputs, hidden), b1 and w2 (hidden,)."""
-        model = from_jsonable(cls, raw)
-        h = model.hidden
-        check_shapes(model, w1=(n_inputs, h), b1=(h,), w2=(h,))
-        return model
+        h = self.hidden
+        check_shapes(self, w1=(n_inputs, h), b1=(h,), w2=(h,))

@@ -75,7 +75,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FarecastError
-from ..util import NOT_SAVED, from_jsonable
+from ..util import NOT_SAVED
 
 # Strict-improvement guard: splits must beat the parent impurity by more
 # than accumulated float noise, otherwise the node stays a leaf.
@@ -417,30 +417,32 @@ class Cart:
 
     # -- serialization ---------------------------------------------------
 
-    @classmethod
-    def from_jsonable(cls, raw: dict, n_inputs: int) -> "Cart":
-        """Rebuild a tree; raises FarecastError unless its node lists have one
-        length, every split's children come after it (so a walk from the root
-        ends), and every split feature is below ``n_inputs``."""
-        tree = from_jsonable(cls, raw)
-        n_nodes = len(tree.feature)
-        lists = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    def check_inputs(self, n_inputs: int) -> None:
+        """Raises FarecastError unless the node lists have one length, every
+        split's children come after it (so a walk from the root ends), and
+        every split feature is below ``n_inputs``."""
+        n_nodes = len(self.feature)
+        lists = (self.feature, self.threshold, self.left, self.right, self.value)
         if n_nodes == 0 or any(len(v) != n_nodes for v in lists):
             raise FarecastError(f"tree node lists must share one nonzero length, "
                                 f"got {[len(v) for v in lists]}")
-        for node, f in enumerate(tree.feature):
-            children = (tree.left[node], tree.right[node])
+        for node, f in enumerate(self.feature):
+            children = (self.left[node], self.right[node])
             if not -1 <= f < n_inputs or (
                     f >= 0 and not all(node < c < n_nodes for c in children)):
                 raise FarecastError(f"tree node {node} (feature {f}, children {children}) "
                                     f"is out of range for {n_nodes} nodes")
-        return tree
 
 
-def trees_from_jsonable(raw: list, n_inputs: int, task: str) -> list[Cart]:
-    """An ensemble's saved trees; raises FarecastError unless each is a valid
-    tree of the ensemble's ``task``."""
-    trees = [Cart.from_jsonable(t, n_inputs) for t in raw]
+def check_trees(trees: list[Cart], n_inputs: int, task: str, weights=None) -> None:
+    """Raises FarecastError unless an ensemble's ``trees`` have one positive
+    weight each, where it weighs them, and are valid trees of its ``task``, as
+    every fit gives."""
+    if weights is not None and (len(trees) != len(weights)
+                                or not all(w > 0.0 for w in weights)):
+        raise FarecastError(f"{len(trees)} trees need as many positive weights, "
+                            f"got {weights!r:.80}")
+    for tree in trees:
+        tree.check_inputs(n_inputs)
     if any(tree.task != task for tree in trees):
         raise FarecastError(f"a {task} ensemble holds a tree of another task")
-    return trees

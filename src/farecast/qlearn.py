@@ -41,14 +41,6 @@ class QTable:
                 raise FarecastError(f"Q-table {name} must hold d_max + 1 = {self.d_max + 1} "
                                     f"values, got shape {values.shape}")
 
-    def q_buy(self, state: int) -> float:
-        return float(self.buy[state]) if state <= self.d_max else 0.0
-
-    def q_wait(self, state: int) -> float:
-        if state == 0:
-            raise FarecastError("waiting at departure day is undefined")
-        return float(self.wait[state]) if state <= self.d_max else 0.0
-
 
 def save_qtable(table: QTable, path: str | Path) -> None:
     write_json(to_jsonable(table), path)
@@ -120,17 +112,15 @@ def q_train(
 
 
 def q_policy(table: QTable, s: PriceSeries) -> PurchaseDecision:
-    """Buy at the first day whose buy value is at least its wait value.
+    """Buy at the first day before departure whose buy value is at least its
+    wait value.
 
     States the table never saw score 0 for both actions, so the tie rule
     (ties favor buying) buys there. If no day triggers, the final quote is
     a forced buy.
     """
-    forced, i = True, len(s) - 1
-    for t, state in enumerate(s.days_to_departure.tolist()):
-        if state == 0:
-            break  # departure day: the loop ends here anyway; forced buy below
-        if table.q_buy(state) >= table.q_wait(state):
-            forced, i = False, t
-            break
-    return buy_at(s, i, forced)
+    states = s.days_to_departure
+    at = np.minimum(states, table.d_max + 1)  # past d_max: the 0 appended below
+    buy, wait = (np.append(values, 0.0)[at] for values in (table.buy, table.wait))
+    rows = np.flatnonzero((states > 0) & (buy >= wait))
+    return buy_at(s, rows[0], False) if len(rows) else buy_at(s, len(s) - 1, True)

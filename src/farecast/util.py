@@ -2,8 +2,11 @@
 documents and CSV files.
 
 A saved document or report record is its dataclass's fields less those marked
-``NOT_SAVED``; ``from_jsonable`` types them by their annotations and the
-constructor's ``__post_init__`` checks shapes and ranges. ``read_json`` and
+``NOT_SAVED``; ``from_jsonable`` types them by their annotations, building a
+field that is a dataclass, or a list of them, such as an ensemble's trees,
+the same way, and the constructor's ``__post_init__`` checks ranges. A model
+core's shapes depend on the width it is fed, so after the read its
+``check_inputs(n_inputs)`` checks them. ``read_json`` and
 ``write_json`` are the only readers and writers of JSON files, ``write_csv``
 the only writer of CSV files (``ingest.load_quotes`` reads quotes). Both
 writers leave a file whole: the new one, or the old one if writing fails.
@@ -219,16 +222,18 @@ def _numbers(value) -> bool:
 
 def _typed(value, what: str, nullable: bool, kind, entry):
     """``value`` checked against its field's ``_parts``, a float as a float and an
-    array as a float array; a dataclass, or a list of them, is its class's to read."""
+    array as a float array; a dataclass, or a list of them, read by ``from_jsonable``."""
     if value is None and nullable:
         return None
     if kind is np.ndarray:
         if not isinstance(value, list) or not _numbers(value):
             raise FarecastError(f"{what} must be an array of numbers, got {value!r:.80}")
         return np.asarray(value, dtype=float)
-    if kind not in JSON_TYPES:  # a dataclass
-        return value
+    if is_dataclass(kind):
+        return from_jsonable(kind, value)
     value = check_json_type(what, value, JSON_TYPES[kind])
+    if kind is list and is_dataclass(entry):
+        return [from_jsonable(entry, v) for v in value]
     if kind is list and entry in JSON_TYPES:
         types = JSON_TYPES[entry]
         if not set(map(type, value)).issubset(types):  # type(), so true is not an int
@@ -241,9 +246,9 @@ def _typed(value, what: str, nullable: bool, kind, entry):
 
 
 def from_jsonable(cls, raw):
-    """The dataclass ``cls`` rebuilt from ``to_jsonable``'s dict; raises
-    FarecastError unless ``raw`` holds exactly the saved field names, each of
-    the JSON type its annotation asks."""
+    """The dataclass ``cls`` rebuilt from ``to_jsonable``'s dict, nested
+    dataclasses included; raises FarecastError unless ``raw`` holds exactly the
+    saved field names, each of the JSON type its annotation asks."""
     types = _saved_types(cls)
     require_keys(cls.__name__, raw, types)
     return cls(**{name: _typed(raw[name], *parts) for name, parts in types.items()})

@@ -5,7 +5,8 @@ one with consecutive daily quotes ending a configurable number of days
 before departure. ``dataset_of`` builds a Dataset from hand-written rows.
 It also holds the small computations only tests need (oracle prices, the
 row-by-row forward pass and a single sequence's log-likelihood, the
-template-by-template scoring pass, the level-by-level tree walk, one-template
+template-by-template scoring pass, the level-by-level tree walk, a saved core
+read back and checked against its input width, one-template
 HMM fits and draws, class and coefficient read-outs, the row-major k-means
 and EM fits, the quote-by-quote corpus generator), which the package does
 not carry. An autouse fixture fails any test that leaves a child process
@@ -35,7 +36,7 @@ from farecast.hmm import (BaumWelchResult, HmmModel, _em, _em_start, _fit_routes
 from farecast.preprocess import COV_REG, GmmFit, KMeansFit
 from farecast.synthgen import (DEPARTURE_STEP_DAYS, DROP_DEPTH_RANGE, PRICE_CAP, PRICE_FLOOR,
                                GeneratorConfig, route_params, trend_price)
-from farecast.util import derive_seed
+from farecast.util import derive_seed, from_jsonable
 
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.register_profile("random", derandomize=False, database=None)
@@ -127,6 +128,14 @@ def per_template_logliks(bank: Sequence[HmmModel], obs: np.ndarray, lengths) -> 
             *_, c, shift = _forward([model], obs[None])
             out[:] = np.cumsum(np.log(c) + shift, axis=0)[lengths - 1, 0, rows]
     return logliks
+
+
+def read_core(cls, raw: dict, n_inputs: int):
+    """The model core ``cls`` read from its saved dict, as a model document
+    reads it: built by ``from_jsonable``, then checked against ``n_inputs``."""
+    core = from_jsonable(cls, raw)
+    core.check_inputs(n_inputs)
+    return core
 
 
 def level_walk_scores(tree, X: np.ndarray) -> np.ndarray:

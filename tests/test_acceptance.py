@@ -318,9 +318,9 @@ def test_c09_q_values_equal_backward_induction():
         best_next = v_buy[0] if nxt == 0 else max(v_buy[nxt], v_wait[nxt])
         v_wait[d] = best_next
     for d in states:
-        assert abs(table.q_buy(d) - v_buy[d]) < 1e-9
+        assert abs(table.buy[d] - v_buy[d]) < 1e-9
         if d != 0:
-            assert abs(table.q_wait(d) - v_wait[d]) < 1e-9
+            assert abs(table.wait[d] - v_wait[d]) < 1e-9
 
     # the greedy policy buys the series minimum
     decision = q_policy(table, s)

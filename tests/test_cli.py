@@ -4,6 +4,7 @@ import contextlib
 import copy
 import csv
 import hashlib
+import importlib
 import io
 import json
 import logging
@@ -13,6 +14,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tomllib
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -1505,7 +1508,7 @@ DOCUMENTS = {**{p.stem: p.name for p in sorted(V1.glob("model_*.json"))},
              "config": None}
 CONFIG = {"oversample": False, "outlier_removal": "kmeans",
           "split": json.loads((V1 / "split.json").read_text(encoding="utf-8"))}
-OTHER_VALUES = [None, True, "text", [], {}, 0, -1, 0.5, float("nan")]
+OTHER_VALUES = [None, True, "text", [], {}, 0, -1, 0.5, float("nan"), 1e308, -1e308]
 
 
 def command_reading(kind: str, path: Path, gen: Path) -> list:
@@ -1568,17 +1571,50 @@ def test_one_mutation_of_any_document_ends_in_report_or_exit_two(gen_corpus, dat
     name = DOCUMENTS[kind]
     doc = CONFIG if name is None else json.loads((V1 / name).read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
-        bank = Path(tmp) / "bank"
-        bank.mkdir()
-        template = json.loads((V1 / "hmm_0.json").read_text(encoding="utf-8"))
-        for i in range(1, 8):
-            write(bank / f"hmm_{i}.json", json.dumps({**template, "route_index": i}))
+        bank = v1_bank(Path(tmp))
         path = bank / "hmm_0.json" if kind == "hmm" else Path(tmp) / "document.json"
         write(path, json.dumps(mutated(data, copy.deepcopy(doc))))
         report_or_error(command_reading(kind, path, gen_corpus), Path(tmp) / "out.json")
 
 
+def v1_bank(root: Path) -> Path:
+    """A bank directory under ``root`` whose 8 templates are the v1 template
+    under each route index, less ``hmm_0.json``, which the caller writes."""
+    bank = root / "bank"
+    bank.mkdir()
+    template = json.loads((V1 / "hmm_0.json").read_text(encoding="utf-8"))
+    for i in range(1, 8):
+        write(bank / f"hmm_{i}.json", json.dumps({**template, "route_index": i}))
+    return bank
+
+
+@pytest.mark.parametrize("kind", ["model_knn_classification", "hmm"])
+def test_a_saved_value_whose_arithmetic_overflows_exits_two(kind, gen_corpus, tmp_path):
+    # Both ended in "RuntimeWarning: overflow encountered in multiply", exit 0
+    # and a report built on infinite scores.
+    doc = json.loads((V1 / DOCUMENTS[kind]).read_text(encoding="utf-8"))
+    if kind == "hmm":
+        doc["means"][0] = 1e308
+        path = v1_bank(tmp_path) / "hmm_0.json"
+    else:
+        doc["core"]["X"][0][0] = 1e308
+        path = tmp_path / "document.json"
+    write(path, json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_captured(command_reading(kind, path, gen_corpus))
+    assert code == 2
+    assert one_line_error(err)["error"] == "FloatingPointError"
+
+
 # -- process-level entry --------------------------------------------------------
+
+
+def test_console_script_is_cli_main():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, name = scripts["farecast"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_module_entry_point(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import hmm_fit
+from conftest import hmm_fit, read_core
 from farecast import hmm, learners, qlearn
 from farecast.cli import main
 from farecast.core import FarecastError
@@ -61,7 +61,7 @@ def fitted_documents(corpus):
         std = model.standardizer
         n_inputs = model.n_features if std is None else int(std.keep.sum())
         core = model.core
-        yield core, lambda raw, cls=type(core), n=n_inputs: cls.from_jsonable(raw, n)
+        yield core, lambda raw, cls=type(core), n=n_inputs: read_core(cls, raw, n)
     yield hmm_fit(train_series[:3], n_states=2, max_iter=5, seed=1), None
     yield qlearn.q_train(train_series, episodes=2, seed=1), None
     decisions = [decide_classification(s, np.zeros(len(s), dtype=int)) for s in test_series]

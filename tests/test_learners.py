@@ -18,7 +18,7 @@ from farecast.learners import tree as tree_module
 from farecast.learners.tree import _EPS, Cart, ColumnCodes, distinct_rows
 from farecast.util import to_jsonable
 
-from conftest import coef_original, level_walk_scores
+from conftest import coef_original, level_walk_scores, read_core
 
 
 # -- least squares ----------------------------------------------------------
@@ -59,7 +59,7 @@ def test_least_squares_json_round_trip():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([2.0, 4.0, 6.0])
     model = LeastSquares(standardize=True).fit(X, y)
-    clone = LeastSquares.from_jsonable(to_jsonable(model), X.shape[1])
+    clone = read_core(LeastSquares, to_jsonable(model), X.shape[1])
     assert np.array_equal(model.predict(X), clone.predict(X))
 
 
@@ -133,7 +133,7 @@ def test_logistic_converges_flag():
 def test_logistic_json_round_trip():
     X, y = separable_blobs(seed=5)
     model = Logistic(grad_tol=1e-6, max_iter=1000).fit(X, y)
-    clone = Logistic.from_jsonable(to_jsonable(model), X.shape[1])
+    clone = read_core(Logistic, to_jsonable(model), X.shape[1])
     assert np.array_equal(model.predict_scores(X), clone.predict_scores(X))
 
 
@@ -213,7 +213,7 @@ def test_mlp_json_round_trip():
     y = (X[:, 0] > 0).astype(int)
     net = Mlp3(task="classification", hidden=4, lr=0.01, epochs=20, batch_size=32).fit(
         X, y, seed=0)
-    clone = Mlp3.from_jsonable(to_jsonable(net), X.shape[1])
+    clone = read_core(Mlp3, to_jsonable(net), X.shape[1])
     assert np.array_equal(net.predict_scores(X), clone.predict_scores(X))
 
 
@@ -778,7 +778,7 @@ def test_cart_json_round_trip():
     X = rng.normal(0, 1, (60, 4))
     y = (X[:, 2] > 0.2).astype(int)
     tree = Cart(task="classification", max_depth=4, min_leaf=1).fit(X, y)
-    clone = Cart.from_jsonable(to_jsonable(tree), X.shape[1])
+    clone = read_core(Cart, to_jsonable(tree), X.shape[1])
     probe = rng.normal(0, 1, (30, 4))
     assert np.array_equal(tree.predict(probe), clone.predict(probe))
 
@@ -891,7 +891,7 @@ def test_adaboost_json_round_trip():
     X = rng.normal(0, 1, (80, 3))
     y = (X[:, 0] + 0.3 * rng.normal(size=80) > 0).astype(int)
     model = AdaBoostClassifier(n_rounds=15, weak_depth=2, min_leaf=1).fit(X, y)
-    clone = AdaBoostClassifier.from_jsonable(to_jsonable(model), X.shape[1])
+    clone = read_core(AdaBoostClassifier, to_jsonable(model), X.shape[1])
     probe = rng.normal(0, 1, (20, 3))
     assert np.array_equal(model.predict(probe), clone.predict(probe))
 
@@ -938,7 +938,7 @@ def test_adaboost_regressor_json_round_trip():
     X = rng.uniform(-2, 2, (50, 2))
     y = X[:, 0] - X[:, 1]
     model = AdaBoostRegressor(n_rounds=8, weak_depth=3, min_leaf=1).fit(X, y)
-    clone = AdaBoostRegressor.from_jsonable(to_jsonable(model), X.shape[1])
+    clone = read_core(AdaBoostRegressor, to_jsonable(model), X.shape[1])
     assert np.array_equal(model.predict(X), clone.predict(X))
 
 
@@ -1092,7 +1092,7 @@ def test_forest_json_round_trip():
     y = (X[:, 2] < 0).astype(int)
     forest = RandomForest(task="classification", n_trees=4, max_depth=3, min_leaf=1,
                           bootstrap="resample", subsample=True).fit(X, y, seed=2)
-    clone = RandomForest.from_jsonable(to_jsonable(forest), X.shape[1])
+    clone = read_core(RandomForest, to_jsonable(forest), X.shape[1])
     assert np.array_equal(forest.predict(X), clone.predict(X))
 
 
@@ -1138,6 +1138,6 @@ def test_knn_json_round_trip():
     X = rng.normal(0, 1, (40, 3))
     y = (X[:, 0] > 0).astype(int)
     model = Knn(task="classification", k=3).fit(X, y)
-    clone = Knn.from_jsonable(to_jsonable(model), X.shape[1])
+    clone = read_core(Knn, to_jsonable(model), X.shape[1])
     probe = rng.normal(0, 1, (15, 3))
     assert np.array_equal(model.predict_scores(probe), clone.predict_scores(probe))

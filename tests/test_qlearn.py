@@ -34,11 +34,11 @@ def test_three_day_example_values():
     mean = table.route_means["R1"]
     assert abs(mean - 30.0) < 1e-12
     # values are learned on mean-normalized prices; scale back to dollars
-    assert abs(table.q_buy(0) * mean - (-40.0)) < 1e-9
-    assert abs(table.q_buy(1) * mean - (-20.0)) < 1e-9
-    assert abs(table.q_wait(1) * mean - (-40.0)) < 1e-9
-    assert abs(table.q_buy(2) * mean - (-30.0)) < 1e-9
-    assert abs(table.q_wait(2) * mean - (-20.0)) < 1e-9
+    assert abs(table.buy[0] * mean - (-40.0)) < 1e-9
+    assert abs(table.buy[1] * mean - (-20.0)) < 1e-9
+    assert abs(table.wait[1] * mean - (-40.0)) < 1e-9
+    assert abs(table.buy[2] * mean - (-30.0)) < 1e-9
+    assert abs(table.wait[2] * mean - (-20.0)) < 1e-9
 
 
 def test_three_day_example_policy_is_optimal():
@@ -71,9 +71,9 @@ def test_single_pass_equals_backward_induction():
         best[states[t]] = max(v_buy[states[t]], v_wait[states[t]])
 
     for st in states:
-        assert abs(table.q_buy(st) - v_buy[st]) < 1e-9
+        assert abs(table.buy[st] - v_buy[st]) < 1e-9
     for st in states[:-1]:
-        assert abs(table.q_wait(st) - v_wait[st]) < 1e-9
+        assert abs(table.wait[st] - v_wait[st]) < 1e-9
 
 
 def test_constant_series_ties_buy_immediately():
@@ -105,19 +105,21 @@ def test_single_quote_series_buys_it():
 def test_unseen_state_buys():
     train = series_of([30.0, 20.0, 40.0])
     table = q_train([train], episodes=1, gamma=1.0, alpha=1.0, seed=0)
-    assert table.q_buy(table.d_max + 5) == 0.0
-    assert table.q_wait(table.d_max + 5) == 0.0
+    assert len(table.buy) == len(table.wait) == table.d_max + 1  # no value for d_max + 5
     target = gapped_series([(table.d_max + 5, 200.0), (1, 10.0)])
     decision = q_policy(table, target)
     assert decision.paid_price == 200.0
     assert not decision.forced
 
 
-def test_wait_at_departure_day_is_undefined():
-    s = series_of([30.0, 20.0, 40.0])
-    table = q_train([s], episodes=1, gamma=1.0, alpha=1.0, seed=0)
-    with pytest.raises(FarecastError):
-        table.q_wait(0)
+def test_departure_day_is_a_forced_buy_whatever_its_values():
+    # Waiting at state 0 is never an option, so its values are not compared,
+    # even where the buy value would win.
+    table = QTable(d_max=2, buy=np.array([0.0, -1.0, -1.0]), wait=np.array([-5.0, 0.0, 0.0]),
+                   gamma=1.0, alpha=1.0)
+    decision = q_policy(table, gapped_series([(2, 33.0), (1, 22.0), (0, 44.0)]))
+    assert decision.forced
+    assert decision.paid_price == 44.0
 
 
 def test_parameter_validation():
@@ -144,7 +146,7 @@ def test_route_means_normalize_scales():
     # both routes land on the same normalized scale, so shared states blend
     # toward values near -1 rather than -price
     for st in range(table.d_max + 1):
-        assert -2.0 < table.q_buy(st) <= 0.0
+        assert -2.0 < table.buy[st] <= 0.0
 
 
 def test_more_episodes_converge_to_price():
@@ -154,8 +156,8 @@ def test_more_episodes_converge_to_price():
     many = q_train([s], episodes=200, gamma=1.0, alpha=0.1, seed=0)
     mean = many.route_means["R1"]
     target = -30.0 / mean
-    assert abs(many.q_buy(1) - target) < abs(one.q_buy(1) - target)
-    assert abs(many.q_buy(1) - target) < 1e-6
+    assert abs(many.buy[1] - target) < abs(one.buy[1] - target)
+    assert abs(many.buy[1] - target) < 1e-6
 
 
 def test_training_is_deterministic():
