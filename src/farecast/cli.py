@@ -569,11 +569,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The options that name a file or a directory.
+_PATH_OPTIONS = frozenset({
+    "config", "split_config", "quotes", "gen_quotes", "load_model", "frozen_model",
+    "blend_model", "bank", "load_table", "save_model", "save_table", "bank_out", "out",
+    "split_out", "report_csv", "plot_data", "dump_features"})
+
+
+def _with_paths(args: argparse.Namespace, message: str) -> str:
+    """``message`` after the subcommand and the path options it was given."""
+    paths = [f"--{name.replace('_', '-')} {value}" for name, value in vars(args).items()
+             if name in _PATH_OPTIONS and value is not None]
+    return f"{' '.join([args.command, *paths])}: {message}"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand and write its report, with the command and seed, to
     ``--out`` or stdout. A FarecastError, an OSError or a floating-point
     overflow (numpy's, raised here rather than warned of) exits 2 with a
-    one-line JSON error; an OSError is named by its class less ``Error``."""
+    one-line JSON error; an OSError is named by its class less ``Error``,
+    and an overflow, raised where a value is used rather than where it was
+    read, is told with the subcommand and the paths it was given."""
     _setup_logging()
     try:
         with np.errstate(over="raise"):
@@ -584,10 +600,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             write_json(round_sig(to_jsonable(report)), args.out, indent=2)
         return 0
     except (FarecastError, OSError, FloatingPointError) as exc:
-        name = type(exc).__name__
+        name, message = type(exc).__name__, str(exc)
         if isinstance(exc, OSError):
             name = name.removesuffix("Error")
-        sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
+        elif isinstance(exc, FloatingPointError):
+            message = _with_paths(args, message)
+        sys.stderr.write(json.dumps({"error": name, "message": message}) + "\n")
         return 2
 
 

@@ -102,7 +102,6 @@ class FeatureRow:
         return replace(self, flight_dummies=tuple(int(i == route_index) for i in range(width)))
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
     """The feature block of a set of series, with its pipeline role.
 
@@ -110,26 +109,91 @@ class Dataset:
     route, then the continuous block named by ``features.CONTINUOUS_NAMES``.
     Row i belongs to series ``keys[series[i]]``; ``label_class`` marks the
     rows at their series' minimum price and ``label_reg`` is that minimum.
+
+    A set holds its rows as its own arrays or by index: ``index`` then lists,
+    in order, the rows of the arrays it refers to, so one row can be held
+    many times and none is copied. Each read of ``X``, ``label_class``,
+    ``label_reg`` or ``series`` gathers the rows it holds into a new array;
+    ``len`` counts every row it holds. ``refer`` makes such a set, ``take``
+    of one composes its index, and ``counted`` hands its rows over once each
+    with their counts.
     """
 
-    X: np.ndarray
-    label_class: np.ndarray
-    label_reg: np.ndarray
-    series: np.ndarray
-    keys: tuple[SeriesKey, ...]
-    role: str  # train | test | generalized
+    __slots__ = ("_X", "_label_class", "_label_reg", "_series", "keys", "role", "index")
 
-    def __post_init__(self):
-        if self.role not in ("train", "test", "generalized"):
-            raise FarecastError(f"unknown dataset role {self.role!r}")
+    def __init__(self, X: np.ndarray, label_class: np.ndarray, label_reg: np.ndarray,
+                 series: np.ndarray, keys: tuple[SeriesKey, ...], role: str,
+                 index: Optional[np.ndarray] = None):
+        if role not in ("train", "test", "generalized"):
+            raise FarecastError(f"unknown dataset role {role!r}")
+        self._X, self._label_class, self._label_reg, self._series = (
+            X, label_class, label_reg, series)
+        self.keys, self.role, self.index = keys, role, index
+
+    def _rows(self, column: np.ndarray) -> np.ndarray:
+        return column if self.index is None else column[self.index]
+
+    @property
+    def X(self) -> np.ndarray:
+        return self._rows(self._X)
+
+    @property
+    def label_class(self) -> np.ndarray:
+        return self._rows(self._label_class)
+
+    @property
+    def label_reg(self) -> np.ndarray:
+        return self._rows(self._label_reg)
+
+    @property
+    def series(self) -> np.ndarray:
+        return self._rows(self._series)
+
+    @property
+    def n_features(self) -> int:
+        """The number of columns of ``X``."""
+        return self._X.shape[1]
 
     def __len__(self) -> int:
-        return len(self.X)
+        return len(self._X) if self.index is None else len(self.index)
+
+    def _refer(self, index: Optional[np.ndarray]) -> "Dataset":
+        return Dataset(self._X, self._label_class, self._label_reg, self._series,
+                       self.keys, self.role, index)
 
     def take(self, rows: np.ndarray) -> "Dataset":
-        """The rows selected by an index array or a boolean mask, in that order."""
-        return replace(self, X=self.X[rows], label_class=self.label_class[rows],
-                       label_reg=self.label_reg[rows], series=self.series[rows])
+        """The rows selected by an index array or a boolean mask, in that
+        order: copied, or held by the composed index where the set holds its
+        rows by index."""
+        if self.index is not None:
+            return self._refer(self.index[rows])
+        return Dataset(self._X[rows], self._label_class[rows], self._label_reg[rows],
+                       self._series[rows], self.keys, self.role)
+
+    def refer(self, rows: np.ndarray) -> "Dataset":
+        """The rows selected by an index array or a boolean mask, in that
+        order, held by index into the arrays this set refers to."""
+        return self._refer((np.arange(len(self)) if self.index is None else self.index)[rows])
+
+    def counted(self) -> tuple["Dataset", np.ndarray]:
+        """(rows, counts): each row the set holds, once, in the order the set
+        first holds it, as a set of its own arrays, and how many times the set
+        holds it. Where that is every row of the arrays it refers to, in their
+        order, they are handed over as they are, uncopied."""
+        if self.index is None:
+            return self, np.ones(len(self), dtype=np.intp)
+        held, first, counts = np.unique(self.index, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        own = self._refer(None)
+        if not np.array_equal(held[order], np.arange(len(self._X))):
+            own = own.take(held[order])
+        return own, counts[order]
+
+    def map_rows(self, fn) -> np.ndarray:
+        """``fn(X)`` for an ``fn`` that maps each row of X on its own: a set
+        held by index maps each row it refers to once and reads the result
+        through its index, so X is never gathered."""
+        return self._rows(fn(self._X))
 
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         """One value per row, cut into the runs of consecutive rows of one series."""

@@ -153,39 +153,46 @@ def _new_core(spec: LearnerSpec, hyperparams: dict):
     return cls(**hyperparams, **task)
 
 
+def _labels(task: str, train: Dataset) -> np.ndarray:
+    if task == "regression":
+        return train.label_reg
+    y = train.label_class
+    if len(np.unique(y)) < 2:
+        raise DegenerateData("classification training data has a single class")
+    return y
+
+
 def _design(spec: LearnerSpec, train: Dataset):
-    """(X, y, standardizer, n_features); n_features counts the columns before
-    the standardizer drops any, as the model's input rows carry them."""
+    """(X, y, standardizer): the rows as the kind's core reads them."""
     X = train.X
-    n_features = X.shape[1]
-    if spec.task == "classification":
-        y = train.label_class
-        if len(np.unique(y)) < 2:
-            raise DegenerateData("classification training data has a single class")
-    else:
-        y = train.label_reg
+    y = _labels(spec.task, train)
     standardizer = None
     if _KIND_TABLE[spec.kind].standardized:
         standardizer = Standardizer.fit(X)
         X = standardizer.transform(X)
-    return X, y, standardizer, n_features
+    return X, y, standardizer
 
 
-def _weighted_distinct(X: np.ndarray, y: np.ndarray, min_leaf: int):
+def _weighted_distinct(task: str, train: Dataset, min_leaf: int):
     """(X, y, sample_weight) for the tree kinds: each distinct (x, y) row once,
-    column-major, weighted by its count, which weighted Gini, squared error
-    and the AdaBoost update treat as that many unit-weight copies. Without a
-    repeated row the inputs pass through unchanged. With ``min_leaf > 1`` they
-    do too: Cart counts rows there, and a collapsed row would count once."""
+    weighted by its count, which weighted Gini, squared error and the
+    AdaBoost update treat as that many unit-weight copies. A set held by
+    index (the oversampled one) hands over the rows it refers to, once each
+    with their counts (``Dataset.counted``), so its repeated rows are never
+    gathered; only exact duplicates among those rows are, to one row per
+    distinct (x, y). Without a repeated row the inputs pass through
+    unchanged. With ``min_leaf > 1`` the set's rows are read as they are:
+    Cart counts rows there, and a collapsed row would count once."""
     if min_leaf > 1:
+        return train.X, _labels(task, train), None
+    held, counts = train.counted()
+    X, y = held.X, _labels(task, held)
+    rows, counts = distinct_rows(X, y, counts)
+    if len(rows) == len(train):
         return X, y, None
-    rows, counts = distinct_rows(X, y)
-    if len(rows) == len(y):
-        return X, y, None
-    distinct = np.empty((len(rows), X.shape[1]), order="F")
-    for j in range(X.shape[1]):
-        distinct[:, j] = X[rows, j]
-    return distinct, y[rows], counts.astype(float)
+    if len(rows) < len(y):
+        X, y = X[rows], y[rows]
+    return X, y, counts.astype(float)
 
 
 def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
@@ -197,7 +204,10 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
         return _fit_blend(spec, hyperparams, train, seed)
 
     core = _new_core(spec, hyperparams)
-    X, y, standardizer, n_features = _design(spec, train)
+    if spec.kind in ("cart", "adaboost_cart"):
+        core.fit(*_weighted_distinct(spec.task, train, core.min_leaf))
+        return TrainedModel(spec, train.n_features, None, core, _nested_summary(spec, core))
+    X, y, standardizer = _design(spec, train)
     if spec.kind == "least_squares":
         core.fit(X, y)
         summary = {"train_rmse": float(np.sqrt(np.mean((core.predict(X) - y) ** 2)))}
@@ -208,17 +218,13 @@ def fit(spec: LearnerSpec, train: Dataset, seed: int) -> TrainedModel:
     elif spec.kind == "mlp3":
         core.fit(X, y, seed=seed)
         summary = {"final_loss": core.loss_history[-1], "epochs": core.epochs}
-    elif spec.kind in ("cart", "adaboost_cart"):
-        X, y, weight = _weighted_distinct(X, y, core.min_leaf)
-        core.fit(X, y, weight)
-        summary = _nested_summary(spec, core)
     elif spec.kind == "random_forest":
         core.fit(X, y, seed=seed)
         summary = {"n_trees": core.n_trees}
     else:  # knn
         core.fit(X, y)
         summary = {"n_train": len(train)}
-    return TrainedModel(spec, n_features, standardizer, core, summary)
+    return TrainedModel(spec, train.n_features, standardizer, core, summary)
 
 
 def _nested_summary(spec: LearnerSpec, core) -> dict:
@@ -260,8 +266,8 @@ def truncated(model: TrainedModel, spec: LearnerSpec) -> Optional[TrainedModel]:
 def _fit_blend(spec: LearnerSpec, hyperparams: dict, train: Dataset, seed: int) -> TrainedModel:
     member_kind = hyperparams["member_kind"] or (
         "adaboost_cart" if spec.task == "classification" else "cart")
-    width = train.X.shape[1] - len(CONTINUOUS_NAMES)
-    route = train.X[:, :width].argmax(axis=1)
+    width = train.n_features - len(CONTINUOUS_NAMES)
+    route = train.map_rows(lambda X: X[:, :width].argmax(axis=1))
     missing = [r for r in range(width) if not (route == r).any()]
     if missing:
         raise DegenerateData(f"no training rows for route index(es) {missing}")
@@ -270,7 +276,7 @@ def _fit_blend(spec: LearnerSpec, hyperparams: dict, train: Dataset, seed: int) 
                               hyperparams=hyperparams["member_params"])
     members = [fit(member_spec, train.take(route == r), seed=derive_seed(seed, "member", r))
                for r in range(width)]
-    return TrainedModel(spec, train.X.shape[1], None, members,
+    return TrainedModel(spec, train.n_features, None, members,
                         {"member_kind": member_kind,
                          "per_member": [m.train_summary for m in members]})
 

@@ -61,10 +61,13 @@ partitioned to its leaves and 61 us with a cutoff.
 
 One row of weight k*w is the same, for weighted Gini, weighted squared error
 and the AdaBoost update, as k copies of weight w (Freund & Schapire 1997).
-``distinct_rows`` finds the distinct (x, y) rows of an oversampled matrix and
-their counts, so the tree kinds fit each once with its count as its weight.
-The result is the same tree up to the grouping of partial sums, which can
-flip a near-tie split.
+An oversampled set holds its rows by index, a duplicate being a second
+reference to its row (``core.Dataset``); the facade hands the tree kinds the
+rows it refers to, once each with how often it holds them, and never builds
+the oversampled matrix. ``distinct_rows`` merges those rows' exact
+duplicates, adding their counts, so the tree kinds fit each distinct (x, y)
+row once with its count as its weight. The result is the same tree up to
+the grouping of partial sums, which can flip a near-tie split.
 """
 
 from __future__ import annotations
@@ -112,9 +115,11 @@ class ColumnCodes:
         return cls(codes, tuple(values), np.concatenate([np.empty(0, np.intp), *counts]))
 
 
-def distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def distinct_rows(X: np.ndarray, y: np.ndarray,
+                  counts: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """(rows, counts): the index of the first occurrence of each distinct
-    (X[i], y[i]) row, in their original order, and how often each occurs.
+    (X[i], y[i]) row, in their original order, and how often each occurs,
+    where row i stands for ``counts[i]`` copies of itself (one by default).
 
     One stable lexsort over y and X's columns puts equal rows next to each
     other, first occurrence first; neighbours are then compared one column
@@ -128,10 +133,11 @@ def distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         sorted_key = key[order]
         same[1:] &= sorted_key[1:] == sorted_key[:-1]
     starts = np.flatnonzero(~same)
-    counts = np.diff(starts, append=n)
+    copies = np.ones(n, dtype=np.intp) if counts is None else np.asarray(counts)
+    totals = np.add.reduceat(copies[order], starts)
     first = order[starts]
     by_position = np.argsort(first)
-    return first[by_position], counts[by_position]
+    return first[by_position], totals[by_position]
 
 
 def _bins(coded, offsets, node_sums, idx, features, count_buf, sum_buf):

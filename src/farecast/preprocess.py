@@ -222,7 +222,10 @@ def gmm_em2(
 def oversample(train: Dataset, seed: int) -> Dataset:
     """Duplicate minority-class rows uniformly at random until the classes balance.
 
-    The duplicates follow the original rows, which keep their order.
+    The duplicates follow the original rows, which keep their order. The
+    result holds its rows by index into ``train``'s arrays
+    (``Dataset.refer``): a duplicate is a second reference to its row, and no
+    row is copied.
     """
     buys = np.flatnonzero(train.label_class == BUY)
     waits = np.flatnonzero(train.label_class == WAIT)
@@ -234,7 +237,7 @@ def oversample(train: Dataset, seed: int) -> Dataset:
         return train
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(minority), size=n_extra)
-    return train.take(np.concatenate([np.arange(len(train)), minority[picks]]))
+    return train.refer(np.concatenate([np.arange(len(train)), minority[picks]]))
 
 
 def remove_outliers(

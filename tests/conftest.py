@@ -2,9 +2,9 @@
 
 Most tests need a PriceSeries with hand-picked prices; ``series_of`` builds
 one with consecutive daily quotes ending a configurable number of days
-before departure. ``dataset_of`` builds a Dataset from hand-written rows.
-It also holds the small computations only tests need (oracle prices, the
-row-by-row forward pass and a single sequence's log-likelihood, the
+before departure. ``dataset_of`` builds a Dataset from hand-written rows,
+and ``copying_take`` copies some of a Dataset's rows. It also holds the
+small computations only tests need (oracle prices, the row-by-row forward pass and a single sequence's log-likelihood, the
 template-by-template scoring pass, the level-by-level tree walk, a saved core
 read back and checked against its input width, one-template
 HMM fits and draws, class and coefficient read-outs, the row-major k-means
@@ -73,6 +73,15 @@ def dataset_of(rows, width: int = 8, role: str = "train") -> Dataset:
         keys=keys,
         role=role,
     )
+
+
+def copying_take(ds: Dataset, rows) -> Dataset:
+    """The rows of ``ds`` selected by an index array or a boolean mask, in that
+    order, copied into arrays of their own: the oracle of a set that holds
+    its rows by index, as ``Dataset.take`` built every set before."""
+    return Dataset(X=ds.X[rows], label_class=ds.label_class[rows],
+                   label_reg=ds.label_reg[rows], series=ds.series[rows],
+                   keys=ds.keys, role=ds.role)
 
 
 def class_counts(ds: Dataset) -> tuple[int, int]:

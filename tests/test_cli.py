@@ -1607,6 +1607,29 @@ def test_a_saved_value_whose_arithmetic_overflows_exits_two(kind, gen_corpus, tm
     assert one_line_error(err)["error"] == "FloatingPointError"
 
 
+@pytest.mark.parametrize("kind", ["model_knn_classification", "hmm"])
+def test_an_overflow_names_the_command_and_the_paths_it_was_given(kind, gen_corpus, tmp_path):
+    # It printed only numpy's "overflow encountered in multiply".
+    doc = json.loads((V1 / DOCUMENTS[kind]).read_text(encoding="utf-8"))
+    if kind == "hmm":
+        doc["means"][0] = 1e308
+        path = v1_bank(tmp_path) / "hmm_0.json"
+    else:
+        doc["core"]["X"][0][0] = 1e308
+        path = tmp_path / "document.json"
+    write(path, json.dumps(doc))
+    argv = command_reading(kind, path, gen_corpus)
+    code, err = run_captured(argv)
+    error = one_line_error(err)
+    assert code == 2 and error["error"] == "FloatingPointError"
+    head, _, numpy_message = error["message"].partition(": ")
+    assert numpy_message == "overflow encountered in multiply"
+    words = head.split(" ")
+    assert words[0] == argv[0]
+    # Both command lines are path options only: each is named with its value.
+    assert dict(zip(words[1::2], words[2::2])) == dict(zip(argv[1::2], argv[2::2]))
+
+
 # -- process-level entry --------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from farecast.synthgen import write_corpus_csv
 
 from farecast.features import set_route_dummies
 
-from conftest import class_counts, dataset_of, series_of
+from conftest import class_counts, copying_take, dataset_of, series_of
 
 KEY = SeriesKey("R1", date(2016, 1, 13))
 
@@ -184,6 +184,36 @@ def test_dataset_class_counts():
     ds = dataset_of([(key, 0, (1.0, 1.0, 10, 5, 1.0), lab, None) for lab in [0, 0, 1, 0]])
     assert class_counts(ds) == (3, 1)
     assert class_counts(ds.take(ds.label_class == 1)) == (0, 1)
+
+
+def test_a_set_held_by_index_reads_the_rows_it_lists():
+    ds = dataset_of([(KEY, i % 2, (float(i), 1.0, 10, 5, 1.0), i % 3 == 0, float(i))
+                     for i in range(6)])
+    index = np.array([4, 1, 1, 5, 4, 4, 0])
+    held = ds.refer(index)
+    copies = copying_take(ds, index)
+    assert len(held) == 7 and held.index is not None
+    for name in ("X", "label_class", "label_reg", "series"):
+        assert np.array_equal(getattr(held, name), getattr(copies, name))
+    # take composes the index: no row is copied, and a mask selects as on the copies
+    mask = copies.label_reg != 1.0
+    assert np.array_equal(held.take(mask).index, index[mask])
+    assert np.array_equal(held.take(mask).X, copies.take(mask).X)
+    assert np.array_equal(held.refer([6, 0]).index, [0, 4])
+    # each row once, in the order the set first holds it, with its count
+    rows, counts = held.counted()
+    assert rows.index is None
+    assert np.array_equal(rows.X, ds.X[[4, 1, 5, 0]])
+    assert counts.tolist() == [3, 2, 1, 1]
+    assert np.array_equal(held.map_rows(lambda X: X[:, 0]), copies.X[:, 0])
+
+
+def test_a_set_held_by_every_row_in_order_counts_its_own_arrays():
+    ds = dataset_of([(KEY, 0, (float(i), 1.0, 10, 5, 1.0), 0, None) for i in range(4)])
+    rows, counts = ds.refer(np.array([0, 1, 2, 3, 2, 2])).counted()
+    assert rows.X is ds.X
+    assert counts.tolist() == [1, 1, 3, 1]
+    assert ds.counted()[0] is ds and ds.counted()[1].tolist() == [1, 1, 1, 1]
 
 
 def test_dataset_role_validated():

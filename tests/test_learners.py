@@ -755,6 +755,19 @@ def test_distinct_rows_are_first_occurrences_with_their_counts(problem):
     assert rebuilt == sorted(pairs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(repeated_rows(), st.data())
+def test_distinct_rows_of_counted_rows_are_those_of_their_copies(problem, data):
+    X, y = problem
+    counts = np.array(data.draw(st.lists(st.integers(1, 3), min_size=len(y), max_size=len(y))),
+                      dtype=np.intp)
+    copy_of = np.repeat(np.arange(len(y)), counts)
+    copy_rows, copy_counts = distinct_rows(X[copy_of], y[copy_of])
+    rows, totals = distinct_rows(X, y, counts)
+    assert rows.tolist() == copy_of[copy_rows].tolist()
+    assert totals.tolist() == copy_counts.tolist()
+
+
 @settings(max_examples=150, deadline=None)
 @given(repeated_rows(), st.sampled_from(["classification", "regression"]),
        st.sampled_from([None, 1, 2, 3]))

@@ -1,18 +1,19 @@
 """The fit/predict facade: specs, dispatch, blending, serialization."""
 
 import functools
+import json
 from dataclasses import MISSING, fields
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import class_counts, dataset_of
+from conftest import class_counts, copying_take, dataset_of
 from farecast import learners
-from farecast.core import FarecastError, SeriesKey
+from farecast.core import BUY, WAIT, FarecastError, SeriesKey
 from farecast.features import CONTINUOUS_NAMES, feature_dataset, set_route_dummies
 from farecast.learners import (
     DegenerateData,
@@ -256,6 +257,65 @@ def test_min_leaf_above_one_keeps_the_repeated_rows():
                            min_leaf=2)
     assert model_to_dict(model)["core"] == to_jsonable(copies)
     assert to_jsonable(copies) != to_jsonable(weighted)
+
+
+@st.composite
+def oversampled_by_index(draw):
+    """(balanced, copies): ``oversample`` of a small two-route set whose rows
+    repeat exactly, each route holding both classes and either class the
+    minority, and the same rows copied."""
+    def values():
+        return draw(st.tuples(*[st.integers(0, 2)] * len(CONTINUOUS_NAMES)))
+
+    distinct = [(route, values(), label) for route in (0, 1) for label in (False, True)]
+    distinct += [(draw(st.integers(0, 1)), values(), draw(st.booleans()))
+                 for _ in range(draw(st.integers(0, 4)))]
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=20))
+    rows = distinct + [distinct[i] for i in picks]
+    buys = sum(label for _, _, label in rows)
+    assume(2 * buys != len(rows))
+    minority = draw(st.sampled_from([WAIT, BUY]))
+    flip = (2 * buys < len(rows)) != (minority == BUY)
+    key = SeriesKey("R1", date(2016, 1, 13))
+    train = dataset_of([(key, route, v, label != flip, sum(v) + label) for route, v, label in rows],
+                       width=2)
+    assert class_counts(train)[minority] < class_counts(train)[1 - minority]
+    balanced = oversample(train, seed=draw(st.integers(0, 2**16)))
+    return balanced, copying_take(train, balanced.index)
+
+
+BY_INDEX_SPECS = [
+    *(LearnerSpec(kind, task, {**hp, "min_leaf": leaf}) for kind, task, hp in TREE_SPECS
+      for leaf in (1, 2)),
+    LearnerSpec("uniform_blend", "classification", {"member_kind": "cart"}),
+    LearnerSpec("uniform_blend", "classification",
+                {"member_params": {"n_rounds": 5, "weak_depth": 2}}),
+    LearnerSpec("uniform_blend", "regression", {"member_params": {"min_leaf": 2}}),
+    LearnerSpec("logistic", "classification", {"max_iter": 50}),
+    LearnerSpec("knn", "classification", {"k": 3}),
+    LearnerSpec("knn", "regression", {"k": 3}),
+]
+
+
+def fit_outcome(spec, train):
+    """The saved document of ``spec`` fit on ``train``, or the error it raised."""
+    try:
+        return json.dumps(model_to_dict(learners.fit(spec, train, seed=7)))
+    except FarecastError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("spec", BY_INDEX_SPECS, ids=lambda s: f"{s.kind}-{s.task}-" + json.dumps(
+    s.hyperparams, separators=(",", ":")).replace('"', ""))
+@settings(max_examples=40, deadline=None)
+@given(oversampled_by_index())
+def test_a_fit_on_rows_held_by_index_is_the_fit_on_their_copies(spec, sets):
+    balanced, copies = sets
+    assert fit_outcome(spec, balanced) == fit_outcome(spec, copies)
+    # Reversed, each row is first held out of the order of the training set.
+    backwards = np.arange(len(copies))[::-1]
+    assert fit_outcome(spec, balanced.take(backwards)) == \
+        fit_outcome(spec, copying_take(copies, backwards))
 
 
 def test_balanced_oversampled_classes_fall_back_to_wait():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import class_counts, dataset_of, row_major_gmm_em2, row_major_kmeans2
+from conftest import (class_counts, copying_take, dataset_of, row_major_gmm_em2,
+                      row_major_kmeans2)
 from farecast.core import SeriesKey
 from farecast.features import corpus_anchor
 from farecast.ingest import split
@@ -90,6 +91,17 @@ def test_oversample_duplicates_come_from_minority():
     maj_in = Counter(ds.series[ds.label_class == 0].tolist())
     maj_out = Counter(out.series[out.label_class == 0].tolist())
     assert maj_in == maj_out
+
+
+def test_oversample_refers_to_its_input_rows():
+    ds = make_dataset(range(1000), [1] * 100 + [0] * 900)
+    out = oversample(ds, seed=0)
+    # The balanced set holds a row index, not a new (1800, d) matrix.
+    assert out.index.shape == (1800,)
+    rows, counts = out.counted()
+    assert np.shares_memory(rows.X, ds.X)
+    assert counts.sum() == len(out) == 1800
+    assert np.array_equal(out.X, copying_take(ds, out.index).X)
 
 
 def test_oversample_single_class_raises():
