@@ -110,13 +110,14 @@ class Dataset:
     Row i belongs to series ``keys[series[i]]``; ``label_class`` marks the
     rows at their series' minimum price and ``label_reg`` is that minimum.
 
-    A set holds its rows as its own arrays or by index: ``index`` then lists,
-    in order, the rows of the arrays it refers to, so one row can be held
-    many times and none is copied. Each read of ``X``, ``label_class``,
-    ``label_reg`` or ``series`` gathers the rows it holds into a new array;
-    ``len`` counts every row it holds. ``refer`` makes such a set, ``take``
-    of one composes its index, and ``counted`` hands its rows over once each
-    with their counts.
+    A set built from its arrays holds each of their rows once, in order.
+    Every subset is held by index into those arrays: ``take`` composes
+    ``index``, which lists in order the rows the set holds, so one row can
+    be held many times and none is copied. Each read of ``X``,
+    ``label_class``, ``label_reg`` or ``series`` of a set held by index
+    gathers its rows into a new array, so a reader reads a column once;
+    ``len`` counts every row it holds, and ``counted`` hands its rows over
+    once each with their counts.
     """
 
     __slots__ = ("_X", "_label_class", "_label_reg", "_series", "keys", "role", "index")
@@ -157,37 +158,27 @@ class Dataset:
     def __len__(self) -> int:
         return len(self._X) if self.index is None else len(self.index)
 
-    def _refer(self, index: Optional[np.ndarray]) -> "Dataset":
-        return Dataset(self._X, self._label_class, self._label_reg, self._series,
-                       self.keys, self.role, index)
-
     def take(self, rows: np.ndarray) -> "Dataset":
         """The rows selected by an index array or a boolean mask, in that
-        order: copied, or held by the composed index where the set holds its
-        rows by index."""
-        if self.index is not None:
-            return self._refer(self.index[rows])
-        return Dataset(self._X[rows], self._label_class[rows], self._label_reg[rows],
-                       self._series[rows], self.keys, self.role)
-
-    def refer(self, rows: np.ndarray) -> "Dataset":
-        """The rows selected by an index array or a boolean mask, in that
-        order, held by index into the arrays this set refers to."""
-        return self._refer((np.arange(len(self)) if self.index is None else self.index)[rows])
+        order, held by index into the arrays this set holds or refers to."""
+        index = np.arange(len(self)) if self.index is None else self.index
+        return Dataset(self._X, self._label_class, self._label_reg, self._series,
+                       self.keys, self.role, index[rows])
 
     def counted(self) -> tuple["Dataset", np.ndarray]:
         """(rows, counts): each row the set holds, once, in the order the set
-        first holds it, as a set of its own arrays, and how many times the set
-        holds it. Where that is every row of the arrays it refers to, in their
-        order, they are handed over as they are, uncopied."""
+        first holds it, held by index, and how many times the set holds it.
+        Where that is every row of its arrays, in their order, the rows are
+        those arrays as they are."""
         if self.index is None:
             return self, np.ones(len(self), dtype=np.intp)
         held, first, counts = np.unique(self.index, return_index=True, return_counts=True)
         order = np.argsort(first)
-        own = self._refer(None)
-        if not np.array_equal(held[order], np.arange(len(self._X))):
-            own = own.take(held[order])
-        return own, counts[order]
+        held = held[order]
+        if np.array_equal(held, np.arange(len(self._X))):
+            held = None
+        return Dataset(self._X, self._label_class, self._label_reg, self._series,
+                       self.keys, self.role, held), counts[order]
 
     def map_rows(self, fn) -> np.ndarray:
         """``fn(X)`` for an ``fn`` that maps each row of X on its own: a set

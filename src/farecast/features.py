@@ -38,6 +38,11 @@ class FeatureMismatch(FarecastError):
     pass
 
 
+def dummy_width(n_columns: int) -> int:
+    """The number of route dummy columns of a design matrix of ``n_columns``."""
+    return n_columns - len(CONTINUOUS_NAMES)
+
+
 def corpus_anchor(series: Sequence[PriceSeries]) -> date:
     """Corpus-wide first query date, the fixed origin for query_to_departure."""
     if not series:
@@ -96,7 +101,7 @@ def feature_dataset(
 def set_route_dummies(X: np.ndarray, route_index) -> None:
     """Write the route dummy block of ``X`` in place: row i gets a 1 in column
     ``route_index[i]`` and 0 elsewhere; a single int tags every row."""
-    width = X.shape[1] - len(CONTINUOUS_NAMES)
+    width = dummy_width(X.shape[1])
     route_index = np.broadcast_to(route_index, len(X))
     if len(X) and not 0 <= route_index.min() <= route_index.max() < width:
         raise FarecastError(f"route index outside 0..{width - 1}")
@@ -137,14 +142,17 @@ class Standardizer:
         return cls(mean=mean, scale=np.where(degenerate, 1.0, std), keep=keep)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        out = X.astype(float)
-        out[:, CONTINUOUS] = (out[:, CONTINUOUS] - self.mean) / self.scale
-        return out[:, self.keep == 1]
+        # Column-major whether or not a column is dropped: the last bits of
+        # the cores' BLAS products depend on their operands' layout.
+        out = X.astype(float, order="F")
+        out[:, CONTINUOUS] -= self.mean
+        out[:, CONTINUOUS] /= self.scale
+        return out if self.keep.all() else out[:, self.keep == 1]
 
 
 def dump_features(ds: Dataset, path: str | Path) -> None:
     """Write the rows of ``ds`` as CSV, one line per quote, for inspection."""
-    width = ds.X.shape[1] - len(CONTINUOUS_NAMES)
+    width = dummy_width(ds.n_features)
     header = ["route_id", "departure_date", "query_date", *CONTINUOUS_NAMES,
               *(f"f{i}" for i in range(width)), "label_class", "label_reg"]
 

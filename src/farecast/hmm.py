@@ -46,8 +46,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import EmptySeries, FarecastError, PriceSeries, SeriesKey
-from .features import feature_dataset, set_route_dummies
-from .learners import TrainedModel, dummy_width, predict
+from .features import dummy_width, feature_dataset, set_route_dummies
+from .learners import TrainedModel, predict
 from .policy import PurchaseDecision, decide_classification
 from .util import derive_seed, from_jsonable, read_json, to_jsonable, write_json
 
@@ -477,7 +477,7 @@ def generalized_predict(
     """
     if frozen_model.spec.task != "classification":
         raise FarecastError("the frozen model must be a classification model")
-    width = dummy_width(frozen_model)
+    width = dummy_width(frozen_model.n_features)
     indices = [m.route_index for m in bank]
     if indices != list(range(width)):
         raise FarecastError(f"bank holds templates for route indices {indices}, "

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core import Dataset, FarecastError
-from ..features import CONTINUOUS_NAMES, FeatureMismatch, Standardizer
+from ..features import CONTINUOUS_NAMES, FeatureMismatch, Standardizer, dummy_width
 from ..util import (JSON_TYPES, NOT_SAVED, check_json_type, check_shapes, derive_seed,
                     from_jsonable, read_json, require_keys, to_jsonable, write_json)
 from .boosting import AdaBoostClassifier, AdaBoostRegressor
@@ -176,13 +176,13 @@ def _design(spec: LearnerSpec, train: Dataset):
 def _weighted_distinct(task: str, train: Dataset, min_leaf: int):
     """(X, y, sample_weight) for the tree kinds: each distinct (x, y) row once,
     weighted by its count, which weighted Gini, squared error and the
-    AdaBoost update treat as that many unit-weight copies. A set held by
-    index (the oversampled one) hands over the rows it refers to, once each
-    with their counts (``Dataset.counted``), so its repeated rows are never
-    gathered; only exact duplicates among those rows are, to one row per
-    distinct (x, y). Without a repeated row the inputs pass through
-    unchanged. With ``min_leaf > 1`` the set's rows are read as they are:
-    Cart counts rows there, and a collapsed row would count once."""
+    AdaBoost update treat as that many unit-weight copies. The set hands
+    over each row it holds once, with its count (``Dataset.counted``), so a
+    row held many times (an oversampled duplicate) is gathered once; exact
+    duplicates among those rows are then merged, to one row per distinct
+    (x, y). Without a repeated row the inputs pass through unchanged. With
+    ``min_leaf > 1`` the set's rows are read as they are: Cart counts rows
+    there, and a collapsed row would count once."""
     if min_leaf > 1:
         return train.X, _labels(task, train), None
     held, counts = train.counted()
@@ -266,7 +266,7 @@ def truncated(model: TrainedModel, spec: LearnerSpec) -> Optional[TrainedModel]:
 def _fit_blend(spec: LearnerSpec, hyperparams: dict, train: Dataset, seed: int) -> TrainedModel:
     member_kind = hyperparams["member_kind"] or (
         "adaboost_cart" if spec.task == "classification" else "cart")
-    width = train.n_features - len(CONTINUOUS_NAMES)
+    width = dummy_width(train.n_features)
     route = train.map_rows(lambda X: X[:, :width].argmax(axis=1))
     missing = [r for r in range(width) if not (route == r).any()]
     if missing:
@@ -286,7 +286,7 @@ def _core_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
         raise FeatureMismatch(
             f"model expects {model.n_features} features, rows have {X.shape[1]}"
         )
-    if not (X[:, :dummy_width(model)].sum(axis=1) == 1.0).all():
+    if not (X[:, :dummy_width(model.n_features)].sum(axis=1) == 1.0).all():
         raise FeatureMismatch("every row needs exactly one route dummy set")
     if model.standardizer is not None:
         X = model.standardizer.transform(X)
@@ -317,11 +317,6 @@ def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     if model.spec.task == "regression":
         return predict(model, X)
     return model.core.predict_scores(_core_matrix(model, X))
-
-
-def dummy_width(model: TrainedModel) -> int:
-    """Number of route dummies in the rows the model was trained on."""
-    return model.n_features - len(CONTINUOUS_NAMES)
 
 
 # -- serialization ---------------------------------------------------------
@@ -357,7 +352,7 @@ def model_from_dict(raw: dict) -> TrainedModel:
     require_keys("model document", raw, _DOCUMENT_KEYS)
     spec = from_jsonable(LearnerSpec, raw["spec"])
     n_features = raw["n_features"]
-    if type(n_features) is not int or n_features <= len(CONTINUOUS_NAMES):
+    if type(n_features) is not int or dummy_width(n_features) < 1:
         raise FarecastError(f"bad n_features {n_features!r}: not an int above {len(CONTINUOUS_NAMES)}")
     standardizer = None
     if raw["standardizer"] is not None:
@@ -367,7 +362,7 @@ def model_from_dict(raw: dict) -> TrainedModel:
     if spec.kind == "uniform_blend":
         require_keys("blend core", raw["core"], ("members",))
         core = [model_from_dict(m) for m in raw["core"]["members"]]
-        width = n_features - len(CONTINUOUS_NAMES)
+        width = dummy_width(n_features)
         if (standardizer is not None or len(core) != width
                 or any(m.spec.kind == "uniform_blend" or m.spec.task != spec.task
                        or m.n_features != n_features for m in core)):

@@ -61,10 +61,10 @@ partitioned to its leaves and 61 us with a cutoff.
 
 One row of weight k*w is the same, for weighted Gini, weighted squared error
 and the AdaBoost update, as k copies of weight w (Freund & Schapire 1997).
-An oversampled set holds its rows by index, a duplicate being a second
-reference to its row (``core.Dataset``); the facade hands the tree kinds the
-rows it refers to, once each with how often it holds them, and never builds
-the oversampled matrix. ``distinct_rows`` merges those rows' exact
+Every training subset holds its rows by index (``core.Dataset``), so an
+oversampled duplicate is a second reference to its row; the facade hands the
+tree kinds each row a set holds once, with how often it holds it, and never
+builds the oversampled matrix. ``distinct_rows`` merges those rows' exact
 duplicates, adding their counts, so the tree kinds fit each distinct (x, y)
 row once with its count as its weight. The result is the same tree up to
 the grouping of partial sums, which can flip a near-tie split.

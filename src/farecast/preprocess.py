@@ -222,13 +222,14 @@ def gmm_em2(
 def oversample(train: Dataset, seed: int) -> Dataset:
     """Duplicate minority-class rows uniformly at random until the classes balance.
 
-    The duplicates follow the original rows, which keep their order. The
-    result holds its rows by index into ``train``'s arrays
-    (``Dataset.refer``): a duplicate is a second reference to its row, and no
-    row is copied.
+    The duplicates follow the original rows, which keep their order. Like
+    every subset (``Dataset.take``), the result holds its rows by index into
+    the arrays ``train`` holds or refers to: a duplicate is a second
+    reference to its row, and no row is copied.
     """
-    buys = np.flatnonzero(train.label_class == BUY)
-    waits = np.flatnonzero(train.label_class == WAIT)
+    y = train.label_class
+    buys = np.flatnonzero(y == BUY)
+    waits = np.flatnonzero(y == WAIT)
     if not len(buys) or not len(waits):
         raise SingleClassDataset("oversampling needs both classes")
     minority = buys if len(buys) < len(waits) else waits
@@ -237,7 +238,7 @@ def oversample(train: Dataset, seed: int) -> Dataset:
         return train
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(minority), size=n_extra)
-    return train.refer(np.concatenate([np.arange(len(train)), minority[picks]]))
+    return train.take(np.concatenate([np.arange(len(train)), minority[picks]]))
 
 
 def remove_outliers(

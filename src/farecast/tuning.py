@@ -102,11 +102,12 @@ def _held_log():
         package.removeHandler(held)
 
 
-def _loss(spec: LearnerSpec, model, val: Dataset) -> float:
-    pred = predict(model, val.X)
+def _loss(spec: LearnerSpec, model, X: np.ndarray, label_class: np.ndarray,
+          label_reg: np.ndarray) -> float:
+    pred = predict(model, X)
     if spec.task == "classification":
-        return float(np.mean(pred != val.label_class))
-    return float(np.sqrt(np.mean((pred - val.label_reg) ** 2)))
+        return float(np.mean(pred != label_class))
+    return float(np.sqrt(np.mean((pred - label_reg) ** 2)))
 
 
 def grid_search(
@@ -142,6 +143,7 @@ def grid_search(
         out: list = []
         held_out = np.isin(train.series, series[folds[f]])
         fold_train, val = train.take(~held_out), train.take(held_out)
+        val = (val.X, val.label_class, val.label_reg)  # each read gathers the rows
         if preprocess is not None:
             fold_train = preprocess(fold_train, derive_seed(seed, "fold-prep", f))
         for cells in cell_groups:  # the largest cell that fits; smaller ones off it
@@ -151,7 +153,7 @@ def grid_search(
                     model = whole and truncated(whole, spec)
                     if model is None:
                         model = whole = fit(spec, fold_train, seed=derive_seed(seed, "fold-fit", f))
-                    out.append((spec_idx, _loss(spec, model, val), None))
+                    out.append((spec_idx, _loss(spec, model, *val), None))
                 except (FarecastError, ValueError, np.linalg.LinAlgError) as exc:
                     out.append((spec_idx, None, f"{type(exc).__name__}: {exc}"))
         return out

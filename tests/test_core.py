@@ -190,7 +190,7 @@ def test_a_set_held_by_index_reads_the_rows_it_lists():
     ds = dataset_of([(KEY, i % 2, (float(i), 1.0, 10, 5, 1.0), i % 3 == 0, float(i))
                      for i in range(6)])
     index = np.array([4, 1, 1, 5, 4, 4, 0])
-    held = ds.refer(index)
+    held = ds.take(index)
     copies = copying_take(ds, index)
     assert len(held) == 7 and held.index is not None
     for name in ("X", "label_class", "label_reg", "series"):
@@ -199,10 +199,10 @@ def test_a_set_held_by_index_reads_the_rows_it_lists():
     mask = copies.label_reg != 1.0
     assert np.array_equal(held.take(mask).index, index[mask])
     assert np.array_equal(held.take(mask).X, copies.take(mask).X)
-    assert np.array_equal(held.refer([6, 0]).index, [0, 4])
+    assert np.array_equal(held.take([6, 0]).index, [0, 4])
     # each row once, in the order the set first holds it, with its count
     rows, counts = held.counted()
-    assert rows.index is None
+    assert rows.index.tolist() == [4, 1, 5, 0]
     assert np.array_equal(rows.X, ds.X[[4, 1, 5, 0]])
     assert counts.tolist() == [3, 2, 1, 1]
     assert np.array_equal(held.map_rows(lambda X: X[:, 0]), copies.X[:, 0])
@@ -210,10 +210,53 @@ def test_a_set_held_by_index_reads_the_rows_it_lists():
 
 def test_a_set_held_by_every_row_in_order_counts_its_own_arrays():
     ds = dataset_of([(KEY, 0, (float(i), 1.0, 10, 5, 1.0), 0, None) for i in range(4)])
-    rows, counts = ds.refer(np.array([0, 1, 2, 3, 2, 2])).counted()
+    rows, counts = ds.take(np.array([0, 1, 2, 3, 2, 2])).counted()
     assert rows.X is ds.X
     assert counts.tolist() == [1, 1, 3, 1]
     assert ds.counted()[0] is ds and ds.counted()[1].tolist() == [1, 1, 1, 1]
+
+
+@st.composite
+def take_chains(draw):
+    """(dataset, selections): rows drawn from a pool of three, so the set has
+    exact duplicate rows, and a chain of 1-4 row selections, each valid on
+    the rows the chain holds by then: an index array with repeats, a boolean
+    mask or the reversed order."""
+    pool = [(SeriesKey(f"R{p}", date(2016, 1, 13)), p % 2, (float(p), 1.0, 10, 5, 1.0),
+             p == 1, 10.0 * p) for p in range(3)]
+    ds = dataset_of([pool[p] for p in draw(st.lists(st.integers(0, 2), min_size=1, max_size=8))])
+    n, selections = len(ds), []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("index", "mask", "reverse")))
+        if kind == "index":
+            size = 10 if n else 0
+            rows = np.array(draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=size)),
+                            dtype=np.intp)
+        elif kind == "mask":
+            rows = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        else:
+            rows = np.arange(n)[::-1]
+        selections.append(rows)
+        n = len(np.arange(n)[rows])
+    return ds, selections
+
+
+@given(take_chains())
+def test_a_chain_of_takes_reads_as_the_chain_of_copies(chain):
+    ds, selections = chain
+    held, copies, index = ds, ds, np.arange(len(ds))
+    for rows in selections:
+        held, copies, index = held.take(rows), copying_take(copies, rows), index[rows]
+    assert len(held) == len(copies)
+    for name in ("X", "label_class", "label_reg", "series"):
+        assert np.array_equal(getattr(held, name), getattr(copies, name))
+    # counted: np.unique over the composed index, in the order first held
+    rows, counts = held.counted()
+    distinct, first, want = np.unique(index, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    assert np.array_equal(rows.X, ds.X[distinct[order]])
+    assert np.array_equal(rows.label_class, ds.label_class[distinct[order]])
+    assert counts.tolist() == want[order].tolist()
 
 
 def test_dataset_role_validated():

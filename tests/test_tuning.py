@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dataset_of
-from farecast import tuning
+from farecast import pipeline, preprocess, tuning
 from farecast.core import FarecastError, SeriesKey
 from farecast.learners import LearnerSpec, fit
+from farecast.pipeline import PreprocessConfig, apply_preprocessing
 from farecast.preprocess import SingleClassDataset
 from farecast.tuning import (
     AllCellsFailed,
@@ -449,7 +450,7 @@ def per_cell_grid_search(spec_grid, train, seed, k=5):
         for outcome, spec in zip(outcomes, spec_grid):
             try:
                 model = fit(spec, fold_train, seed=derive_seed(seed, "fold-fit", f))
-                outcome.append(_loss(spec, model, val))
+                outcome.append(_loss(spec, model, val.X, val.label_class, val.label_reg))
             except (FarecastError, ValueError, np.linalg.LinAlgError) as exc:
                 outcome.append(f"{type(exc).__name__}: {exc}")
     return [([x for x in outcome if not isinstance(x, str)],
@@ -464,6 +465,31 @@ def noisy_train(seed, n_series=10, rows_per=6):
         rows += series_rows(s, values, label_fn=lambda v: (v < 50) != (v % 5 == 0),
                             reg_fn=lambda v: v % 7)
     return dataset_of(rows)
+
+
+def test_folds_outlier_halves_and_balanced_sets_hold_training_rows_by_index(monkeypatch):
+    """Every training subset refers to the training set's arrays by a row
+    index: each fold, both halves of the outlier split, the balanced set."""
+    train = noisy_train(5)
+    held = []
+
+    def remove_outliers(ds, method):
+        kept, removed = preprocess.remove_outliers(ds, method=method)
+        held.extend([kept, removed])
+        return kept, removed
+
+    def prepare(fold, seed):
+        balanced = apply_preprocessing(fold, PreprocessConfig(outlier_removal="kmeans"), seed)
+        held.extend([fold, balanced])
+        return balanced
+
+    monkeypatch.setattr(pipeline, "remove_outliers", remove_outliers)
+    grid_search([LearnerSpec("cart", "classification")], train, seed=0, k=5, preprocess=prepare)
+    assert len(held) == 4 * 5
+    for ds in held:
+        assert ds.index is not None
+        assert np.array_equal(ds.X, train.X[ds.index])
+        assert np.array_equal(ds.label_class, train.label_class[ds.index])
 
 
 NESTED_CELLS = st.one_of(
